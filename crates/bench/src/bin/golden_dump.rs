@@ -9,10 +9,13 @@
 //! string plus the objective's `f64` bit pattern) — and, since the
 //! bit-parallel simulation engine landed, the packed power measurement
 //! (total current bits + switch events) and domino switching counts of the
-//! min-area assignment under the default `SimConfig`. The golden test
-//! compares the live kernel against these values bit for bit, so any
-//! refactor of the BDD manager, accountant, search, vector stream or
-//! packed simulator must leave them untouched (or consciously regenerate).
+//! min-area assignment under the default `SimConfig` — and a hash of the
+//! whole serialized `run_job` outcome of each circuit's compare job,
+//! untimed and timed the way `table2` runs it. The golden test compares
+//! the live kernel against these values bit for bit, so any refactor of
+//! the BDD manager, accountant, search, vector stream, packed simulator
+//! or engine runner must leave them untouched (or consciously
+//! regenerate).
 //!
 //! ```text
 //! cargo run --release -p domino-bench --bin golden_dump -- [--out <path>]
@@ -25,6 +28,7 @@
 use std::fmt::Write as _;
 
 use domino_bdd::ReorderMode;
+use domino_engine::{run_job, FlowJob, JobSpec};
 use domino_phase::flow::FlowConfig;
 use domino_phase::prob::{compute_probabilities, ProbabilityConfig};
 use domino_phase::search::{min_area_assignment, min_power_assignment};
@@ -33,17 +37,20 @@ use domino_sim::{measure_domino_switching, measure_power, SimConfig};
 use domino_techmap::{map, Library};
 use domino_workloads::public_suite;
 
+/// FNV-1a over a byte stream.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    let mut state = 0xcbf2_9ce4_8422_2325u64;
+    for byte in bytes {
+        state ^= u64::from(byte);
+        state = state.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    state
+}
+
 /// FNV-1a over the `f64` bit patterns of a probability vector: equal hash
 /// ⟺ byte-identical probabilities (no tolerance).
 fn prob_hash(probs: &[f64]) -> u64 {
-    let mut state = 0xcbf2_9ce4_8422_2325u64;
-    for &p in probs {
-        for byte in p.to_bits().to_le_bytes() {
-            state ^= u64::from(byte);
-            state = state.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    state
+    fnv1a(probs.iter().flat_map(|p| p.to_bits().to_le_bytes()))
 }
 
 fn main() {
@@ -150,6 +157,25 @@ fn main() {
             switching.output_inverters.to_bits(),
         )
         .unwrap();
+
+        // Whole-outcome pins: the compare job `table1` (untimed) and
+        // `table2` (85% of the MA delay, P_i = 2.5) run on this circuit,
+        // hashed over `run_job`'s serialized outcome.
+        for (mode, timing_fraction, mp_and_penalty) in
+            [("untimed", None, None), ("timed", Some(0.85), Some(2.5))]
+        {
+            let mut spec = JobSpec::for_network(bench.name, net);
+            spec.timing_fraction = timing_fraction;
+            spec.mp_and_penalty = mp_and_penalty;
+            let outcome = run_job(&FlowJob::new(spec, net.clone())).expect("job runs");
+            writeln!(
+                text,
+                "outcome name={} mode={mode} hash={:016x}",
+                bench.name,
+                fnv1a(outcome.to_json().serialize().into_bytes()),
+            )
+            .unwrap();
+        }
     }
 
     match out {

@@ -14,8 +14,11 @@
 //! post-reorder probability hash, node count, swap count and final
 //! variable order), and — for the packed simulator — the
 //! measured power total, switch-event count and domino switching averages
-//! of the min-area assignment under the default `SimConfig`. Any kernel or
-//! simulator change that shifts a single bit fails here; CI additionally
+//! of the min-area assignment under the default `SimConfig`, and
+//! (`outcome` rows) an FNV-1a hash of the serialized `run_job` outcome of
+//! the circuit's compare job, untimed and timed as `table2` runs it. Any
+//! kernel, simulator or runner change that shifts a single bit fails
+//! here; CI additionally
 //! regenerates the fixture into a temp file and diffs it against the
 //! checked-in copy, so a conscious change must update the fixture in the
 //! same commit.
@@ -28,6 +31,7 @@ use std::collections::HashMap;
 
 use dominolp::bdd::table::UniqueTable;
 use dominolp::bdd::ReorderMode;
+use dominolp::engine::{run_job, FlowJob, JobSpec};
 use dominolp::phase::flow::FlowConfig;
 use dominolp::phase::prob::{compute_probabilities, ProbabilityConfig};
 use dominolp::phase::search::{min_area_assignment, min_power_assignment};
@@ -39,7 +43,8 @@ use proptest::prelude::*;
 
 const FIXTURES: &str = include_str!("fixtures/golden_kernel.txt");
 
-/// One `key=value` fixture line, keyed by its leading tag (`kernel`/`sim`).
+/// One `key=value` fixture line, keyed by its leading tag (`kernel`,
+/// `reorder`, `sim` or `outcome`).
 #[derive(Debug)]
 struct Row {
     fields: HashMap<String, String>,
@@ -64,12 +69,13 @@ impl Row {
     }
 }
 
-/// Parses the fixture into `(kernel rows, reorder rows, sim rows)`, in
-/// file order.
-fn parse_fixtures() -> (Vec<Row>, Vec<Row>, Vec<Row>) {
+/// Parses the fixture into `(kernel rows, reorder rows, sim rows, outcome
+/// rows)`, in file order.
+fn parse_fixtures() -> (Vec<Row>, Vec<Row>, Vec<Row>, Vec<Row>) {
     let mut kernel = Vec::new();
     let mut reorder = Vec::new();
     let mut sim = Vec::new();
+    let mut outcome = Vec::new();
     for line in FIXTURES.lines() {
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
@@ -88,30 +94,34 @@ fn parse_fixtures() -> (Vec<Row>, Vec<Row>, Vec<Row>) {
             "kernel" => kernel.push(row),
             "reorder" => reorder.push(row),
             "sim" => sim.push(row),
+            "outcome" => outcome.push(row),
             other => panic!("unknown fixture tag '{other}'"),
         }
     }
-    (kernel, reorder, sim)
+    (kernel, reorder, sim, outcome)
+}
+
+/// FNV-1a over a byte stream (must match `golden_dump`'s implementation).
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    let mut state = 0xcbf2_9ce4_8422_2325u64;
+    for byte in bytes {
+        state ^= u64::from(byte);
+        state = state.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    state
 }
 
 /// FNV-1a over the `f64` bit patterns — equal hash ⟺ byte-identical
-/// probabilities (must match `golden_dump`'s implementation).
+/// probabilities.
 fn prob_hash(probs: &[f64]) -> u64 {
-    let mut state = 0xcbf2_9ce4_8422_2325u64;
-    for &p in probs {
-        for byte in p.to_bits().to_le_bytes() {
-            state ^= u64::from(byte);
-            state = state.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    state
+    fnv1a(probs.iter().flat_map(|p| p.to_bits().to_le_bytes()))
 }
 
 #[test]
 fn kernel_is_bit_identical_to_fixtures() {
     let suite = public_suite().expect("suite generates");
     let config = FlowConfig::default();
-    let (golden, _, _) = parse_fixtures();
+    let (golden, ..) = parse_fixtures();
     assert_eq!(suite.len(), golden.len());
     for (bench, golden) in suite.iter().zip(&golden) {
         assert_eq!(bench.name, golden.get("name"));
@@ -194,7 +204,7 @@ fn sifted_kernel_is_bit_identical_to_fixtures() {
         reorder: ReorderMode::Sift,
         ..FlowConfig::default().probability
     };
-    let (_, golden, _) = parse_fixtures();
+    let (_, golden, ..) = parse_fixtures();
     assert_eq!(suite.len(), golden.len());
     for (bench, golden) in suite.iter().zip(&golden) {
         assert_eq!(bench.name, golden.get("name"));
@@ -244,7 +254,7 @@ fn packed_simulation_is_bit_identical_to_fixtures() {
     let config = FlowConfig::default();
     let lib = Library::standard();
     let sim_cfg = SimConfig::default();
-    let (_, _, golden) = parse_fixtures();
+    let (_, _, golden, _) = parse_fixtures();
     assert_eq!(suite.len(), golden.len());
     for (bench, golden) in suite.iter().zip(&golden) {
         assert_eq!(bench.name, golden.get("name"));
@@ -282,6 +292,34 @@ fn packed_simulation_is_bit_identical_to_fixtures() {
                 golden.hex(key),
                 "{}: switching '{key}' is no longer bit-identical",
                 bench.name
+            );
+        }
+    }
+}
+
+#[test]
+fn job_outcomes_are_byte_identical_to_fixtures() {
+    let suite = public_suite().expect("suite generates");
+    let (.., golden) = parse_fixtures();
+    assert_eq!(2 * suite.len(), golden.len());
+    for (bench, pair) in suite.iter().zip(golden.chunks(2)) {
+        for (golden, timed) in pair.iter().zip([false, true]) {
+            assert_eq!(bench.name, golden.get("name"));
+            assert_eq!(if timed { "timed" } else { "untimed" }, golden.get("mode"));
+            // The compare job `table1` (untimed) or `table2` (85% of the
+            // MA delay, P_i = 2.5) runs on this circuit.
+            let mut spec = JobSpec::for_network(bench.name, &bench.network);
+            if timed {
+                spec.timing_fraction = Some(0.85);
+                spec.mp_and_penalty = Some(2.5);
+            }
+            let outcome = run_job(&FlowJob::new(spec, bench.network.clone())).expect("job runs");
+            assert_eq!(
+                fnv1a(outcome.to_json().serialize().into_bytes()),
+                golden.hex("hash"),
+                "{} ({}): the serialized job outcome moved",
+                bench.name,
+                golden.get("mode")
             );
         }
     }
