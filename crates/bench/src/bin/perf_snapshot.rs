@@ -32,14 +32,17 @@
 //! the node shrink.
 //!
 //! A `warm_restart` section exercises the persistence layer on a
-//! giant generated circuit: a cold process flows it against an empty
-//! snapshot directory, a fresh store over the same directory simulates
-//! the restarted process, and the gated facts are deterministic — the
-//! restart performs zero kernel builds, its outcome is byte-identical
-//! to the cold run, and a corrupted snapshot is quarantined and rebuilt,
-//! never served.
+//! giant generated circuit: a cold process flows it against an emptied
+//! snapshot directory, a fresh store over the filled directory simulates
+//! the restarted process (both timed best-of-N, one fresh engine and
+//! store per sample), and the gated facts are deterministic — the
+//! restarts perform zero kernel builds, their outcomes are
+//! byte-identical to the cold run, and a corrupted snapshot is
+//! quarantined and rebuilt, never served.
 
+use std::path::Path;
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Instant;
 
 use domino_bdd::circuit::CircuitBdds;
@@ -51,7 +54,9 @@ use domino_bench::serve_probe::{
 };
 use domino_bench::Experiment;
 use domino_engine::json::{parse, Json};
-use domino_engine::{run_job_snapshotted, FlowJob, JobSpec, SnapshotStore};
+use domino_engine::{
+    CancelToken, EngineConfig, FlowEngine, FlowJob, FlowOutcome, JobResult, JobSpec, SnapshotStore,
+};
 use domino_phase::flow::FlowConfig;
 use domino_phase::prob::compute_probabilities;
 use domino_phase::search::min_power_assignment;
@@ -80,6 +85,39 @@ fn best_ms<T>(samples: usize, mut f: impl FnMut() -> T) -> f64 {
         })
         .min_by(f64::total_cmp)
         .expect("at least one sample")
+}
+
+/// Wall-clock minimum of `samples` runs of `run`, each preceded by an
+/// untimed `setup`, in milliseconds — with every run's result.
+fn best_runs<T>(
+    samples: usize,
+    mut setup: impl FnMut(),
+    mut run: impl FnMut() -> T,
+) -> (f64, Vec<T>) {
+    let mut best = f64::INFINITY;
+    let mut results = Vec::new();
+    for _ in 0..samples.max(1) {
+        setup();
+        let start = Instant::now();
+        results.push(run());
+        best = best.min(start.elapsed().as_secs_f64() * 1e3);
+    }
+    (best, results)
+}
+
+/// Runs `job` the way a freshly started process would: a new engine over
+/// a new snapshot store on `dir`. Returns the outcome and that store.
+fn run_on_fresh_store(job: &FlowJob, dir: &Path) -> (FlowOutcome, Arc<SnapshotStore>) {
+    let store = Arc::new(SnapshotStore::on_disk(dir).expect("snapshot dir"));
+    let engine = FlowEngine::new(EngineConfig {
+        threads: 1,
+        cache: None,
+        snapshots: Some(Arc::clone(&store)),
+    });
+    match engine.run_one(job, &CancelToken::new()) {
+        JobResult::Completed { outcome, .. } => (*outcome, store),
+        other => panic!("snapshotted flow failed: {other:?}"),
+    }
 }
 
 fn main() -> ExitCode {
@@ -270,9 +308,10 @@ fn main() -> ExitCode {
 
     // Warm-restart persistence, exercised on a giant generated circuit
     // (deep pipelined cones — far larger than any suite row, yet windowed
-    // so exact probabilities stay cheap). One cold process flows it
-    // against an empty snapshot directory; a fresh store over the same
-    // directory simulates the restarted process. Every gated fact is
+    // so exact probabilities stay cheap). Each cold sample flows it
+    // against an emptied snapshot directory; each restart sample runs a
+    // fresh store over the filled directory, simulating the restarted
+    // process. Both are timed best-of-N. Every gated fact is
     // deterministic: zero kernel builds after restart, byte-identical
     // outcome, and corruption quarantined + rebuilt rather than served.
     let giant_spec = if fast {
@@ -288,28 +327,30 @@ fn main() -> ExitCode {
     let job = FlowJob::new(giant_job, giant.clone());
 
     let snap_dir = std::env::temp_dir().join(format!("dominolp-perf-warm-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&snap_dir);
-    let cold_store = SnapshotStore::on_disk(&snap_dir).expect("snapshot dir");
-    let cold_start = Instant::now();
-    let cold_outcome =
-        run_job_snapshotted(&job, Some(&cold_store), &|| false).expect("cold flow runs");
-    let cold_ms = cold_start.elapsed().as_secs_f64() * 1e3;
-    let cold_stats = cold_store.stats();
-    let cold_bytes = cold_store.disk_bytes();
-    assert_eq!(
-        cold_stats.kernel_builds, 1,
-        "cold run builds the shared kernel exactly once"
+    let (cold_ms, colds) = best_runs(
+        samples,
+        || {
+            let _ = std::fs::remove_dir_all(&snap_dir);
+        },
+        || run_on_fresh_store(&job, &snap_dir),
     );
+    for (_, store) in &colds {
+        assert_eq!(
+            store.stats().kernel_builds,
+            1,
+            "cold run builds the shared kernel exactly once"
+        );
+    }
+    let (cold_outcome, cold_store) = colds.last().expect("at least one cold sample");
+    let cold_bytes = cold_store.disk_bytes();
     let cold_json = cold_outcome.to_json().serialize();
 
-    let restart_store = SnapshotStore::on_disk(&snap_dir).expect("snapshot dir");
-    let restart_outcome =
-        run_job_snapshotted(&job, Some(&restart_store), &|| false).expect("warm flow runs");
-    let restart_ms = best_ms(samples, || {
-        run_job_snapshotted(&job, Some(&restart_store), &|| false).expect("warm flow runs")
-    });
-    let restart_stats = restart_store.stats();
-    let restart_identical = restart_outcome.to_json().serialize() == cold_json;
+    let (restart_ms, restarts) = best_runs(samples, || {}, || run_on_fresh_store(&job, &snap_dir));
+    let restart_kernel_builds: u64 = restarts.iter().map(|(_, s)| s.stats().kernel_builds).sum();
+    let restart_hits: u64 = restarts.iter().map(|(_, s)| s.stats().hits).sum();
+    let restart_identical = restarts
+        .iter()
+        .all(|(outcome, _)| outcome.to_json().serialize() == cold_json);
 
     // Corrupt every snapshot on disk; the next "process" must quarantine,
     // rebuild, and still produce the byte-identical outcome.
@@ -322,9 +363,7 @@ fn main() -> ExitCode {
             std::fs::write(&path, bytes).expect("snapshot rewrites");
         }
     }
-    let corrupt_store = SnapshotStore::on_disk(&snap_dir).expect("snapshot dir");
-    let corrupt_outcome =
-        run_job_snapshotted(&job, Some(&corrupt_store), &|| false).expect("recovery flow runs");
+    let (corrupt_outcome, corrupt_store) = run_on_fresh_store(&job, &snap_dir);
     let corrupt_stats = corrupt_store.stats();
     let corrupt_recovered = corrupt_outcome.to_json().serialize() == cold_json
         && corrupt_stats.corrupt_evictions >= 1
@@ -339,9 +378,9 @@ fn main() -> ExitCode {
         ("warm_speedup", Json::Num(cold_ms / restart_ms.max(1e-9))),
         (
             "restart_kernel_builds",
-            Json::Num(restart_stats.kernel_builds as f64),
+            Json::Num(restart_kernel_builds as f64),
         ),
-        ("restart_hits", Json::Num(restart_stats.hits as f64)),
+        ("restart_hits", Json::Num(restart_hits as f64)),
         ("restart_identical", Json::Bool(restart_identical)),
         ("corrupt_recovered", Json::Bool(corrupt_recovered)),
         ("snapshot_disk_bytes", Json::Num(cold_bytes as f64)),

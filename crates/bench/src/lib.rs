@@ -34,8 +34,7 @@ pub mod fleet_probe;
 pub mod serve_probe;
 
 use domino_engine::{
-    run_job, run_objective, EngineError, FlowEngine, FlowJob, JobResult, JobSpec, PiSpec,
-    RunObjective,
+    run_job, EngineError, FlowEngine, FlowJob, JobResult, JobSpec, PiSpec, RunObjective,
 };
 use domino_netlist::Network;
 use domino_phase::flow::FlowConfig;
@@ -140,32 +139,6 @@ impl Experiment {
     /// Builds a resolved engine job for `net`.
     pub fn job(&self, name: &str, net: &Network, objective: RunObjective) -> FlowJob {
         FlowJob::new(self.to_spec(name, net, objective), net.clone())
-    }
-
-    /// Runs one flow variant (`minimize_area` when `area` else
-    /// `minimize_power`) through mapping, optional sizing, and simulation —
-    /// via the engine's [`run_objective`].
-    ///
-    /// When timing is requested, the clock target is derived from the MA
-    /// netlist's unsized delay via `timing_fraction` (pass it in
-    /// `clock_ps`); `clock_ps = None` derives it from this netlist itself.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`EngineError`] from the flow.
-    pub fn run_flow(
-        &self,
-        net: &Network,
-        area: bool,
-        clock_ps: Option<f64>,
-    ) -> Result<FlowResult, EngineError> {
-        let objective = if area {
-            RunObjective::MinArea
-        } else {
-            RunObjective::MinPower
-        };
-        let job = self.job(net.name(), net, objective);
-        run_objective(&job, area, clock_ps)
     }
 
     /// Runs the MA-vs-MP comparison on one circuit through the engine. For
@@ -276,15 +249,14 @@ mod tests {
     }
 
     #[test]
-    fn compare_agrees_with_run_flow() {
+    fn compare_agrees_with_single_objective_jobs() {
         let net = fig5();
         let mut experiment = Experiment::default();
         experiment.sim.cycles = 256;
         let cmp = experiment.compare("fig5", &net).unwrap();
-        let ma = experiment.run_flow(&net, true, None).unwrap();
-        let mp = experiment.run_flow(&net, false, None).unwrap();
-        assert_eq!(cmp.ma, ma);
-        assert_eq!(cmp.mp, mp);
+        let side = |objective| run_job(&experiment.job("fig5", &net, objective)).unwrap();
+        assert_eq!(Some(cmp.ma), side(RunObjective::MinArea).ma);
+        assert_eq!(Some(cmp.mp), side(RunObjective::MinPower).mp);
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub enum PhaseError {
         got: usize,
     },
     /// The flow was cooperatively cancelled at a stage boundary (see
-    /// [`flow::minimize_power_with_cancel`](crate::flow::minimize_power_with_cancel)).
+    /// [`flow::minimize`](crate::flow::minimize)).
     Cancelled,
 }
 

@@ -17,7 +17,9 @@
 //!
 //! [`minimize_power`] runs the whole loop; [`minimize_area`] runs the
 //! baseline of Puri et al. \[15\] through the same reporting path so the two
-//! are directly comparable (Tables 1 and 2).
+//! are directly comparable (Tables 1 and 2). Both compute the
+//! probabilities and then call [`minimize`], the search-and-synthesis half
+//! the engine runs once per side over one shared kernel.
 
 use domino_netlist::Network;
 
@@ -54,26 +56,6 @@ pub struct FlowReport {
     pub area_cells: usize,
     /// Search statistics (evaluations, commits, convergence trace).
     pub outcome: SearchOutcome,
-    /// The node probabilities used by the search.
-    pub probabilities: NodeProbabilities,
-}
-
-fn finish(
-    synth: &DominoSynthesizer<'_>,
-    probabilities: NodeProbabilities,
-    outcome: SearchOutcome,
-    config: &FlowConfig,
-) -> Result<FlowReport, PhaseError> {
-    let domino = synth.synthesize(&outcome.assignment)?;
-    let power = estimate_power(&domino, probabilities.as_slice(), &config.power.model);
-    Ok(FlowReport {
-        assignment: outcome.assignment.clone(),
-        area_cells: domino.area_cells(),
-        domino,
-        power,
-        outcome,
-        probabilities,
-    })
 }
 
 /// Runs the paper's full minimum-power flow on `net` with the given primary
@@ -108,57 +90,14 @@ pub fn minimize_power(
     pi_probs: &[f64],
     config: &FlowConfig,
 ) -> Result<FlowReport, PhaseError> {
-    minimize_power_with_cancel(net, pi_probs, config, &|| false)
-}
-
-/// [`minimize_power`] with a cooperative cancellation check.
-///
-/// `is_cancelled` is consulted at every stage boundary — before the
-/// probability computation, between probabilities and the phase search,
-/// and between the search and the final synthesis — so a caller holding a
-/// cancel flag (e.g. a `dominod` worker observing `DELETE /jobs/:id`) gets
-/// a bounded response time instead of waiting out the whole flow. The
-/// check is a plain closure so this crate stays independent of any
-/// particular token type.
-///
-/// # Errors
-///
-/// [`PhaseError::Cancelled`] when `is_cancelled` returns `true` at a
-/// boundary, plus everything [`minimize_power`] can return.
-pub fn minimize_power_with_cancel(
-    net: &Network,
-    pi_probs: &[f64],
-    config: &FlowConfig,
-    is_cancelled: &dyn Fn() -> bool,
-) -> Result<FlowReport, PhaseError> {
-    check_cancel(is_cancelled)?;
     let probabilities = compute_probabilities(net, pi_probs, &config.probability)?;
-    minimize_power_with_probabilities(net, probabilities, config, is_cancelled)
-}
-
-/// The tail of [`minimize_power_with_cancel`] after the probability stage:
-/// search, synthesis and reporting over caller-supplied probabilities.
-/// This is the warm path of the snapshot store — when converged
-/// probabilities were loaded from disk, the flow runs with zero BDD or
-/// probability recompute and is byte-identical to the cold run that stored
-/// them.
-///
-/// # Errors
-///
-/// Same conditions as [`minimize_power_with_cancel`] minus the probability
-/// stage's.
-pub fn minimize_power_with_probabilities(
-    net: &Network,
-    probabilities: NodeProbabilities,
-    config: &FlowConfig,
-    is_cancelled: &dyn Fn() -> bool,
-) -> Result<FlowReport, PhaseError> {
-    check_cancel(is_cancelled)?;
-    let synth = DominoSynthesizer::new(net)?;
-    let initial = PhaseAssignment::all_positive(synth.view_outputs().len());
-    let outcome = min_power_assignment(&synth, &probabilities, initial, &config.power)?;
-    check_cancel(is_cancelled)?;
-    finish(&synth, probabilities, outcome, config)
+    minimize(
+        &DominoSynthesizer::new(net)?,
+        &probabilities,
+        false,
+        config,
+        &|| false,
+    )
 }
 
 /// Runs the minimum-area baseline (\[15\]) and reports its power under the
@@ -172,46 +111,57 @@ pub fn minimize_area(
     pi_probs: &[f64],
     config: &FlowConfig,
 ) -> Result<FlowReport, PhaseError> {
-    minimize_area_with_cancel(net, pi_probs, config, &|| false)
+    let probabilities = compute_probabilities(net, pi_probs, &config.probability)?;
+    minimize(
+        &DominoSynthesizer::new(net)?,
+        &probabilities,
+        true,
+        config,
+        &|| false,
+    )
 }
 
-/// [`minimize_area`] with a cooperative cancellation check at the same
-/// stage boundaries as [`minimize_power_with_cancel`].
+/// The flow after the probability stage, over a caller-owned synthesizer
+/// and probabilities: the min-area search (`area`) or the min-power
+/// search, synthesis of the winning assignment, and its power estimate
+/// under `config.power.model`. A caller that runs both objectives on one
+/// circuit builds the synthesizer and the probabilities once and calls
+/// this per side.
+///
+/// `is_cancelled` is consulted before the search and again before the
+/// synthesis, so a caller holding a cancel flag (e.g. a `dominod` worker
+/// observing `DELETE /jobs/:id`) gets a bounded response time instead of
+/// waiting out the whole flow. The check is a plain closure so this crate
+/// stays independent of any particular token type.
 ///
 /// # Errors
 ///
 /// [`PhaseError::Cancelled`] when `is_cancelled` returns `true` at a
-/// boundary, plus everything [`minimize_area`] can return.
-pub fn minimize_area_with_cancel(
-    net: &Network,
-    pi_probs: &[f64],
+/// boundary, plus the search's and the synthesis's own errors.
+pub fn minimize(
+    synth: &DominoSynthesizer<'_>,
+    probabilities: &NodeProbabilities,
+    area: bool,
     config: &FlowConfig,
     is_cancelled: &dyn Fn() -> bool,
 ) -> Result<FlowReport, PhaseError> {
     check_cancel(is_cancelled)?;
-    let probabilities = compute_probabilities(net, pi_probs, &config.probability)?;
-    minimize_area_with_probabilities(net, probabilities, config, is_cancelled)
-}
-
-/// The tail of [`minimize_area_with_cancel`] after the probability stage,
-/// over caller-supplied probabilities — the snapshot store's warm path for
-/// the min-area baseline (the power report still needs the probabilities).
-///
-/// # Errors
-///
-/// Same conditions as [`minimize_area_with_cancel`] minus the probability
-/// stage's.
-pub fn minimize_area_with_probabilities(
-    net: &Network,
-    probabilities: NodeProbabilities,
-    config: &FlowConfig,
-    is_cancelled: &dyn Fn() -> bool,
-) -> Result<FlowReport, PhaseError> {
+    let outcome = if area {
+        min_area_assignment(synth, &config.area)?
+    } else {
+        let initial = PhaseAssignment::all_positive(synth.view_outputs().len());
+        min_power_assignment(synth, probabilities, initial, &config.power)?
+    };
     check_cancel(is_cancelled)?;
-    let synth = DominoSynthesizer::new(net)?;
-    let outcome = min_area_assignment(&synth, &config.area)?;
-    check_cancel(is_cancelled)?;
-    finish(&synth, probabilities, outcome, config)
+    let domino = synth.synthesize(&outcome.assignment)?;
+    let power = estimate_power(&domino, probabilities.as_slice(), &config.power.model);
+    Ok(FlowReport {
+        assignment: outcome.assignment.clone(),
+        area_cells: domino.area_cells(),
+        domino,
+        power,
+        outcome,
+    })
 }
 
 fn check_cancel(is_cancelled: &dyn Fn() -> bool) -> Result<(), PhaseError> {
@@ -285,40 +235,13 @@ mod tests {
         net.set_latch_data(q1, d1).unwrap();
         let out = net.add_and([q0, q1]).unwrap();
         net.add_output("o", out).unwrap();
-        let report = minimize_power(&net, &[0.7], &FlowConfig::default()).unwrap();
+        let config = FlowConfig::default();
+        let report = minimize_power(&net, &[0.7], &config).unwrap();
         // View outputs: o, q0.d, q1.d.
         assert_eq!(report.assignment.len(), 3);
-        assert!(report.probabilities.partition().is_some());
         assert!(report.domino.is_inverter_free());
-    }
-
-    #[test]
-    fn cancellation_stops_at_stage_boundaries() {
-        let net = fig5();
-        let pi = vec![0.5; 4];
-        let cfg = FlowConfig::default();
-        // Already-cancelled: nothing runs.
-        assert!(matches!(
-            minimize_power_with_cancel(&net, &pi, &cfg, &|| true),
-            Err(PhaseError::Cancelled)
-        ));
-        assert!(matches!(
-            minimize_area_with_cancel(&net, &pi, &cfg, &|| true),
-            Err(PhaseError::Cancelled)
-        ));
-        // Cancel raised after the first boundary check: the flow stops at
-        // the next boundary instead of completing.
-        let checks = std::cell::Cell::new(0u32);
-        let cancel_after_first = || {
-            checks.set(checks.get() + 1);
-            checks.get() > 1
-        };
-        assert!(matches!(
-            minimize_power_with_cancel(&net, &pi, &cfg, &cancel_after_first),
-            Err(PhaseError::Cancelled)
-        ));
-        // A never-cancelled run through the same entry point completes.
-        assert!(minimize_power_with_cancel(&net, &pi, &cfg, &|| false).is_ok());
+        let probs = compute_probabilities(&net, &[0.7], &config.probability).unwrap();
+        assert!(probs.partition().is_some());
     }
 
     #[test]

@@ -20,15 +20,15 @@ use domino_store::SnapshotStore;
 use crate::cache::ResultCache;
 use crate::error::EngineError;
 use crate::job::{FlowJob, FlowOutcome};
-use crate::runner::run_job_snapshotted;
+use crate::runner::run;
 
 /// Cooperative cancellation handle, shared between the caller and workers.
 ///
 /// Batch runs check cancellation between jobs: a running flow finishes,
 /// but no new job is claimed afterwards. The single-job
 /// [`FlowEngine::run_one`] path additionally threads the token into the
-/// flow's stage boundaries (probabilities → search → synthesis →
-/// simulation), so a running job stops at the next boundary instead of
+/// flow's stage boundaries (kernel → search → synthesis → map/sim, and
+/// MA → MP), so a running job stops at the next boundary instead of
 /// completing — this is what bounds `DELETE /jobs/:id` latency on a
 /// `dominod` worker. Cloning shares the flag.
 #[derive(Debug, Clone, Default)]
@@ -368,7 +368,7 @@ fn execute_with_cache(
     // contain it to this job. The job data is read-only here, so unwind
     // safety is not a concern.
     let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_job_snapshotted(job, snapshots, is_cancelled)
+        run(job, snapshots, is_cancelled)
     }))
     .unwrap_or_else(|payload| {
         let msg = payload
@@ -498,30 +498,22 @@ mod tests {
     }
 
     #[test]
-    fn run_one_cancels_mid_flow_without_poisoning_the_cache() {
+    fn pre_cancelled_run_one_runs_nothing_and_caches_nothing() {
         let cache = Arc::new(ResultCache::in_memory());
         let engine = FlowEngine::new(EngineConfig {
             threads: 1,
             cache: Some(Arc::clone(&cache)),
             snapshots: None,
         });
-        let job = tiny_job("midflow", 2);
-        // Pre-flight: an already-cancelled token short-circuits run_one.
+        let job = tiny_job("precancelled", 2);
+        // An already-cancelled token short-circuits run_one. (Mid-flow
+        // cancellation is pinned check by check in the runner's tests.)
         let cancel = CancelToken::new();
         cancel.cancel();
         let result = engine.run_one(&job, &cancel);
         assert!(matches!(result, JobResult::Cancelled));
         assert_eq!(cache.stats().stores, 0);
         assert_eq!(cache.len(), 0);
-
-        // Mid-flow: defeat the up-front check with a token that flips
-        // after the first boundary consultation — the flow stops at the
-        // next boundary and nothing is cached.
-        let flips = AtomicUsize::new(0);
-        let outcome =
-            crate::runner::run_job_with_cancel(&job, &|| flips.fetch_add(1, Ordering::SeqCst) >= 1);
-        assert!(matches!(outcome, Err(EngineError::Cancelled)));
-        assert!(flips.load(Ordering::SeqCst) >= 2);
     }
 
     /// Duplicate in-flight submissions of one cache key share a single

@@ -51,7 +51,12 @@ impl From<NetlistError> for EngineError {
 }
 
 impl From<PhaseError> for EngineError {
+    /// A flow cancelled at a stage boundary is a cancelled job, not a
+    /// failed one.
     fn from(e: PhaseError) -> Self {
-        EngineError::Flow(e)
+        match e {
+            PhaseError::Cancelled => EngineError::Cancelled,
+            other => EngineError::Flow(other),
+        }
     }
 }

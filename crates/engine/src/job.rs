@@ -340,10 +340,10 @@ pub fn cache_key(net: &Network, spec: &JobSpec) -> String {
 /// only on the circuit structure, the probability configuration, and the
 /// primary-input probabilities. Jobs that differ in objective, library,
 /// simulation settings, timing fraction or MP penalty therefore share one
-/// snapshot — the probe run that derives a clock target warms the very
-/// snapshot the timed compare run loads. PI probabilities are hashed by
-/// exact bit pattern, matching the bit-identity contract of the stored
-/// probability table.
+/// snapshot — an untimed compare warms the kernel a timed or
+/// single-objective run of the same circuit loads. PI probabilities are
+/// hashed by exact bit pattern, matching the bit-identity contract of the
+/// stored probability table.
 pub fn snapshot_key(net: &Network, prob: &ProbabilityConfig, pi_probs: &[f64]) -> String {
     let mut config = probability_to_json(prob).serialize();
     config.push('\n');
@@ -1094,7 +1094,7 @@ mod tests {
         let base = snapshot_key(&job.network, &job.spec.flow.probability, &pi);
 
         // Knobs downstream of the kernel stage split the cache key but
-        // share the snapshot: the probe run warms the timed run.
+        // share the snapshot: an untimed compare warms the timed run.
         let mut timed_spec = JobSpec::suite("frg1");
         timed_spec.timing_fraction = Some(0.85);
         timed_spec.mp_and_penalty = Some(2.5);

@@ -12,10 +12,18 @@
 //!   PI probability profile, objective (min-area / min-power / compare),
 //!   the complete flow/library/simulation configuration, and a pure-data
 //!   result that is `PartialEq`-comparable and JSON-roundtrippable;
-//! * [`FlowEngine`] — a work-stealing thread pool (std threads, no external
-//!   dependencies) with per-job [`ProgressEvent`] callbacks and cooperative
-//!   [`CancelToken`] cancellation; results always come back in input order,
-//!   and `threads = N` is bit-identical to `threads = 1`;
+//! * [`run_job`] — one job, start to finish, on the calling thread: the
+//!   kernel stage (BDDs, probabilities, any sifting) and the domino
+//!   synthesizer are built once and shared by the MA and MP sides, and a
+//!   timed compare sizes both to the MA netlist's own unsized delay times
+//!   the timing fraction;
+//! * [`FlowEngine`] — the same run path behind a work-stealing thread pool
+//!   (std threads, no external dependencies) with per-job
+//!   [`ProgressEvent`] callbacks, cooperative [`CancelToken`] cancellation
+//!   ([`FlowEngine::run_one`] honors it at every stage boundary) and an
+//!   optional [`SnapshotStore`] consulted once per job; results always
+//!   come back in input order, and `threads = N` is bit-identical to
+//!   `threads = 1`;
 //! * [`ResultCache`] — a content-addressed cache keyed by
 //!   [`Network::structural_digest`](domino_netlist::Network::structural_digest)
 //!   plus the canonical JSON of every result-affecting spec field, with
@@ -73,8 +81,4 @@ pub use job::{
     assignment_string, cache_key, snapshot_key, BddKernelStats, CircuitSource, FlowJob,
     FlowOutcome, JobSpec, ObjectiveResult, PiSpec, ReorderInfo, RunObjective,
 };
-pub use runner::{
-    derive_clock_ps, derive_clock_ps_snapshotted, derive_clock_ps_with_cancel, run_job,
-    run_job_snapshotted, run_job_with_cancel, run_objective, run_objective_snapshotted,
-    run_objective_with_cancel,
-};
+pub use runner::run_job;

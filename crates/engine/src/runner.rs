@@ -2,19 +2,26 @@
 //! techmap → (sizing) → simulation pipeline, lifted out of the experiment
 //! binaries into a reusable function.
 //!
-//! [`run_job`] is deterministic: every random stream in the flow (search
-//! ordering, vector simulation) is seeded from the [`JobSpec`], so the same
-//! job produces the same [`FlowOutcome`] on any thread of any run — the
-//! property the engine's parallel-equivalence tests pin down.
+//! Every job takes one path, [`run`]: the kernel stage (BDD build,
+//! probability fixed point, any sifting) and the domino synthesizer are
+//! built once and shared by the job's MA and MP sides. [`run_job`] is that
+//! path with no snapshot store and no cancellation; the
+//! [`FlowEngine`](crate::FlowEngine) adds both.
+//!
+//! A run is deterministic: every random stream in the flow (search
+//! ordering, vector simulation) is seeded from the [`JobSpec`], so the
+//! same job produces the same [`FlowOutcome`] on any thread of any run —
+//! the property the engine's parallel-equivalence tests pin down.
+//!
+//! [`JobSpec`]: crate::JobSpec
 
-use domino_phase::flow::{
-    minimize_area_with_cancel, minimize_area_with_probabilities, minimize_power_with_cancel,
-    minimize_power_with_probabilities, FlowReport,
-};
+use domino_phase::flow::{minimize, FlowReport};
 use domino_phase::power::PowerModel;
-use domino_phase::prob::{compute_probabilities_with_bdds, NodeProbabilities};
-use domino_phase::PhaseError;
-use domino_sim::{measure_power, SimConfig};
+use domino_phase::prob::{
+    compute_probabilities, compute_probabilities_with_bdds, NodeProbabilities,
+};
+use domino_phase::{DominoSynthesizer, PhaseError};
+use domino_sim::measure_power;
 use domino_store::{SnapshotStore, WarmSnapshot};
 use domino_techmap::{map, size_for_timing, sta, SizingConfig};
 
@@ -24,65 +31,119 @@ use crate::job::{
     ReorderInfo, RunObjective,
 };
 
-/// Runs one side (MA when `area`, else MP) of a job through mapping,
-/// optional sizing and simulation.
+/// Executes one job start to finish according to its objective.
 ///
-/// When the spec is timed, the clock target is `clock_ps` if given
-/// (compare runs derive it from the MA probe) or this netlist's own unsized
-/// delay times the timing fraction.
+/// `Compare` runs MA first, then MP. When the spec is timed, both sides
+/// are sized to one clock: the MA netlist's own unsized worst arrival
+/// times the timing fraction, exactly like the paper's Table 2
+/// methodology.
 ///
 /// # Errors
 ///
-/// Propagates flow errors ([`EngineError::Flow`]) and PI-profile mismatches
+/// Flow errors ([`EngineError::Flow`]), invalid networks
+/// ([`EngineError::Netlist`]) and PI-profile mismatches
 /// ([`EngineError::Spec`]).
-pub fn run_objective(
-    job: &FlowJob,
-    area: bool,
-    clock_ps: Option<f64>,
-) -> Result<ObjectiveResult, EngineError> {
-    run_objective_with_cancel(job, area, clock_ps, &|| false)
+pub fn run_job(job: &FlowJob) -> Result<FlowOutcome, EngineError> {
+    run(job, None, &|| false)
 }
 
-/// [`run_objective`] with a cooperative cancellation check threaded into
-/// the flow's stage boundaries (probabilities → search → synthesis) and
-/// checked once more before the simulation stage — the two places a job
-/// spends nearly all of its time.
+/// The one run path behind [`run_job`] and the engine.
+///
+/// With a [`SnapshotStore`] the kernel stage makes the job's only store
+/// lookup (see [`kernel`]). `is_cancelled` is consulted before the kernel,
+/// at the flow's stage boundaries (kernel → search → synthesis) of each
+/// side, and between synthesis and the map/sim stages — so a cancel
+/// raised while MA runs stops the job before MP starts. `DELETE
+/// /jobs/:id` on a running `dominod` job rides this path: cancellation
+/// latency is bounded by the longest single stage, not the whole flow.
 ///
 /// # Errors
 ///
-/// [`EngineError::Cancelled`] when `is_cancelled` reports `true` at a
-/// boundary, plus everything [`run_objective`] can return.
-pub fn run_objective_with_cancel(
+/// [`EngineError::Cancelled`] when `is_cancelled` reports `true`, plus
+/// everything [`run_job`] can return.
+pub(crate) fn run(
     job: &FlowJob,
-    area: bool,
-    clock_ps: Option<f64>,
+    snapshots: Option<&SnapshotStore>,
     is_cancelled: &dyn Fn() -> bool,
-) -> Result<ObjectiveResult, EngineError> {
-    run_objective_snapshotted(job, area, clock_ps, None, is_cancelled)
+) -> Result<FlowOutcome, EngineError> {
+    let spec = &job.spec;
+    job.network.validate()?;
+    let pi = spec.pi.expand(&job.network)?;
+    if is_cancelled() {
+        return Err(EngineError::Cancelled);
+    }
+    let probabilities = kernel(job, &pi, snapshots)?;
+    let synth = DominoSynthesizer::new(&job.network)?;
+    let bdd = probabilities
+        .bdd_stats()
+        .map(|stats| BddKernelStats::from_manager(stats, probabilities.bdd_node_count()))
+        .unwrap_or_default()
+        .with_reorder(probabilities.reorder_outcome().map(|o| ReorderInfo {
+            mode: spec.flow.probability.reorder,
+            swaps: o.swaps,
+            nodes_before: o.nodes_before,
+            final_order: o.final_order.clone(),
+        }));
+    // One side (MA when `area`, else MP) through search, synthesis,
+    // mapping, optional sizing and simulation.
+    let side = |area: bool, clock_ps: Option<f64>| {
+        let mut flow = spec.flow.clone();
+        if let (false, Some(penalty)) = (area, spec.mp_and_penalty) {
+            flow.power.model = PowerModel::with_and_penalty(penalty);
+        }
+        let report = minimize(&synth, &probabilities, area, &flow, is_cancelled)?;
+        // The synthesis → map/sim boundary: simulation is the other
+        // dominant stage, so a cancel raised during the search is honored
+        // before paying it.
+        if is_cancelled() {
+            return Err(EngineError::Cancelled);
+        }
+        Ok(measure(job, &pi, report, bdd.clone(), clock_ps))
+    };
+    let (ma, mp, clock_ps) = match spec.objective {
+        RunObjective::MinArea => (Some(side(true, None)?.0), None, None),
+        RunObjective::MinPower => (None, Some(side(false, None)?.0), None),
+        RunObjective::Compare => {
+            let (ma, clock_ps) = side(true, None)?;
+            let (mp, _) = side(false, clock_ps)?;
+            (Some(ma), Some(mp), clock_ps)
+        }
+    };
+    Ok(FlowOutcome {
+        name: spec.name.clone(),
+        key: job.cache_key().to_string(),
+        pis: job.network.inputs().len(),
+        pos: job.network.outputs().len(),
+        ma,
+        mp,
+        clock_ps,
+    })
 }
 
-/// Produces this job's probability stage, warm or cold. A servable
-/// snapshot (full verification happens inside [`SnapshotStore::load`])
-/// skips BDD construction and probability convergence entirely — the
-/// loaded state is [rehydrated](NodeProbabilities::rehydrate) with only
-/// pure graph work (the sequential partition recompute). Otherwise the
-/// kernel runs cold, the build is counted, and the warm state is persisted
-/// for the next process.
+/// Produces the job's kernel stage: BDDs, converged probabilities and any
+/// sifting, once per job.
+///
+/// With a store, a servable snapshot (full verification happens inside
+/// [`SnapshotStore::load`]) skips BDD construction and probability
+/// convergence entirely — the loaded state is
+/// [rehydrated](NodeProbabilities::rehydrate) with only pure graph work
+/// (the sequential partition recompute). Otherwise the kernel runs cold,
+/// the build is counted, and the warm state is persisted for the next
+/// process.
 ///
 /// Byte-identity of warm outcomes: the snapshot carries the cold build's
 /// kernel statistics and reorder outcome verbatim (a deserialized manager
 /// has zero traffic counters), so a report assembled from a warm load is
 /// indistinguishable from the cold run that produced the snapshot.
-fn warm_probabilities(
+fn kernel(
     job: &FlowJob,
     pi: &[f64],
-    store: &SnapshotStore,
-    is_cancelled: &dyn Fn() -> bool,
+    snapshots: Option<&SnapshotStore>,
 ) -> Result<NodeProbabilities, PhaseError> {
-    if is_cancelled() {
-        return Err(PhaseError::Cancelled);
-    }
     let prob = &job.spec.flow.probability;
+    let Some(store) = snapshots else {
+        return compute_probabilities(&job.network, pi, prob);
+    };
     let key = snapshot_key(&job.network, prob, pi);
     if let Some(warm) = store.load(&key, job.network.len()) {
         return Ok(NodeProbabilities::rehydrate(
@@ -113,61 +174,25 @@ fn warm_probabilities(
     Ok(probabilities)
 }
 
-/// [`run_objective_with_cancel`] with an optional [`SnapshotStore`]: when
-/// given, the probability stage loads persisted warm state instead of
-/// rebuilding it (and persists it after a cold build). `None` is the exact
-/// legacy path.
-///
-/// # Errors
-///
-/// Same as [`run_objective_with_cancel`].
-pub fn run_objective_snapshotted(
+/// Maps one side's synthesized block, sizes it when the spec is timed,
+/// and simulates its power. Returns the side's result and, when timed,
+/// the clock it was sized to: `clock_ps` if given (MP takes MA's), else
+/// this netlist's own unsized worst arrival times the timing fraction.
+fn measure(
     job: &FlowJob,
-    area: bool,
+    pi: &[f64],
+    report: FlowReport,
+    bdd: BddKernelStats,
     clock_ps: Option<f64>,
-    snapshots: Option<&SnapshotStore>,
-    is_cancelled: &dyn Fn() -> bool,
-) -> Result<ObjectiveResult, EngineError> {
+) -> (ObjectiveResult, Option<f64>) {
     let spec = &job.spec;
-    let pi = spec.pi.expand(&job.network)?;
-    let flow = if area {
-        spec.flow.clone()
-    } else {
-        let mut flow = spec.flow.clone();
-        if let Some(penalty) = spec.mp_and_penalty {
-            flow.power.model = PowerModel::with_and_penalty(penalty);
-        }
-        flow
-    };
-    let flow_ran = match snapshots {
-        None if area => minimize_area_with_cancel(&job.network, &pi, &flow, is_cancelled),
-        None => minimize_power_with_cancel(&job.network, &pi, &flow, is_cancelled),
-        // The MP penalty only changes the power model, never the
-        // probability stage, so MA and MP (and the timed probe) all share
-        // one snapshot under the same key.
-        Some(store) => warm_probabilities(job, &pi, store, is_cancelled).and_then(|prob| {
-            if area {
-                minimize_area_with_probabilities(&job.network, prob, &flow, is_cancelled)
-            } else {
-                minimize_power_with_probabilities(&job.network, prob, &flow, is_cancelled)
-            }
-        }),
-    };
-    let report: FlowReport = flow_ran.map_err(|e| match e {
-        PhaseError::Cancelled => EngineError::Cancelled,
-        other => EngineError::Flow(other),
-    })?;
-    // The search → sim boundary: simulation is the other dominant stage,
-    // so a cancel raised during the search is honored before paying it.
-    if is_cancelled() {
-        return Err(EngineError::Cancelled);
-    }
     let mut mapped = map(&report.domino, &spec.library);
+    let mut worst = sta(&mapped, &spec.library).worst_arrival_ps;
     let mut timing_met = true;
-    let timing = sta(&mapped, &spec.library);
-    let mut worst = timing.worst_arrival_ps;
-    if let Some(fraction) = spec.timing_fraction {
-        let target = clock_ps.unwrap_or(worst * fraction);
+    let clock_ps = spec
+        .timing_fraction
+        .map(|fraction| clock_ps.unwrap_or(worst * fraction));
+    if let Some(target) = clock_ps {
         let sizing = size_for_timing(
             &mut mapped,
             &spec.library,
@@ -179,19 +204,8 @@ pub fn run_objective_snapshotted(
         worst = sizing.timing.worst_arrival_ps;
         timing_met = sizing.met;
     }
-    let power = measure_power(&mapped, &spec.library, &pi, &spec.sim);
-    let bdd = report
-        .probabilities
-        .bdd_stats()
-        .map(|stats| BddKernelStats::from_manager(stats, report.probabilities.bdd_node_count()))
-        .unwrap_or_default()
-        .with_reorder(report.probabilities.reorder_outcome().map(|o| ReorderInfo {
-            mode: spec.flow.probability.reorder,
-            swaps: o.swaps,
-            nodes_before: o.nodes_before,
-            final_order: o.final_order.clone(),
-        }));
-    Ok(ObjectiveResult {
+    let power = measure_power(&mapped, &spec.library, pi, &spec.sim);
+    let result = ObjectiveResult {
         size: mapped.effective_cell_count(),
         cap_ma: power.cap_ma,
         short_circuit_ma: power.short_circuit_ma,
@@ -204,132 +218,8 @@ pub fn run_objective_snapshotted(
         assignment: assignment_string(&report.assignment),
         bdd,
         sim: power.stats,
-    })
-}
-
-/// Derives the common clock target for a timed compare run: the MA
-/// netlist's unsized worst arrival times the timing fraction, found with a
-/// short probe simulation (only timing is needed from it).
-///
-/// # Errors
-///
-/// Propagates flow errors from the probe run.
-pub fn derive_clock_ps(job: &FlowJob) -> Result<Option<f64>, EngineError> {
-    derive_clock_ps_with_cancel(job, &|| false)
-}
-
-/// [`derive_clock_ps`] with the probe run's stage boundaries checking the
-/// given cancellation flag.
-///
-/// # Errors
-///
-/// Same as [`derive_clock_ps`], plus [`EngineError::Cancelled`].
-pub fn derive_clock_ps_with_cancel(
-    job: &FlowJob,
-    is_cancelled: &dyn Fn() -> bool,
-) -> Result<Option<f64>, EngineError> {
-    derive_clock_ps_snapshotted(job, None, is_cancelled)
-}
-
-/// [`derive_clock_ps_with_cancel`] with an optional [`SnapshotStore`]
-/// threaded into the probe run. The probe's probability configuration is
-/// the job's own, so a cold probe warms the very snapshot the timed sides
-/// load.
-///
-/// # Errors
-///
-/// Same as [`derive_clock_ps_with_cancel`].
-pub fn derive_clock_ps_snapshotted(
-    job: &FlowJob,
-    snapshots: Option<&SnapshotStore>,
-    is_cancelled: &dyn Fn() -> bool,
-) -> Result<Option<f64>, EngineError> {
-    let Some(fraction) = job.spec.timing_fraction else {
-        return Ok(None);
     };
-    let mut probe_spec = job.spec.clone();
-    probe_spec.timing_fraction = None;
-    probe_spec.sim = SimConfig {
-        cycles: 16,
-        adaptive_tol_ppm: 0,
-        ..probe_spec.sim
-    };
-    let probe_job = FlowJob::new(probe_spec, job.network.clone());
-    let probe = run_objective_snapshotted(&probe_job, true, None, snapshots, is_cancelled)?;
-    Ok(Some(probe.worst_arrival_ps * fraction))
-}
-
-/// Executes one job start to finish according to its objective.
-///
-/// `Compare` runs MA first (deriving the shared clock target when timed,
-/// exactly like the paper's Table 2 methodology), then MP under the same
-/// clock.
-///
-/// # Errors
-///
-/// Propagates [`EngineError`] from either side.
-pub fn run_job(job: &FlowJob) -> Result<FlowOutcome, EngineError> {
-    run_job_with_cancel(job, &|| false)
-}
-
-/// [`run_job`] with a cooperative cancellation check threaded through
-/// every stage boundary of every objective side, plus between the MA and
-/// MP sides of a compare run. `DELETE /jobs/:id` on a running `dominod`
-/// job rides this path: cancellation latency is bounded by the longest
-/// single stage, not the whole flow.
-///
-/// # Errors
-///
-/// [`EngineError::Cancelled`] when `is_cancelled` reports `true` at a
-/// boundary, plus everything [`run_job`] can return.
-pub fn run_job_with_cancel(
-    job: &FlowJob,
-    is_cancelled: &dyn Fn() -> bool,
-) -> Result<FlowOutcome, EngineError> {
-    run_job_snapshotted(job, None, is_cancelled)
-}
-
-/// [`run_job_with_cancel`] with an optional [`SnapshotStore`] threaded
-/// into every objective side (and the timed probe). This is `dominod`'s
-/// execution path when `--snapshot-dir` is set: a restarted server's first
-/// request loads the persisted warm state and performs zero BDD or
-/// probability recompute.
-///
-/// # Errors
-///
-/// Same as [`run_job_with_cancel`].
-pub fn run_job_snapshotted(
-    job: &FlowJob,
-    snapshots: Option<&SnapshotStore>,
-    is_cancelled: &dyn Fn() -> bool,
-) -> Result<FlowOutcome, EngineError> {
-    job.network.validate()?;
-    let objective = |area: bool, clock: Option<f64>| -> Result<ObjectiveResult, EngineError> {
-        run_objective_snapshotted(job, area, clock, snapshots, is_cancelled)
-    };
-    let (ma, mp, clock_ps) = match job.spec.objective {
-        RunObjective::MinArea => (Some(objective(true, None)?), None, None),
-        RunObjective::MinPower => (None, Some(objective(false, None)?), None),
-        RunObjective::Compare => {
-            let clock_ps = derive_clock_ps_snapshotted(job, snapshots, is_cancelled)?;
-            let ma = objective(true, clock_ps)?;
-            // The MA → MP boundary of a compare run.
-            if is_cancelled() {
-                return Err(EngineError::Cancelled);
-            }
-            let mp = objective(false, clock_ps)?;
-            (Some(ma), Some(mp), clock_ps)
-        }
-    };
-    Ok(FlowOutcome {
-        name: job.spec.name.clone(),
-        key: job.cache_key().to_string(),
-        pis: job.network.inputs().len(),
-        pos: job.network.outputs().len(),
-        ma,
-        mp,
-        clock_ps,
-    })
+    (result, clock_ps)
 }
 
 #[cfg(test)]
@@ -384,72 +274,87 @@ mod tests {
         assert_eq!(a.to_json().serialize(), b.to_json().serialize());
     }
 
-    #[test]
-    fn snapshotted_run_is_byte_identical_and_warm_after_restart() {
-        let dir =
-            std::env::temp_dir().join(format!("dominolp-runner-snap-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-
-        let job = fig5_job(RunObjective::Compare);
-        let cold_plain = run_job(&job).unwrap();
-
-        // Cold run with a store: same bytes, kernel built once (the MA
-        // side), the MP side already warm from the shared snapshot.
-        let store = SnapshotStore::on_disk(&dir).unwrap();
-        let cold = run_job_snapshotted(&job, Some(&store), &|| false).unwrap();
-        assert_eq!(
-            cold.to_json().serialize(),
-            cold_plain.to_json().serialize(),
-            "the snapshot path must not change outcomes"
-        );
-        let stats = store.stats();
-        assert_eq!(stats.kernel_builds, 1, "MA builds, MP loads");
-        assert_eq!(stats.stores, 1);
-        assert!(stats.hits >= 1);
-
-        // A restarted process: first request served fully from the
-        // snapshot, zero kernel recompute, byte-identical outcome.
-        let restarted = SnapshotStore::on_disk(&dir).unwrap();
-        let warm = run_job_snapshotted(&job, Some(&restarted), &|| false).unwrap();
-        assert_eq!(warm.to_json().serialize(), cold_plain.to_json().serialize());
-        let stats = restarted.stats();
-        assert_eq!(stats.kernel_builds, 0, "warm restart recomputes nothing");
-        assert_eq!(stats.hits, 2, "both sides load the shared snapshot");
-
-        std::fs::remove_dir_all(&dir).unwrap();
+    fn timed(job: FlowJob) -> FlowJob {
+        let mut spec = job.spec;
+        spec.timing_fraction = Some(0.9);
+        FlowJob::new(spec, job.network)
     }
 
+    /// One store lookup per job: a cold compare (untimed or timed) builds
+    /// and stores the kernel once and never hits; a restarted process
+    /// loads it once and builds nothing. Outcomes are byte-identical to a
+    /// run without a store either way.
     #[test]
-    fn snapshotted_timed_probe_warms_the_run() {
-        let dir =
-            std::env::temp_dir().join(format!("dominolp-runner-probe-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+    fn snapshotted_runs_look_up_the_store_once_per_job() {
+        for (tag, job) in [
+            ("untimed", fig5_job(RunObjective::Compare)),
+            ("timed", timed(fig5_job(RunObjective::Compare))),
+        ] {
+            let dir = std::env::temp_dir()
+                .join(format!("dominolp-runner-snap-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let plain = run_job(&job).unwrap().to_json().serialize();
 
-        let mut job = fig5_job(RunObjective::Compare);
-        job.spec.timing_fraction = Some(0.9);
-        let job = FlowJob::new(job.spec, job.network);
-        let plain = run_job(&job).unwrap();
+            let store = SnapshotStore::on_disk(&dir).unwrap();
+            let cold = run(&job, Some(&store), &|| false).unwrap();
+            assert_eq!(
+                cold.to_json().serialize(),
+                plain,
+                "{tag}: the snapshot path must not change outcomes"
+            );
+            let stats = store.stats();
+            assert_eq!(stats.kernel_builds, 1, "{tag}");
+            assert_eq!(stats.stores, 1, "{tag}");
+            assert_eq!(stats.hits, 0, "{tag}");
 
-        let store = SnapshotStore::on_disk(&dir).unwrap();
-        let snapshotted = run_job_snapshotted(&job, Some(&store), &|| false).unwrap();
-        assert_eq!(
-            snapshotted.to_json().serialize(),
-            plain.to_json().serialize()
-        );
-        let stats = store.stats();
-        // Probe, MA and MP all share one snapshot: one build, two hits.
-        assert_eq!(stats.kernel_builds, 1);
-        assert_eq!(stats.hits, 2);
+            // A restarted process: served fully from the snapshot, zero
+            // kernel recompute, byte-identical outcome.
+            let restarted = SnapshotStore::on_disk(&dir).unwrap();
+            let warm = run(&job, Some(&restarted), &|| false).unwrap();
+            assert_eq!(warm.to_json().serialize(), plain, "{tag}");
+            let stats = restarted.stats();
+            assert_eq!(
+                stats.kernel_builds, 0,
+                "{tag}: warm restart recomputes nothing"
+            );
+            assert_eq!(stats.hits, 1, "{tag}");
 
-        std::fs::remove_dir_all(&dir).unwrap();
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    /// Cancellation at every check of a timed compare: before the kernel,
+    /// then per side kernel → search (for MP: MA → MP), search →
+    /// synthesis and synthesis → map/sim.
+    #[test]
+    fn cancellation_is_honored_at_every_check() {
+        let job = timed(fig5_job(RunObjective::Compare));
+        let calls = std::cell::Cell::new(0);
+        let count = || {
+            calls.set(calls.get() + 1);
+            false
+        };
+        let completed = run(&job, None, &count).unwrap();
+        assert_eq!(completed, run_job(&job).unwrap());
+        let checks = calls.get();
+        assert_eq!(checks, 7);
+        for k in 1..=checks {
+            calls.set(0);
+            let cancel_at_k = || {
+                calls.set(calls.get() + 1);
+                calls.get() >= k
+            };
+            assert!(
+                matches!(run(&job, None, &cancel_at_k), Err(EngineError::Cancelled)),
+                "check {k} must cancel"
+            );
+            assert_eq!(calls.get(), k, "the job stops at the check that cancelled");
+        }
     }
 
     #[test]
     fn timed_compare_shares_one_clock() {
-        let mut job = fig5_job(RunObjective::Compare);
-        job.spec.timing_fraction = Some(0.9);
-        let job = FlowJob::new(job.spec, job.network);
-        let outcome = run_job(&job).unwrap();
+        let outcome = run_job(&timed(fig5_job(RunObjective::Compare))).unwrap();
         let clock = outcome.clock_ps.unwrap();
         assert!(clock > 0.0);
         assert!(outcome.ma.unwrap().timing_met);
