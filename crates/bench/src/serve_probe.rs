@@ -184,7 +184,9 @@ fn run_submit_wave(
                     let client = if reuse {
                         ServeClient::new(addr.to_string())
                     } else {
-                        ServeClient::without_keep_alive(addr.to_string())
+                        ServeClient::builder(addr.to_string())
+                            .fresh_connections()
+                            .build()
                     };
                     let lat: Vec<f64> = specs
                         .iter()

@@ -172,10 +172,7 @@ pub struct ServeClient {
 const DEFAULT_READ_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Builds a [`ServeClient`] from chainable options — the one place every
-/// client knob lives. The old one-constructor-per-knob surface
-/// (`ServeClient::new` / `without_keep_alive` / `with_io_timeout` /
-/// `with_retry`) still works as thin shims over this builder, but new
-/// code (and any caller combining two knobs) should come through here:
+/// client knob lives ([`ServeClient::new`] is the all-defaults shorthand):
 ///
 /// ```
 /// use domino_serve::{RetryPolicy, ServeClient};
@@ -261,26 +258,6 @@ impl ServeClient {
     /// — shorthand for `ServeClient::builder(addr).build()`.
     pub fn new(addr: impl Into<String>) -> Self {
         ClientBuilder::new(addr).build()
-    }
-
-    /// The same client with a retry budget — shim over
-    /// [`ClientBuilder::retry`]; prefer the builder in new code.
-    pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = Some(policy);
-        self
-    }
-
-    /// A client that opens a fresh connection for every request — shim
-    /// over [`ClientBuilder::fresh_connections`]; prefer the builder in
-    /// new code.
-    pub fn without_keep_alive(addr: impl Into<String>) -> Self {
-        ClientBuilder::new(addr).fresh_connections().build()
-    }
-
-    /// A keep-alive client with bounded connect/read/write — shim over
-    /// [`ClientBuilder::io_timeout`]; prefer the builder in new code.
-    pub fn with_io_timeout(addr: impl Into<String>, timeout: Duration) -> Self {
-        ClientBuilder::new(addr).io_timeout(timeout).build()
     }
 
     /// The server address this client talks to.
@@ -841,7 +818,9 @@ mod tests {
     fn retry_budget_survives_429_backpressure() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
-        let client = ServeClient::new(addr).with_retry(RetryPolicy::new(2).with_seed(7));
+        let client = ServeClient::builder(addr)
+            .retry(RetryPolicy::new(2).with_seed(7))
+            .build();
         let server = std::thread::spawn(move || {
             let (stream, _) = listener.accept().unwrap();
             let mut conn = HttpConnection::new(stream);

@@ -1,13 +1,13 @@
 //! The event-driven connection front shared by `dominod` and `dominogw`.
 //!
 //! Earlier revisions spawned one thread per accepted connection and ran
-//! the blocking [`serve_connection`](crate::http::serve_connection) loop
-//! on it. That puts an OS thread behind every kept-alive socket — fine
-//! for tens of clients, hopeless for thousands. This module replaces the
-//! per-connection threads with one reactor thread multiplexing every
-//! socket over [`domino_reactor::Poller`] (epoll readiness), while
-//! keeping the protocol machinery — [`RequestParser`], the
-//! [`render_response`] family — byte-identical to the blocking path.
+//! a blocking request loop on it. That puts an OS thread behind every
+//! kept-alive socket — fine for tens of clients, hopeless for thousands.
+//! This module replaces the per-connection threads with one reactor
+//! thread multiplexing every socket over [`domino_reactor::Poller`]
+//! (epoll readiness), while keeping the protocol machinery —
+//! [`RequestParser`], the [`render_response`] family — byte-identical to
+//! the blocking path.
 //!
 //! # Shape
 //!
@@ -917,6 +917,7 @@ mod tests {
 
     fn start_echo_front(
         idle_timeout: Duration,
+        max_requests: u32,
         max_connections: usize,
     ) -> (
         std::net::SocketAddr,
@@ -930,7 +931,7 @@ mod tests {
             FrontConfig {
                 name: "front-test",
                 idle_timeout,
-                max_requests: 1024,
+                max_requests,
                 max_connections,
                 handler_threads: 2,
             },
@@ -956,11 +957,10 @@ mod tests {
 
     fn get(stream: &mut BlockingStream, path: &str) -> (u16, String, String) {
         write!(stream, "GET {path} HTTP/1.1\r\nhost: t\r\n\r\n").expect("write");
-        read_reply(stream)
+        read_reply(&mut BufReader::new(stream))
     }
 
-    fn read_reply(stream: &mut BlockingStream) -> (u16, String, String) {
-        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    fn read_reply(reader: &mut impl BufRead) -> (u16, String, String) {
         let mut line = String::new();
         reader.read_line(&mut line).expect("status line");
         let status: u16 = line
@@ -992,7 +992,7 @@ mod tests {
 
     #[test]
     fn serves_keep_alive_requests_and_drains() {
-        let (addr, handle, join) = start_echo_front(Duration::from_secs(5), 64);
+        let (addr, handle, join) = start_echo_front(Duration::from_secs(5), 1024, 64);
         let mut stream = BlockingStream::connect(addr).expect("connect");
         for i in 0..3 {
             let (status, connection, body) = get(&mut stream, &format!("/ping/{i}"));
@@ -1007,8 +1007,68 @@ mod tests {
     }
 
     #[test]
+    fn request_budget_closes_the_connection() {
+        let (addr, handle, join) = start_echo_front(Duration::from_secs(5), 2, 64);
+        let mut stream = BlockingStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        // Three pipelined requests against a budget of two.
+        stream
+            .write_all(
+                b"GET /1 HTTP/1.1\r\nhost: t\r\n\r\n\
+                  GET /2 HTTP/1.1\r\nhost: t\r\n\r\n\
+                  GET /3 HTTP/1.1\r\nhost: t\r\n\r\n",
+            )
+            .expect("write");
+        let mut reader = BufReader::new(stream);
+        assert_eq!(
+            read_reply(&mut reader),
+            (200, "keep-alive".to_string(), "/1".to_string())
+        );
+        assert_eq!(
+            read_reply(&mut reader),
+            (200, "close".to_string(), "/2".to_string()),
+            "request #max_requests closes"
+        );
+        let mut rest = Vec::new();
+        let _ = reader.read_to_end(&mut rest);
+        assert!(
+            rest.is_empty(),
+            "the third pipelined request is never served"
+        );
+        handle.shutdown();
+        join.join().expect("reactor exits");
+    }
+
+    #[test]
+    fn half_close_mid_pipeline_serves_only_the_complete_request() {
+        let (addr, handle, join) = start_echo_front(Duration::from_secs(5), 1024, 64);
+        let mut stream = BlockingStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        // One complete request, then half of a second, then FIN.
+        stream
+            .write_all(b"GET /ok HTTP/1.1\r\nhost: t\r\n\r\nGET /tru")
+            .expect("write");
+        stream
+            .shutdown(std::net::Shutdown::Write)
+            .expect("half-close");
+        let mut reader = BufReader::new(stream);
+        let (status, _, body) = read_reply(&mut reader);
+        assert_eq!((status, body.as_str()), (200, "/ok"));
+        // The truncated request is not a panic, not a hang — just a close.
+        let mut rest = Vec::new();
+        reader.read_to_end(&mut rest).expect("server closes");
+        assert!(rest.is_empty());
+        handle.shutdown();
+        join.join().expect("reactor exits");
+    }
+
+    #[test]
     fn streams_chunks_then_closes() {
-        let (addr, handle, join) = start_echo_front(Duration::from_secs(5), 64);
+        let (addr, handle, join) = start_echo_front(Duration::from_secs(5), 1024, 64);
         let mut stream = BlockingStream::connect(addr).expect("connect");
         write!(stream, "GET /stream HTTP/1.1\r\nhost: t\r\n\r\n").expect("write");
         let mut reader = BufReader::new(stream);
@@ -1024,7 +1084,7 @@ mod tests {
 
     #[test]
     fn idle_connections_time_out() {
-        let (addr, handle, join) = start_echo_front(Duration::from_millis(80), 64);
+        let (addr, handle, join) = start_echo_front(Duration::from_millis(80), 1024, 64);
         let mut stream = BlockingStream::connect(addr).expect("connect");
         // Half a request, then silence: the slow-loris peer is cut off.
         write!(stream, "GET /slow HTTP/1.1\r\nhost:").expect("write");
@@ -1127,7 +1187,7 @@ mod tests {
         stream
             .set_read_timeout(Some(Duration::from_secs(5)))
             .expect("timeout");
-        let (status, connection, body) = read_reply(&mut stream);
+        let (status, connection, body) = read_reply(&mut BufReader::new(&mut stream));
         assert_eq!(status, 200);
         assert_eq!(connection, "close", "half-closed peer gets a final close");
         assert_eq!(body, "late answer");
@@ -1137,7 +1197,7 @@ mod tests {
 
     #[test]
     fn accepts_beyond_the_cap_get_a_503() {
-        let (addr, handle, join) = start_echo_front(Duration::from_secs(5), 2);
+        let (addr, handle, join) = start_echo_front(Duration::from_secs(5), 1024, 2);
         let mut keep1 = BlockingStream::connect(addr).expect("connect");
         let mut keep2 = BlockingStream::connect(addr).expect("connect");
         let (s1, ..) = get(&mut keep1, "/a");
@@ -1146,7 +1206,7 @@ mod tests {
         let mut over = BlockingStream::connect(addr).expect("connect");
         over.set_read_timeout(Some(Duration::from_secs(5)))
             .expect("timeout");
-        let (status, connection, body) = read_reply(&mut over);
+        let (status, connection, body) = read_reply(&mut BufReader::new(&mut over));
         assert_eq!(status, 503);
         assert_eq!(connection, "close");
         assert!(body.contains("connection limit reached"));

@@ -23,12 +23,13 @@
 //! server handles one request at a time per connection, so the in-flight
 //! pipeline depth is bounded by the socket and read buffers — a peer can
 //! never force the server to hold more than one parsed request in
-//! memory). [`serve_connection`] is the server-side state machine:
+//! memory). On the server side, [`HttpFront`](crate::front::HttpFront)
+//! runs this state machine from its reactor over a [`RequestParser`]:
 //!
 //! ```text
-//!          ┌────────────── idle (read timeout = idle_timeout) ─────────┐
+//!          ┌────────────── idle (timer = idle_timeout) ────────────────┐
 //!          ▼                                                           │
-//!   next_request ──▶ parsed ──▶ handler writes response ──▶ keep-alive?┘
+//!   next request ──▶ parsed ──▶ handler answers ──▶ keep-alive? ───────┘
 //!          │
 //!          ├─ clean EOF / idle timeout ─▶ close
 //!          ├─ malformed / stalled mid-request ─▶ 400 + close
@@ -40,7 +41,6 @@
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
 
 /// Upper bound on accepted request/response bodies (16 MiB). Inline BLIF
 /// sources for the suite circuits are a few hundred KiB at most; anything
@@ -407,74 +407,6 @@ impl HttpConnection {
             headers,
             body,
         })
-    }
-}
-
-/// Per-connection limits for [`serve_connection`].
-#[derive(Debug, Clone, Copy)]
-pub struct ConnectionPolicy {
-    /// How long a kept-alive connection may sit with no request before
-    /// the server closes it.
-    pub idle_timeout: Duration,
-    /// Requests served on one connection before the server forces
-    /// `Connection: close` — the explicit pipeline/keep-alive bound.
-    pub max_requests: u32,
-}
-
-impl Default for ConnectionPolicy {
-    fn default() -> Self {
-        ConnectionPolicy {
-            idle_timeout: Duration::from_secs(10),
-            max_requests: 1024,
-        }
-    }
-}
-
-/// What a [`serve_connection`] handler did with the connection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Served {
-    /// The response was written with `Connection: keep-alive`; the loop
-    /// reads the next request.
-    KeepAlive,
-    /// The response closed the connection (explicitly, or via a chunked
-    /// stream); the loop ends.
-    Close,
-}
-
-/// The server-side connection state machine shared by `dominod` and
-/// `dominogw`: reads requests in order, hands each to `handle` along with
-/// the keep-alive decision (`false` on the connection's last allowed
-/// request or when the client sent `Connection: close` — the handler must
-/// write that `Connection` header), and loops until close.
-///
-/// Malformed requests get a `400` and a close; a clean EOF or an idle
-/// timeout closes silently. Errors are swallowed — a connection that dies
-/// mid-response has no one left to tell.
-pub fn serve_connection(
-    stream: TcpStream,
-    policy: &ConnectionPolicy,
-    mut handle: impl FnMut(&mut HttpConnection, &Request, bool) -> io::Result<Served>,
-) {
-    let mut conn = HttpConnection::new(stream);
-    let mut served: u32 = 0;
-    loop {
-        // The idle deadline arms only between requests; mid-request stalls
-        // surface as errors from next_request instead.
-        let _ = conn.stream().set_read_timeout(Some(policy.idle_timeout));
-        let request = match conn.next_request() {
-            Ok(NextRequest::Request(request)) => request,
-            Ok(NextRequest::Closed | NextRequest::TimedOut) => return,
-            Err(_) => {
-                let _ = conn.write_response(400, &[], b"{\"error\":\"malformed request\"}", false);
-                return;
-            }
-        };
-        served += 1;
-        let keep_alive = served < policy.max_requests && !request.wants_close();
-        match handle(&mut conn, &request, keep_alive) {
-            Ok(Served::KeepAlive) if keep_alive => {}
-            _ => return,
-        }
     }
 }
 
@@ -868,6 +800,7 @@ impl Response {
 mod tests {
     use super::*;
     use std::net::TcpListener;
+    use std::time::Duration;
 
     fn pair() -> (TcpStream, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -1022,70 +955,6 @@ mod tests {
             .unwrap();
         let mut conn = HttpConnection::new(server);
         assert!(conn.next_request().is_err());
-    }
-
-    #[test]
-    fn serve_connection_honors_close_and_max_requests() {
-        let (mut client, server) = pair();
-        client
-            .write_all(
-                b"GET /1 HTTP/1.1\r\n\r\n\
-                  GET /2 HTTP/1.1\r\n\r\n\
-                  GET /3 HTTP/1.1\r\n\r\n",
-            )
-            .unwrap();
-        let policy = ConnectionPolicy {
-            idle_timeout: Duration::from_millis(200),
-            max_requests: 2,
-        };
-        let server_side = std::thread::spawn(move || {
-            let mut seen = Vec::new();
-            serve_connection(server, &policy, |conn, req, keep_alive| {
-                seen.push((req.path.clone(), keep_alive));
-                conn.write_response(200, &[], req.path.as_bytes(), keep_alive)?;
-                Ok(if keep_alive {
-                    Served::KeepAlive
-                } else {
-                    Served::Close
-                })
-            });
-            seen
-        });
-        let mut reader = HttpConnection::new(client);
-        assert_eq!(reader.read_response().unwrap().body, b"/1");
-        let second = reader.read_response().unwrap();
-        assert_eq!(second.body, b"/2");
-        assert!(!second.keeps_alive(), "request #max_requests closes");
-        // The third pipelined request is never served.
-        assert!(reader.read_response().is_err());
-        let seen = server_side.join().unwrap();
-        assert_eq!(
-            seen,
-            vec![("/1".to_string(), true), ("/2".to_string(), false)]
-        );
-    }
-
-    #[test]
-    fn serve_connection_half_close_mid_pipeline_stops_cleanly() {
-        let (mut client, server) = pair();
-        // One complete request, then half of a second, then FIN.
-        client
-            .write_all(b"GET /ok HTTP/1.1\r\n\r\nGET /tru")
-            .unwrap();
-        drop(client);
-        let policy = ConnectionPolicy::default();
-        let served = std::thread::spawn(move || {
-            let mut count = 0;
-            serve_connection(server, &policy, |conn, req, keep_alive| {
-                count += 1;
-                conn.write_response(200, &[], req.path.as_bytes(), keep_alive)?;
-                Ok(Served::KeepAlive)
-            });
-            count
-        });
-        // Only the complete request is served; the truncated one is not a
-        // panic, not a hang — just a close.
-        assert_eq!(served.join().unwrap(), 1);
     }
 
     #[test]
