@@ -76,19 +76,12 @@ const REORDER_PAIRS: usize = 8;
 /// scheduler noise is one-sided (it only ever *adds* time), so the minimum
 /// is the stable statistic — a median can shift 30% when the machine is
 /// briefly busy, and a single spike must not fail CI.
-fn best_ms<T>(samples: usize, mut f: impl FnMut() -> T) -> f64 {
-    (0..samples.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            std::hint::black_box(f());
-            start.elapsed().as_secs_f64() * 1e3
-        })
-        .min_by(f64::total_cmp)
-        .expect("at least one sample")
+fn best_ms<T>(samples: usize, f: impl FnMut() -> T) -> f64 {
+    best_runs(samples, || {}, f).0
 }
 
-/// Wall-clock minimum of `samples` runs of `run`, each preceded by an
-/// untimed `setup`, in milliseconds — with every run's result.
+/// [`best_ms`] with an untimed `setup` before each run, returning every
+/// run's result too.
 fn best_runs<T>(
     samples: usize,
     mut setup: impl FnMut(),
@@ -99,8 +92,9 @@ fn best_runs<T>(
     for _ in 0..samples.max(1) {
         setup();
         let start = Instant::now();
-        results.push(run());
+        let result = std::hint::black_box(run());
         best = best.min(start.elapsed().as_secs_f64() * 1e3);
+        results.push(result);
     }
     (best, results)
 }

@@ -33,10 +33,10 @@ use crate::job::{
 
 /// Executes one job start to finish according to its objective.
 ///
-/// `Compare` runs MA first, then MP. When the spec is timed, both sides
-/// are sized to one clock: the MA netlist's own unsized worst arrival
-/// times the timing fraction, exactly like the paper's Table 2
-/// methodology.
+/// `Compare` runs MA first, then MP. A timed spec sizes a netlist to its
+/// own unsized worst arrival times the timing fraction; a timed
+/// `Compare` sizes both sides to MA's clock, exactly like the paper's
+/// Table 2 methodology.
 ///
 /// # Errors
 ///

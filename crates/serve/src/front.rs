@@ -1,13 +1,11 @@
 //! The event-driven connection front shared by `dominod` and `dominogw`.
 //!
-//! Earlier revisions spawned one thread per accepted connection and ran
-//! a blocking request loop on it. That puts an OS thread behind every
-//! kept-alive socket — fine for tens of clients, hopeless for thousands.
-//! This module replaces the per-connection threads with one reactor
-//! thread multiplexing every socket over [`domino_reactor::Poller`]
-//! (epoll readiness), while keeping the protocol machinery —
-//! [`RequestParser`], the [`render_response`] family — byte-identical to
-//! the blocking path.
+//! One reactor thread multiplexes every socket over
+//! [`domino_reactor::Poller`] (epoll readiness), so a kept-alive
+//! connection costs a socket, not an OS thread — thousands of clients
+//! stay cheap. The protocol machinery — [`RequestParser`], the
+//! [`render_response`] family — writes the same bytes as the blocking
+//! [`HttpConnection`](crate::http::HttpConnection) writers.
 //!
 //! # Shape
 //!
@@ -28,8 +26,7 @@
 //!
 //! One request is in flight per connection at a time; read interest is
 //! dropped while a response is pending, and responses flush strictly in
-//! order, so pipelined clients observe exactly the blocking server's
-//! behaviour.
+//! order, so pipelined clients get their answers in request order.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, Read, Write};
@@ -70,8 +67,7 @@ const READ_CHUNK: usize = 16 * 1024;
 /// its parser beyond the one the server is willing to hold.
 const READ_BUDGET: usize = 4 * READ_CHUNK;
 
-/// The body sent with a `400` on an unparseable request — the same bytes
-/// the blocking loop writes.
+/// The body sent with a `400` on an unparseable request.
 const MALFORMED: &[u8] = b"{\"error\":\"malformed request\"}";
 /// The body sent with the `503` that answers an accept beyond
 /// `max_connections`.
@@ -166,8 +162,7 @@ impl std::fmt::Debug for Responder {
 impl Responder {
     /// Answers with a fixed-length response. The reactor decides the
     /// `Connection` header from the request's wishes, the per-connection
-    /// request budget and drain state — exactly the blocking loop's
-    /// keep-alive negotiation.
+    /// request budget and drain state.
     pub fn respond(self, status: u16, extra_headers: &[(&str, &str)], body: &[u8]) {
         self.finish_with(status, extra_headers, body, false);
     }
@@ -662,8 +657,8 @@ impl Reactor {
             }
             match conn.stream.read(&mut buf) {
                 Ok(0) => {
-                    // EOF. Mid-request bytes die with the connection,
-                    // matching the blocking loop's clean-close handling.
+                    // EOF. Mid-request bytes die with the connection: a
+                    // clean close, not a malformed request.
                     self.close_conn(token);
                     return;
                 }
@@ -695,8 +690,7 @@ impl Reactor {
             }
         }
         if progressed {
-            // Partial-request activity pushes the idle deadline, like
-            // the blocking per-read timeout did.
+            // Partial-request activity pushes the idle deadline.
             self.arm_idle_timer(token);
         }
     }
@@ -714,8 +708,7 @@ impl Reactor {
                     return; // client left before the answer was ready
                 }
                 if domino_failpoint::should_fire("serve.http.write") {
-                    // The blocking path surfaced this as a write error
-                    // that killed the connection; so do we.
+                    // An injected write error kills the connection.
                     self.close_conn(token);
                     return;
                 }
@@ -805,8 +798,8 @@ impl Reactor {
         }
     }
 
-    /// The blocking loop answered both injected read faults and truly
-    /// malformed bytes with the same `400` and a close.
+    /// Injected read faults and truly malformed bytes get the same `400`
+    /// and a close.
     fn refuse_malformed(&mut self, token: u64) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;

@@ -438,8 +438,7 @@ impl RequestParser {
 
     /// `true` when no bytes of a next request have arrived — the
     /// idle-timeout close is silent exactly when this holds (a partial
-    /// request dying at the deadline mirrors the blocking path's
-    /// mid-request stall error instead).
+    /// request dying at the deadline is a mid-request stall instead).
     pub fn is_idle(&self) -> bool {
         self.buf.is_empty()
     }
