@@ -183,6 +183,7 @@ impl std::error::Error for JsonError {}
 /// Parses one JSON document; trailing non-whitespace is an error.
 pub fn parse(text: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -196,6 +197,7 @@ pub fn parse(text: &str) -> Result<Json, JsonError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -343,15 +345,15 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar value.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s
-                        .chars()
-                        .next()
-                        .ok_or_else(|| self.err("unterminated string"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash in
+                    // one slice. Both are ASCII, so the run ends on a
+                    // char boundary of `text`.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -391,6 +393,7 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn roundtrip_compound() {
@@ -450,6 +453,17 @@ mod tests {
     }
 
     #[test]
+    fn long_strings_roundtrip() {
+        // Every escape `write_escaped` emits, between runs of 1- to
+        // 4-byte characters, repeated past 1 MiB.
+        let piece = "plain ASCII run é∑😀\"quote\\back\nnl\rcr\ttab\u{1}\u{1f}😀😀 ";
+        let s = piece.repeat((1 << 20) / piece.len() + 1);
+        assert!(s.len() >= 1 << 20);
+        let v = Json::obj(vec![("blif", Json::Str(s))]);
+        assert_eq!(parse(&v.serialize()).unwrap(), v);
+    }
+
+    #[test]
     fn accessor_types() {
         let v = parse(r#"{"n":3,"f":2.5,"s":"x","b":true,"u":18446744073709551615}"#).unwrap();
         assert_eq!(v.get("n").unwrap().as_usize(), Some(3));
@@ -458,5 +472,46 @@ mod tests {
         assert_eq!(v.get("s").unwrap().as_str(), Some("x"));
         assert_eq!(v.get("b").unwrap().as_bool(), Some(true));
         assert_eq!(v.get("missing"), None);
+    }
+
+    /// JSON's own alphabet plus multi-byte and control characters, so
+    /// random text reaches every branch of the parser.
+    const FRAGMENTS: &[&str] = &[
+        "{", "}", "[", "]", ":", ",", "\"", "\\", "\\u", "00e9", "d83d", "n", "t", "/", "0", "7",
+        "-", ".", "e", "+", " ", "\n", "null", "true", "false", "x", "é", "😀", "\u{1}",
+    ];
+
+    fn text() -> impl Strategy<Value = String> {
+        prop::collection::vec(0..FRAGMENTS.len(), 0..48)
+            .prop_map(|picks| picks.into_iter().map(|i| FRAGMENTS[i]).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn parse_never_panics_on_arbitrary_text(
+            text in text(),
+            bytes in prop::collection::vec(any::<u8>(), 0..64)
+        ) {
+            let _ = parse(&text);
+            let _ = parse(&String::from_utf8_lossy(&bytes));
+        }
+
+        #[test]
+        fn any_string_roundtrips(text in text()) {
+            let v = Json::Str(text);
+            prop_assert_eq!(parse(&v.serialize()).unwrap(), v);
+        }
+
+        #[test]
+        fn job_specs_survive_spliced_text(at in 0usize..1024, cut in 0usize..8, text in text()) {
+            let mut spec = crate::JobSpec::suite("frg1").to_json().serialize().into_bytes();
+            let at = at % spec.len();
+            spec.splice(at..(at + cut).min(spec.len()), text.into_bytes());
+            if let Ok(v) = parse(&String::from_utf8_lossy(&spec)) {
+                let _ = crate::JobSpec::from_json(&v);
+            }
+        }
     }
 }
