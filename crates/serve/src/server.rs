@@ -748,9 +748,11 @@ fn route(shared: &Arc<Shared>, request: &Request, responder: Responder) {
         }
         ("POST", "/jobs") => handle_submit(shared, request, responder),
         ("POST", "/shutdown") => {
+            // Drain first: a client that reacts to this answer must find
+            // admissions already closed.
+            shared.begin_shutdown();
             let body = Json::obj(vec![("status", Json::Str("shutting-down".into()))]);
             responder.respond_close(200, &[], body.serialize().as_bytes());
-            shared.begin_shutdown();
         }
         ("GET", _) if path.starts_with("/cache/peek/") => {
             handle_cache_peek(shared, &path["/cache/peek/".len()..], responder);
