@@ -347,9 +347,11 @@ fn job_ids_and_event_streams_are_gateway_scoped() {
 /// scripted fake backend so the mid-stream death is deterministic.
 #[test]
 fn truncated_backend_event_stream_is_not_forged_complete() {
-    use domino_serve::http::{ChunkedWriter, HttpConnection, NextRequest};
+    use domino_serve::front::{FrontConfig, HttpFront, Responder};
+    use domino_serve::http::Request;
     use domino_serve::{EventRecord, StatusReply, SubmitReply};
     use std::net::TcpListener;
+    use std::time::Duration;
 
     let listener = TcpListener::bind("127.0.0.1:0").expect("fake backend binds");
     let addr = listener.local_addr().expect("addr").to_string();
@@ -360,71 +362,69 @@ fn truncated_backend_event_stream_is_not_forged_complete() {
     };
     let key = routing_key(&spec);
 
-    // The scripted backend: health and submit answer normally; the
-    // status probe reports the job running; the event stream emits one
-    // event and then dies without the chunked terminator.
-    std::thread::spawn(move || loop {
-        let Ok((stream, _)) = listener.accept() else {
-            return;
-        };
-        let key = key.clone();
-        std::thread::spawn(move || {
-            let mut conn = HttpConnection::new(stream);
-            while let Ok(NextRequest::Request(request)) = conn.next_request() {
-                match (request.method.as_str(), request.path.as_str()) {
-                    ("POST", "/jobs") => {
-                        let reply = SubmitReply {
-                            id: 7,
-                            name: "fake".into(),
-                            key: key.clone(),
-                            status: JobStatus::Queued,
-                            queue_depth: 1,
-                        };
-                        let body = reply.to_json().serialize();
-                        conn.write_response(202, &[], body.as_bytes(), true)
-                            .expect("submit reply");
-                    }
-                    ("GET", "/jobs/7") => {
-                        let reply = StatusReply {
-                            id: 7,
-                            name: "fake".into(),
-                            key: key.clone(),
-                            status: JobStatus::Running,
-                            cached: None,
-                            queue_ms: Some(0),
-                            exec_ms: None,
-                            error: None,
-                            outcome: None,
-                        };
-                        let body = reply.to_json().serialize();
-                        conn.write_response(200, &[], body.as_bytes(), true)
-                            .expect("status reply");
-                    }
-                    ("GET", "/jobs/7/events") => {
-                        let record = EventRecord {
-                            seq: 0,
-                            id: 7,
-                            kind: EventKind::Queued,
-                            name: "fake".into(),
-                            cached: None,
-                            elapsed_ms: None,
-                            error: None,
-                        };
-                        let line = format!("{}\n", record.to_json().serialize());
-                        let mut writer =
-                            ChunkedWriter::begin(conn.stream_mut(), 200).expect("chunked head");
-                        writer.chunk(line.as_bytes()).expect("one event");
-                        // Die mid-stream: no terminating chunk.
-                        return;
-                    }
-                    // Health probes and anything else.
-                    _ => {
-                        conn.write_response(200, &[], b"{\"status\":\"ok\"}", true)
-                            .expect("health reply");
-                    }
+    // The scripted backend, served by the production front: health and
+    // submit answer normally; the status probe reports the job running;
+    // the event stream emits one event and then dies without the chunked
+    // terminator.
+    let front = HttpFront::bind(
+        listener,
+        FrontConfig {
+            name: "fake-backend",
+            idle_timeout: Duration::from_secs(10),
+            max_requests: 1024,
+            max_connections: 64,
+            handler_threads: 2,
+        },
+    )
+    .expect("fake backend front");
+    let fake = front.handle();
+    let reactor = std::thread::spawn(move || {
+        front.run(Arc::new(move |request: Request, responder: Responder| {
+            match (request.method.as_str(), request.path.as_str()) {
+                ("POST", "/jobs") => {
+                    let reply = SubmitReply {
+                        id: 7,
+                        name: "fake".into(),
+                        key: key.clone(),
+                        status: JobStatus::Queued,
+                        queue_depth: 1,
+                    };
+                    responder.respond(202, &[], reply.to_json().serialize().as_bytes());
                 }
+                ("GET", "/jobs/7") => {
+                    let reply = StatusReply {
+                        id: 7,
+                        name: "fake".into(),
+                        key: key.clone(),
+                        status: JobStatus::Running,
+                        cached: None,
+                        queue_ms: Some(0),
+                        exec_ms: None,
+                        error: None,
+                        outcome: None,
+                    };
+                    responder.respond(200, &[], reply.to_json().serialize().as_bytes());
+                }
+                ("GET", "/jobs/7/events") => {
+                    let record = EventRecord {
+                        seq: 0,
+                        id: 7,
+                        kind: EventKind::Queued,
+                        name: "fake".into(),
+                        cached: None,
+                        elapsed_ms: None,
+                        error: None,
+                    };
+                    let line = format!("{}\n", record.to_json().serialize());
+                    let mut stream = responder.begin_stream(200);
+                    stream.chunk(line.as_bytes());
+                    // Die mid-stream: dropping the handle without
+                    // `finish` aborts the connection with no terminator.
+                }
+                // Health probes and anything else.
+                _ => responder.respond(200, &[], b"{\"status\":\"ok\"}"),
             }
-        });
+        }))
     });
 
     let (gateway, client) = start_gateway(vec![addr]);
@@ -434,4 +434,9 @@ fn truncated_backend_event_stream_is_not_forged_complete() {
         other => panic!("a truncated backend stream must surface as an I/O error, got {other:?}"),
     }
     gateway.shutdown();
+    fake.shutdown();
+    reactor
+        .join()
+        .expect("fake backend reactor")
+        .expect("fake backend runs");
 }

@@ -694,14 +694,42 @@ fn check_status(response: &Response) -> Result<(), ClientError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::http::NextRequest;
-    use std::io::Write;
-    use std::net::{Shutdown, TcpListener};
+    use crate::http::{render_response, Request, RequestParser};
+    use std::io::{Read, Write};
+    use std::net::{Shutdown, TcpListener, TcpStream};
 
-    fn read_request(conn: &mut HttpConnection) -> crate::http::Request {
-        match conn.next_request().expect("request") {
-            NextRequest::Request(request) => request,
-            other => panic!("expected a request, got {other:?}"),
+    /// A scripted server's side of one connection: reads with the
+    /// server's parser, answers with the server's renderer, and leaves
+    /// the raw socket to the script.
+    struct FakeServer {
+        stream: TcpStream,
+        parser: RequestParser,
+    }
+
+    impl FakeServer {
+        fn accept(listener: &TcpListener) -> FakeServer {
+            let (stream, _) = listener.accept().unwrap();
+            FakeServer {
+                stream,
+                parser: RequestParser::new(),
+            }
+        }
+
+        fn read_request(&mut self) -> Request {
+            loop {
+                if let Some(request) = self.parser.try_next().unwrap() {
+                    return request;
+                }
+                let mut buf = [0u8; 4096];
+                let n = self.stream.read(&mut buf).unwrap();
+                assert!(n > 0, "client closed mid-request");
+                self.parser.feed(&buf[..n]);
+            }
+        }
+
+        fn respond(&mut self, status: u16, headers: &[(&str, &str)], body: &[u8]) {
+            let message = render_response(status, headers, body, true);
+            self.stream.write_all(&message).unwrap();
         }
     }
 
@@ -716,21 +744,17 @@ mod tests {
         let client = ServeClient::new(addr);
         let server = std::thread::spawn(move || {
             // Exchange 1 primes the pool.
-            let (stream, _) = listener.accept().unwrap();
-            let mut conn = HttpConnection::new(stream);
-            read_request(&mut conn);
-            conn.write_response(200, &[], b"{}", true).unwrap();
+            let mut conn = FakeServer::accept(&listener);
+            conn.read_request();
+            conn.respond(200, &[], b"{}");
             // Idle-close the pooled connection: FIN without a response.
             // Only the write side, so the client's unread second request
             // drains instead of triggering a reset.
-            conn.stream().shutdown(Shutdown::Write).unwrap();
+            conn.stream.shutdown(Shutdown::Write).unwrap();
             // The retry arrives on a fresh connection.
-            let (stream, _) = listener.accept().unwrap();
-            let mut retry_conn = HttpConnection::new(stream);
-            let request = read_request(&mut retry_conn);
-            retry_conn
-                .write_response(200, &[], b"{\"retried\":true}", true)
-                .unwrap();
+            let mut retry_conn = FakeServer::accept(&listener);
+            let request = retry_conn.read_request();
+            retry_conn.respond(200, &[], b"{\"retried\":true}");
             request
         });
         assert_eq!(
@@ -754,16 +778,15 @@ mod tests {
         let addr = listener.local_addr().unwrap().to_string();
         let client = ServeClient::new(addr);
         let server = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            let mut conn = HttpConnection::new(stream);
-            read_request(&mut conn);
-            conn.write_response(200, &[], b"{}", true).unwrap();
+            let mut conn = FakeServer::accept(&listener);
+            conn.read_request();
+            conn.respond(200, &[], b"{}");
             // Second request: begin a response, then die mid-body.
-            read_request(&mut conn);
-            conn.stream_mut()
+            conn.read_request();
+            conn.stream
                 .write_all(b"HTTP/1.1 200 OK\r\ncontent-length: 10\r\n\r\nabc")
                 .unwrap();
-            conn.stream().shutdown(Shutdown::Write).unwrap();
+            conn.stream.shutdown(Shutdown::Write).unwrap();
             // No retry may arrive: the listener must stay silent.
             listener.set_nonblocking(true).unwrap();
             std::thread::sleep(Duration::from_millis(100));
@@ -822,22 +845,15 @@ mod tests {
             .retry(RetryPolicy::new(2).with_seed(7))
             .build();
         let server = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            let mut conn = HttpConnection::new(stream);
-            read_request(&mut conn);
+            let mut conn = FakeServer::accept(&listener);
+            conn.read_request();
             // Full queue: 429 with explicit zero backpressure, keep-alive
             // so the retry rides the pooled connection.
-            conn.write_response(
-                429,
-                &[("retry-after", "0")],
-                b"{\"error\":\"queue full\"}",
-                true,
-            )
-            .unwrap();
-            let request = read_request(&mut conn);
+            conn.respond(429, &[("retry-after", "0")], b"{\"error\":\"queue full\"}");
+            let request = conn.read_request();
             let reply =
                 b"{\"id\":1,\"name\":\"frg1\",\"key\":\"k\",\"status\":\"queued\",\"queue_depth\":0}";
-            conn.write_response(202, &[], reply, true).unwrap();
+            conn.respond(202, &[], reply);
             request
         });
         let spec = domino_engine::JobSpec::suite("frg1");
@@ -857,19 +873,15 @@ mod tests {
         let addr = listener.local_addr().unwrap().to_string();
         let client = ServeClient::new(addr);
         let server = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            let mut conn = HttpConnection::new(stream);
-            read_request(&mut conn);
-            conn.write_response(200, &[], b"{}", true).unwrap();
+            let mut conn = FakeServer::accept(&listener);
+            conn.read_request();
+            conn.respond(200, &[], b"{}");
             // Full close: depending on timing the client sees EOF or a
             // reset; a GET must survive either.
             drop(conn);
-            let (stream, _) = listener.accept().unwrap();
-            let mut retry_conn = HttpConnection::new(stream);
-            read_request(&mut retry_conn);
-            retry_conn
-                .write_response(200, &[], b"{\"ok\":true}", true)
-                .unwrap();
+            let mut retry_conn = FakeServer::accept(&listener);
+            retry_conn.read_request();
+            retry_conn.respond(200, &[], b"{\"ok\":true}");
         });
         assert_eq!(client.forward("GET", "/metrics", None).unwrap().status, 200);
         let response = client.forward("GET", "/metrics", None).unwrap();

@@ -3,9 +3,9 @@
 //! One reactor thread multiplexes every socket over
 //! [`domino_reactor::Poller`] (epoll readiness), so a kept-alive
 //! connection costs a socket, not an OS thread — thousands of clients
-//! stay cheap. The protocol machinery — [`RequestParser`], the
-//! [`render_response`] family — writes the same bytes as the blocking
-//! [`HttpConnection`](crate::http::HttpConnection) writers.
+//! stay cheap. The wire codec lives in [`crate::http`]: the reactor
+//! parses with [`RequestParser`] and writes the [`render_response`]
+//! family's bytes.
 //!
 //! # Shape
 //!
@@ -21,8 +21,9 @@
 //! handler pool; handlers never touch the socket — they answer through a
 //! [`Responder`] (or a [`StreamHandle`] for chunked `/events` replies),
 //! which enqueues an op and wakes the reactor. Because a `Responder` is
-//! `Send + 'static`, a handler may also park it on a waiter pump and
-//! return immediately, so long-polls (`?wait=1`) hold no thread at all.
+//! `Send + 'static`, a handler may also park it and return immediately —
+//! whichever thread later has the answer responds — so long-polls
+//! (`?wait=1`) hold no thread at all.
 //!
 //! One request is in flight per connection at a time; read interest is
 //! dropped while a response is pending, and responses flush strictly in
@@ -123,8 +124,9 @@ enum Op {
 struct FrontShared {
     ops: Mutex<VecDeque<Op>>,
     wake: WakeHandle,
-    /// Tokens of currently-open connections — lets a waiter pump notice
-    /// a dead client without writing to it.
+    /// Tokens of currently-open connections — lets the holder of a
+    /// parked [`Responder`] or [`StreamHandle`] notice a dead client
+    /// without writing to it.
     live: Mutex<HashSet<u64>>,
     draining: AtomicBool,
     open_connections: AtomicU64,
@@ -208,8 +210,9 @@ impl Responder {
 }
 
 /// An open chunked stream. Dropping it without [`StreamHandle::finish`]
-/// aborts the connection — the client sees a truncated stream, exactly
-/// what the blocking relay produced when a backend died mid-stream.
+/// aborts the connection: the client sees a truncated stream with no
+/// terminating chunk, which is how a relay reports a backend that died
+/// mid-stream.
 pub struct StreamHandle {
     token: u64,
     shared: Arc<FrontShared>,
@@ -625,7 +628,7 @@ impl Reactor {
             // the handler takes to answer. The re-armed idle timer bounds
             // a handler that never does (a dropped Responder, a parked
             // long-poll whose client vanished): the close flips
-            // `is_live()` false, letting the pump drop the waiter.
+            // `is_live()` false, so the waiter is dropped unanswered.
             Some(ConnState::InFlight) => {
                 let conn = self.conns.get_mut(&token).expect("state just read");
                 if !conn.peer_half_closed {
@@ -776,10 +779,9 @@ impl Reactor {
         }
     }
 
-    /// Entered between requests: runs the read failpoint (the blocking
-    /// loop hit it at the top of `next_request`), then either dispatches
-    /// a pipelined request already in the parser or arms read interest
-    /// and the idle timer.
+    /// Entered between requests: runs the read failpoint, then either
+    /// dispatches a pipelined request already in the parser or arms read
+    /// interest and the idle timer.
     fn enter_idle(&mut self, token: u64) {
         if domino_failpoint::should_fire("serve.http.read") {
             self.refuse_malformed(token);
@@ -1145,8 +1147,8 @@ mod tests {
         }
         drop(stream);
         // The half-close is noted once (no busy loop) and the idle timer
-        // reaps the connection, flipping `is_live()` so a waiter pump
-        // would drop the parked reply.
+        // reaps the connection, flipping `is_live()` so the parked reply
+        // is dropped unanswered.
         let deadline = Instant::now() + Duration::from_secs(5);
         while handle.counters().open_connections != 0 {
             assert!(Instant::now() < deadline, "vanished client never reaped");

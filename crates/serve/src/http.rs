@@ -1,43 +1,49 @@
-//! A deliberately small HTTP/1.1 layer over [`std::net::TcpStream`].
+//! The HTTP/1.1 wire layer: the client connection [`ServeClient`] talks
+//! through, and the codec the reactor front serves with.
 //!
 //! The build environment has no registry access, so — following the
 //! `crates/compat` precedent — the service carries its own wire layer
 //! instead of hyper/axum. It implements exactly what `dominod`, the
 //! `dominogw` gateway and their clients need and nothing more:
 //!
-//! * request parsing: request line, headers, `Content-Length` bodies
-//!   (bounded by [`MAX_BODY_BYTES`]), query-string splitting;
-//! * response writing: fixed-length bodies with negotiated
-//!   `Connection: keep-alive` / `close` semantics, and
-//!   `Transfer-Encoding: chunked` streaming for the `/jobs/:id/events`
-//!   endpoint (chunked responses always close);
-//! * response reading for the client side, including a streaming chunk
-//!   decoder that yields line-delimited event records as they arrive.
+//! * [`RequestParser`]: incremental request parsing — request line,
+//!   headers, `Content-Length` bodies (bounded by [`MAX_BODY_BYTES`]),
+//!   query-string splitting — over whatever bytes a socket delivered;
+//! * [`render_response`] and the chunk renderers: the exact response
+//!   bytes, fixed-length with `Connection: keep-alive` / `close`, or
+//!   `Transfer-Encoding: chunked` for the `/jobs/:id/events` stream
+//!   (chunked responses always close);
+//! * [`HttpConnection`]: the client side, one TCP stream with a
+//!   persistent read buffer, including a streaming chunk decoder that
+//!   yields line-delimited event records as they arrive.
+//!
+//! Requests and responses share one set of header rules: at most
+//! [`MAX_HEADERS`] headers of at most [`MAX_LINE_BYTES`] each, names
+//! lowercased, `Content-Length` at most [`MAX_BODY_BYTES`].
 //!
 //! # Keep-alive and pipelining
 //!
-//! [`HttpConnection`] wraps one TCP stream with a persistent read buffer,
-//! so a connection carries many requests back to back. Clients may
-//! pipeline: requests already buffered are parsed without touching the
-//! socket, and responses are written strictly in request order (the
-//! server handles one request at a time per connection, so the in-flight
-//! pipeline depth is bounded by the socket and read buffers — a peer can
-//! never force the server to hold more than one parsed request in
-//! memory). On the server side, [`HttpFront`](crate::front::HttpFront)
-//! runs this state machine from its reactor over a [`RequestParser`]:
+//! A connection carries many requests back to back, and clients may
+//! pipeline. [`HttpFront`](crate::front::HttpFront) runs this state
+//! machine per connection from its reactor over a [`RequestParser`],
+//! answering strictly in request order and parsing the next request only
+//! after the current one is answered — so a peer can never force the
+//! server to hold more than one parsed request in memory:
 //!
 //! ```text
 //!          ┌────────────── idle (timer = idle_timeout) ────────────────┐
 //!          ▼                                                           │
 //!   next request ──▶ parsed ──▶ handler answers ──▶ keep-alive? ───────┘
 //!          │
-//!          ├─ clean EOF / idle timeout ─▶ close
-//!          ├─ malformed / stalled mid-request ─▶ 400 + close
+//!          ├─ EOF, or idle timeout (even mid-request) ─▶ close
+//!          ├─ malformed ─▶ 400 + close
 //!          └─ request #max_requests, Connection: close, or a
 //!             streaming handler ─▶ final response carries close
 //! ```
 //!
 //! No TLS, no compression, no `Expect: 100-continue`.
+//!
+//! [`ServeClient`]: crate::ServeClient
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -72,15 +78,6 @@ fn read_line_bounded(reader: &mut impl BufRead, what: &str) -> io::Result<Option
         return Err(bad(&format!("{what} line too long")));
     }
     Ok(Some(line))
-}
-
-/// `true` for the error kinds a read timeout surfaces as (`WouldBlock` on
-/// unix, `TimedOut` on windows).
-fn is_timeout(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-    )
 }
 
 /// One parsed HTTP request.
@@ -149,23 +146,8 @@ impl Request {
     }
 }
 
-/// What [`HttpConnection::next_request`] found on the wire.
-#[derive(Debug)]
-pub enum NextRequest {
-    /// A complete request.
-    Request(Request),
-    /// The peer closed the connection cleanly between requests.
-    Closed,
-    /// The idle deadline passed with no request byte received — close
-    /// without error (distinct from a peer stalling *mid*-request, which
-    /// is an [`io::Error`]).
-    TimedOut,
-}
-
-/// One HTTP/1.1 connection (either side) with a persistent read buffer —
-/// the carrier for keep-alive and pipelining. Bytes of a follow-up
-/// request that arrive early stay in the buffer and are parsed by the
-/// next [`HttpConnection::next_request`] call instead of being lost.
+/// The client side of one HTTP/1.1 connection, with a persistent read
+/// buffer so a kept-alive connection carries many exchanges.
 #[derive(Debug)]
 pub struct HttpConnection {
     reader: BufReader<TcpStream>,
@@ -184,111 +166,7 @@ impl HttpConnection {
         }
     }
 
-    /// The underlying stream (for timeouts and peer addresses).
-    pub fn stream(&self) -> &TcpStream {
-        self.reader.get_ref()
-    }
-
-    /// Mutable access to the underlying stream (writes bypass the read
-    /// buffer, which is exactly right for HTTP).
-    pub fn stream_mut(&mut self) -> &mut TcpStream {
-        self.reader.get_mut()
-    }
-
-    /// `true` when a pipelined peer already delivered bytes of the next
-    /// message: parsing can proceed without waiting on the socket.
-    pub fn has_buffered(&self) -> bool {
-        !self.reader.buffer().is_empty()
-    }
-
-    /// Reads the next request off the connection.
-    ///
-    /// A read timeout that fires before *any* byte of the request line is
-    /// [`NextRequest::TimedOut`] (the idle-deadline close); one that fires
-    /// mid-request is an error, because the stream is no longer at a
-    /// message boundary and cannot be resynchronized.
-    ///
-    /// # Errors
-    ///
-    /// [`io::Error`] with `InvalidData` for malformed requests (bad
-    /// request line, non-numeric or oversized `Content-Length`, truncated
-    /// body), or the underlying I/O error.
-    pub fn next_request(&mut self) -> io::Result<NextRequest> {
-        if domino_failpoint::should_fire("serve.http.read") {
-            return Err(domino_failpoint::injected_io_error("serve.http.read"));
-        }
-        let mut line = String::new();
-        let n = match self
-            .reader
-            .by_ref()
-            .take((MAX_LINE_BYTES + 1) as u64)
-            .read_line(&mut line)
-        {
-            Ok(n) => n,
-            Err(e) if is_timeout(&e) && line.is_empty() => return Ok(NextRequest::TimedOut),
-            Err(e) => return Err(e),
-        };
-        if n == 0 {
-            return Ok(NextRequest::Closed);
-        }
-        if n > MAX_LINE_BYTES && !line.ends_with('\n') {
-            return Err(bad("request line too long"));
-        }
-        let mut parts = line.split_whitespace();
-        let (Some(method), Some(target)) = (parts.next(), parts.next()) else {
-            return Err(bad("malformed request line"));
-        };
-        let method = method.to_ascii_uppercase();
-        let (path, query) = split_target(target);
-
-        let parsed = read_headers(&mut self.reader)?;
-
-        let mut body = vec![0u8; parsed.content_length.unwrap_or(0)];
-        self.reader.read_exact(&mut body)?;
-        Ok(NextRequest::Request(Request {
-            method,
-            path,
-            query,
-            headers: parsed.headers,
-            body,
-        }))
-    }
-
-    /// Writes a complete fixed-length response and flushes it, with the
-    /// negotiated `Connection` header.
-    ///
-    /// # Errors
-    ///
-    /// [`io::Error`] from the underlying writes.
-    pub fn write_response(
-        &mut self,
-        status: u16,
-        extra_headers: &[(&str, &str)],
-        body: &[u8],
-        keep_alive: bool,
-    ) -> io::Result<()> {
-        if domino_failpoint::should_fire("serve.http.write") {
-            return Err(domino_failpoint::injected_io_error("serve.http.write"));
-        }
-        let stream = self.reader.get_mut();
-        // One write per message: a head-then-body pair of small segments
-        // would re-trigger the Nagle/delayed-ACK stall on every exchange.
-        let message = render_response(status, extra_headers, body, keep_alive);
-        stream.write_all(&message)?;
-        stream.flush()
-    }
-
-    /// Begins a chunked-transfer response (always `Connection: close`:
-    /// event streams end with the connection).
-    ///
-    /// # Errors
-    ///
-    /// [`io::Error`] from writing the response head.
-    pub fn begin_chunked(&mut self, status: u16) -> io::Result<ChunkedWriter<'_>> {
-        ChunkedWriter::begin(self.reader.get_mut(), status)
-    }
-
-    /// Client side: writes one request and flushes it.
+    /// Writes one request and flushes it.
     ///
     /// # Errors
     ///
@@ -315,7 +193,7 @@ impl HttpConnection {
         stream.flush()
     }
 
-    /// Client side: reads a complete response, reassembling chunked
+    /// Reads a complete response, reassembling chunked
     /// bodies.
     ///
     /// # Errors
@@ -325,9 +203,9 @@ impl HttpConnection {
         self.read_response_streaming(|_| {})
     }
 
-    /// Client side: reads a response, invoking `on_chunk` for every chunk
-    /// of a chunked body as it arrives (fixed-length bodies get a single
-    /// callback). The complete body is still returned.
+    /// Reads a response, invoking `on_chunk` for every chunk of a chunked
+    /// body as it arrives (fixed-length bodies get a single callback).
+    /// The complete body is still returned.
     ///
     /// # Errors
     ///
@@ -410,16 +288,16 @@ impl HttpConnection {
     }
 }
 
-/// An incremental request parser for non-blocking connections: the
-/// reactor [`feed`](RequestParser::feed)s it whatever bytes the socket
-/// had, and [`try_next`](RequestParser::try_next) yields a [`Request`]
-/// once a complete one has accumulated. Pipelined requests queue in the
+/// The request parser: the reactor [`feed`](RequestParser::feed)s it
+/// whatever bytes the socket had, and
+/// [`try_next`](RequestParser::try_next) yields a [`Request`] once a
+/// complete one has accumulated. Pipelined requests queue in the
 /// internal buffer and come out one `try_next` at a time.
 ///
-/// Bounds are enforced *while buffering*, matching the blocking parser:
-/// an endless newline-free line errors at [`MAX_LINE_BYTES`], a header
-/// flood at [`MAX_HEADERS`], an oversized `Content-Length` at
-/// [`MAX_BODY_BYTES`] — all before the hostile bytes are held.
+/// Bounds are enforced *while buffering*: an endless newline-free line
+/// errors at [`MAX_LINE_BYTES`], a header flood at [`MAX_HEADERS`], an
+/// oversized `Content-Length` at [`MAX_BODY_BYTES`] — all before the
+/// hostile bytes are held.
 #[derive(Debug, Default)]
 pub struct RequestParser {
     buf: Vec<u8>,
@@ -436,20 +314,13 @@ impl RequestParser {
         self.buf.extend_from_slice(data);
     }
 
-    /// `true` when no bytes of a next request have arrived — the
-    /// idle-timeout close is silent exactly when this holds (a partial
-    /// request dying at the deadline is a mid-request stall instead).
-    pub fn is_idle(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Tries to parse one complete request off the front of the buffer.
     /// `Ok(None)` means "incomplete — feed more bytes".
     ///
     /// # Errors
     ///
-    /// [`io::Error`] with `InvalidData` for the same malformed shapes the
-    /// blocking [`HttpConnection::next_request`] rejects.
+    /// [`io::Error`] with `InvalidData` for a malformed request line or
+    /// header, a non-numeric `Content-Length`, or any exceeded bound.
     pub fn try_next(&mut self) -> io::Result<Option<Request>> {
         let Some(line_end) = find_line(&self.buf, 0, "request")? else {
             return Ok(None);
@@ -465,8 +336,7 @@ impl RequestParser {
 
         // Header block: one bounded line at a time until the blank line.
         let mut cursor = line_end + 1;
-        let mut headers: Vec<(String, String)> = Vec::new();
-        let mut content_length: usize = 0;
+        let mut parsed = ParsedHeaders::default();
         loop {
             let Some(end) = find_line(&self.buf, cursor, "header")? else {
                 return Ok(None);
@@ -478,26 +348,10 @@ impl RequestParser {
             if header.is_empty() {
                 break;
             }
-            if headers.len() >= MAX_HEADERS {
-                return Err(bad("too many headers"));
-            }
-            let Some((name, value)) = header.split_once(':') else {
-                return Err(bad("malformed header"));
-            };
-            let name = name.trim().to_ascii_lowercase();
-            let value = value.trim().to_string();
-            if name == "content-length" {
-                let n: usize = value
-                    .parse()
-                    .map_err(|_| bad("non-numeric content-length"))?;
-                if n > MAX_BODY_BYTES {
-                    return Err(bad("body too large"));
-                }
-                content_length = n;
-            }
-            headers.push((name, value));
+            parsed.push(header)?;
         }
 
+        let content_length = parsed.content_length.unwrap_or(0);
         if self.buf.len() < cursor + content_length {
             return Ok(None);
         }
@@ -507,7 +361,7 @@ impl RequestParser {
             method,
             path,
             query,
-            headers,
+            headers: parsed.headers,
             body,
         }))
     }
@@ -527,33 +381,23 @@ fn find_line(buf: &[u8], from: usize, what: &str) -> io::Result<Option<usize>> {
 }
 
 /// The header block of a request or response.
+#[derive(Default)]
 struct ParsedHeaders {
     headers: Vec<(String, String)>,
     content_length: Option<usize>,
     chunked: bool,
 }
 
-/// Reads the header block shared by both message directions: bounded
-/// lines, bounded count, lowercased names, `Content-Length` validated
-/// against [`MAX_BODY_BYTES`], `Transfer-Encoding: chunked` detected.
-fn read_headers(reader: &mut impl BufRead) -> io::Result<ParsedHeaders> {
-    let mut parsed = ParsedHeaders {
-        headers: Vec::new(),
-        content_length: None,
-        chunked: false,
-    };
-    loop {
-        let Some(header) = read_line_bounded(reader, "header")? else {
-            return Err(bad("connection closed inside headers"));
-        };
-        let header = header.trim_end();
-        if header.is_empty() {
-            return Ok(parsed);
-        }
-        if parsed.headers.len() >= MAX_HEADERS {
+impl ParsedHeaders {
+    /// Adds one header line (line ending already trimmed) under the rules
+    /// both message directions share: at most [`MAX_HEADERS`] headers,
+    /// lowercased names, `Content-Length` validated against
+    /// [`MAX_BODY_BYTES`], `Transfer-Encoding: chunked` detected.
+    fn push(&mut self, line: &str) -> io::Result<()> {
+        if self.headers.len() >= MAX_HEADERS {
             return Err(bad("too many headers"));
         }
-        let Some((name, value)) = header.split_once(':') else {
+        let Some((name, value)) = line.split_once(':') else {
             return Err(bad("malformed header"));
         };
         let name = name.trim().to_ascii_lowercase();
@@ -566,12 +410,28 @@ fn read_headers(reader: &mut impl BufRead) -> io::Result<ParsedHeaders> {
                 if n > MAX_BODY_BYTES {
                     return Err(bad("body too large"));
                 }
-                parsed.content_length = Some(n);
+                self.content_length = Some(n);
             }
-            "transfer-encoding" if value.eq_ignore_ascii_case("chunked") => parsed.chunked = true,
+            "transfer-encoding" if value.eq_ignore_ascii_case("chunked") => self.chunked = true,
             _ => {}
         }
-        parsed.headers.push((name, value));
+        self.headers.push((name, value));
+        Ok(())
+    }
+}
+
+/// Reads a response's header block, one bounded line at a time.
+fn read_headers(reader: &mut impl BufRead) -> io::Result<ParsedHeaders> {
+    let mut parsed = ParsedHeaders::default();
+    loop {
+        let Some(header) = read_line_bounded(reader, "header")? else {
+            return Err(bad("connection closed inside headers"));
+        };
+        let header = header.trim_end();
+        if header.is_empty() {
+            return Ok(parsed);
+        }
+        parsed.push(header)?;
     }
 }
 
@@ -654,54 +514,8 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// A chunked-transfer response in progress: each [`ChunkedWriter::chunk`]
-/// is flushed immediately so clients observe events as they happen.
-#[derive(Debug)]
-pub struct ChunkedWriter<'a> {
-    stream: &'a mut TcpStream,
-}
-
-impl<'a> ChunkedWriter<'a> {
-    /// Writes the response head and returns the chunk writer.
-    ///
-    /// # Errors
-    ///
-    /// [`io::Error`] from writing the head.
-    pub fn begin(stream: &'a mut TcpStream, status: u16) -> io::Result<Self> {
-        stream.write_all(&render_chunked_head(status))?;
-        stream.flush()?;
-        Ok(ChunkedWriter { stream })
-    }
-
-    /// Writes one chunk and flushes it.
-    ///
-    /// # Errors
-    ///
-    /// [`io::Error`] from the underlying writes.
-    pub fn chunk(&mut self, data: &[u8]) -> io::Result<()> {
-        if data.is_empty() {
-            return Ok(()); // an empty chunk would terminate the stream
-        }
-        self.stream.write_all(&render_chunk(data))?;
-        self.stream.flush()
-    }
-
-    /// Writes the terminating zero-length chunk.
-    ///
-    /// # Errors
-    ///
-    /// [`io::Error`] from the underlying writes.
-    pub fn finish(self) -> io::Result<()> {
-        self.stream.write_all(render_chunk_end())?;
-        self.stream.flush()
-    }
-}
-
-/// Renders a complete fixed-length response — head and body in one
-/// buffer — exactly as [`HttpConnection::write_response`] puts it on the
-/// wire. The reactor path queues these bytes for writable-readiness
-/// instead of writing inline, so sharing the renderer is what keeps the
-/// two paths byte-identical.
+/// Renders a complete fixed-length response, head and body in one
+/// buffer.
 pub fn render_response(
     status: u16,
     extra_headers: &[(&str, &str)],
@@ -728,7 +542,7 @@ pub fn render_response(
 }
 
 /// Renders the head of a chunked-transfer response (always
-/// `Connection: close`), exactly as [`ChunkedWriter::begin`] writes it.
+/// `Connection: close`: event streams end with the connection).
 pub fn render_chunked_head(status: u16) -> Vec<u8> {
     format!(
         "HTTP/1.1 {status} {}\r\nserver: dominod\r\ncontent-type: application/json\r\n\
@@ -798,8 +612,8 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::net::TcpListener;
-    use std::time::Duration;
 
     fn pair() -> (TcpStream, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -809,26 +623,26 @@ mod tests {
         (client, server)
     }
 
-    fn read_one(server: TcpStream) -> io::Result<NextRequest> {
-        HttpConnection::new(server).next_request()
-    }
-
-    #[test]
-    fn request_roundtrip_with_body_and_query() {
-        let (mut client, server) = pair();
-        client
-            .write_all(b"POST /jobs?wait=1&x HTTP/1.1\r\nHost: t\r\nContent-Length: 5\r\n\r\nhello")
-            .unwrap();
-        let NextRequest::Request(req) = read_one(server).unwrap() else {
-            panic!("expected a request");
-        };
-        assert_eq!(req.method, "POST");
-        assert_eq!(req.path, "/jobs");
-        assert!(req.wants_wait());
-        assert_eq!(req.query_param("x"), Some(""));
-        assert_eq!(req.body, b"hello");
-        assert_eq!(req.header("host"), Some("t"));
-        assert_eq!(req.target(), "/jobs?wait=1&x");
+    /// Feeds `wire` to one parser in pieces split at `cuts` (taken
+    /// modulo the length), collecting requests until the first error.
+    fn feed_in_pieces(wire: &[u8], cuts: &[usize]) -> (Vec<Request>, io::Result<()>) {
+        let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (wire.len() + 1)).collect();
+        bounds.extend([0, wire.len()]);
+        bounds.sort_unstable();
+        bounds.dedup();
+        let mut parser = RequestParser::new();
+        let mut requests = Vec::new();
+        for piece in bounds.windows(2) {
+            parser.feed(&wire[piece[0]..piece[1]]);
+            loop {
+                match parser.try_next() {
+                    Ok(Some(request)) => requests.push(request),
+                    Ok(None) => break,
+                    Err(e) => return (requests, Err(e)),
+                }
+            }
+        }
+        (requests, Ok(()))
     }
 
     #[test]
@@ -863,10 +677,14 @@ mod tests {
 
     #[test]
     fn fixed_response_roundtrip() {
-        let (client, server) = pair();
-        let mut server = HttpConnection::new(server);
+        let (client, mut server) = pair();
         server
-            .write_response(429, &[("retry-after", "1")], b"{\"e\":1}", false)
+            .write_all(&render_response(
+                429,
+                &[("retry-after", "1")],
+                b"{\"e\":1}",
+                false,
+            ))
             .unwrap();
         drop(server);
         let resp = HttpConnection::new(client).read_response().unwrap();
@@ -877,93 +695,13 @@ mod tests {
     }
 
     #[test]
-    fn keep_alive_connection_carries_many_requests() {
-        let (client, server) = pair();
-        let mut client = HttpConnection::new(client);
-        let server_side = std::thread::spawn(move || {
-            let mut conn = HttpConnection::new(server);
-            for i in 0..3u32 {
-                let NextRequest::Request(req) = conn.next_request().unwrap() else {
-                    panic!("expected request {i}");
-                };
-                assert_eq!(req.path, format!("/r{i}"));
-                conn.write_response(200, &[], format!("resp{i}").as_bytes(), i < 2)
-                    .unwrap();
-            }
-        });
-        for i in 0..3u32 {
-            client
-                .write_request("t", "GET", &format!("/r{i}"), None, i < 2)
-                .unwrap();
-            let resp = client.read_response().unwrap();
-            assert_eq!(resp.body, format!("resp{i}").as_bytes());
-            assert_eq!(resp.keeps_alive(), i < 2);
-        }
-        server_side.join().unwrap();
-    }
-
-    #[test]
-    fn pipelined_requests_are_answered_in_order() {
-        let (mut client, server) = pair();
-        // Three requests in one write, before the server reads anything.
-        client
-            .write_all(
-                b"GET /a HTTP/1.1\r\nconnection: keep-alive\r\n\r\n\
-                  GET /b HTTP/1.1\r\nconnection: keep-alive\r\n\r\n\
-                  GET /c HTTP/1.1\r\nconnection: close\r\n\r\n",
-            )
-            .unwrap();
-        let mut conn = HttpConnection::new(server);
-        let mut paths = Vec::new();
-        for _ in 0..3 {
-            let NextRequest::Request(req) = conn.next_request().unwrap() else {
-                panic!("expected a pipelined request");
-            };
-            paths.push(req.path.clone());
-            conn.write_response(200, &[], req.path.as_bytes(), !req.wants_close())
-                .unwrap();
-        }
-        assert_eq!(paths, ["/a", "/b", "/c"]);
-        // After the first parse the rest were already buffered.
-        let mut client = HttpConnection::new(client);
-        for path in ["/a", "/b", "/c"] {
-            assert_eq!(client.read_response().unwrap().body, path.as_bytes());
-        }
-    }
-
-    #[test]
-    fn idle_timeout_yields_timed_out_not_error() {
-        let (_client, server) = pair();
-        server
-            .set_read_timeout(Some(Duration::from_millis(50)))
-            .unwrap();
-        let mut conn = HttpConnection::new(server);
-        assert!(matches!(
-            conn.next_request().unwrap(),
-            NextRequest::TimedOut
-        ));
-    }
-
-    #[test]
-    fn stall_mid_request_is_an_error_not_idle() {
-        let (mut client, server) = pair();
-        // Half a request line, then silence.
-        client.write_all(b"GET /half").unwrap();
-        server
-            .set_read_timeout(Some(Duration::from_millis(50)))
-            .unwrap();
-        let mut conn = HttpConnection::new(server);
-        assert!(conn.next_request().is_err());
-    }
-
-    #[test]
     fn chunked_response_streams_and_reassembles() {
         let (client, mut server) = pair();
         let writer = std::thread::spawn(move || {
-            let mut w = ChunkedWriter::begin(&mut server, 200).unwrap();
-            w.chunk(b"{\"a\":1}\n").unwrap();
-            w.chunk(b"{\"b\":2}\n").unwrap();
-            w.finish().unwrap();
+            server.write_all(&render_chunked_head(200)).unwrap();
+            server.write_all(&render_chunk(b"{\"a\":1}\n")).unwrap();
+            server.write_all(&render_chunk(b"{\"b\":2}\n")).unwrap();
+            server.write_all(render_chunk_end()).unwrap();
         });
         let mut seen = Vec::new();
         let resp = HttpConnection::new(client)
@@ -973,87 +711,43 @@ mod tests {
         assert_eq!(resp.status, 200);
         assert_eq!(resp.body, b"{\"a\":1}\n{\"b\":2}\n");
         assert_eq!(seen.len(), 2);
+        assert!(render_chunk(b"").is_empty(), "empty chunk renders nothing");
     }
 
     #[test]
-    fn oversized_content_length_is_rejected() {
-        let (mut client, server) = pair();
-        client
-            .write_all(
-                format!("POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n", usize::MAX).as_bytes(),
-            )
-            .unwrap();
-        assert!(read_one(server).is_err());
-    }
-
-    #[test]
-    fn closed_connection_yields_none() {
-        let (client, server) = pair();
-        drop(client);
-        assert!(matches!(read_one(server).unwrap(), NextRequest::Closed));
-    }
-
-    #[test]
-    fn endless_header_line_is_cut_off_at_the_line_bound() {
-        let (mut client, server) = pair();
-        let reader = std::thread::spawn(move || read_one(server));
-        // The reader stops consuming once it errors; bound our writes so a
-        // full socket buffer can never turn this test into a hang.
-        client
-            .set_write_timeout(Some(std::time::Duration::from_secs(2)))
-            .unwrap();
-        let _ = client.write_all(b"GET / HTTP/1.1\r\nx-fill: ");
-        // Twice the line bound, no newline: the reader must error at the
-        // bound, not buffer until OOM or EOF.
-        let chunk = vec![b'a'; 8 * 1024];
-        for _ in 0..16 {
-            if client.write_all(&chunk).is_err() {
-                break; // reader already gave up — exactly what we want
-            }
-        }
-        drop(client);
-        let err = reader.join().unwrap().unwrap_err();
+    fn huge_chunk_size_is_rejected_without_overflow() {
+        let (client, mut server) = pair();
+        let writer = std::thread::spawn(move || {
+            // A malformed chunked response claiming a ~usize::MAX chunk.
+            let _ = server.write_all(
+                b"HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\nffffffffffffffff\r\n",
+            );
+        });
+        let err = HttpConnection::new(client).read_response().unwrap_err();
+        writer.join().unwrap();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
     }
 
     #[test]
-    fn header_count_is_bounded() {
-        let (mut client, server) = pair();
-        let reader = std::thread::spawn(move || read_one(server));
-        let _ = client.write_all(b"GET / HTTP/1.1\r\n");
-        for i in 0..(MAX_HEADERS + 8) {
-            if client
-                .write_all(format!("x-h{i}: v\r\n").as_bytes())
-                .is_err()
-            {
-                break;
-            }
-        }
-        drop(client);
-        assert!(reader.join().unwrap().is_err());
-    }
-
-    #[test]
     fn request_parser_accumulates_byte_at_a_time() {
-        let wire = b"POST /jobs?wait=1 HTTP/1.1\r\nHost: t\r\nContent-Length: 5\r\n\r\nhello";
+        let wire = b"POST /jobs?wait=1&x HTTP/1.1\r\nHost: t\r\nContent-Length: 5\r\n\r\nhello";
         let mut parser = RequestParser::new();
-        assert!(parser.is_idle());
         for (i, byte) in wire.iter().enumerate() {
             parser.feed(std::slice::from_ref(byte));
             let parsed = parser.try_next().unwrap();
             if i + 1 < wire.len() {
                 assert!(parsed.is_none(), "complete at byte {i}?");
-                assert!(!parser.is_idle());
             } else {
                 let req = parsed.expect("complete request");
                 assert_eq!(req.method, "POST");
                 assert_eq!(req.path, "/jobs");
                 assert!(req.wants_wait());
+                assert_eq!(req.query_param("x"), Some(""));
+                assert_eq!(req.target(), "/jobs?wait=1&x");
                 assert_eq!(req.body, b"hello");
                 assert_eq!(req.header("host"), Some("t"));
             }
         }
-        assert!(parser.is_idle(), "buffer fully consumed");
     }
 
     #[test]
@@ -1072,7 +766,7 @@ mod tests {
     }
 
     #[test]
-    fn request_parser_enforces_bounds_like_the_blocking_parser() {
+    fn request_parser_enforces_its_bounds() {
         // Endless newline-free line: cut off at the line bound.
         let mut parser = RequestParser::new();
         parser.feed(&vec![b'a'; MAX_LINE_BYTES + 2]);
@@ -1091,49 +785,206 @@ mod tests {
     }
 
     #[test]
-    fn render_helpers_match_the_blocking_writers_bytes() {
-        let (client, server) = pair();
-        let mut server = HttpConnection::new(server);
-        server
-            .write_response(429, &[("retry-after", "1")], b"{\"e\":1}", true)
-            .unwrap();
-        drop(server);
-        let mut wire = Vec::new();
-        let mut client = client;
-        client.read_to_end(&mut wire).unwrap();
-        assert_eq!(
-            wire,
-            render_response(429, &[("retry-after", "1")], b"{\"e\":1}", true)
-        );
-
-        let (client, mut server) = pair();
-        let writer = std::thread::spawn(move || {
-            let mut w = ChunkedWriter::begin(&mut server, 200).unwrap();
-            w.chunk(b"{\"a\":1}\n").unwrap();
-            w.finish().unwrap();
-        });
-        let mut wire = Vec::new();
-        let mut client = client;
-        client.read_to_end(&mut wire).unwrap();
-        writer.join().unwrap();
-        let mut expected = render_chunked_head(200);
-        expected.extend_from_slice(&render_chunk(b"{\"a\":1}\n"));
-        expected.extend_from_slice(render_chunk_end());
-        assert_eq!(wire, expected);
-        assert!(render_chunk(b"").is_empty(), "empty chunk renders nothing");
+    fn header_count_is_bounded() {
+        let mut wire = b"GET / HTTP/1.1\r\n".to_vec();
+        for i in 0..MAX_HEADERS {
+            wire.extend_from_slice(format!("x-h{i}: v\r\n").as_bytes());
+        }
+        // Exactly MAX_HEADERS headers parse...
+        let mut parser = RequestParser::new();
+        parser.feed(&wire);
+        parser.feed(b"\r\n");
+        let request = parser.try_next().unwrap().expect("complete request");
+        assert_eq!(request.headers.len(), MAX_HEADERS);
+        // ...and one more is refused.
+        wire.extend_from_slice(b"x-over: v\r\n\r\n");
+        let mut parser = RequestParser::new();
+        parser.feed(&wire);
+        assert!(parser.try_next().is_err());
     }
 
-    #[test]
-    fn huge_chunk_size_is_rejected_without_overflow() {
-        let (client, mut server) = pair();
-        let writer = std::thread::spawn(move || {
-            // A malformed chunked response claiming a ~usize::MAX chunk.
-            let _ = server.write_all(
-                b"HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\nffffffffffffffff\r\n",
-            );
-        });
-        let err = HttpConnection::new(client).read_response().unwrap_err();
-        writer.join().unwrap();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    const METHODS: &[&str] = &["GET", "post", "Delete", "PUT"];
+    const HEADER_NAMES: &[&str] = &["Host", "x-a", "X-Request-Id", "accept"];
+
+    /// One request: method, path number, query pairs (key, has value),
+    /// headers (name, value number), body, CRLF or bare-LF lines.
+    type RequestCase = (
+        usize,
+        u64,
+        Vec<(u64, bool)>,
+        Vec<(usize, u64)>,
+        Vec<u8>,
+        bool,
+    );
+
+    fn request_case() -> impl Strategy<Value = RequestCase> {
+        (
+            0..METHODS.len(),
+            0u64..1000,
+            prop::collection::vec((0u64..4, any::<bool>()), 0..3),
+            prop::collection::vec((0..HEADER_NAMES.len(), any::<u64>()), 0..4),
+            prop::collection::vec(any::<u8>(), 0..40),
+            any::<bool>(),
+        )
+    }
+
+    /// A request as the parser reports it: method, path, query, headers,
+    /// body.
+    type Parts = (
+        String,
+        String,
+        Vec<(String, String)>,
+        Vec<(String, String)>,
+        Vec<u8>,
+    );
+
+    fn parts(request: &Request) -> Parts {
+        (
+            request.method.clone(),
+            request.path.clone(),
+            request.query.clone(),
+            request.headers.clone(),
+            request.body.clone(),
+        )
+    }
+
+    /// Renders `cases` as one pipelined byte stream, with the requests
+    /// the parser must report for it.
+    fn pipelined(cases: &[RequestCase]) -> (Vec<u8>, Vec<Parts>) {
+        let mut wire = Vec::new();
+        let mut expected = Vec::new();
+        for (method, path, query, headers, body, crlf) in cases {
+            let eol = if *crlf { "\r\n" } else { "\n" };
+            let path = format!("/p{path}");
+            let query: Vec<(String, String)> = query
+                .iter()
+                .map(|(k, valued)| {
+                    (
+                        format!("k{k}"),
+                        if *valued {
+                            format!("v{k}")
+                        } else {
+                            String::new()
+                        },
+                    )
+                })
+                .collect();
+            let mut target = path.clone();
+            for (i, (k, v)) in query.iter().enumerate() {
+                target.push(if i == 0 { '?' } else { '&' });
+                target.push_str(k);
+                if !v.is_empty() {
+                    target.push('=');
+                    target.push_str(v);
+                }
+            }
+            let mut head = format!("{} {target} HTTP/1.1{eol}", METHODS[*method]);
+            let mut parsed_headers = Vec::new();
+            for (name, value) in headers {
+                head.push_str(&format!("{}:  v{value} {eol}", HEADER_NAMES[*name]));
+                parsed_headers.push((
+                    HEADER_NAMES[*name].to_ascii_lowercase(),
+                    format!("v{value}"),
+                ));
+            }
+            if !body.is_empty() {
+                head.push_str(&format!("Content-Length: {}{eol}", body.len()));
+                parsed_headers.push(("content-length".into(), body.len().to_string()));
+            }
+            head.push_str(eol);
+            wire.extend_from_slice(head.as_bytes());
+            wire.extend_from_slice(body);
+            expected.push((
+                METHODS[*method].to_ascii_uppercase(),
+                path,
+                query,
+                parsed_headers,
+                body.clone(),
+            ));
+        }
+        (wire, expected)
+    }
+
+    /// HTTP's own alphabet plus bytes that are not UTF-8, so random input
+    /// reaches every branch of the parser.
+    const FRAGMENTS: &[&[u8]] = &[
+        b"GET ",
+        b"POST /jobs",
+        b"/",
+        b"?",
+        b"&",
+        b"=",
+        b" HTTP/1.1",
+        b"\r\n",
+        b"\n",
+        b":",
+        b"content-length: ",
+        b"content-length: 99999999999",
+        b"0",
+        b"7",
+        b"x",
+        b" ",
+        b"\xff",
+        b"\xc3\xa9",
+        b"\r\n\r\n",
+    ];
+
+    fn noise() -> impl Strategy<Value = Vec<u8>> {
+        prop::collection::vec((0..FRAGMENTS.len() + 1, any::<u8>()), 0..96).prop_map(|picks| {
+            picks
+                .into_iter()
+                .flat_map(|(i, byte)| FRAGMENTS.get(i).map_or(vec![byte], |f| f.to_vec()))
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn pipelined_stream_parses_the_same_whole_or_split(
+            cases in prop::collection::vec(request_case(), 1..5),
+            cuts in prop::collection::vec(any::<usize>(), 0..12)
+        ) {
+            let (wire, expected) = pipelined(&cases);
+            for cuts in [&[][..], &cuts[..]] {
+                let (requests, result) = feed_in_pieces(&wire, cuts);
+                prop_assert!(result.is_ok(), "{result:?}");
+                prop_assert_eq!(requests.iter().map(parts).collect::<Vec<_>>(), expected.clone());
+            }
+        }
+
+        #[test]
+        fn arbitrary_bytes_never_panic_or_exceed_bounds(
+            bytes in noise(),
+            cuts in prop::collection::vec(any::<usize>(), 0..12)
+        ) {
+            let (requests, _) = feed_in_pieces(&bytes, &cuts);
+            for request in &requests {
+                prop_assert!(request.headers.len() <= MAX_HEADERS);
+                prop_assert!(request.body.len() <= MAX_BODY_BYTES);
+            }
+        }
+
+        #[test]
+        fn overlong_lines_are_errors(
+            in_header: bool,
+            terminated: bool,
+            extra in 1usize..4096,
+            cuts in prop::collection::vec(any::<usize>(), 0..6)
+        ) {
+            let mut wire = if in_header {
+                b"GET / HTTP/1.1\r\nx-fill: ".to_vec()
+            } else {
+                b"GET /".to_vec()
+            };
+            wire.resize(wire.len() + MAX_LINE_BYTES + extra, b'a');
+            if terminated {
+                wire.extend_from_slice(b"\r\n\r\n");
+            }
+            let (requests, result) = feed_in_pieces(&wire, &cuts);
+            prop_assert!(requests.is_empty());
+            prop_assert!(result.is_err());
+        }
     }
 }

@@ -1,12 +1,14 @@
 //! The job registry: admission queue, lifecycle state, event logs and the
 //! stage-timing counters behind `GET /metrics`.
 //!
-//! One mutex guards the whole registry (job map + FIFO queue + counters)
-//! and one condvar broadcasts every state change. That is deliberately
-//! simple: the service is built for *flow-bound* traffic — jobs cost
-//! milliseconds to run and microseconds to book-keep — so a single lock
-//! is nowhere near the bottleneck, and it makes the invariants easy to
-//! state:
+//! One mutex guards the whole registry (job map + FIFO queue + counters),
+//! and one condvar wakes idle workers when a job is submitted or the
+//! drain begins. Observers of a job are not woken here: the thread that
+//! makes a transition tells the server, which answers that job's parked
+//! waiters. That is deliberately simple: the service is built for
+//! *flow-bound* traffic — jobs cost milliseconds to run and microseconds
+//! to book-keep — so a single lock is nowhere near the bottleneck, and it
+//! makes the invariants easy to state:
 //!
 //! * a job id is in `queue` iff its record's status is [`JobStatus::Queued`]
 //!   (cancelled-while-queued ids are skipped lazily at claim time);
@@ -304,7 +306,6 @@ impl Registry {
         inner.counters.completed += 1;
         inner.counters.warm += 1;
         inner.retire(id, self.retained);
-        self.cond.notify_all();
         Ok(reply)
     }
 
@@ -330,7 +331,6 @@ impl Registry {
                 let job = *record.job.take().expect("queued job carries its FlowJob");
                 let token = record.cancel.clone();
                 inner.counters.queue_wait_ms += queue_ms;
-                self.cond.notify_all();
                 return Some((id, job, token));
             }
             if inner.draining {
@@ -357,7 +357,6 @@ impl Registry {
         }
         inner.counters.exec_ms += exec_ms;
         inner.retire(id, self.retained);
-        self.cond.notify_all();
     }
 
     /// Records a flow failure.
@@ -372,7 +371,6 @@ impl Registry {
         inner.counters.failed += 1;
         inner.counters.exec_ms += exec_ms;
         inner.retire(id, self.retained);
-        self.cond.notify_all();
     }
 
     /// Marks a claimed job cancelled (the engine observed the token before
@@ -388,7 +386,6 @@ impl Registry {
         record.push_event(EventKind::Cancelled, None, None, None);
         inner.counters.cancelled += 1;
         inner.retire(id, self.retained);
-        self.cond.notify_all();
     }
 
     /// Requests cancellation of a job (`DELETE /jobs/:id`).
@@ -417,7 +414,6 @@ impl Registry {
             inner.queue.retain(|&q| q != id);
             inner.counters.cancelled += 1;
             inner.retire(id, self.retained);
-            self.cond.notify_all();
         }
         // The record may have been the retention victim of its own retire
         // call only if `retained == 0`, which the constructor forbids.
@@ -444,50 +440,6 @@ impl Registry {
         ))
     }
 
-    /// Blocks until job `id` reaches a terminal status and returns its
-    /// status reply, or `None` for unknown (or retention-evicted) ids.
-    /// Bounded: every admitted job terminates — the drain runs the whole
-    /// queue — so this never waits on an abandoned job.
-    pub fn wait_terminal(&self, id: u64) -> Option<StatusReply> {
-        let seed = {
-            let mut inner = self.lock();
-            loop {
-                let record = inner.jobs.get(&id)?;
-                if record.status.is_terminal() {
-                    break record.status_seed();
-                }
-                let (guard, _) = self
-                    .cond
-                    .wait_timeout(inner, std::time::Duration::from_millis(50))
-                    .expect("registry lock");
-                inner = guard;
-            }
-        };
-        Some(attach_outcome(seed))
-    }
-
-    /// Like [`Registry::wait_terminal`] but without building the status
-    /// document — for wait paths that respond with the stored outcome
-    /// bytes and would discard the reply (building it parses the whole
-    /// outcome JSON under the registry lock). Returns `false` for unknown
-    /// ids.
-    pub fn wait_done(&self, id: u64) -> bool {
-        let mut inner = self.lock();
-        loop {
-            let Some(record) = inner.jobs.get(&id) else {
-                return false;
-            };
-            if record.status.is_terminal() {
-                return true;
-            }
-            let (guard, _) = self
-                .cond
-                .wait_timeout(inner, std::time::Duration::from_millis(50))
-                .expect("registry lock");
-            inner = guard;
-        }
-    }
-
     /// Events of job `id` with sequence number `>= from_seq`, plus whether
     /// a terminal event has been recorded. `None` for unknown ids.
     pub fn events_from(&self, id: u64, from_seq: u64) -> Option<(Vec<EventRecord>, bool)> {
@@ -503,31 +455,13 @@ impl Registry {
         Some((fresh, terminal))
     }
 
-    /// Blocks until job `id` has events with `seq >= from_seq` or a
-    /// terminal event exists. Same return shape as
-    /// [`Registry::events_from`]; bounded for the same reason as
-    /// [`Registry::wait_terminal`].
-    pub fn wait_events(&self, id: u64, from_seq: u64) -> Option<(Vec<EventRecord>, bool)> {
-        loop {
-            let (fresh, terminal) = self.events_from(id, from_seq)?;
-            if !fresh.is_empty() || terminal {
-                return Some((fresh, terminal));
-            }
-            let inner = self.lock();
-            let _ = self
-                .cond
-                .wait_timeout(inner, std::time::Duration::from_millis(50))
-                .expect("registry lock");
-        }
-    }
-
     /// Jobs currently waiting in the queue.
     pub fn queue_depth(&self) -> u64 {
         self.lock().queue.len() as u64
     }
 
     /// Begins draining: no new admissions, workers finish the queue and
-    /// exit, every waiter wakes.
+    /// exit.
     pub fn drain(&self) {
         let mut inner = self.lock();
         inner.draining = true;
@@ -684,21 +618,5 @@ mod tests {
         assert!(reg.status(ids[1]).is_some());
         assert!(reg.status(ids[2]).is_some());
         assert_eq!(reg.metrics(1, 0, None).completed, 3);
-    }
-
-    #[test]
-    fn wait_terminal_observes_completion() {
-        let reg = std::sync::Arc::new(Registry::new(4));
-        let a = reg.submit(job("a")).unwrap();
-        let waiter = {
-            let reg = std::sync::Arc::clone(&reg);
-            std::thread::spawn(move || reg.wait_terminal(a.id))
-        };
-        let (id, _, _) = reg.claim().unwrap();
-        reg.finish(id, "{\"name\":\"a\"}".to_string(), true);
-        let reply = waiter.join().unwrap().unwrap();
-        assert_eq!(reply.status, JobStatus::Completed);
-        assert_eq!(reply.cached, Some(true));
-        assert!(reply.outcome.is_some());
     }
 }

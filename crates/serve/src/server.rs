@@ -23,12 +23,14 @@
 //!
 //! # Threads
 //!
-//! Connections no longer own threads. One reactor thread
-//! ([`crate::front`]) multiplexes every socket; a small handler pool runs
-//! the router; the worker pool executes jobs; and one *pump* thread
-//! services every parked long-poll (`?wait=1`) and `/events` stream by
-//! polling the registry — so ten thousand clients blocked on results
-//! cost one thread, total, not ten thousand.
+//! One reactor thread ([`crate::front`]) multiplexes every socket; a
+//! small handler pool runs the router; the worker pool executes jobs. A
+//! long-poll (`?wait=1`) or `/events` stream that must wait holds no
+//! thread: its connection is *parked* under the job's id, and the thread
+//! that moves the job on — a worker that claims or ends it, or the
+//! `DELETE` handler that cancels it while queued — answers that job's
+//! parked waiters itself. Ten thousand clients blocked on results cost
+//! no thread at all.
 //!
 //! Determinism holds across the wire because the server stores and serves
 //! the engine's serialized [`FlowOutcome`](domino_engine::FlowOutcome)
@@ -40,20 +42,18 @@
 //!
 //! `POST /shutdown` (or [`Server::request_shutdown`]) starts the drain:
 //! the reactor closes its listener and idle connections, admissions turn
-//! into `503`, workers finish every job already admitted, the pump
-//! answers every parked waiter, and in-flight connections close after
-//! their final response. The on-disk cache needs no separate flush —
+//! into `503`, workers finish every job already admitted — each terminal
+//! transition answering that job's parked waiters — and in-flight
+//! connections close after their final response. The on-disk cache needs no separate flush —
 //! every store is written (atomically) at completion time — so a drained
 //! server can be killed with nothing in flight.
 
+use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-use std::collections::HashMap;
 
 use domino_engine::json::{parse, Json};
 use domino_engine::{
@@ -214,12 +214,9 @@ impl ServeConfig {
 pub const DEFAULT_PORT: u16 = 7171;
 
 /// Threads in the router pool. Routing is cheap — admission, cache
-/// probes, registry lookups; compute lives on the worker pool and every
-/// wait lives on the pump — so a handful is plenty.
+/// probes, registry lookups; compute lives on the worker pool and a
+/// waiting request is parked, not held — so a handful is plenty.
 const HANDLER_THREADS: usize = 4;
-
-/// How often the pump re-polls the registry for its parked waiters.
-const PUMP_INTERVAL: Duration = Duration::from_millis(5);
 
 /// Memoizes circuit resolution by source *content*: repeated submissions
 /// of the same suite row or inline BLIF clone the parsed
@@ -285,60 +282,24 @@ impl ResolveMemo {
     }
 }
 
-/// A blocked observer the pump carries for a job: the connection is
-/// parked with the reactor while one thread polls the registry for all
-/// of them.
+/// A request waiting on one job, parked with the connection held by the
+/// reactor until a transition of that job answers it.
 enum Waiter {
     /// `POST /jobs?wait=1` / `GET /jobs/:id/result?wait=1`: answer with
     /// the outcome bytes once the job is terminal.
-    Outcome { responder: Responder, id: u64 },
+    Outcome(Responder),
     /// `GET /jobs/:id?wait=1`: answer with the status document once the
     /// job is terminal.
-    Terminal { responder: Responder, id: u64 },
+    Terminal(Responder),
     /// `GET /jobs/:id/events`: feed fresh events as chunks; finish at
     /// the terminal event.
-    Events {
-        stream: StreamHandle,
-        id: u64,
-        next_seq: u64,
-    },
+    Events { stream: StreamHandle, next_seq: u64 },
 }
 
-/// The waiter pump's shared state.
-struct Pump {
-    waiters: Mutex<Vec<Waiter>>,
-    stop: AtomicBool,
-}
-
-impl Pump {
-    /// Parks `waiter` for the pump thread, unless the pump has already
-    /// stopped — then the waiter comes back and the caller must service
-    /// it itself. The stop check happens under the waiters lock, the
-    /// same lock the pump's exit check holds, so a waiter can never
-    /// slip in between the pump's last pass and its exit and sit
-    /// unanswered until the reactor's force-close grace.
-    fn park(&self, waiter: Waiter) -> Option<Waiter> {
-        let mut guard = self.waiters.lock().expect("pump lock");
-        if self.stop.load(Ordering::SeqCst) {
-            return Some(waiter);
-        }
-        guard.push(waiter);
-        None
-    }
-}
-
-/// Parks a waiter with the pump; if the pump already stopped (the drain
-/// has run every admitted job to a terminal state), services it inline
-/// on this handler thread — it resolves on the first pass.
-fn park_waiter(shared: &Arc<Shared>, waiter: Waiter) {
-    let mut rejected = shared.pump.park(waiter);
-    while let Some(waiter) = rejected.take() {
-        rejected = service_waiter(shared, waiter);
-        if rejected.is_some() {
-            std::thread::sleep(PUMP_INTERVAL);
-        }
-    }
-}
+/// Parked waiters by job id. A waiter whose client has left stays until
+/// its job's next transition drops it; every admitted job reaches a
+/// terminal state, so no waiter stays forever.
+type Parked = HashMap<u64, Vec<Waiter>>;
 
 struct Shared {
     registry: Registry,
@@ -347,7 +308,7 @@ struct Shared {
     cache: Option<Arc<ResultCache>>,
     snapshots: Option<Arc<domino_engine::SnapshotStore>>,
     front: FrontHandle,
-    pump: Pump,
+    parked: Mutex<Parked>,
     shutdown_signal: Mutex<bool>,
     shutdown_cond: Condvar,
     started: Instant,
@@ -364,6 +325,109 @@ impl Shared {
 
     fn is_shutting_down(&self) -> bool {
         self.front.is_draining()
+    }
+
+    /// The parked waiters. A panic while the lock is held can only lose
+    /// the waiters it was serving; the map itself stays valid, so later
+    /// callers carry on with it.
+    fn parked(&self) -> MutexGuard<'_, Parked> {
+        self.parked.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Answers `waiter` now if its job lets it, or parks it under `id`.
+    /// The check and the insert happen under one lock, the lock
+    /// [`Shared::wake`] takes after every transition: a transition either
+    /// lands before the check, which then sees it, or its wake finds the
+    /// waiter parked.
+    fn park(&self, id: u64, waiter: Waiter) {
+        let mut parked = self.parked();
+        if let Some(waiter) = self.service_waiter(id, waiter) {
+            parked.entry(id).or_default().push(waiter);
+        }
+    }
+
+    /// Called by the thread that just moved job `id` on: advances each of
+    /// its parked waiters and parks again those that must still wait.
+    fn wake(&self, id: u64) {
+        let mut parked = self.parked();
+        let Some(waiters) = parked.remove(&id) else {
+            return;
+        };
+        let still: Vec<Waiter> = waiters
+            .into_iter()
+            .filter_map(|waiter| self.service_waiter(id, waiter))
+            .collect();
+        if !still.is_empty() {
+            parked.insert(id, still);
+        }
+    }
+
+    /// Advances one waiter on job `id`; returns it if it must still wait.
+    fn service_waiter(&self, id: u64, waiter: Waiter) -> Option<Waiter> {
+        match waiter {
+            Waiter::Outcome(responder) => {
+                if !responder.is_live() {
+                    return None; // client hung up; drop the reply
+                }
+                match self.registry.outcome_text(id) {
+                    None => {
+                        not_found(responder, id);
+                        None
+                    }
+                    Some((status, text, error)) if status.is_terminal() => {
+                        respond_outcome(responder, status, text, error);
+                        None
+                    }
+                    Some(_) => Some(Waiter::Outcome(responder)),
+                }
+            }
+            Waiter::Terminal(responder) => {
+                if !responder.is_live() {
+                    return None;
+                }
+                match self.registry.status(id) {
+                    None => {
+                        not_found(responder, id);
+                        None
+                    }
+                    Some(reply) if reply.status.is_terminal() => {
+                        responder.respond(200, &[], reply.to_json().serialize().as_bytes());
+                        None
+                    }
+                    Some(_) => Some(Waiter::Terminal(responder)),
+                }
+            }
+            Waiter::Events {
+                mut stream,
+                mut next_seq,
+            } => {
+                if !stream.is_live() {
+                    return None; // consumer gone mid-stream
+                }
+                match self.registry.events_from(id, next_seq) {
+                    None => {
+                        // The job fell out of retention mid-stream; end the
+                        // stream cleanly rather than hold the client forever.
+                        stream.finish();
+                        None
+                    }
+                    Some((fresh, terminal)) => {
+                        for event in &fresh {
+                            let mut line = event.to_json().serialize();
+                            line.push('\n');
+                            stream.chunk(line.as_bytes());
+                            next_seq = event.seq + 1;
+                        }
+                        if terminal {
+                            stream.finish();
+                            None
+                        } else {
+                            Some(Waiter::Events { stream, next_seq })
+                        }
+                    }
+                }
+            }
+        }
     }
 
     fn cache_counters(&self) -> Option<CacheCounters> {
@@ -408,13 +472,12 @@ impl Shared {
     }
 }
 
-/// A running `dominod` instance: reactor front + worker pool + waiter
-/// pump over one [`Registry`].
+/// A running `dominod` instance: reactor front + worker pool over one
+/// [`Registry`].
 pub struct Server {
     shared: Arc<Shared>,
     addr: SocketAddr,
     reactor_handle: Option<JoinHandle<io::Result<()>>>,
-    pump_handle: Option<JoinHandle<()>>,
     worker_handles: Vec<JoinHandle<()>>,
 }
 
@@ -425,8 +488,8 @@ impl std::fmt::Debug for Server {
 }
 
 impl Server {
-    /// Binds, spawns the reactor, the handler/worker pools and the pump,
-    /// and returns.
+    /// Binds, spawns the reactor and the handler/worker pools, and
+    /// returns.
     ///
     /// # Errors
     ///
@@ -464,10 +527,7 @@ impl Server {
             cache: config.cache,
             snapshots: config.snapshots,
             front: front.handle(),
-            pump: Pump {
-                waiters: Mutex::new(Vec::new()),
-                stop: AtomicBool::new(false),
-            },
+            parked: Mutex::new(HashMap::new()),
             shutdown_signal: Mutex::new(false),
             shutdown_cond: Condvar::new(),
             started: Instant::now(),
@@ -484,12 +544,6 @@ impl Server {
                     }))
                 })?
         };
-        let pump_handle = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("dominod-pump".into())
-                .spawn(move || pump_loop(&shared))?
-        };
         let worker_handles = (0..workers)
             .map(|_| {
                 let shared = Arc::clone(&shared);
@@ -501,7 +555,6 @@ impl Server {
             shared,
             addr,
             reactor_handle: Some(reactor_handle),
-            pump_handle: Some(pump_handle),
             worker_handles,
         })
     }
@@ -528,8 +581,8 @@ impl Server {
 
     /// Blocks until shutdown is requested (by [`Server::request_shutdown`]
     /// or `POST /shutdown`), then drains: joins the workers after the
-    /// admitted queue has been fully executed, lets the pump answer every
-    /// parked waiter, and joins the reactor once every connection is
+    /// admitted queue has been fully executed — which answers every
+    /// parked waiter — and joins the reactor once every connection is
     /// gone. The server can still be inspected (e.g. [`Server::metrics`])
     /// afterwards.
     pub fn wait(&mut self) {
@@ -543,18 +596,12 @@ impl Server {
                     .expect("shutdown lock");
             }
         }
-        // Workers first: the drain guarantee (every admitted job reaches
-        // a terminal state) is what bounds every parked waiter.
+        // Workers first: every admitted job reaches a terminal state, and
+        // each terminal transition answers that job's parked waiters.
         for handle in self.worker_handles.drain(..) {
             let _ = handle.join();
         }
-        // Then the pump: with every job terminal, one pass answers every
-        // remaining long-poll and finishes every event stream.
-        self.shared.pump.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.pump_handle.take() {
-            let _ = handle.join();
-        }
-        // Last the reactor: it exits once the answered connections have
+        // Then the reactor: it exits once the answered connections have
         // flushed and closed (with a grace cutoff for dead peers).
         if let Some(handle) = self.reactor_handle.take() {
             let _ = handle.join();
@@ -598,6 +645,7 @@ impl ShutdownHandle {
 
 fn worker_loop(shared: &Arc<Shared>) {
     while let Some((id, job, token)) = shared.registry.claim() {
+        shared.wake(id);
         // run_one executes inline on this worker thread (no per-job scope
         // spawn), so warm cache hits cost a lookup, not a thread.
         match shared.engine.run_one(&job, &token) {
@@ -609,111 +657,7 @@ fn worker_loop(shared: &Arc<Shared>) {
             JobResult::Failed(e) => shared.registry.fail(id, e.to_string()),
             JobResult::Cancelled => shared.registry.mark_cancelled(id),
         }
-    }
-}
-
-/// One thread, every waiter: polls the registry for each parked
-/// long-poll and event stream, answering those whose jobs went terminal
-/// and dropping those whose clients left. Exits once stopped *and*
-/// empty — the drain terminates every job, so every waiter resolves.
-fn pump_loop(shared: &Arc<Shared>) {
-    loop {
-        let batch: Vec<Waiter> = {
-            let mut guard = shared.pump.waiters.lock().expect("pump lock");
-            std::mem::take(&mut *guard)
-        };
-        let mut still_parked = Vec::new();
-        for waiter in batch {
-            if let Some(waiter) = service_waiter(shared, waiter) {
-                still_parked.push(waiter);
-            }
-        }
-        // One critical section for both the emptiness and the stop
-        // check: `park` holds the same lock while it tests `stop`, so
-        // either a racing parker lands before this check (and is seen)
-        // or it observes `stop` set and services its waiter inline.
-        let done = {
-            let mut guard = shared.pump.waiters.lock().expect("pump lock");
-            guard.extend(still_parked);
-            guard.is_empty() && shared.pump.stop.load(Ordering::SeqCst)
-        };
-        if done {
-            return;
-        }
-        std::thread::sleep(PUMP_INTERVAL);
-    }
-}
-
-/// Advances one waiter; returns it if it must stay parked.
-fn service_waiter(shared: &Arc<Shared>, waiter: Waiter) -> Option<Waiter> {
-    match waiter {
-        Waiter::Outcome { responder, id } => {
-            if !responder.is_live() {
-                return None; // client hung up; drop the reply
-            }
-            match shared.registry.outcome_text(id) {
-                None => {
-                    not_found(responder, id);
-                    None
-                }
-                Some((status, text, error)) if status.is_terminal() => {
-                    respond_outcome(responder, status, text, error);
-                    None
-                }
-                Some(_) => Some(Waiter::Outcome { responder, id }),
-            }
-        }
-        Waiter::Terminal { responder, id } => {
-            if !responder.is_live() {
-                return None;
-            }
-            match shared.registry.status(id) {
-                None => {
-                    not_found(responder, id);
-                    None
-                }
-                Some(reply) if reply.status.is_terminal() => {
-                    responder.respond(200, &[], reply.to_json().serialize().as_bytes());
-                    None
-                }
-                Some(_) => Some(Waiter::Terminal { responder, id }),
-            }
-        }
-        Waiter::Events {
-            mut stream,
-            id,
-            mut next_seq,
-        } => {
-            if !stream.is_live() {
-                return None; // consumer gone mid-stream
-            }
-            match shared.registry.events_from(id, next_seq) {
-                None => {
-                    // The job fell out of retention mid-stream; end the
-                    // stream cleanly rather than hold the client forever.
-                    stream.finish();
-                    None
-                }
-                Some((fresh, terminal)) => {
-                    for event in &fresh {
-                        let mut line = event.to_json().serialize();
-                        line.push('\n');
-                        stream.chunk(line.as_bytes());
-                        next_seq = event.seq + 1;
-                    }
-                    if terminal {
-                        stream.finish();
-                        None
-                    } else {
-                        Some(Waiter::Events {
-                            stream,
-                            id,
-                            next_seq,
-                        })
-                    }
-                }
-            }
-        }
+        shared.wake(id);
     }
 }
 
@@ -764,6 +708,9 @@ fn route(shared: &Arc<Shared>, request: &Request, responder: Responder) {
             Some((id, "")) if method == "GET" => handle_status(shared, request, id, responder),
             Some((id, "")) if method == "DELETE" => match shared.registry.cancel(id) {
                 Some(reply) => {
+                    // A queued job is cancelled on the spot: a transition
+                    // no worker will report.
+                    shared.wake(id);
                     responder.respond(200, &[], reply.to_json().serialize().as_bytes());
                 }
                 None => not_found(responder, id),
@@ -875,19 +822,13 @@ fn handle_submit(shared: &Arc<Shared>, request: &Request, responder: Responder) 
         }
     }
     match shared.registry.submit(job) {
-        // Synchronous mode: `POST /jobs?wait=1` parks the reply with the
-        // pump until the job is terminal, then answers like
-        // `GET /jobs/:id/result` — one round trip per job, holding no
-        // thread while it waits. Never abandoned on shutdown: the drain
-        // runs every admitted job to a terminal state, so the wait is
-        // bounded and the client gets its outcome even mid-drain.
-        Ok(reply) if request.wants_wait() => park_waiter(
-            shared,
-            Waiter::Outcome {
-                responder,
-                id: reply.id,
-            },
-        ),
+        // Synchronous mode: `POST /jobs?wait=1` parks the reply until the
+        // job is terminal, then answers like `GET /jobs/:id/result` — one
+        // round trip per job, holding no thread while it waits. Never
+        // abandoned on shutdown: the drain runs every admitted job to a
+        // terminal state, so the wait is bounded and the client gets its
+        // outcome even mid-drain.
+        Ok(reply) if request.wants_wait() => shared.park(reply.id, Waiter::Outcome(responder)),
         Ok(reply) => {
             responder.respond(202, &[], reply.to_json().serialize().as_bytes());
         }
@@ -905,7 +846,7 @@ fn handle_status(shared: &Arc<Shared>, request: &Request, id: u64, responder: Re
     match shared.registry.status(id) {
         None => not_found(responder, id),
         Some(reply) if request.wants_wait() && !reply.status.is_terminal() => {
-            park_waiter(shared, Waiter::Terminal { responder, id });
+            shared.park(id, Waiter::Terminal(responder));
         }
         Some(reply) => {
             responder.respond(200, &[], reply.to_json().serialize().as_bytes());
@@ -917,7 +858,7 @@ fn handle_result(shared: &Arc<Shared>, request: &Request, id: u64, responder: Re
     match shared.registry.outcome_text(id) {
         None => not_found(responder, id),
         Some((status, _, _)) if request.wants_wait() && !status.is_terminal() => {
-            park_waiter(shared, Waiter::Outcome { responder, id });
+            shared.park(id, Waiter::Outcome(responder));
         }
         Some((status, text, error)) if status.is_terminal() => {
             respond_outcome(responder, status, text, error);
@@ -966,14 +907,14 @@ fn handle_events(shared: &Arc<Shared>, id: u64, responder: Responder) {
         return not_found(responder, id);
     }
     // Chunked streams are `Connection: close` by construction: the
-    // stream's end IS the connection's end. The pump feeds it — including
-    // through a shutdown, since the drain terminates every admitted job.
+    // stream's end IS the connection's end. The job's transitions feed it
+    // — including through a shutdown, since the drain terminates every
+    // admitted job.
     let stream = responder.begin_stream(200);
-    park_waiter(
-        shared,
+    shared.park(
+        id,
         Waiter::Events {
             stream,
-            id,
             next_seq: 0,
         },
     );

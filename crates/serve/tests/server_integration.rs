@@ -19,8 +19,12 @@
 use std::io::Write;
 use std::sync::Arc;
 
+use domino_engine::json::parse;
 use domino_engine::{FlowEngine, JobSpec, ResultCache};
-use domino_serve::{ClientError, EventKind, JobStatus, ServeClient, ServeConfig, Server};
+use domino_serve::http::HttpConnection;
+use domino_serve::{
+    ClientError, EventKind, JobStatus, ServeClient, ServeConfig, Server, StatusReply,
+};
 
 /// The public-suite specs used throughout, with short simulations so the
 /// debug-profile tests stay quick. Identical specs are what byte-identity
@@ -459,4 +463,103 @@ fn graceful_shutdown_drains_admitted_jobs() {
         Err(ClientError::Unreachable(_)) => {}
         other => panic!("expected Unreachable after drain, got {other:?}"),
     }
+}
+
+/// Sends `GET /jobs/:id` and then `target` on one raw connection in one
+/// write, and returns the connection once the first answer is in. The
+/// reactor read both requests at once and hands the second to a handler
+/// as soon as the first is answered, so `target` is in flight: a drain
+/// cannot mistake its connection for an idle one.
+fn in_flight(server: &Server, id: u64, target: &str) -> HttpConnection {
+    let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .write_all(
+            format!("GET /jobs/{id} HTTP/1.1\r\n\r\nGET {target} HTTP/1.1\r\n\r\n").as_bytes(),
+        )
+        .expect("write both requests");
+    let mut conn = HttpConnection::new(stream);
+    assert_eq!(conn.read_response().expect("status").status, 200);
+    conn
+}
+
+/// Every parked waiter is answered by the transition that ends its wait:
+/// a `DELETE` of a queued job answers that job's long-polls and event
+/// streams from the handler, and the shutdown drain runs the rest of the
+/// queue, each terminal transition answering its waiters, before
+/// `wait()` returns.
+#[test]
+fn parked_waiters_wake_on_transitions_and_drain() {
+    let (mut server, client) = start_server(ServeConfig {
+        workers: 1,
+        queue_capacity: 8,
+        cache: None,
+        ..ServeConfig::default()
+    });
+    let mut spec_a = public_specs().swap_remove(0);
+    spec_a.sim.cycles = 256;
+    let mut spec_b = spec_a.clone();
+    spec_b.name = "b".to_string();
+
+    // One worker: the holder occupies it, A and B queue behind it.
+    client.submit(&slow_spec()).expect("holder admitted");
+    let a = client.submit(&spec_a).expect("A admitted").id;
+    let b = client.submit(&spec_b).expect("B admitted").id;
+
+    // All three waiter kinds on both jobs, each on its own connection.
+    let (queued_tx, queued_rx) = std::sync::mpsc::channel();
+    let waiters: Vec<_> = [a, b]
+        .into_iter()
+        .map(|id| {
+            let mut result = in_flight(&server, id, &format!("/jobs/{id}/result?wait=1"));
+            let mut status = in_flight(&server, id, &format!("/jobs/{id}?wait=1"));
+            let (events, queued_tx) = (client.clone(), queued_tx.clone());
+            (
+                std::thread::spawn(move || result.read_response().expect("outcome answer")),
+                std::thread::spawn(move || status.read_response().expect("status answer")),
+                std::thread::spawn(move || {
+                    events.events(id, |e| {
+                        if e.kind == EventKind::Queued {
+                            queued_tx.send(()).expect("test waits");
+                        }
+                    })
+                }),
+            )
+        })
+        .collect();
+    // An event stream is parked once it has delivered `queued`.
+    queued_rx.recv().expect("A's stream parked");
+    queued_rx.recv().expect("B's stream parked");
+
+    // Cancelling B while it is queued is a transition no worker reports:
+    // the handler itself must answer B's waiters.
+    let cancelled = client.cancel(b).expect("B known");
+    assert_eq!(cancelled.status, JobStatus::Cancelled, "B was still queued");
+
+    // The drain runs the holder, then A; A's waiters are answered by its
+    // transitions before `wait()` returns.
+    server.request_shutdown();
+    server.wait();
+
+    let mut answers = waiters.into_iter().map(|(result, status, events)| {
+        let status = status.join().expect("status waiter");
+        assert_eq!(status.status, 200);
+        let status = StatusReply::from_json(&parse(&status.text().unwrap()).unwrap()).unwrap();
+        let events = events.join().expect("events waiter").expect("stream ends");
+        let kinds: Vec<EventKind> = events.iter().map(|e| e.kind).collect();
+        (result.join().expect("result waiter"), status.status, kinds)
+    });
+    let (result, status, kinds) = answers.next().expect("A's waiters");
+    assert_eq!(result.status, 200);
+    assert_eq!(result.text().unwrap(), local_outcome_json(&spec_a));
+    assert_eq!(status, JobStatus::Completed);
+    assert_eq!(
+        kinds,
+        vec![EventKind::Queued, EventKind::Started, EventKind::Finished]
+    );
+
+    let (result, status, kinds) = answers.next().expect("B's waiters");
+    assert_eq!(result.status, 409);
+    assert!(result.text().unwrap().contains("cancelled"));
+    assert_eq!(status, JobStatus::Cancelled);
+    assert_eq!(kinds, vec![EventKind::Queued, EventKind::Cancelled]);
 }
