@@ -44,9 +44,10 @@
 //! the reactor closes its listener and idle connections, admissions turn
 //! into `503`, workers finish every job already admitted — each terminal
 //! transition answering that job's parked waiters — and in-flight
-//! connections close after their final response. The on-disk cache needs no separate flush —
-//! every store is written (atomically) at completion time — so a drained
-//! server can be killed with nothing in flight.
+//! connections close after their final response. The on-disk cache
+//! needs no separate flush — every store is written (atomically) at
+//! completion time — so a drained server can be killed with nothing in
+//! flight.
 
 use std::collections::HashMap;
 use std::io;

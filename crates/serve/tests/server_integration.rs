@@ -500,8 +500,13 @@ fn parked_waiters_wake_on_transitions_and_drain() {
     let mut spec_b = spec_a.clone();
     spec_b.name = "b".to_string();
 
-    // One worker: the holder occupies it, A and B queue behind it.
-    client.submit(&slow_spec()).expect("holder admitted");
+    // One worker: the holder occupies it, A and B queue behind it. The
+    // holder outlasts this test's set-up many times over in release
+    // builds and still ends well inside the reactor's 10 s drain grace in
+    // debug builds.
+    let mut holder = slow_spec();
+    holder.sim.cycles *= 16;
+    client.submit(&holder).expect("holder admitted");
     let a = client.submit(&spec_a).expect("A admitted").id;
     let b = client.submit(&spec_b).expect("B admitted").id;
 
@@ -546,12 +551,16 @@ fn parked_waiters_wake_on_transitions_and_drain() {
         let status = StatusReply::from_json(&parse(&status.text().unwrap()).unwrap()).unwrap();
         let events = events.join().expect("events waiter").expect("stream ends");
         let kinds: Vec<EventKind> = events.iter().map(|e| e.kind).collect();
-        (result.join().expect("result waiter"), status.status, kinds)
+        (result.join().expect("result waiter"), status, kinds)
     });
     let (result, status, kinds) = answers.next().expect("A's waiters");
     assert_eq!(result.status, 200);
     assert_eq!(result.text().unwrap(), local_outcome_json(&spec_a));
-    assert_eq!(status, JobStatus::Completed);
+    assert_eq!(status.status, JobStatus::Completed);
+    assert!(
+        status.outcome.is_some(),
+        "the status document carries the outcome"
+    );
     assert_eq!(
         kinds,
         vec![EventKind::Queued, EventKind::Started, EventKind::Finished]
@@ -560,6 +569,6 @@ fn parked_waiters_wake_on_transitions_and_drain() {
     let (result, status, kinds) = answers.next().expect("B's waiters");
     assert_eq!(result.status, 409);
     assert!(result.text().unwrap().contains("cancelled"));
-    assert_eq!(status, JobStatus::Cancelled);
+    assert_eq!(status.status, JobStatus::Cancelled);
     assert_eq!(kinds, vec![EventKind::Queued, EventKind::Cancelled]);
 }
