@@ -351,15 +351,10 @@ impl Shared {
     /// its parked waiters and parks again those that must still wait.
     fn wake(&self, id: u64) {
         let mut parked = self.parked();
-        let Some(waiters) = parked.remove(&id) else {
-            return;
-        };
-        let still: Vec<Waiter> = waiters
-            .into_iter()
-            .filter_map(|waiter| self.service_waiter(id, waiter))
-            .collect();
-        if !still.is_empty() {
-            parked.insert(id, still);
+        for waiter in parked.remove(&id).unwrap_or_default() {
+            if let Some(waiter) = self.service_waiter(id, waiter) {
+                parked.entry(id).or_default().push(waiter);
+            }
         }
     }
 
