@@ -435,8 +435,8 @@ pub fn measure_connection_scale(config: &ConnectionScaleConfig) -> ConnectionSca
     let mut open_ms = 0.0;
     let mut observed_open = 0u64;
     let mut observed_threads = 0u64;
-    // Reactor + handler pool + workers + main are all there is on the
-    // server side; the rest is this harness's own drivers. The slack
+    // Reactor + handler pool + workers + main are all there is on
+    // the server side; the rest is this harness's own drivers. The slack
     // absorbs runtime housekeeping threads without ever being compatible
     // with thread-per-connection at four-digit connection counts.
     let thread_bound = (drivers as u64) + 32;
