@@ -297,9 +297,20 @@ enum Waiter {
     Events { stream: StreamHandle, next_seq: u64 },
 }
 
-/// Parked waiters by job id. A waiter whose client has left stays until
-/// its job's next transition drops it; every admitted job reaches a
-/// terminal state, so no waiter stays forever.
+impl Waiter {
+    /// `false` once the reactor has closed the waiter's connection.
+    fn is_live(&self) -> bool {
+        match self {
+            Waiter::Outcome(responder) | Waiter::Terminal(responder) => responder.is_live(),
+            Waiter::Events { stream, .. } => stream.is_live(),
+        }
+    }
+}
+
+/// Parked waiters by job id. A waiter whose client has left is dropped at
+/// its job's next transition, or when another waiter parks on that job:
+/// every waiter of a job was live when the last one parked, so a job
+/// never holds more waiters than the reactor has connections.
 type Parked = HashMap<u64, Vec<Waiter>>;
 
 struct Shared {
@@ -343,7 +354,9 @@ impl Shared {
     fn park(&self, id: u64, waiter: Waiter) {
         let mut parked = self.parked();
         if let Some(waiter) = self.service_waiter(id, waiter) {
-            parked.entry(id).or_default().push(waiter);
+            let waiters = parked.entry(id).or_default();
+            waiters.retain(Waiter::is_live);
+            waiters.push(waiter);
         }
     }
 
@@ -360,46 +373,36 @@ impl Shared {
 
     /// Advances one waiter on job `id`; returns it if it must still wait.
     fn service_waiter(&self, id: u64, waiter: Waiter) -> Option<Waiter> {
+        if !waiter.is_live() {
+            return None; // client hung up; drop the reply
+        }
         match waiter {
-            Waiter::Outcome(responder) => {
-                if !responder.is_live() {
-                    return None; // client hung up; drop the reply
+            Waiter::Outcome(responder) => match self.registry.outcome_text(id) {
+                None => {
+                    not_found(responder, id);
+                    None
                 }
-                match self.registry.outcome_text(id) {
-                    None => {
-                        not_found(responder, id);
-                        None
-                    }
-                    Some((status, text, error)) if status.is_terminal() => {
-                        respond_outcome(responder, status, text, error);
-                        None
-                    }
-                    Some(_) => Some(Waiter::Outcome(responder)),
+                Some((status, text, error)) if status.is_terminal() => {
+                    respond_outcome(responder, status, text, error);
+                    None
                 }
-            }
-            Waiter::Terminal(responder) => {
-                if !responder.is_live() {
-                    return None;
+                Some(_) => Some(Waiter::Outcome(responder)),
+            },
+            Waiter::Terminal(responder) => match self.registry.status(id) {
+                None => {
+                    not_found(responder, id);
+                    None
                 }
-                match self.registry.status(id) {
-                    None => {
-                        not_found(responder, id);
-                        None
-                    }
-                    Some(reply) if reply.status.is_terminal() => {
-                        responder.respond(200, &[], reply.to_json().serialize().as_bytes());
-                        None
-                    }
-                    Some(_) => Some(Waiter::Terminal(responder)),
+                Some(reply) if reply.status.is_terminal() => {
+                    responder.respond(200, &[], reply.to_json().serialize().as_bytes());
+                    None
                 }
-            }
+                Some(_) => Some(Waiter::Terminal(responder)),
+            },
             Waiter::Events {
                 mut stream,
                 mut next_seq,
             } => {
-                if !stream.is_live() {
-                    return None; // consumer gone mid-stream
-                }
                 match self.registry.events_from(id, next_seq) {
                     None => {
                         // The job fell out of retention mid-stream; end the
@@ -923,4 +926,61 @@ fn not_found(responder: Responder, id: u64) {
 fn error_reply(responder: Responder, status: u16, message: &str) {
     let body = ErrorReply::new(message).to_json().serialize();
     responder.respond(status, &[], body.as_bytes());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Write;
+
+    /// Spins until `done` holds; panics after 10 s rather than hang.
+    fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::yield_now();
+        }
+    }
+
+    /// Long-polls whose clients left do not pile up on a job that stays
+    /// queued: the next waiter to park on that job drops them.
+    #[test]
+    fn parking_drops_waiters_whose_clients_left() {
+        let server = Server::start(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 1,
+            idle_timeout_ms: 50,
+            ..ServeConfig::default()
+        })
+        .expect("ephemeral bind");
+        // No pooled connection: the waiters' are the only ones open.
+        let client = crate::ServeClient::builder(server.addr().to_string())
+            .fresh_connections()
+            .build();
+        // Outlasts the steps below several times over in release builds.
+        let mut holder = JobSpec::suite("apex7");
+        holder.sim.cycles = 1 << 21;
+        client.submit(&holder).expect("holder admitted");
+        let mut queued = JobSpec::suite("frg1");
+        queued.sim.cycles = 256;
+        let id = client.submit(&queued).expect("queued behind the holder").id;
+        let parked_on = |id: u64| server.shared.parked().get(&id).map_or(0, Vec::len);
+        let open = || server.metrics().reactor.expect("counters").open_connections;
+        let long_poll = || {
+            let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
+            write!(stream, "GET /jobs/{id}?wait=1 HTTP/1.1\r\n\r\n").expect("request");
+            stream
+        };
+
+        let gone: Vec<_> = (0..3).map(|_| long_poll()).collect();
+        wait_until("three parked waiters", || parked_on(id) == 3);
+        drop(gone);
+        // The reactor reaps the vanished clients at their idle deadline.
+        wait_until("the vanished clients' reap", || open() == 0);
+        let _kept = long_poll();
+        wait_until("the fourth waiter to park", || parked_on(id) != 3);
+        assert_eq!(parked_on(id), 1, "parking dropped the dead waiters");
+        assert_eq!(server.metrics().queue_depth, 1, "the job never moved");
+        server.shutdown();
+    }
 }
