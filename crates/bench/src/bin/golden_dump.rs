@@ -11,7 +11,8 @@
 //! (total current bits + switch events) and domino switching counts of the
 //! min-area assignment under the default `SimConfig` — and a hash of the
 //! whole serialized `run_job` outcome of each circuit's compare job,
-//! untimed and timed the way `table2` runs it. The golden test compares
+//! untimed and timed the way `table2` runs it, plus the untimed job with
+//! `reorder: sift` on apex7, frg1 and x1. The golden test compares
 //! the live kernel against these values bit for bit, so any refactor of
 //! the BDD manager, accountant, search, vector stream, packed simulator
 //! or engine runner must leave them untouched (or consciously
@@ -36,6 +37,10 @@ use domino_phase::{DominoSynthesizer, PhaseAssignment};
 use domino_sim::{measure_domino_switching, measure_power, SimConfig};
 use domino_techmap::{map, Library};
 use domino_workloads::public_suite;
+
+/// Circuits whose outcome rows include the sifted compare job. x3 is
+/// left out: sifting it takes far longer than the rest of the fixture.
+const SIFTED_OUTCOMES: [&str; 3] = ["apex7", "frg1", "x1"];
 
 /// FNV-1a over a byte stream.
 fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
@@ -160,13 +165,25 @@ fn main() {
 
         // Whole-outcome pins: the compare job `table1` (untimed) and
         // `table2` (85% of the MA delay, P_i = 2.5) run on this circuit,
-        // hashed over `run_job`'s serialized outcome.
-        for (mode, timing_fraction, mp_and_penalty) in
-            [("untimed", None, None), ("timed", Some(0.85), Some(2.5))]
-        {
+        // and on the circuits in `SIFTED_OUTCOMES` the untimed job with
+        // `reorder: sift` (which pins the unique-table counters and the
+        // reorder summary too), hashed over `run_job`'s serialized
+        // outcome.
+        let modes: &[&str] = if SIFTED_OUTCOMES.contains(&bench.name) {
+            &["untimed", "timed", "sift"]
+        } else {
+            &["untimed", "timed"]
+        };
+        for &mode in modes {
             let mut spec = JobSpec::for_network(bench.name, net);
-            spec.timing_fraction = timing_fraction;
-            spec.mp_and_penalty = mp_and_penalty;
+            match mode {
+                "timed" => {
+                    spec.timing_fraction = Some(0.85);
+                    spec.mp_and_penalty = Some(2.5);
+                }
+                "sift" => spec.flow.probability.reorder = ReorderMode::Sift,
+                _ => {}
+            }
             let outcome = run_job(&FlowJob::new(spec, net.clone())).expect("job runs");
             writeln!(
                 text,

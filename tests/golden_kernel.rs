@@ -16,7 +16,8 @@
 //! measured power total, switch-event count and domino switching averages
 //! of the min-area assignment under the default `SimConfig`, and
 //! (`outcome` rows) an FNV-1a hash of the serialized `run_job` outcome of
-//! the circuit's compare job, untimed and timed as `table2` runs it. Any
+//! the circuit's compare job, untimed and timed as `table2` runs it, and
+//! untimed with `reorder: sift` on apex7, frg1 and x1. Any
 //! kernel, simulator or runner change that shifts a single bit fails
 //! here; CI additionally
 //! regenerates the fixture into a temp file and diffs it against the
@@ -297,32 +298,47 @@ fn packed_simulation_is_bit_identical_to_fixtures() {
     }
 }
 
+/// Circuits whose outcome rows include the sifted compare job (must match
+/// `golden_dump`).
+const SIFTED_OUTCOMES: [&str; 3] = ["apex7", "frg1", "x1"];
+
 #[test]
 fn job_outcomes_are_byte_identical_to_fixtures() {
     let suite = public_suite().expect("suite generates");
     let (.., golden) = parse_fixtures();
-    assert_eq!(2 * suite.len(), golden.len());
-    for (bench, pair) in suite.iter().zip(golden.chunks(2)) {
-        for (golden, timed) in pair.iter().zip([false, true]) {
-            assert_eq!(bench.name, golden.get("name"));
-            assert_eq!(if timed { "timed" } else { "untimed" }, golden.get("mode"));
+    let mut rows = golden.iter();
+    for bench in &suite {
+        let modes: &[&str] = if SIFTED_OUTCOMES.contains(&bench.name) {
+            &["untimed", "timed", "sift"]
+        } else {
+            &["untimed", "timed"]
+        };
+        for &mode in modes {
             // The compare job `table1` (untimed) or `table2` (85% of the
-            // MA delay, P_i = 2.5) runs on this circuit.
+            // MA delay, P_i = 2.5) runs on this circuit, and on some
+            // circuits the untimed job with a final sifting pass.
             let mut spec = JobSpec::for_network(bench.name, &bench.network);
-            if timed {
-                spec.timing_fraction = Some(0.85);
-                spec.mp_and_penalty = Some(2.5);
+            match mode {
+                "timed" => {
+                    spec.timing_fraction = Some(0.85);
+                    spec.mp_and_penalty = Some(2.5);
+                }
+                "sift" => spec.flow.probability.reorder = ReorderMode::Sift,
+                _ => {}
             }
+            let golden = rows.next().expect("an outcome row per job");
+            assert_eq!(bench.name, golden.get("name"));
+            assert_eq!(mode, golden.get("mode"));
             let outcome = run_job(&FlowJob::new(spec, bench.network.clone())).expect("job runs");
             assert_eq!(
                 fnv1a(outcome.to_json().serialize().into_bytes()),
                 golden.hex("hash"),
-                "{} ({}): the serialized job outcome moved",
+                "{} ({mode}): the serialized job outcome moved",
                 bench.name,
-                golden.get("mode")
             );
         }
     }
+    assert!(rows.next().is_none(), "outcome rows without a job");
 }
 
 /// One random unique-table operation: a key triple (narrow ranges force
