@@ -13,8 +13,15 @@
 //!   node counts — never on wall-clock time, thread counts or allocation
 //!   addresses;
 //! * the size metric is the exact shared node count reachable from the
-//!   caller's roots ([`BddManager::node_count`]), recomputed after every
-//!   swap;
+//!   caller's roots, kept as a running total by a reference count local
+//!   to the sift (`swap::LiveCount`): seeded from the roots once, then
+//!   moved by each swap only where it rewires a live node, so reading it
+//!   after a swap is O(1) instead of a [`BddManager::node_count`] walk;
+//! * the agenda orders variables by level population, which counts dead
+//!   nodes too: swaps leave the nodes they orphan in the arena, the level
+//!   lists and the unique table, so the population — and with it the swap
+//!   sequence and final order — is what it was before the running count
+//!   existed;
 //! * the `auto` schedule triggers on arena-size thresholds (a doubling
 //!   ladder), which grow deterministically during construction.
 //!
@@ -25,7 +32,7 @@ use std::fmt;
 use std::str::FromStr;
 
 use crate::manager::{Bdd, BddError, BddManager};
-use crate::swap::{collect_levels, swap_adjacent, LevelLists};
+use crate::swap::{collect_levels, swap_adjacent, LevelLists, LiveCount};
 
 /// When (and whether) dynamic variable reordering runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -163,8 +170,9 @@ pub fn sift(
     max_growth_pct: u32,
 ) -> Result<ReorderOutcome, BddError> {
     let n = m.n_vars();
+    let mut live = LiveCount::new(m, roots);
     let mut outcome = ReorderOutcome {
-        nodes_before: m.node_count(roots),
+        nodes_before: live.total(),
         ..ReorderOutcome::default()
     };
     outcome.nodes_after = outcome.nodes_before;
@@ -173,10 +181,9 @@ pub fn sift(
         return Ok(outcome);
     }
     let mut lists = collect_levels(m);
-    let mut size = outcome.nodes_before;
     loop {
         outcome.sift_rounds += 1;
-        let round_start = size;
+        let round_start = live.total();
         // Agenda: variables by level population at round start, largest
         // first (they have the most to give), ties by variable index.
         let population: Vec<usize> = (0..n)
@@ -185,39 +192,47 @@ pub fn sift(
         let mut agenda: Vec<usize> = (0..n).collect();
         agenda.sort_by(|&a, &b| population[b].cmp(&population[a]).then(a.cmp(&b)));
         for v in agenda {
-            size = sift_one(m, v, roots, &mut lists, size, max_growth_pct, &mut outcome)?;
+            sift_one(
+                m,
+                v,
+                roots,
+                &mut lists,
+                &mut live,
+                max_growth_pct,
+                &mut outcome,
+            )?;
         }
-        if size >= round_start || outcome.sift_rounds >= MAX_SIFT_ROUNDS {
+        if live.total() >= round_start || outcome.sift_rounds >= MAX_SIFT_ROUNDS {
             break;
         }
     }
-    outcome.nodes_after = size;
+    outcome.nodes_after = live.total();
     outcome.final_order = m.order();
     Ok(outcome)
 }
 
-/// Sifts one variable to its best level; returns the resulting size.
-#[allow(clippy::too_many_arguments)]
+/// Sifts one variable to its best level, leaving `live` at the resulting
+/// size.
 fn sift_one(
     m: &mut BddManager,
     var: usize,
     roots: &[Bdd],
     lists: &mut LevelLists,
-    mut size: usize,
+    live: &mut LiveCount,
     max_growth_pct: u32,
     outcome: &mut ReorderOutcome,
-) -> Result<usize, BddError> {
+) -> Result<(), BddError> {
     let n = m.n_vars();
     let mut level = m.level_of_var[var] as usize;
-    let mut best_size = size;
+    let mut best_size = live.total();
     let mut best_level = level;
     let limit = |best: usize| best.saturating_mul(100 + max_growth_pct as usize) / 100;
     // Down to the bottom.
     while level + 1 < n {
-        swap_adjacent(m, level, lists)?;
+        swap_adjacent(m, level, lists, live)?;
         outcome.swaps += 1;
         level += 1;
-        size = m.node_count(roots);
+        let size = live.total();
         if size < best_size {
             best_size = size;
             best_level = level;
@@ -227,10 +242,10 @@ fn sift_one(
     }
     // Back up to the top.
     while level > 0 {
-        swap_adjacent(m, level - 1, lists)?;
+        swap_adjacent(m, level - 1, lists, live)?;
         outcome.swaps += 1;
         level -= 1;
-        size = m.node_count(roots);
+        let size = live.total();
         if size < best_size {
             best_size = size;
             best_level = level;
@@ -241,18 +256,26 @@ fn sift_one(
     // Settle at the best level seen. The size under a given order is
     // canonical, so arriving back at `best_level` restores `best_size`.
     while level < best_level {
-        swap_adjacent(m, level, lists)?;
+        swap_adjacent(m, level, lists, live)?;
         outcome.swaps += 1;
         level += 1;
     }
     while level > best_level {
-        swap_adjacent(m, level - 1, lists)?;
+        swap_adjacent(m, level - 1, lists, live)?;
         outcome.swaps += 1;
         level -= 1;
     }
-    size = m.node_count(roots);
-    debug_assert_eq!(size, best_size, "size not canonical under restored order");
-    Ok(size)
+    debug_assert_eq!(
+        live.total(),
+        m.node_count(roots),
+        "running live count drifted from the reachable count"
+    );
+    debug_assert_eq!(
+        live.total(),
+        best_size,
+        "size not canonical under restored order"
+    );
+    Ok(())
 }
 
 #[cfg(test)]

@@ -473,7 +473,9 @@ impl BddManager {
         if lo == hi {
             return Ok(lo);
         }
-        if let Some(b) = self.unique.get(level, lo.0, hi.0) {
+        let node = Node { level, lo, hi };
+        let (var, lo, hi) = self.unique_key(node);
+        if let Some(b) = self.unique.get(var, lo, hi) {
             return Ok(Bdd(b));
         }
         if self.nodes.len() >= self.node_limit {
@@ -482,9 +484,32 @@ impl BddManager {
             });
         }
         let b = Bdd(u32::try_from(self.nodes.len()).expect("bdd arena exceeds u32"));
-        self.nodes.push(Node { level, lo, hi });
-        self.unique.insert(level, lo.0, hi.0, b.0);
+        self.nodes.push(node);
+        self.unique.insert(var, lo, hi, b.0);
         Ok(b)
+    }
+
+    /// The unique-table key of `node`: `(var, lo, hi)`, where `var` is the
+    /// variable tested at the node's level. Keying by variable rather than
+    /// level lets a node that a level swap moves unchanged keep its entry
+    /// ([`crate::swap`]). Every lookup, intern and retraction derives its
+    /// key here.
+    #[inline]
+    pub(crate) fn unique_key(&self, node: Node) -> (u32, u32, u32) {
+        (self.var_at_level[node.level as usize], node.lo.0, node.hi.0)
+    }
+
+    /// Replaces the arena with `nodes` (a renumbered compaction of it),
+    /// re-interns every node and drops the op cache, whose entries are
+    /// keyed by the old handles. Traffic counters survive.
+    pub(crate) fn install_arena(&mut self, nodes: Vec<Node>) {
+        self.nodes = nodes;
+        self.unique.clear();
+        for (i, &node) in self.nodes.iter().enumerate().skip(2) {
+            let (var, lo, hi) = self.unique_key(node);
+            self.unique.insert(var, lo, hi, i as u32);
+        }
+        self.op_cache.clear();
     }
 
     fn level(&self, b: Bdd) -> u32 {
@@ -1015,12 +1040,7 @@ impl BddManager {
                 });
             }
         }
-        self.nodes = new_nodes;
-        self.unique.clear();
-        for (i, nd) in self.nodes.iter().enumerate().skip(2) {
-            self.unique.insert(nd.level, nd.lo.0, nd.hi.0, i as u32);
-        }
-        self.op_cache.clear();
+        self.install_arena(new_nodes);
         roots.iter().map(|r| Bdd(map[r.index()])).collect()
     }
 }

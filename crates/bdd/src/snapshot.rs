@@ -279,13 +279,7 @@ impl BddManager {
                 hi: Bdd::from_raw(map[nd.hi.index()]),
             });
         }
-        self.nodes = new_nodes;
-        self.unique.clear();
-        for (i, nd) in self.nodes.iter().enumerate().skip(2) {
-            self.unique
-                .insert(nd.level, nd.lo.raw(), nd.hi.raw(), i as u32);
-        }
-        self.op_cache.clear();
+        self.install_arena(new_nodes);
         roots
             .iter()
             .map(|r| Bdd::from_raw(map[r.index()]))

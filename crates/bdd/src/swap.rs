@@ -18,14 +18,25 @@
 //!   A₀))`: the node becomes a `y`-decision at level `l` whose children
 //!   are (possibly fresh) `x`-decisions at level `l+1`.
 //!
-//! The unique table is kept exact by retracting every key of the two
-//! levels up front ([`UniqueTable::remove`](crate::table::UniqueTable)'s
-//! backward-shift deletion) and re-interning the survivors; canonicity
-//! arguments (inlined as debug asserts) guarantee no two re-interned nodes
-//! collide. Children orphaned by a rewrite linger as dead arena nodes —
-//! still structurally consistent, still interned, so hash-consing may
-//! legitimately resurrect them — until [`BddManager::compact`] sweeps
+//! The unique table is keyed by variable, `(var, lo, hi)`
+//! ([`BddManager::unique_key`]), so a node that moves between the two
+//! levels unchanged keeps its entry and the swap only writes its `level`
+//! field. Only rewritten nodes are re-keyed: their old key is retracted
+//! before the order changes and the new one interned once the rewrite is
+//! done; canonicity arguments (inlined as debug asserts) guarantee no two
+//! keys collide. Children orphaned by a rewrite linger as dead arena
+//! nodes — still structurally consistent, still interned, so hash-consing
+//! may legitimately bring them back — until [`BddManager::compact`] sweeps
 //! them.
+//!
+//! Dead nodes stay in the arena, the level lists and the unique table on
+//! purpose: the sifting agenda orders variables by level population, dead
+//! nodes included, so reclaiming them at once would change which
+//! variable sifts first and with it the swap sequence and the final
+//! order. What they no longer cost is the size metric: [`LiveCount`]
+//! keeps a reference count local to one sift, updated as each swap
+//! rewires a live node, so the live node count is an O(1) running total
+//! instead of a walk over the graph.
 //!
 //! The op cache is *not* invalidated per swap: a memoized `(op, a, b) → r`
 //! stays correct because `a`, `b` and `r` all still denote the functions
@@ -55,11 +66,112 @@ pub(crate) fn collect_levels(m: &BddManager) -> LevelLists {
     lists
 }
 
+/// A reference count local to one sift: `refs[h]` is the number of live
+/// nodes pointing at node `h` plus its occurrences among the sift's roots,
+/// so a node is live — reachable from the roots — exactly when its count
+/// is nonzero, and `total` counts those nodes: it always equals
+/// [`BddManager::node_count`] over the roots.
+///
+/// A swap changes reachability only where it rewires a live node, so that
+/// is the only place the counts move ([`LiveCount::rewire`]). The default
+/// value counts nothing: every node reads as dead and swaps leave it
+/// untouched.
+#[derive(Debug, Default)]
+pub(crate) struct LiveCount {
+    refs: Vec<u32>,
+    total: usize,
+    /// Scratch stack of the count cascades, reused across swaps.
+    stack: Vec<Bdd>,
+}
+
+impl LiveCount {
+    /// Seeds the counts from `roots` (each occurrence is one reference).
+    pub(crate) fn new(m: &BddManager, roots: &[Bdd]) -> LiveCount {
+        let mut live = LiveCount {
+            refs: vec![0; m.nodes.len()],
+            ..LiveCount::default()
+        };
+        for &root in roots {
+            live.up(m, root);
+        }
+        live
+    }
+
+    /// Number of live nodes.
+    pub(crate) fn total(&self) -> usize {
+        self.total
+    }
+
+    fn is_live(&self, handle: u32) -> bool {
+        self.refs.get(handle as usize).is_some_and(|&r| r > 0)
+    }
+
+    /// Re-points node `u` from children `old` to `new`. Only a live node
+    /// moves counts: the new children gain their references first, then
+    /// the old ones lose theirs, so a child both share never dies on the
+    /// way.
+    fn rewire(&mut self, m: &BddManager, u: u32, old: [Bdd; 2], new: [Bdd; 2]) {
+        if !self.is_live(u) {
+            return;
+        }
+        // Rewrites may have appended fresh nodes to the arena.
+        self.refs.resize(m.nodes.len(), 0);
+        for child in new {
+            self.up(m, child);
+        }
+        for child in old {
+            self.down(m, child);
+        }
+    }
+
+    /// Adds a reference to `b`. A node whose count reaches 1 has become
+    /// live (a fresh node, or a dead one `mk` brought back) and passes a
+    /// reference on to each child.
+    fn up(&mut self, m: &BddManager, b: Bdd) {
+        self.stack.push(b);
+        while let Some(b) = self.stack.pop() {
+            if b.is_terminal() {
+                continue;
+            }
+            let count = &mut self.refs[b.index()];
+            *count += 1;
+            if *count == 1 {
+                self.total += 1;
+                let nd = m.nodes[b.index()];
+                self.stack.extend([nd.lo, nd.hi]);
+            }
+        }
+    }
+
+    /// Drops a reference to `b`. A node whose count reaches 0 has died and
+    /// drops its reference to each child.
+    fn down(&mut self, m: &BddManager, b: Bdd) {
+        self.stack.push(b);
+        while let Some(b) = self.stack.pop() {
+            if b.is_terminal() {
+                continue;
+            }
+            let count = &mut self.refs[b.index()];
+            *count -= 1;
+            if *count == 0 {
+                self.total -= 1;
+                let nd = m.nodes[b.index()];
+                self.stack.extend([nd.lo, nd.hi]);
+            }
+        }
+    }
+}
+
+/// `true` when `c` is a node at `level` (terminals sit at no level).
+fn is_at(m: &BddManager, c: Bdd, level: u32) -> bool {
+    !c.is_terminal() && m.nodes[c.index()].level == level
+}
+
 /// Cofactors of child `c` with respect to the variable at `lower` level:
 /// `(c|ᵥ₌₀, c|ᵥ₌₁)`. A child below `lower` (or a terminal) is constant in
 /// that variable.
 fn cofactors(m: &BddManager, c: Bdd, lower: u32) -> (Bdd, Bdd) {
-    if !c.is_terminal() && m.nodes[c.index()].level == lower {
+    if is_at(m, c, lower) {
         let nd = m.nodes[c.index()];
         (nd.lo, nd.hi)
     } else {
@@ -67,7 +179,8 @@ fn cofactors(m: &BddManager, c: Bdd, lower: u32) -> (Bdd, Bdd) {
     }
 }
 
-/// Swaps levels `upper_level` and `upper_level + 1`, maintaining `lists`.
+/// Swaps levels `upper_level` and `upper_level + 1`, maintaining `lists`
+/// and `live`.
 ///
 /// # Errors
 ///
@@ -78,53 +191,44 @@ pub(crate) fn swap_adjacent(
     m: &mut BddManager,
     upper_level: usize,
     lists: &mut LevelLists,
+    live: &mut LiveCount,
 ) -> Result<(), BddError> {
     let l = u32::try_from(upper_level).expect("level fits u32");
     let upper = std::mem::take(&mut lists[upper_level]);
     let lower = std::mem::take(&mut lists[upper_level + 1]);
-
-    // Retract both levels' unique keys before any structure moves.
-    for &u in &upper {
-        let nd = m.nodes[u as usize];
-        let removed = m.unique.remove(l, nd.lo.raw(), nd.hi.raw());
-        debug_assert!(removed, "upper node {u} missing from unique table");
-    }
-    for &v in &lower {
-        let nd = m.nodes[v as usize];
-        let removed = m.unique.remove(l + 1, nd.lo.raw(), nd.hi.raw());
-        debug_assert!(removed, "lower node {v} missing from unique table");
-    }
-
-    // The order bookkeeping swaps first so `mk` calls below intern under
-    // the post-swap order.
-    m.var_at_level.swap(upper_level, upper_level + 1);
-    m.level_of_var[m.var_at_level[upper_level] as usize] = l;
-    m.level_of_var[m.var_at_level[upper_level + 1] as usize] = l + 1;
-
     let mut new_upper: Vec<u32> = Vec::with_capacity(upper.len() + lower.len());
     let mut new_lower: Vec<u32> = Vec::with_capacity(upper.len());
 
-    // Pass 1: upper nodes independent of the lower variable move down
-    // unchanged. This must complete before any rewrite so a rewrite's
-    // `mk` can *find* a moved-down node instead of duplicating its key.
+    // Pass 1, under the old order: upper nodes independent of the lower
+    // variable move down unchanged, keeping their keys. The rest will be
+    // rewritten, so their keys are retracted while `unique_key` still
+    // names their old variable. Children of an upper node are old lower
+    // nodes or deeper — never other upper nodes — so moving some uppers
+    // to level `l + 1` here leaves the `is_at` tests exact.
     let mut rewrites: Vec<u32> = Vec::with_capacity(upper.len());
     for &u in &upper {
         let nd = m.nodes[u as usize];
-        let lo_in = !nd.lo.is_terminal() && m.nodes[nd.lo.index()].level == l + 1;
-        let hi_in = !nd.hi.is_terminal() && m.nodes[nd.hi.index()].level == l + 1;
-        if lo_in || hi_in {
+        if is_at(m, nd.lo, l + 1) || is_at(m, nd.hi, l + 1) {
+            let (var, lo, hi) = m.unique_key(nd);
+            let removed = m.unique.remove(var, lo, hi);
+            debug_assert!(removed, "upper node {u} missing from unique table");
             rewrites.push(u);
         } else {
             m.nodes[u as usize].level = l + 1;
-            m.unique.insert(l + 1, nd.lo.raw(), nd.hi.raw(), u);
             new_lower.push(u);
         }
     }
 
-    // Pass 2: the remaining upper nodes are rewritten in place. Children
-    // of an upper node are old lower nodes or deeper — never other upper
-    // nodes — so the `level == l + 1` membership test in `cofactors`
-    // stays exact even though pass 1 moved some uppers to that level.
+    // The order bookkeeping swaps before any rewrite so `mk` calls below
+    // intern under the post-swap order.
+    m.var_at_level.swap(upper_level, upper_level + 1);
+    m.level_of_var[m.var_at_level[upper_level] as usize] = l;
+    m.level_of_var[m.var_at_level[upper_level + 1] as usize] = l + 1;
+
+    // Pass 2: the remaining upper nodes are rewritten in place. A lookup
+    // `mk(l + 1, ..)` can only find moved-down or fresh nodes: the
+    // retracted nodes each have a child at the old lower level, which no
+    // cofactor has.
     let arena_before = m.nodes.len();
     for &u in &rewrites {
         let nd = m.nodes[u as usize];
@@ -135,22 +239,23 @@ pub(crate) fn swap_adjacent(
         // f0 == f1 would make the node redundant, which canonicity rules
         // out for a node that depends on both swapped variables.
         debug_assert_ne!(f0, f1, "rewritten node {u} became redundant");
-        m.nodes[u as usize] = Node {
+        let rewritten = Node {
             level: l,
             lo: f0,
             hi: f1,
         };
-        m.unique.insert(l, f0.raw(), f1.raw(), u);
+        m.nodes[u as usize] = rewritten;
+        let (var, lo, hi) = m.unique_key(rewritten);
+        m.unique.insert(var, lo, hi, u);
+        live.rewire(m, u, [nd.lo, nd.hi], [f0, f1]);
         new_upper.push(u);
     }
 
-    // Pass 3: old lower nodes move up unchanged.
+    // Pass 3: old lower nodes move up unchanged, keeping their keys.
     for &v in &lower {
-        let nd = m.nodes[v as usize];
         m.nodes[v as usize].level = l;
-        m.unique.insert(l, nd.lo.raw(), nd.hi.raw(), v);
-        new_upper.push(v);
     }
+    new_upper.extend_from_slice(&lower);
 
     // Nodes `mk` created during pass 2 all sit at the new lower level.
     for i in arena_before..m.nodes.len() {
@@ -186,13 +291,16 @@ impl BddManager {
             });
         }
         let mut lists = collect_levels(self);
-        swap_adjacent(self, upper_level, &mut lists)
+        swap_adjacent(self, upper_level, &mut lists, &mut LiveCount::default())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::circuit::CircuitBdds;
+    use domino_workloads::GeneratorSpec;
+    use proptest::prelude::*;
 
     /// f = a·b + c·d, plus g = a⊕c to share structure.
     fn setup() -> (BddManager, Bdd, Bdd) {
@@ -270,11 +378,15 @@ mod tests {
         for level in [0, 1, 2, 1, 0, 2] {
             m.swap_adjacent_levels(level).unwrap();
         }
-        // Every arena node must still be interned under its current key.
+        // Every arena node must still be interned under its variable key,
+        // and nothing else may be.
         let nodes: Vec<(usize, Node)> = m.nodes.iter().copied().enumerate().skip(2).collect();
+        assert_eq!(m.unique.len(), nodes.len(), "stale unique-table entries");
         for (i, nd) in nodes {
+            let (var, lo, hi) = m.unique_key(nd);
+            assert_eq!(var, m.order()[nd.level as usize] as u32);
             assert_eq!(
-                m.unique.get(nd.level, nd.lo.raw(), nd.hi.raw()),
+                m.unique.get(var, lo, hi),
                 Some(i as u32),
                 "node {i} lost its unique-table entry"
             );
@@ -292,5 +404,142 @@ mod tests {
         let f2 = fresh.or(ab, cd).unwrap();
         let g2 = fresh.xor(a, c).unwrap();
         assert_eq!(fresh.digest(&[f2, g2]), digest);
+    }
+
+    /// A manager holding every node function of a random control-block
+    /// network, built under the paper's order.
+    fn workload(seed: u64, pis: usize, pos: usize, gates: usize) -> (BddManager, Vec<Bdd>) {
+        let net = domino_workloads::generate(&GeneratorSpec::control_block(
+            format!("lc{seed}"),
+            pis,
+            pos,
+            gates,
+            seed,
+        ))
+        .expect("generator produces valid networks");
+        let bdds = CircuitBdds::build(&net).expect("workload builds");
+        let funcs = net.node_ids().map(|id| bdds.node_bdd(id)).collect();
+        (bdds.manager().clone(), funcs)
+    }
+
+    /// Which arena nodes the count holds live.
+    fn live_set(m: &BddManager, live: &LiveCount) -> Vec<bool> {
+        (0..m.nodes.len() as u32).map(|h| live.is_live(h)).collect()
+    }
+
+    /// Swaps `level` and checks the running total against a full count.
+    /// Returns how many nodes that were dead before the swap it brought
+    /// back.
+    fn checked_swap(
+        m: &mut BddManager,
+        level: usize,
+        lists: &mut LevelLists,
+        live: &mut LiveCount,
+        roots: &[Bdd],
+    ) -> usize {
+        let before = live_set(m, live);
+        swap_adjacent(m, level, lists, live).unwrap();
+        assert_eq!(
+            live.total(),
+            m.node_count(roots),
+            "after swapping level {level}"
+        );
+        let after = live_set(m, live);
+        before
+            .iter()
+            .zip(&after)
+            .filter(|&(&b, &a)| !b && a)
+            .count()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The running live total equals `node_count(roots)` after every
+        /// swap of a random sequence, for a random subset of the functions
+        /// as roots. A step may swap its level straight back, which
+        /// restores the exact live set: every node the first swap killed
+        /// comes back through `mk`'s unique-table lookups.
+        #[test]
+        fn running_total_matches_node_count_across_swaps(
+            seed in 0u64..1000,
+            pis in 4usize..12,
+            pos in 1usize..5,
+            gates in 8usize..40,
+            root_mask in any::<u64>(),
+            steps in proptest::collection::vec((0usize..64, any::<bool>()), 1..24),
+        ) {
+            let (mut m, funcs) = workload(seed, pis, pos, gates);
+            let roots: Vec<Bdd> = funcs
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| root_mask >> (i % 64) & 1 == 1)
+                .map(|(_, &f)| f)
+                .collect();
+            let mut lists = collect_levels(&m);
+            let mut live = LiveCount::new(&m, &roots);
+            prop_assert_eq!(live.total(), m.node_count(&roots));
+            let (mut killed, mut revived) = (0, 0);
+            for (pick, back) in steps {
+                let level = pick % (m.n_vars() - 1);
+                let before = live_set(&m, &live);
+                revived += checked_swap(&mut m, level, &mut lists, &mut live, &roots);
+                if back {
+                    let after = live_set(&m, &live);
+                    killed += before.iter().zip(&after).filter(|&(&b, &a)| b && !a).count();
+                    revived += checked_swap(&mut m, level, &mut lists, &mut live, &roots);
+                    let restored = live_set(&m, &live);
+                    prop_assert_eq!(&restored[..before.len()], &before[..]);
+                    prop_assert!(restored[before.len()..].iter().all(|&l| !l));
+                }
+            }
+            // Swapping straight back revives whatever the first swap killed.
+            prop_assert!(killed == 0 || revived >= killed);
+        }
+    }
+
+    #[test]
+    fn swapping_back_revives_the_nodes_a_swap_killed() {
+        let (mut m, funcs) = workload(7, 8, 3, 30);
+        let mut lists = collect_levels(&m);
+        let mut live = LiveCount::new(&m, &funcs);
+        let total = live.total();
+        let (mut killed, mut revived) = (0, 0);
+        for level in 0..m.n_vars() - 1 {
+            let before = live_set(&m, &live);
+            swap_adjacent(&mut m, level, &mut lists, &mut live).unwrap();
+            assert_eq!(live.total(), m.node_count(&funcs));
+            let after = live_set(&m, &live);
+            killed += before
+                .iter()
+                .zip(&after)
+                .filter(|&(&b, &a)| b && !a)
+                .count();
+            swap_adjacent(&mut m, level, &mut lists, &mut live).unwrap();
+            let restored = live_set(&m, &live);
+            revived += after
+                .iter()
+                .zip(&restored)
+                .filter(|&(&a, &r)| !a && r)
+                .count();
+            assert_eq!(live.total(), total);
+            assert_eq!(live.total(), m.node_count(&funcs));
+        }
+        assert!(killed > 0, "no swap killed a live node");
+        assert_eq!(
+            revived, killed,
+            "a swap back must revive exactly what the swap killed"
+        );
+    }
+
+    #[test]
+    fn an_empty_count_tracks_nothing() {
+        let (mut m, f, g) = setup();
+        let mut lists = collect_levels(&m);
+        let mut live = LiveCount::default();
+        swap_adjacent(&mut m, 1, &mut lists, &mut live).unwrap();
+        assert_eq!(live.total(), 0);
+        assert!(live.refs.is_empty());
+        assert!(m.node_count(&[f, g]) > 0);
     }
 }

@@ -13,6 +13,11 @@
 //!   because BDD operations are canonicalizing, which is exactly the
 //!   trade CUDD-style packages make.
 //!
+//! The unique table is keyed by variable, `(var, lo, hi)`, not by level:
+//! a level swap moves most nodes of the two levels without changing their
+//! variable or children, so their entries stay put and only the nodes the
+//! swap rewrites are retracted and re-interned ([`UniqueTable::remove`]).
+//!
 //! Both structures count hits and misses; the manager surfaces them through
 //! [`BddStats`](crate::BddStats) and `dominoc run --stats`.
 
@@ -25,7 +30,7 @@ const EMPTY: u32 = 0;
 
 #[derive(Debug, Clone, Copy)]
 struct UniqueSlot {
-    level: u32,
+    var: u32,
     lo: u32,
     hi: u32,
     /// The interned node handle, or [`EMPTY`].
@@ -33,16 +38,19 @@ struct UniqueSlot {
 }
 
 const VACANT: UniqueSlot = UniqueSlot {
-    level: 0,
+    var: 0,
     lo: 0,
     hi: 0,
     value: EMPTY,
 };
 
-/// Open-addressed hash table interning `(level, lo, hi)` → node handle.
+/// Open-addressed hash table interning `(var, lo, hi)` → node handle.
 ///
 /// Linear probing over a power-of-two slot array at ≤ 75% load. Handles are
 /// dense `u32`s (BDD node indices ≥ 2), which keeps each slot at 16 bytes.
+///
+/// The manager derives every key from a node's level through the current
+/// variable order, so a node keeps its key when a swap moves it.
 ///
 /// # Example
 ///
@@ -124,17 +132,17 @@ impl UniqueTable {
         (self.hits, self.misses)
     }
 
-    /// Looks up the handle interned for `(level, lo, hi)`, counting a hit
+    /// Looks up the handle interned for `(var, lo, hi)`, counting a hit
     /// or a miss.
-    pub fn get(&mut self, level: u32, lo: u32, hi: u32) -> Option<u32> {
-        let mut i = hash3(level, lo, hi) as usize & self.mask;
+    pub fn get(&mut self, var: u32, lo: u32, hi: u32) -> Option<u32> {
+        let mut i = hash3(var, lo, hi) as usize & self.mask;
         loop {
             let slot = &self.slots[i];
             if slot.value == EMPTY {
                 self.misses += 1;
                 return None;
             }
-            if slot.level == level && slot.lo == lo && slot.hi == hi {
+            if slot.var == var && slot.lo == lo && slot.hi == hi {
                 self.hits += 1;
                 return Some(slot.value);
             }
@@ -142,44 +150,39 @@ impl UniqueTable {
         }
     }
 
-    /// Interns `(level, lo, hi) → value`. The key must not already be
+    /// Interns `(var, lo, hi) → value`. The key must not already be
     /// present (the manager only inserts after a failed [`UniqueTable::get`]).
-    pub fn insert(&mut self, level: u32, lo: u32, hi: u32, value: u32) {
+    pub fn insert(&mut self, var: u32, lo: u32, hi: u32, value: u32) {
         debug_assert_ne!(value, EMPTY, "node handles start at 2");
         if (self.len + 1) * 4 > self.slots.len() * 3 {
             self.grow();
         }
-        let mut i = hash3(level, lo, hi) as usize & self.mask;
+        let mut i = hash3(var, lo, hi) as usize & self.mask;
         while self.slots[i].value != EMPTY {
             debug_assert!(
-                !(self.slots[i].level == level && self.slots[i].lo == lo && self.slots[i].hi == hi),
+                !(self.slots[i].var == var && self.slots[i].lo == lo && self.slots[i].hi == hi),
                 "duplicate unique-table insert"
             );
             i = (i + 1) & self.mask;
         }
-        self.slots[i] = UniqueSlot {
-            level,
-            lo,
-            hi,
-            value,
-        };
+        self.slots[i] = UniqueSlot { var, lo, hi, value };
         self.len += 1;
     }
 
-    /// Removes the entry for `(level, lo, hi)`, returning `true` when it was
+    /// Removes the entry for `(var, lo, hi)`, returning `true` when it was
     /// present. Uses backward-shift deletion: every entry whose probe chain
     /// ran through the vacated slot is shifted back, so no tombstones
     /// accumulate and [`UniqueTable::get`] stays a plain
     /// probe-until-vacant loop. Level swaps lean on this — a swap retracts
-    /// every key of the two levels and re-interns the survivors.
-    pub fn remove(&mut self, level: u32, lo: u32, hi: u32) -> bool {
-        let mut i = hash3(level, lo, hi) as usize & self.mask;
+    /// the key of every node it rewrites and interns the rewritten one.
+    pub fn remove(&mut self, var: u32, lo: u32, hi: u32) -> bool {
+        let mut i = hash3(var, lo, hi) as usize & self.mask;
         loop {
             let slot = self.slots[i];
             if slot.value == EMPTY {
                 return false;
             }
-            if slot.level == level && slot.lo == lo && slot.hi == hi {
+            if slot.var == var && slot.lo == lo && slot.hi == hi {
                 break;
             }
             i = (i + 1) & self.mask;
@@ -193,7 +196,7 @@ impl UniqueTable {
             if slot.value == EMPTY {
                 break;
             }
-            let ideal = hash3(slot.level, slot.lo, slot.hi) as usize & self.mask;
+            let ideal = hash3(slot.var, slot.lo, slot.hi) as usize & self.mask;
             // Shift `j` into the hole iff its probe began at or before the
             // hole (cyclically) — i.e. the hole sits on its probe chain.
             if (j.wrapping_sub(ideal) & self.mask) >= (j.wrapping_sub(hole) & self.mask) {
@@ -221,7 +224,7 @@ impl UniqueTable {
             if slot.value == EMPTY {
                 continue;
             }
-            let mut i = hash3(slot.level, slot.lo, slot.hi) as usize & self.mask;
+            let mut i = hash3(slot.var, slot.lo, slot.hi) as usize & self.mask;
             while self.slots[i].value != EMPTY {
                 i = (i + 1) & self.mask;
             }
@@ -433,14 +436,14 @@ mod tests {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
-            let level = (state >> 48) as u32 % 64;
+            let var = (state >> 48) as u32 % 64;
             let lo = (state >> 24) as u32 % 512;
             let hi = state as u32 % 512;
-            let expect = reference.get(&(level, lo, hi)).copied();
-            assert_eq!(t.get(level, lo, hi), expect);
+            let expect = reference.get(&(var, lo, hi)).copied();
+            assert_eq!(t.get(var, lo, hi), expect);
             if expect.is_none() {
-                reference.insert((level, lo, hi), next_value);
-                t.insert(level, lo, hi, next_value);
+                reference.insert((var, lo, hi), next_value);
+                t.insert(var, lo, hi, next_value);
                 next_value += 1;
             }
         }
@@ -460,27 +463,27 @@ mod tests {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
-            let level = (state >> 48) as u32 % 8;
+            let var = (state >> 48) as u32 % 8;
             let lo = (state >> 24) as u32 % 64;
             let hi = state as u32 % 64;
-            let key = (level, lo, hi);
+            let key = (var, lo, hi);
             if step % 3 == 2 {
                 let expect = reference.remove(&key).is_some();
-                assert_eq!(t.remove(level, lo, hi), expect, "step {step}");
+                assert_eq!(t.remove(var, lo, hi), expect, "step {step}");
             } else {
                 let expect = reference.get(&key).copied();
-                assert_eq!(t.get(level, lo, hi), expect, "step {step}");
+                assert_eq!(t.get(var, lo, hi), expect, "step {step}");
                 if expect.is_none() {
                     reference.insert(key, next_value);
-                    t.insert(level, lo, hi, next_value);
+                    t.insert(var, lo, hi, next_value);
                     next_value += 1;
                 }
             }
             assert_eq!(t.len(), reference.len());
         }
         // Every surviving key still answers after all the shifting.
-        for (&(level, lo, hi), &v) in &reference {
-            assert_eq!(t.get(level, lo, hi), Some(v));
+        for (&(var, lo, hi), &v) in &reference {
+            assert_eq!(t.get(var, lo, hi), Some(v));
         }
     }
 

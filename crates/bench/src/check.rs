@@ -19,7 +19,9 @@
 //!   configured tolerance;
 //! * **deterministic counts** ([`COUNT_METRICS`] per circuit, the
 //!   connection-scale capability, and the reorder node counts) — exact:
-//!   any growth beyond baseline fails regardless of tolerance;
+//!   any growth beyond baseline fails regardless of tolerance; the
+//!   `reorder` section's suite rows gate [`SIFT_EXACT_METRICS`] by
+//!   equality and their `sift_ms` like [`TIME_METRICS`];
 //! * **the reorder win** — the `reorder` section's `shrink_pct` must stay
 //!   at or above [`MIN_REORDER_SHRINK_PCT`]: sifting that stops beating
 //!   the static order is a regression even if it got there "honestly";
@@ -42,6 +44,11 @@ pub const TIME_METRICS: &[&str] = &[
 /// Deterministic node-count metrics compared per circuit: bit-identical
 /// across machines, so any growth at all is a regression (no tolerance).
 pub const COUNT_METRICS: &[&str] = &["bdd_nodes", "manager_nodes"];
+
+/// Deterministic sifting outcome of each `reorder.suite` row, gated by
+/// exact equality: a different swap count or node count means sifting
+/// took a different path, which is a behaviour change, not noise.
+pub const SIFT_EXACT_METRICS: [&str; 2] = ["swaps", "nodes_sifted"];
 
 /// Minimum BDD node shrink (percent) the sifting pass must achieve on the
 /// reorder-stress circuit for the `reorder` section to pass the gate.
@@ -78,6 +85,37 @@ impl CheckReport {
 
     fn note(&mut self, line: String) {
         self.lines.push(line);
+    }
+
+    /// Ratio-gates wall-clock `metric` of row `now` against `base` (both
+    /// clamped up to the noise floor). Skipped when either side lacks it.
+    fn gate_ms(&mut self, scope: &str, metric: &str, now: &Json, base: &Json, limit: f64) {
+        let (Some(now), Some(base)) = (
+            now.get(metric).and_then(Json::as_f64),
+            base.get(metric).and_then(Json::as_f64),
+        ) else {
+            return; // metric absent on one side (older baseline)
+        };
+        if base <= 0.0 {
+            return;
+        }
+        self.compared += 1;
+        let ratio = now.max(CHECK_FLOOR_MS) / base.max(CHECK_FLOOR_MS);
+        if ratio > limit {
+            self.fail(
+                scope,
+                metric,
+                format!("{now:.3}ms"),
+                format!("{base:.3}ms"),
+                &format!("({ratio:.2}x > {limit:.2}x allowed)"),
+            );
+        } else {
+            let verdict = ratio_verdict(ratio, limit);
+            self.note(format!(
+                "check: {scope:<11} {metric:<13} {now:>9.3} ms vs {base:>9.3} ms  \
+                 ({ratio:>5.2}x)  {verdict}"
+            ));
+        }
     }
 
     /// Records a regression as the canonical one-line greppable failure.
@@ -133,32 +171,7 @@ pub fn check_snapshot(current: &Json, baseline: &Json, tolerance_pct: f64) -> Ch
             continue;
         };
         for &metric in TIME_METRICS {
-            let (Some(now), Some(base)) = (
-                row.get(metric).and_then(Json::as_f64),
-                base_row.get(metric).and_then(Json::as_f64),
-            ) else {
-                continue; // metric absent on one side (older baseline)
-            };
-            if base <= 0.0 {
-                continue;
-            }
-            report.compared += 1;
-            let ratio = now.max(CHECK_FLOOR_MS) / base.max(CHECK_FLOOR_MS);
-            if ratio > limit {
-                report.fail(
-                    name,
-                    metric,
-                    format!("{now:.3}ms"),
-                    format!("{base:.3}ms"),
-                    &format!("({ratio:.2}x > {limit:.2}x allowed)"),
-                );
-            } else {
-                let verdict = ratio_verdict(ratio, limit);
-                report.note(format!(
-                    "check: {name:<11} {metric:<13} {now:>9.3} ms vs {base:>9.3} ms  \
-                     ({ratio:>5.2}x)  {verdict}"
-                ));
-            }
+            report.gate_ms(name, metric, row, &base_row, limit);
         }
         // Node counts are bit-identical across machines and runs, so the
         // gate is exact: any growth is a regression, no tolerance applies.
@@ -308,6 +321,47 @@ pub fn check_snapshot(current: &Json, baseline: &Json, tolerance_pct: f64) -> Ch
                 report.note(format!(
                     "check: reorder     nodes_sifted  {now_n:>9} vs {base_n:>9}  {verdict}"
                 ));
+            }
+        }
+        // Suite sift rows: `sift_ms` is ratio-gated like the per-circuit
+        // wall clocks; `swaps` and `nodes_sifted` are the golden sifting
+        // outcome, so any change at all, either way, fails.
+        let base_rows = base.get("suite").and_then(Json::as_arr).unwrap_or(&[]);
+        for row in now.get("suite").and_then(Json::as_arr).unwrap_or(&[]) {
+            let name = row
+                .get("name")
+                .and_then(Json::as_str)
+                .expect("sift row name");
+            let scope = format!("reorder.{name}");
+            let Some(base_row) = base_rows
+                .iter()
+                .find(|b| b.get("name").and_then(Json::as_str) == Some(name))
+            else {
+                report.note(format!("check: {scope}: not in baseline, skipped"));
+                continue;
+            };
+            report.gate_ms(&scope, "sift_ms", row, base_row, limit);
+            for metric in SIFT_EXACT_METRICS {
+                let (Some(now_n), Some(base_n)) = (
+                    row.get(metric).and_then(Json::as_u64),
+                    base_row.get(metric).and_then(Json::as_u64),
+                ) else {
+                    continue;
+                };
+                report.compared += 1;
+                if now_n == base_n {
+                    report.note(format!(
+                        "check: {scope:<11} {metric:<13} {now_n:>9} vs {base_n:>9}  ok"
+                    ));
+                } else {
+                    report.fail(
+                        &scope,
+                        metric,
+                        now_n,
+                        base_n,
+                        "(deterministic sifting outcome changed)",
+                    );
+                }
             }
         }
     }
@@ -484,6 +538,48 @@ mod tests {
             .lines
             .iter()
             .any(|l| l.contains("REGRESSED reorder.nodes_sifted")));
+    }
+
+    #[test]
+    fn suite_sift_rows_gate_time_by_ratio_and_outcome_exactly() {
+        let section = |sift_ms: f64, swaps: u64, nodes: u64| {
+            format!(
+                r#", "reorder": {{"shrink_pct": 80.0, "suite": [{{"name": "apex7",
+                    "sift_ms": {sift_ms}, "swaps": {swaps}, "nodes_sifted": {nodes}}}]}}"#
+            )
+        };
+        let base = doc(r#""flow_ms": 1.0"#, &section(50.0, 24839, 306));
+        let same = check_snapshot(&base, &base, 25.0);
+        assert!(same.passed(), "{:?}", same.lines);
+        // shrink_pct, flow_ms, sift_ms, swaps, nodes_sifted.
+        assert_eq!(same.compared, 5, "{:?}", same.lines);
+
+        let faster = doc(r#""flow_ms": 1.0"#, &section(5.0, 24839, 306));
+        assert!(check_snapshot(&faster, &base, 25.0).passed());
+        let slower = doc(r#""flow_ms": 1.0"#, &section(70.0, 24839, 306));
+        let report = check_snapshot(&slower, &base, 25.0);
+        assert_eq!(report.regressions, 1, "{:?}", report.lines);
+        assert!(report
+            .lines
+            .iter()
+            .any(|l| l.contains("REGRESSED reorder.apex7.sift_ms")));
+
+        // Fewer swaps or nodes is a different sifting path too: it fails.
+        for (now, metric) in [
+            (section(50.0, 24838, 306), "swaps"),
+            (section(50.0, 24839, 305), "nodes_sifted"),
+        ] {
+            let report = check_snapshot(&doc(r#""flow_ms": 1.0"#, &now), &base, 25.0);
+            assert_eq!(report.regressions, 1, "{:?}", report.lines);
+            let needle = format!("REGRESSED reorder.apex7.{metric}");
+            assert!(report.lines.iter().any(|l| l.contains(&needle)), "{needle}");
+        }
+
+        // A baseline without the rows skips them.
+        let old = doc(r#""flow_ms": 1.0"#, r#", "reorder": {"shrink_pct": 80.0}"#);
+        let report = check_snapshot(&base, &old, 25.0);
+        assert!(report.passed(), "{:?}", report.lines);
+        assert!(report.lines.iter().any(|l| l.contains("skipped")));
     }
 
     #[test]

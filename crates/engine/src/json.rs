@@ -12,8 +12,16 @@
 //! * **Roundtrip fidelity** — `parse(&v.serialize())` reproduces `v` for
 //!   every value the engine writes (finite numbers only; JSON has no
 //!   NaN/infinity).
+//!
+//! The reader recurses once per array or object, so it refuses documents
+//! nested deeper than [`MAX_DEPTH`]: request bodies are untrusted, and an
+//! unbounded `[[[[…` would overflow the parsing thread's stack.
 
 use std::fmt;
+
+/// Deepest array/object nesting [`parse`] accepts. The engine's own
+/// documents nest about 6 levels; anything near this bound is hostile.
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value. Objects keep insertion order (no sorting, no hashing).
 #[derive(Debug, Clone, PartialEq)]
@@ -186,6 +194,7 @@ pub fn parse(text: &str) -> Result<Json, JsonError> {
         text,
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -200,6 +209,8 @@ struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -244,8 +255,19 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(format!("nested deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.err(format!("unexpected character '{}'", c as char))),
             None => Err(self.err("unexpected end of input")),
@@ -444,6 +466,25 @@ mod tests {
         assert!(parse("nul").is_err());
         assert!(parse("{} {}").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        let mut v = parse(&nested(MAX_DEPTH)).expect("nesting at the bound parses");
+        for _ in 1..MAX_DEPTH {
+            v = v.as_arr().unwrap()[0].clone();
+        }
+        assert_eq!(v, Json::Arr(Vec::new()));
+        let objects = "{\"a\":".repeat(MAX_DEPTH) + "1" + &"}".repeat(MAX_DEPTH);
+        assert!(parse(&objects).is_ok());
+
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH, "{err}");
+        // A hostile body far past the bound is an error on an ordinary
+        // test thread, not a stack overflow.
+        assert!(parse(&"[".repeat(200_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(200_000)).is_err());
     }
 
     #[test]

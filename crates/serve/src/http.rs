@@ -298,9 +298,40 @@ impl HttpConnection {
 /// errors at [`MAX_LINE_BYTES`], a header flood at [`MAX_HEADERS`], an
 /// oversized `Content-Length` at [`MAX_BODY_BYTES`] — all before the
 /// hostile bytes are held.
+///
+/// Parse progress survives between calls: each line is parsed once, when
+/// its newline arrives, and the newline scan resumes where the last call
+/// stopped, so a request costs time linear in its size however finely
+/// the socket splits it.
 #[derive(Debug, Default)]
 pub struct RequestParser {
     buf: Vec<u8>,
+    /// How far parsing got into the request at the front of `buf`.
+    pending: Pending,
+    /// Protocol lines parsed so far (request lines, headers, blank lines).
+    #[cfg(test)]
+    lines_parsed: usize,
+    /// Bytes the newline scan has examined so far.
+    #[cfg(test)]
+    bytes_scanned: usize,
+}
+
+/// Parse progress of the request at the front of a [`RequestParser`]'s
+/// buffer.
+#[derive(Debug, Default)]
+struct Pending {
+    /// Start of the first line not yet parsed.
+    line_start: usize,
+    /// Where the newline scan of that line resumes: no `\n` sits in
+    /// `line_start..scanned`.
+    scanned: usize,
+    /// The request, once its request line is parsed: method, path and
+    /// query set, headers and body still empty.
+    request: Option<Request>,
+    /// The headers parsed so far.
+    headers: ParsedHeaders,
+    /// Where the body starts, once a blank line ended the header block.
+    body_start: Option<usize>,
 }
 
 impl RequestParser {
@@ -322,66 +353,85 @@ impl RequestParser {
     /// [`io::Error`] with `InvalidData` for a malformed request line or
     /// header, a non-numeric `Content-Length`, or any exceeded bound.
     pub fn try_next(&mut self) -> io::Result<Option<Request>> {
-        let Some(line_end) = find_line(&self.buf, 0, "request")? else {
-            return Ok(None);
-        };
-        let line = std::str::from_utf8(&self.buf[..line_end])
-            .map_err(|_| bad("malformed request line"))?;
-        let mut parts = line.split_whitespace();
-        let (Some(method), Some(target)) = (parts.next(), parts.next()) else {
-            return Err(bad("malformed request line"));
-        };
-        let method = method.to_ascii_uppercase();
-        let (path, query) = split_target(target);
-
-        // Header block: one bounded line at a time until the blank line.
-        let mut cursor = line_end + 1;
-        let mut parsed = ParsedHeaders::default();
-        loop {
-            let Some(end) = find_line(&self.buf, cursor, "header")? else {
+        // The request line, then the header block one bounded line at a
+        // time until the blank line.
+        while self.pending.body_start.is_none() {
+            let p = &mut self.pending;
+            let what = if p.request.is_some() {
+                "header"
+            } else {
+                "request"
+            };
+            let from = p.scanned.max(p.line_start);
+            let found = find_line(&self.buf, p.line_start, from, what)?;
+            #[cfg(test)]
+            {
+                self.bytes_scanned += found.map_or(self.buf.len(), |end| end + 1) - from;
+                self.lines_parsed += usize::from(found.is_some());
+            }
+            let Some(end) = found else {
+                p.scanned = self.buf.len();
                 return Ok(None);
             };
-            let header = std::str::from_utf8(&self.buf[cursor..end])
+            let line = &self.buf[p.line_start..end];
+            p.line_start = end + 1;
+            p.scanned = end + 1;
+            if p.request.is_none() {
+                let line = std::str::from_utf8(line).map_err(|_| bad("malformed request line"))?;
+                let mut parts = line.split_whitespace();
+                let (Some(method), Some(target)) = (parts.next(), parts.next()) else {
+                    return Err(bad("malformed request line"));
+                };
+                let (path, query) = split_target(target);
+                p.request = Some(Request {
+                    method: method.to_ascii_uppercase(),
+                    path,
+                    query,
+                    headers: Vec::new(),
+                    body: Vec::new(),
+                });
+                continue;
+            }
+            let header = std::str::from_utf8(line)
                 .map_err(|_| bad("malformed header"))?
                 .trim_end();
-            cursor = end + 1;
             if header.is_empty() {
-                break;
+                p.body_start = Some(p.line_start);
+            } else {
+                p.headers.push(header)?;
             }
-            parsed.push(header)?;
         }
 
-        let content_length = parsed.content_length.unwrap_or(0);
-        if self.buf.len() < cursor + content_length {
+        let start = self.pending.body_start.expect("the header block ended");
+        let end = start + self.pending.headers.content_length.unwrap_or(0);
+        if self.buf.len() < end {
             return Ok(None);
         }
-        let body = self.buf[cursor..cursor + content_length].to_vec();
-        self.buf.drain(..cursor + content_length);
-        Ok(Some(Request {
-            method,
-            path,
-            query,
-            headers: parsed.headers,
-            body,
-        }))
+        let pending = std::mem::take(&mut self.pending);
+        let mut request = pending.request.expect("parsed before the headers");
+        request.headers = pending.headers.headers;
+        request.body = self.buf[start..end].to_vec();
+        self.buf.drain(..end);
+        Ok(Some(request))
     }
 }
 
-/// Finds the `\n` ending the line that starts at `from`, enforcing
-/// [`MAX_LINE_BYTES`] on both complete and still-accumulating lines.
-fn find_line(buf: &[u8], from: usize, what: &str) -> io::Result<Option<usize>> {
-    match buf[from.min(buf.len())..].iter().position(|&b| b == b'\n') {
-        Some(i) if i + 1 > MAX_LINE_BYTES => Err(bad(&format!("{what} line too long"))),
-        Some(i) => Ok(Some(from + i)),
-        None if buf.len() - from.min(buf.len()) > MAX_LINE_BYTES => {
+/// Finds the `\n` ending the line that starts at `start`, scanning from
+/// `from` (the bytes before it hold none), and enforces [`MAX_LINE_BYTES`]
+/// on both complete and still-accumulating lines.
+fn find_line(buf: &[u8], start: usize, from: usize, what: &str) -> io::Result<Option<usize>> {
+    match buf[from..].iter().position(|&b| b == b'\n') {
+        Some(i) if from + i + 1 - start > MAX_LINE_BYTES => {
             Err(bad(&format!("{what} line too long")))
         }
+        Some(i) => Ok(Some(from + i)),
+        None if buf.len() - start > MAX_LINE_BYTES => Err(bad(&format!("{what} line too long"))),
         None => Ok(None),
     }
 }
 
 /// The header block of a request or response.
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct ParsedHeaders {
     headers: Vec<(String, String)>,
     content_length: Option<usize>,
@@ -782,6 +832,32 @@ mod tests {
         let mut parser = RequestParser::new();
         parser.feed(b"NONSENSE\r\n\r\n");
         assert!(parser.try_next().is_err());
+    }
+
+    #[test]
+    fn each_line_is_parsed_once_however_the_stream_is_split() {
+        let mut wire = b"POST /jobs HTTP/1.1\r\n".to_vec();
+        for i in 0..MAX_HEADERS - 1 {
+            wire.extend_from_slice(format!("x-h{i}: {}\r\n", "v".repeat(200)).as_bytes());
+        }
+        wire.extend_from_slice(b"Content-Length: 4096\r\n\r\n");
+        wire.resize(wire.len() + 4096, b'b');
+        let head = wire.len() - 4096;
+        for read in [1, 3, 64, 1000, wire.len()] {
+            let mut parser = RequestParser::new();
+            let mut requests = Vec::new();
+            for piece in wire.chunks(read) {
+                parser.feed(piece);
+                requests.extend(parser.try_next().unwrap());
+            }
+            assert_eq!(requests.len(), 1, "{read}-byte reads");
+            assert_eq!(requests[0].headers.len(), MAX_HEADERS);
+            assert_eq!(requests[0].body.len(), 4096);
+            // The request line, every header and the blank line, once each;
+            // and the newline scan never looks at a byte twice.
+            assert_eq!(parser.lines_parsed, MAX_HEADERS + 2, "{read}-byte reads");
+            assert_eq!(parser.bytes_scanned, head, "{read}-byte reads");
+        }
     }
 
     #[test]
