@@ -19,9 +19,9 @@
 //!   after a swap is O(1) instead of a [`BddManager::node_count`] walk;
 //! * the agenda orders variables by level population, which counts dead
 //!   nodes too: swaps leave the nodes they orphan in the arena, the level
-//!   lists and the unique table, so the population — and with it the swap
-//!   sequence and final order — is what it was before the running count
-//!   existed;
+//!   lists and the unique table until the compaction after sifting.
+//!   Reclaiming them early would change the agenda, the swap sequence
+//!   and, on some circuits, the final order;
 //! * the `auto` schedule triggers on arena-size thresholds (a doubling
 //!   ladder), which grow deterministically during construction.
 //!
