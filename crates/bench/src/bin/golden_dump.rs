@@ -12,7 +12,12 @@
 //! min-area assignment under the default `SimConfig` — and a hash of the
 //! whole serialized `run_job` outcome of each circuit's compare job,
 //! untimed and timed the way `table2` runs it, plus the untimed job with
-//! `reorder: sift` on apex7, frg1 and x1. The golden test compares
+//! `reorder: sift` on apex7, frg1 and x1. Then, for `perfbench`'s
+//! `tables_cold` workload: a hash of the BLIF text re-written after one
+//! parse of each Table 1 row and of its giant circuit (`blif` rows), and
+//! the untimed outcome of the jobs that the public rows leave out
+//! (Industry 1–3 and the giant at 1024 cycles), each resolved from
+//! inline BLIF as the workload resolves it. The golden test compares
 //! the live kernel against these values bit for bit, so any refactor of
 //! the BDD manager, accountant, search, vector stream, packed simulator
 //! or engine runner must leave them untouched (or consciously
@@ -30,17 +35,29 @@ use std::fmt::Write as _;
 
 use domino_bdd::ReorderMode;
 use domino_engine::{run_job, FlowJob, JobSpec};
+use domino_netlist::{parse_blif, write_blif, Network};
 use domino_phase::flow::FlowConfig;
 use domino_phase::prob::{compute_probabilities, ProbabilityConfig};
 use domino_phase::search::{min_area_assignment, min_power_assignment};
 use domino_phase::{DominoSynthesizer, PhaseAssignment};
 use domino_sim::{measure_domino_switching, measure_power, SimConfig};
 use domino_techmap::{map, Library};
-use domino_workloads::public_suite;
+use domino_workloads::{generate_giant, public_suite, table_suite, GiantSpec};
 
 /// Circuits whose outcome rows include the sifted compare job. x3 is
 /// left out: sifting it takes far longer than the rest of the fixture.
 const SIFTED_OUTCOMES: [&str; 3] = ["apex7", "frg1", "x1"];
+
+/// The giant sequential circuit of `perfbench`'s `tables_cold` workload.
+fn tables_cold_giant() -> Network {
+    generate_giant(&GiantSpec::giant("giant", 192, 32, 14, 2, 71)).expect("giant generates")
+}
+
+/// A suite row's name without spaces, lowercased (`Industry 1` →
+/// `industry1`), as `tables_cold` names its metric rows.
+fn row_name(name: &str) -> String {
+    name.replace(' ', "").to_lowercase()
+}
 
 /// FNV-1a over a byte stream.
 fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
@@ -193,6 +210,45 @@ fn main() {
             )
             .unwrap();
         }
+    }
+
+    // Ingestion pins: what the parser builds from each `tables_cold`
+    // circuit, written back out as BLIF after one round trip.
+    let table = table_suite().expect("suite generates");
+    let giant = tables_cold_giant();
+    let circuits = table
+        .iter()
+        .map(|b| (row_name(b.name), &b.network))
+        .chain(std::iter::once(("giant".to_string(), &giant)));
+    for (row, net) in circuits {
+        let parsed = parse_blif(&write_blif(net)).expect("written BLIF parses");
+        writeln!(
+            text,
+            "blif name={row} hash={:016x}",
+            fnv1a(write_blif(&parsed).into_bytes()),
+        )
+        .unwrap();
+    }
+
+    // The rest of `tables_cold`: the untimed compare jobs of the rows the
+    // public suite leaves out, and the giant at 1024 cycles, each
+    // resolved from inline BLIF.
+    let mut extra: Vec<(String, JobSpec)> = table
+        .iter()
+        .filter(|b| b.description != "Public Domain")
+        .map(|b| (row_name(b.name), JobSpec::for_network(b.name, &b.network)))
+        .collect();
+    let mut spec = JobSpec::for_network("giant", &giant);
+    spec.sim.cycles = 1024;
+    extra.push(("giant".to_string(), spec));
+    for (row, spec) in extra {
+        let outcome = run_job(&spec.resolve().expect("inline BLIF resolves")).expect("job runs");
+        writeln!(
+            text,
+            "outcome name={row} mode=untimed hash={:016x}",
+            fnv1a(outcome.to_json().serialize().into_bytes()),
+        )
+        .unwrap();
     }
 
     match out {

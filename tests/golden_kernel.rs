@@ -17,7 +17,12 @@
 //! of the min-area assignment under the default `SimConfig`, and
 //! (`outcome` rows) an FNV-1a hash of the serialized `run_job` outcome of
 //! the circuit's compare job, untimed and timed as `table2` runs it, and
-//! untimed with `reorder: sift` on apex7, frg1 and x1. Any
+//! untimed with `reorder: sift` on apex7, frg1 and x1. For `perfbench`'s
+//! `tables_cold` workload they also pin what the BLIF parser builds
+//! (`blif` rows: a hash of each Table 1 row and the giant written back
+//! out after one parse) and the untimed outcomes of the jobs the public
+//! rows leave out (Industry 1–3 and the giant), resolved from inline BLIF
+//! as the workload resolves them. Any
 //! kernel, simulator or runner change that shifts a single bit fails
 //! here; CI additionally
 //! regenerates the fixture into a temp file and diffs it against the
@@ -33,13 +38,14 @@ use std::collections::HashMap;
 use dominolp::bdd::table::UniqueTable;
 use dominolp::bdd::ReorderMode;
 use dominolp::engine::{run_job, FlowJob, JobSpec};
+use dominolp::netlist::{parse_blif, write_blif, Network};
 use dominolp::phase::flow::FlowConfig;
 use dominolp::phase::prob::{compute_probabilities, ProbabilityConfig};
 use dominolp::phase::search::{min_area_assignment, min_power_assignment};
 use dominolp::phase::{DominoSynthesizer, PhaseAssignment};
 use dominolp::sim::{measure_domino_switching, measure_power, SimConfig};
 use dominolp::techmap::{map, Library};
-use dominolp::workloads::public_suite;
+use dominolp::workloads::{generate_giant, public_suite, table_suite, GiantSpec};
 use proptest::prelude::*;
 
 const FIXTURES: &str = include_str!("fixtures/golden_kernel.txt");
@@ -70,13 +76,18 @@ impl Row {
     }
 }
 
-/// Parses the fixture into `(kernel rows, reorder rows, sim rows, outcome
-/// rows)`, in file order.
-fn parse_fixtures() -> (Vec<Row>, Vec<Row>, Vec<Row>, Vec<Row>) {
-    let mut kernel = Vec::new();
-    let mut reorder = Vec::new();
-    let mut sim = Vec::new();
-    let mut outcome = Vec::new();
+/// The fixture's rows by leading tag, each in file order.
+#[derive(Default)]
+struct Fixtures {
+    kernel: Vec<Row>,
+    reorder: Vec<Row>,
+    sim: Vec<Row>,
+    outcome: Vec<Row>,
+    blif: Vec<Row>,
+}
+
+fn parse_fixtures() -> Fixtures {
+    let mut fixtures = Fixtures::default();
     for line in FIXTURES.lines() {
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
@@ -92,14 +103,30 @@ fn parse_fixtures() -> (Vec<Row>, Vec<Row>, Vec<Row>, Vec<Row>) {
             .collect();
         let row = Row { fields };
         match tag {
-            "kernel" => kernel.push(row),
-            "reorder" => reorder.push(row),
-            "sim" => sim.push(row),
-            "outcome" => outcome.push(row),
+            "kernel" => fixtures.kernel.push(row),
+            "reorder" => fixtures.reorder.push(row),
+            "sim" => fixtures.sim.push(row),
+            "outcome" => fixtures.outcome.push(row),
+            "blif" => fixtures.blif.push(row),
             other => panic!("unknown fixture tag '{other}'"),
         }
     }
-    (kernel, reorder, sim, outcome)
+    fixtures
+}
+
+/// Rows of `tables_cold` jobs outside the public suite (must match
+/// `golden_dump`).
+const TABLES_COLD_EXTRA: [&str; 4] = ["industry1", "industry2", "industry3", "giant"];
+
+/// The giant sequential circuit of `tables_cold` (must match
+/// `golden_dump`).
+fn tables_cold_giant() -> Network {
+    generate_giant(&GiantSpec::giant("giant", 192, 32, 14, 2, 71)).expect("giant generates")
+}
+
+/// `Industry 1` → `industry1`, as `tables_cold` names its rows.
+fn row_name(name: &str) -> String {
+    name.replace(' ', "").to_lowercase()
 }
 
 /// FNV-1a over a byte stream (must match `golden_dump`'s implementation).
@@ -122,7 +149,7 @@ fn prob_hash(probs: &[f64]) -> u64 {
 fn kernel_is_bit_identical_to_fixtures() {
     let suite = public_suite().expect("suite generates");
     let config = FlowConfig::default();
-    let (golden, ..) = parse_fixtures();
+    let golden = parse_fixtures().kernel;
     assert_eq!(suite.len(), golden.len());
     for (bench, golden) in suite.iter().zip(&golden) {
         assert_eq!(bench.name, golden.get("name"));
@@ -205,7 +232,7 @@ fn sifted_kernel_is_bit_identical_to_fixtures() {
         reorder: ReorderMode::Sift,
         ..FlowConfig::default().probability
     };
-    let (_, golden, ..) = parse_fixtures();
+    let golden = parse_fixtures().reorder;
     assert_eq!(suite.len(), golden.len());
     for (bench, golden) in suite.iter().zip(&golden) {
         assert_eq!(bench.name, golden.get("name"));
@@ -255,7 +282,7 @@ fn packed_simulation_is_bit_identical_to_fixtures() {
     let config = FlowConfig::default();
     let lib = Library::standard();
     let sim_cfg = SimConfig::default();
-    let (_, _, golden, _) = parse_fixtures();
+    let golden = parse_fixtures().sim;
     assert_eq!(suite.len(), golden.len());
     for (bench, golden) in suite.iter().zip(&golden) {
         assert_eq!(bench.name, golden.get("name"));
@@ -305,8 +332,10 @@ const SIFTED_OUTCOMES: [&str; 3] = ["apex7", "frg1", "x1"];
 #[test]
 fn job_outcomes_are_byte_identical_to_fixtures() {
     let suite = public_suite().expect("suite generates");
-    let (.., golden) = parse_fixtures();
-    let mut rows = golden.iter();
+    let golden = parse_fixtures().outcome;
+    let mut rows = golden
+        .iter()
+        .filter(|row| !TABLES_COLD_EXTRA.contains(&row.get("name")));
     for bench in &suite {
         let modes: &[&str] = if SIFTED_OUTCOMES.contains(&bench.name) {
             &["untimed", "timed", "sift"]
@@ -339,6 +368,57 @@ fn job_outcomes_are_byte_identical_to_fixtures() {
         }
     }
     assert!(rows.next().is_none(), "outcome rows without a job");
+}
+
+#[test]
+fn tables_cold_outcomes_are_byte_identical_to_fixtures() {
+    let mut jobs: Vec<(String, JobSpec)> = table_suite()
+        .expect("suite generates")
+        .iter()
+        .filter(|b| b.description != "Public Domain")
+        .map(|b| (row_name(b.name), JobSpec::for_network(b.name, &b.network)))
+        .collect();
+    let mut giant = JobSpec::for_network("giant", &tables_cold_giant());
+    giant.sim.cycles = 1024;
+    jobs.push(("giant".to_string(), giant));
+    let golden = parse_fixtures().outcome;
+    let golden: Vec<&Row> = golden
+        .iter()
+        .filter(|row| TABLES_COLD_EXTRA.contains(&row.get("name")))
+        .collect();
+    assert_eq!(jobs.len(), golden.len(), "an outcome row per job");
+    for ((row, spec), golden) in jobs.into_iter().zip(golden) {
+        assert_eq!(row, golden.get("name"));
+        assert_eq!("untimed", golden.get("mode"));
+        let outcome = run_job(&spec.resolve().expect("inline BLIF resolves")).expect("job runs");
+        assert_eq!(
+            fnv1a(outcome.to_json().serialize().into_bytes()),
+            golden.hex("hash"),
+            "{row}: the serialized job outcome moved",
+        );
+    }
+}
+
+#[test]
+fn parsed_blif_is_byte_identical_to_fixtures() {
+    let table = table_suite().expect("suite generates");
+    let giant = tables_cold_giant();
+    let circuits: Vec<(String, &Network)> = table
+        .iter()
+        .map(|b| (row_name(b.name), &b.network))
+        .chain(std::iter::once(("giant".to_string(), &giant)))
+        .collect();
+    let golden = parse_fixtures().blif;
+    assert_eq!(circuits.len(), golden.len(), "a blif row per circuit");
+    for ((row, net), golden) in circuits.into_iter().zip(&golden) {
+        assert_eq!(row, golden.get("name"));
+        let parsed = parse_blif(&write_blif(net)).expect("written BLIF parses");
+        assert_eq!(
+            fnv1a(write_blif(&parsed).into_bytes()),
+            golden.hex("hash"),
+            "{row}: the parser builds a different network",
+        );
+    }
 }
 
 /// One random unique-table operation: a key triple (narrow ranges force
