@@ -193,12 +193,17 @@ impl JobSpec {
     /// except the display name and the circuit source (the circuit itself is
     /// covered by the structural digest).
     pub fn config_json(&self) -> Json {
+        self.config_json_with(&self.sim)
+    }
+
+    /// [`JobSpec::config_json`] with `sim` in place of the spec's own.
+    fn config_json_with(&self, sim: &SimConfig) -> Json {
         Json::obj(vec![
             ("objective", Json::Str(self.objective.tag().to_string())),
             ("pi", pi_to_json(&self.pi)),
             ("flow", flow_to_json(&self.flow)),
             ("library", library_to_json(&self.library)),
-            ("sim", sim_to_json(&self.sim)),
+            ("sim", sim_to_json(sim)),
             ("timing_fraction", opt_num(self.timing_fraction)),
             ("mp_and_penalty", opt_num(self.mp_and_penalty)),
         ])
@@ -318,9 +323,11 @@ impl FlowJob {
 /// key: the shard count defines the vector streams and therefore the
 /// measured bits.
 pub fn cache_key(net: &Network, spec: &JobSpec) -> String {
-    let mut spec = spec.clone();
-    spec.sim.threads = 1;
-    let config = spec.config_json().serialize();
+    let sim = SimConfig {
+        threads: 1,
+        ..spec.sim
+    };
+    let config = spec.config_json_with(&sim).serialize();
     let net_digest = net.structural_digest();
     // Two independent FNV-1a passes (salted differently) give a 128-bit
     // address; collisions are negligible at any realistic cache size.

@@ -17,6 +17,17 @@
 //! retained, and reading stops at `.end`. [`parse_blif`] and
 //! [`parse_blif_path`] are thin fronts over the same state machine, so
 //! the three entry points cannot diverge.
+//!
+//! Ingestion is *interned*: each signal name is hashed once, when first
+//! seen, into a dense `u32` name id. Ports, latches and `.names` blocks
+//! hold name ids and cover rows sit back to back in one byte pool, so the
+//! build — driver lookup, topological order, cycle and undefined-signal
+//! checks, the per-block inverter cache — indexes `Vec`s and never hashes
+//! a name again.
+//!
+//! Every signal has one driver: a `.names` block may not define an input
+//! or latch output, nor a signal another block defines. Every error of
+//! [`parse_blif`] is a [`NetlistError::Parse`] naming a line of the input.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -33,8 +44,8 @@ use crate::node::NodeKind;
 ///
 /// # Errors
 ///
-/// Returns [`NetlistError::Parse`] with a line number for malformed input,
-/// and construction errors (duplicate names, etc.) otherwise.
+/// Returns [`NetlistError::Parse`] with the number of the offending line
+/// for malformed input, duplicate names and undefined signals alike.
 ///
 /// # Example
 ///
@@ -104,35 +115,103 @@ pub fn parse_blif_path(path: impl AsRef<std::path::Path>) -> Result<Network, Net
     parse_blif_reader(std::io::BufReader::new(file))
 }
 
+/// Marks "none" in the parser's dense `u32` maps.
+const NONE: u32 = u32::MAX;
+
 /// The incremental parser state behind every `parse_blif*` front: feed it
 /// raw lines, then [`BlifStream::finish`] builds the network. Memory is
 /// bounded by the parsed model, never the input text — the only raw text
 /// held between calls is one pending continuation line.
+///
+/// Every signal name is interned once, when first seen, into a dense `u32`
+/// name id; ports, latches and `.names` blocks keep name ids, and cover
+/// rows live back to back in one byte pool. So each token costs one hash
+/// probe and no allocation, and [`BlifStream::finish`] resolves drivers,
+/// orders blocks and checks for cycles and undefined signals with plain
+/// `Vec` indexing.
 struct BlifStream {
     model_name: String,
-    input_names: Vec<String>,
-    output_names: Vec<String>,
-    names_blocks: Vec<NamesBlock>,
-    /// (data signal, q signal, init, line)
-    latch_decls: Vec<(String, String, bool, usize)>,
+    /// Signal text by name id.
+    names: Vec<String>,
+    ids: HashMap<String, u32>,
+    /// `(name, line)` of each `.inputs` entry.
+    inputs: Vec<(u32, usize)>,
+    /// `(name, line)` of each `.outputs` entry.
+    outputs: Vec<(u32, usize)>,
+    latches: Vec<LatchDecl>,
+    blocks: Vec<NamesBlock>,
+    /// The fanin names of every block, back to back.
+    fanin_pool: Vec<u32>,
+    /// The input patterns of every cover row, back to back: one byte per
+    /// fanin of the row's block.
+    cover_pool: Vec<u8>,
+    /// The last block still takes cover rows.
+    open_block: bool,
     /// An unfinished `\`-continued logical line: (start line, text so far).
     pending: Option<(usize, String)>,
-    current: Option<NamesBlock>,
     seen_end: bool,
+}
+
+struct LatchDecl {
+    data: u32,
+    q: u32,
+    init: bool,
+    line: usize,
+}
+
+struct NamesBlock {
+    /// `fanin_pool[fanins.0..fanins.1]`.
+    fanins: (usize, usize),
+    output: u32,
+    /// Start of the block's rows in `cover_pool`.
+    cover_start: usize,
+    rows: usize,
+    /// Output value of the first row (`b'1'` unless a row says `0`).
+    phase: u8,
+    /// A later row's output value differs from the first's.
+    mixed: bool,
+    /// Some row of a constant (fanin-free) block reads `1`.
+    any_one: bool,
+    line: usize,
+}
+
+impl NamesBlock {
+    fn width(&self) -> usize {
+        self.fanins.1 - self.fanins.0
+    }
 }
 
 impl BlifStream {
     fn new() -> BlifStream {
         BlifStream {
             model_name: String::from("blif"),
-            input_names: Vec::new(),
-            output_names: Vec::new(),
-            names_blocks: Vec::new(),
-            latch_decls: Vec::new(),
+            names: Vec::new(),
+            ids: HashMap::new(),
+            inputs: Vec::new(),
+            outputs: Vec::new(),
+            latches: Vec::new(),
+            blocks: Vec::new(),
+            fanin_pool: Vec::new(),
+            cover_pool: Vec::new(),
+            open_block: false,
             pending: None,
-            current: None,
             seen_end: false,
         }
+    }
+
+    /// The name id of `name`, interning it on first sight.
+    fn intern(&mut self, name: &str) -> u32 {
+        if let Some(&id) = self.ids.get(name) {
+            return id;
+        }
+        let id = u32::try_from(self.names.len()).expect("BLIF signal count exceeds u32::MAX");
+        self.names.push(name.to_string());
+        self.ids.insert(name.to_string(), id);
+        id
+    }
+
+    fn name(&self, id: u32) -> &str {
+        &self.names[id as usize]
     }
 
     /// Consumes one raw input line: strips the comment, joins `\`
@@ -173,58 +252,68 @@ impl BlifStream {
 
     /// Dispatches one complete logical line (continuations already joined).
     fn logical_line(&mut self, lineno: usize, line: &str) -> Result<(), NetlistError> {
+        let parse_err = |msg: String| NetlistError::Parse { line: lineno, msg };
         let mut toks = line.split_whitespace();
         let first = match toks.next() {
             Some(t) => t,
             None => return Ok(()),
         };
         if first.starts_with('.') {
-            // Close any open .names block.
-            if let Some(block) = self.current.take() {
-                self.names_blocks.push(block);
-            }
+            self.open_block = false;
             match first {
                 ".model" => {
                     if let Some(name) = toks.next() {
                         self.model_name = name.to_string();
                     }
                 }
-                ".inputs" => self.input_names.extend(toks.map(str::to_string)),
-                ".outputs" => self.output_names.extend(toks.map(str::to_string)),
+                ".inputs" => {
+                    for tok in toks {
+                        let id = self.intern(tok);
+                        self.inputs.push((id, lineno));
+                    }
+                }
+                ".outputs" => {
+                    for tok in toks {
+                        let id = self.intern(tok);
+                        self.outputs.push((id, lineno));
+                    }
+                }
                 ".names" => {
-                    let mut sig: Vec<String> = toks.map(str::to_string).collect();
-                    let output = sig.pop().ok_or(NetlistError::Parse {
-                        line: lineno,
-                        msg: ".names requires at least an output signal".into(),
+                    let start = self.fanin_pool.len();
+                    for tok in toks {
+                        let id = self.intern(tok);
+                        self.fanin_pool.push(id);
+                    }
+                    let output = self.fanin_pool.pop().ok_or_else(|| {
+                        parse_err(".names requires at least an output signal".into())
                     })?;
-                    self.current = Some(NamesBlock {
-                        inputs: sig,
+                    self.blocks.push(NamesBlock {
+                        fanins: (start, self.fanin_pool.len()),
                         output,
-                        rows: Vec::new(),
+                        cover_start: self.cover_pool.len(),
+                        rows: 0,
+                        phase: b'1',
+                        mixed: false,
+                        any_one: false,
                         line: lineno,
                     });
+                    self.open_block = true;
                 }
                 ".latch" => {
-                    let d = toks.next();
-                    let q = toks.next();
-                    let (d, q) = match (d, q) {
-                        (Some(d), Some(q)) => (d.to_string(), q.to_string()),
-                        _ => {
-                            return Err(NetlistError::Parse {
-                                line: lineno,
-                                msg: ".latch requires input and output signals".into(),
-                            })
-                        }
+                    let (Some(d), Some(q)) = (toks.next(), toks.next()) else {
+                        return Err(parse_err(".latch requires input and output signals".into()));
                     };
-                    // Remaining tokens: optional [type] [control] [init].
-                    let rest: Vec<&str> = toks.collect();
-                    let init = match rest.last() {
-                        Some(&"1") => true,
-                        Some(&"0") | Some(&"2") | Some(&"3") | None => false,
-                        Some(other) if ["re", "fe", "ah", "al", "as"].contains(other) => false,
-                        Some(_) => false,
-                    };
-                    self.latch_decls.push((d, q, init, lineno));
+                    // Remaining tokens: optional [type] [control] [init];
+                    // only an init of `1` sets the flop.
+                    let init = toks.last() == Some("1");
+                    let data = self.intern(d);
+                    let q = self.intern(q);
+                    self.latches.push(LatchDecl {
+                        data,
+                        q,
+                        init,
+                        line: lineno,
+                    });
                 }
                 ".end" => self.seen_end = true,
                 ".exdc"
@@ -235,108 +324,104 @@ impl BlifStream {
                     // Ignored extensions.
                 }
                 other => {
-                    return Err(NetlistError::Parse {
-                        line: lineno,
-                        msg: format!("unsupported blif construct `{other}`"),
-                    });
+                    return Err(parse_err(format!("unsupported blif construct `{other}`")));
                 }
             }
-        } else {
-            // Cover row of the current .names block.
-            let block = self.current.as_mut().ok_or(NetlistError::Parse {
-                line: lineno,
-                msg: "cover row outside .names block".into(),
-            })?;
-            if block.inputs.is_empty() {
-                // Constant: single token row "1" or "0".
-                let v = match first {
-                    "1" => '1',
-                    "0" => '0',
-                    other => {
-                        return Err(NetlistError::Parse {
-                            line: lineno,
-                            msg: format!("bad constant cover `{other}`"),
-                        })
-                    }
-                };
-                block.rows.push((String::new(), v));
-            } else {
-                let out = toks.next().ok_or(NetlistError::Parse {
-                    line: lineno,
-                    msg: "cover row missing output value".into(),
-                })?;
-                let outc = match out {
-                    "1" => '1',
-                    "0" => '0',
-                    other => {
-                        return Err(NetlistError::Parse {
-                            line: lineno,
-                            msg: format!("bad cover output `{other}`"),
-                        })
-                    }
-                };
-                if first.len() != block.inputs.len() {
-                    return Err(NetlistError::Parse {
-                        line: lineno,
-                        msg: format!(
-                            "cover row width {} does not match {} inputs",
-                            first.len(),
-                            block.inputs.len()
-                        ),
-                    });
-                }
-                block.rows.push((first.to_string(), outc));
-            }
+            return Ok(());
         }
+        // Cover row of the current .names block.
+        let block = match self.blocks.last_mut() {
+            Some(block) if self.open_block => block,
+            _ => return Err(parse_err("cover row outside .names block".into())),
+        };
+        if block.width() == 0 {
+            // Constant: single token row "1" or "0".
+            match first {
+                "1" => block.any_one = true,
+                "0" => {}
+                other => return Err(parse_err(format!("bad constant cover `{other}`"))),
+            }
+            return Ok(());
+        }
+        let out = toks
+            .next()
+            .ok_or_else(|| parse_err("cover row missing output value".into()))?;
+        let value = match out {
+            "1" => b'1',
+            "0" => b'0',
+            other => return Err(parse_err(format!("bad cover output `{other}`"))),
+        };
+        if first.len() != block.width() {
+            return Err(parse_err(format!(
+                "cover row width {} does not match {} inputs",
+                first.len(),
+                block.width()
+            )));
+        }
+        // BLIF: all rows of a block share the first row's output value.
+        if block.rows == 0 {
+            block.phase = value;
+        } else if value != block.phase {
+            block.mixed = true;
+        }
+        block.rows += 1;
+        self.cover_pool.extend_from_slice(first.as_bytes());
         Ok(())
     }
 
     /// Ends the stream and builds the [`Network`].
-    fn finish(mut self) -> Result<Network, NetlistError> {
+    fn finish(self) -> Result<Network, NetlistError> {
         if let Some((line, _)) = self.pending {
             return Err(NetlistError::Parse {
                 line,
                 msg: "dangling line continuation".into(),
             });
         }
-        if let Some(block) = self.current.take() {
-            self.names_blocks.push(block);
-        }
-        let BlifStream {
-            model_name,
-            input_names,
-            output_names,
-            names_blocks,
-            latch_decls,
-            ..
-        } = self;
-
-        // Build the network.
-        let mut net = Network::new(model_name);
-        let mut signals: HashMap<String, NodeId> = HashMap::new();
-        for name in &input_names {
-            let id = net.add_input(name.clone())?;
-            signals.insert(name.clone(), id);
-        }
-        for (_, q, init, _) in &latch_decls {
-            let id = net.add_latch(*init);
-            net.set_node_name(id, q.clone())?;
-            if signals.insert(q.clone(), id).is_some() {
-                return Err(NetlistError::DuplicateName(q.clone()));
+        let at = |line: usize| {
+            move |e: NetlistError| NetlistError::Parse {
+                line,
+                msg: e.to_string(),
             }
+        };
+        let mut net = Network::new(self.model_name.as_str());
+        // The node each name denotes: sources first, then each block's
+        // output once the block is built.
+        let mut node_of: Vec<u32> = vec![NONE; self.names.len()];
+        for &(name, line) in &self.inputs {
+            let id = net.add_input(self.name(name)).map_err(at(line))?;
+            node_of[name as usize] = id.index() as u32;
+        }
+        for latch in &self.latches {
+            if node_of[latch.q as usize] != NONE {
+                return Err(at(latch.line)(NetlistError::DuplicateName(
+                    self.name(latch.q).to_string(),
+                )));
+            }
+            let id = net.add_latch(latch.init);
+            net.set_node_name(id, self.name(latch.q))?;
+            node_of[latch.q as usize] = id.index() as u32;
         }
 
-        // Topologically order the .names blocks (BLIF allows any order).
-        let mut by_output: HashMap<&str, usize> = HashMap::new();
-        for (i, b) in names_blocks.iter().enumerate() {
-            if by_output.insert(b.output.as_str(), i).is_some() {
-                return Err(NetlistError::Parse {
-                    line: b.line,
-                    msg: format!("signal `{}` defined by two .names blocks", b.output),
-                });
-            }
+        // Which block drives each name; a signal has one driver.
+        let mut block_of: Vec<u32> = vec![NONE; self.names.len()];
+        for (i, b) in self.blocks.iter().enumerate() {
+            let output = b.output as usize;
+            let other = if block_of[output] != NONE {
+                "two .names blocks"
+            } else if node_of[output] != NONE {
+                "a .names block and an input or latch"
+            } else {
+                block_of[output] = i as u32;
+                continue;
+            };
+            return Err(NetlistError::Parse {
+                line: b.line,
+                msg: format!("signal `{}` defined by {other}", self.name(b.output)),
+            });
         }
-        // Iterative DFS with cycle detection (giant circuits would blow
+
+        // Topologically order the .names blocks (BLIF allows any order):
+        // iterative DFS with cycle detection (giant circuits would blow
         // the call stack with the recursive form).
         #[derive(Clone, Copy, PartialEq)]
         enum Mark {
@@ -344,164 +429,180 @@ impl BlifStream {
             Grey,
             Black,
         }
-        let mut marks = vec![Mark::White; names_blocks.len()];
-        let mut order: Vec<usize> = Vec::with_capacity(names_blocks.len());
-        for root in 0..names_blocks.len() {
+        let mut marks = vec![Mark::White; self.blocks.len()];
+        let mut order: Vec<usize> = Vec::with_capacity(self.blocks.len());
+        // (block index, next fanin position to examine)
+        let mut stack: Vec<(usize, usize)> = Vec::new();
+        for root in 0..self.blocks.len() {
             if marks[root] != Mark::White {
                 continue;
             }
-            // (block index, next fanin position to examine)
-            let mut stack: Vec<(usize, usize)> = vec![(root, 0)];
+            stack.push((root, self.blocks[root].fanins.0));
             marks[root] = Mark::Grey;
-            while let Some((i, pos)) = stack.last().copied() {
-                match names_blocks[i].inputs.get(pos) {
-                    None => {
-                        marks[i] = Mark::Black;
-                        order.push(i);
-                        stack.pop();
+            while let Some(&(i, pos)) = stack.last() {
+                if pos == self.blocks[i].fanins.1 {
+                    marks[i] = Mark::Black;
+                    order.push(i);
+                    stack.pop();
+                    continue;
+                }
+                stack.last_mut().expect("stack is non-empty").1 += 1;
+                let input = self.fanin_pool[pos];
+                if node_of[input as usize] != NONE {
+                    continue;
+                }
+                let j = block_of[input as usize];
+                if j == NONE {
+                    return Err(NetlistError::Parse {
+                        line: self.blocks[i].line,
+                        msg: format!("undefined signal `{}`", self.name(input)),
+                    });
+                }
+                let j = j as usize;
+                match marks[j] {
+                    Mark::Black => {}
+                    Mark::Grey => {
+                        return Err(NetlistError::Parse {
+                            line: self.blocks[j].line,
+                            msg: format!(
+                                "combinational cycle through `{}`",
+                                self.name(self.blocks[j].output)
+                            ),
+                        })
                     }
-                    Some(input) => {
-                        stack.last_mut().expect("stack is non-empty").1 += 1;
-                        if signals.contains_key(input) {
-                            continue;
-                        }
-                        let Some(&j) = by_output.get(input.as_str()) else {
-                            return Err(NetlistError::Parse {
-                                line: names_blocks[i].line,
-                                msg: format!("undefined signal `{input}`"),
-                            });
-                        };
-                        match marks[j] {
-                            Mark::Black => {}
-                            Mark::Grey => {
-                                return Err(NetlistError::Parse {
-                                    line: names_blocks[j].line,
-                                    msg: format!(
-                                        "combinational cycle through `{}`",
-                                        names_blocks[j].output
-                                    ),
-                                })
-                            }
-                            Mark::White => {
-                                marks[j] = Mark::Grey;
-                                stack.push((j, 0));
-                            }
-                        }
+                    Mark::White => {
+                        marks[j] = Mark::Grey;
+                        stack.push((j, self.blocks[j].fanins.0));
                     }
                 }
             }
         }
 
+        let mut scratch = CoverScratch::default();
         for i in order {
-            let block = &names_blocks[i];
-            let id = build_cover(&mut net, block, &signals)?;
-            signals.insert(block.output.clone(), id);
+            let block = &self.blocks[i];
+            let id = self.build_cover(&mut net, block, i as u32, &node_of, &mut scratch)?;
+            node_of[block.output as usize] = id.index() as u32;
         }
 
         // Connect latches.
-        for (d, q, _, line) in &latch_decls {
-            let data = *signals.get(d).ok_or(NetlistError::Parse {
-                line: *line,
-                msg: format!("latch data signal `{d}` is undefined"),
-            })?;
-            let latch = signals[q];
-            net.set_latch_data(latch, data)?;
+        for latch in &self.latches {
+            let data = node_of[latch.data as usize];
+            if data == NONE {
+                return Err(NetlistError::Parse {
+                    line: latch.line,
+                    msg: format!("latch data signal `{}` is undefined", self.name(latch.data)),
+                });
+            }
+            let q = NodeId::from_index(node_of[latch.q as usize] as usize);
+            net.set_latch_data(q, NodeId::from_index(data as usize))?;
         }
 
-        for name in &output_names {
-            let driver = *signals.get(name).ok_or(NetlistError::Parse {
-                line: 0,
-                msg: format!("output signal `{name}` is undefined"),
-            })?;
-            net.add_output(name.clone(), driver)?;
+        for &(name, line) in &self.outputs {
+            let driver = node_of[name as usize];
+            if driver == NONE {
+                return Err(NetlistError::Parse {
+                    line,
+                    msg: format!("output signal `{}` is undefined", self.name(name)),
+                });
+            }
+            net.add_output(self.name(name), NodeId::from_index(driver as usize))
+                .map_err(at(line))?;
         }
         net.validate()?;
         Ok(net)
     }
-}
 
-struct NamesBlock {
-    inputs: Vec<String>,
-    output: String,
-    rows: Vec<(String, char)>,
-    line: usize,
-}
-
-/// Expands one PLA cover into AND/OR/NOT nodes.
-fn build_cover(
-    net: &mut Network,
-    block: &NamesBlock,
-    signals: &HashMap<String, NodeId>,
-) -> Result<NodeId, NetlistError> {
-    if block.inputs.is_empty() {
-        // Constant block: on-set non-empty ⇒ 1, empty ⇒ 0.
-        let value = block.rows.iter().any(|(_, o)| *o == '1');
-        let id = net.add_const(value);
-        return Ok(id);
-    }
-    let fanins: Vec<NodeId> = block
-        .inputs
-        .iter()
-        .map(|s| {
-            signals.get(s).copied().ok_or(NetlistError::Parse {
+    /// Expands block `stamp`'s PLA cover into AND/OR/NOT nodes.
+    fn build_cover(
+        &self,
+        net: &mut Network,
+        block: &NamesBlock,
+        stamp: u32,
+        node_of: &[u32],
+        scratch: &mut CoverScratch,
+    ) -> Result<NodeId, NetlistError> {
+        if block.width() == 0 {
+            // Constant block: on-set non-empty ⇒ 1, empty ⇒ 0.
+            return Ok(net.add_const(block.any_one));
+        }
+        if block.mixed {
+            return Err(NetlistError::Parse {
                 line: block.line,
-                msg: format!("undefined signal `{s}`"),
-            })
-        })
-        .collect::<Result<_, _>>()?;
-
-    // BLIF: all rows of a block share the same output phase.
-    let phase = block.rows.first().map(|(_, o)| *o).unwrap_or('1');
-    if block.rows.iter().any(|(_, o)| *o != phase) {
-        return Err(NetlistError::Parse {
-            line: block.line,
-            msg: "mixed output phases in one .names cover".into(),
-        });
-    }
-
-    // Negated literal cache so repeated literals share an inverter.
-    let mut inv: HashMap<NodeId, NodeId> = HashMap::new();
-    let mut cube_nodes: Vec<NodeId> = Vec::with_capacity(block.rows.len());
-    for (pattern, _) in &block.rows {
-        let mut literals: Vec<NodeId> = Vec::new();
-        for (ch, &src) in pattern.chars().zip(&fanins) {
-            match ch {
-                '1' => literals.push(src),
-                '0' => {
-                    let n = match inv.entry(src) {
-                        std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-                        std::collections::hash_map::Entry::Vacant(e) => {
+                msg: "mixed output phases in one .names cover".into(),
+            });
+        }
+        let fanins = &self.fanin_pool[block.fanins.0..block.fanins.1];
+        let width = fanins.len();
+        // Negated-literal cache, so repeated literals share an inverter:
+        // per node, the block that last negated it and the inverter.
+        scratch
+            .inverter
+            .resize(net.len(), (NONE, NodeId::from_index(0)));
+        scratch.cubes.clear();
+        for row in 0..block.rows {
+            let start = block.cover_start + row * width;
+            let pattern = &self.cover_pool[start..start + width];
+            scratch.literals.clear();
+            for (&ch, &name) in pattern.iter().zip(fanins) {
+                let src = NodeId::from_index(node_of[name as usize] as usize);
+                match ch {
+                    b'1' => scratch.literals.push(src),
+                    b'0' => {
+                        let (owner, inv) = scratch.inverter[src.index()];
+                        let n = if owner == stamp {
+                            inv
+                        } else {
                             let n = net.add_not(src)?;
-                            e.insert(n);
+                            scratch.inverter[src.index()] = (stamp, n);
                             n
-                        }
-                    };
-                    literals.push(n);
-                }
-                '-' => {}
-                other => {
-                    return Err(NetlistError::Parse {
-                        line: block.line,
-                        msg: format!("bad cover character `{other}`"),
-                    })
+                        };
+                        scratch.literals.push(n);
+                    }
+                    b'-' => {}
+                    _ => {
+                        // Report the offending character, not the byte.
+                        let text = std::str::from_utf8(pattern).unwrap_or_default();
+                        let bad = text
+                            .chars()
+                            .find(|c| !matches!(c, '0' | '1' | '-'))
+                            .unwrap_or(char::REPLACEMENT_CHARACTER);
+                        return Err(NetlistError::Parse {
+                            line: block.line,
+                            msg: format!("bad cover character `{bad}`"),
+                        });
+                    }
                 }
             }
+            let cube = match scratch.literals.len() {
+                0 => net.add_const(true),
+                1 => scratch.literals[0],
+                _ => net.add_and(scratch.literals.iter().copied())?,
+            };
+            scratch.cubes.push(cube);
         }
-        let cube = match literals.len() {
-            0 => net.add_const(true),
-            1 => literals[0],
-            _ => net.add_and(literals)?,
+        let sum = match scratch.cubes.len() {
+            0 => net.add_const(false),
+            1 => scratch.cubes[0],
+            _ => net.add_or(scratch.cubes.iter().copied())?,
         };
-        cube_nodes.push(cube);
+        let result = if block.phase == b'1' {
+            sum
+        } else {
+            net.add_not(sum)?
+        };
+        net.set_node_name(result, self.name(block.output))?;
+        Ok(result)
     }
-    let sum = match cube_nodes.len() {
-        0 => net.add_const(false),
-        1 => cube_nodes[0],
-        _ => net.add_or(cube_nodes)?,
-    };
-    let result = if phase == '1' { sum } else { net.add_not(sum)? };
-    net.set_node_name(result, block.output.clone())?;
-    Ok(result)
+}
+
+/// Buffers [`BlifStream::build_cover`] reuses from block to block.
+#[derive(Default)]
+struct CoverScratch {
+    /// Per network node: `(block stamp, its inverter)`.
+    inverter: Vec<(u32, NodeId)>,
+    literals: Vec<NodeId>,
+    cubes: Vec<NodeId>,
 }
 
 /// Serializes a network to BLIF text.
@@ -683,6 +784,36 @@ mod tests {
             parse_blif(".model m\n.outputs f\n.names g f\n1 1\n.names f g\n1 1\n.end\n"),
             Err(NetlistError::Parse { .. })
         ));
+    }
+
+    #[test]
+    fn errors_name_the_offending_line() {
+        let line_of = |text: &str| match parse_blif(text) {
+            Err(NetlistError::Parse { line, .. }) => line,
+            other => panic!("expected a parse error, got {other:?}"),
+        };
+        // Undefined output: the `.outputs` line that declared it.
+        assert_eq!(line_of(".model m\n.inputs a\n.outputs f\n.end\n"), 3);
+        // Duplicate input: the second declaration's line.
+        assert_eq!(
+            line_of(".model m\n.inputs a\n.inputs a\n.outputs a\n.end\n"),
+            3
+        );
+        // A latch output that is also an input.
+        assert_eq!(
+            line_of(".model m\n.inputs a\n.outputs a\n.latch a a 0\n.end\n"),
+            4
+        );
+        // A signal with two drivers: a block may not define an input.
+        assert_eq!(
+            line_of(".model m\n.inputs a b\n.outputs a\n.names b a\n0 1\n.end\n"),
+            4
+        );
+        // Duplicate output names.
+        assert_eq!(
+            line_of(".model m\n.inputs a\n.outputs a\n.outputs a\n.end\n"),
+            4
+        );
     }
 
     #[test]

@@ -338,16 +338,16 @@ impl Network {
     ///
     /// Returns the first violated invariant.
     pub fn validate(&self) -> Result<(), NetlistError> {
-        let mut seen = HashSet::new();
+        let mut seen: HashSet<&str> = HashSet::with_capacity(self.inputs.len());
         for &i in &self.inputs {
-            let name = self.nodes[i.index()].name.clone().unwrap_or_default();
-            if !seen.insert(name.clone()) {
-                return Err(NetlistError::DuplicateName(name));
+            let name = self.nodes[i.index()].name.as_deref().unwrap_or_default();
+            if !seen.insert(name) {
+                return Err(NetlistError::DuplicateName(name.to_string()));
             }
         }
-        let mut seen = HashSet::new();
+        seen.clear();
         for o in &self.outputs {
-            if !seen.insert(o.name.clone()) {
+            if !seen.insert(&o.name) {
                 return Err(NetlistError::DuplicateName(o.name.clone()));
             }
         }
