@@ -8,6 +8,11 @@
 //! [`estimate_power`](crate::power::estimate_power) /
 //! [`DominoNetwork::area_cells`](crate::DominoNetwork::area_cells) on the
 //! synthesized network (asserted by tests).
+//!
+//! The cones themselves belong to the [`DominoSynthesizer`]: each
+//! `(output, phase)` closure is computed once per synthesizer and borrowed
+//! by every accountant over it — the min-area walk's shards and the
+//! min-power search of the same job alike.
 
 use domino_netlist::NodeKind;
 
@@ -18,7 +23,7 @@ use crate::power::{
     fixed_to_power, power_to_fixed, static_switching, FixedPower, PowerModel, POWER_FRAC_BITS,
 };
 use crate::prob::NodeProbabilities;
-use crate::synth::{ConeDemand, DemandRoot, DominoGateKind, DominoSynthesizer};
+use crate::synth::{DemandRoot, DominoGateKind, DominoSynthesizer};
 
 /// What the accountant optimizes.
 #[derive(Debug, Clone)]
@@ -64,7 +69,6 @@ pub struct ConeAccountant<'a, 'p> {
     synth: &'a DominoSynthesizer<'a>,
     objective: Objective<'p>,
     current: PhaseAssignment,
-    demands: Vec<[Option<FlatDemand>; 2]>,
     /// Refcount per gate slot (`2·node + polarity`).
     gate_refs: Vec<u32>,
     inv_refs: Vec<u32>,
@@ -75,18 +79,6 @@ pub struct ConeAccountant<'a, 'p> {
     block: FixedPower,
     input_inv: FixedPower,
     output_inv: FixedPower,
-}
-
-/// A [`ConeDemand`](crate::synth::ConeDemand) pre-flattened for the
-/// accountant's innermost loop: gate demands as flat `2·node + polarity`
-/// slots into the refcount/weight arrays, complemented sources as plain
-/// node indices. Computed once per `(output, phase)` and walked on every
-/// phase change.
-#[derive(Debug)]
-struct FlatDemand {
-    gate_slots: Vec<u32>,
-    inv_slots: Vec<u32>,
-    root: DemandRoot,
 }
 
 impl<'a, 'p> ConeAccountant<'a, 'p> {
@@ -114,7 +106,6 @@ impl<'a, 'p> ConeAccountant<'a, 'p> {
             synth,
             objective,
             current: PhaseAssignment::all_positive(n),
-            demands: std::iter::repeat_with(|| [None, None]).take(n).collect(),
             gate_refs: vec![0; 2 * n_nodes],
             inv_refs: vec![0; n_nodes],
             gate_weights,
@@ -204,46 +195,16 @@ impl<'a, 'p> ConeAccountant<'a, 'p> {
         }
     }
 
-    /// Moves the (lazily computed) flattened demand of `(i, phase)` out of
-    /// the cache so the caller can walk it while mutating the refcount
-    /// arrays; must be returned with [`Self::put_demand`]. A move instead
-    /// of a clone — the cone walk is the innermost loop of both searches
-    /// and a per-walk `Vec` clone would dominate its cost.
-    fn take_demand(&mut self, i: usize, phase: Phase) -> FlatDemand {
-        let slot = phase.is_negative() as usize;
-        if self.demands[i][slot].is_none() {
-            let cd: ConeDemand = self.synth.cone_demand(i, phase);
-            self.demands[i][slot] = Some(FlatDemand {
-                gate_slots: cd
-                    .gates
-                    .iter()
-                    .map(|&(n, c)| (2 * n.index() + usize::from(c)) as u32)
-                    .collect(),
-                inv_slots: cd
-                    .complemented_sources
-                    .iter()
-                    .map(|&s| s.index() as u32)
-                    .collect(),
-                root: cd.root,
-            });
-        }
-        self.demands[i][slot].take().expect("just filled")
-    }
-
-    fn put_demand(&mut self, i: usize, phase: Phase, demand: FlatDemand) {
-        self.demands[i][phase.is_negative() as usize] = Some(demand);
-    }
-
     fn add_cone(&mut self, i: usize, phase: Phase) {
-        let demand = self.take_demand(i, phase);
-        for &slot in &demand.gate_slots {
+        let cone = self.synth.cone(i, phase);
+        for &slot in &cone.gate_slots {
             let count = &mut self.gate_refs[slot as usize];
             *count += 1;
             if *count == 1 {
                 self.block += self.gate_weights[slot as usize];
             }
         }
-        for &s in &demand.inv_slots {
+        for &s in &cone.inv_slots {
             let count = &mut self.inv_refs[s as usize];
             *count += 1;
             if *count == 1 {
@@ -251,14 +212,13 @@ impl<'a, 'p> ConeAccountant<'a, 'p> {
             }
         }
         if phase.is_negative() {
-            self.output_inv += self.output_inverter_weight(demand.root);
+            self.output_inv += self.output_inverter_weight(cone.root);
         }
-        self.put_demand(i, phase, demand);
     }
 
     fn remove_cone(&mut self, i: usize, phase: Phase) {
-        let demand = self.take_demand(i, phase);
-        for &slot in &demand.gate_slots {
+        let cone = self.synth.cone(i, phase);
+        for &slot in &cone.gate_slots {
             let count = &mut self.gate_refs[slot as usize];
             assert!(*count > 0, "removing unaccounted gate");
             *count -= 1;
@@ -266,7 +226,7 @@ impl<'a, 'p> ConeAccountant<'a, 'p> {
                 self.block -= self.gate_weights[slot as usize];
             }
         }
-        for &s in &demand.inv_slots {
+        for &s in &cone.inv_slots {
             let count = &mut self.inv_refs[s as usize];
             assert!(*count > 0, "removing unaccounted inverter");
             *count -= 1;
@@ -275,9 +235,8 @@ impl<'a, 'p> ConeAccountant<'a, 'p> {
             }
         }
         if phase.is_negative() {
-            self.output_inv -= self.output_inverter_weight(demand.root);
+            self.output_inv -= self.output_inverter_weight(cone.root);
         }
-        self.put_demand(i, phase, demand);
     }
 }
 
@@ -288,8 +247,8 @@ const AREA_UNIT: FixedPower = 1 << POWER_FRAC_BITS;
 /// Quantizes every per-element weight once, up front: the per-flip work of
 /// [`ConeAccountant`] then reduces to integer table deltas (the fix for the
 /// old per-step weight recomputation in the exhaustive power walk). Gate
-/// weights are laid out flat, `2·node + polarity`, matching
-/// [`FlatDemand::gate_slots`].
+/// weights are laid out flat, `2·node + polarity`, matching the cones'
+/// gate slots.
 fn build_weight_tables(
     synth: &DominoSynthesizer<'_>,
     objective: &Objective<'_>,
@@ -737,8 +696,10 @@ pub fn min_power_assignment(
 
     if n >= 2 {
         let mut versions = vec![0u64; n];
-        let mut removed = std::collections::HashSet::new();
         if config.k_guided {
+            // A pair has at most one heap entry at a time: it is pushed
+            // once, and re-pushed only when popped stale, so a fresh pop
+            // evaluates it exactly once and it never returns.
             let mut heap = std::collections::BinaryHeap::new();
             for i in 0..n {
                 for j in i + 1..n {
@@ -755,9 +716,6 @@ pub fn min_power_assignment(
                 }
             }
             while let Some(entry) = heap.pop() {
-                if removed.contains(&(entry.i, entry.j)) {
-                    continue;
-                }
                 if entry.version_i != versions[entry.i] || entry.version_j != versions[entry.j] {
                     // Stale: recompute under the current assignment.
                     let (pi, pj, k) = cost_model.pair_best(entry.i, entry.j, acct.assignment());
@@ -785,7 +743,6 @@ pub fn min_power_assignment(
                     &mut commits,
                     &mut versions,
                 );
-                removed.insert((entry.i, entry.j));
             }
         } else {
             // Ablation: random pair order, combination still by K.

@@ -16,8 +16,17 @@
 //! A node demanded in *both* polarities is duplicated — the trapped-inverter
 //! logic duplication of Figure 4. The resulting [`DominoNetwork`] contains
 //! only AND/OR gates over monotone rails, i.e. it is domino-implementable.
+//!
+//! Every `(node, polarity)` demand is a dense slot `2·node + polarity` —
+//! the same slots the search's [`ConeAccountant`](crate::search::ConeAccountant)
+//! counts — so the demand walk of [`DominoSynthesizer::synthesize`] keeps
+//! its visited marks and gate indices in flat arrays, not hash maps. The
+//! synthesizer also memoizes each `(output, phase)` demand closure as a
+//! [`FlatCone`] on first use: the job's min-area walk (every shard of it)
+//! and min-power search then share one copy of every cone.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use domino_netlist::{Network, NodeId, NodeKind};
 
@@ -89,18 +98,23 @@ pub enum DemandRoot {
     Constant(bool),
 }
 
-/// The polarity-demand closure of one output under one phase: exactly the
-/// domino gates and boundary inverters this output contributes. Used by the
-/// incremental accountants in [`search`](crate::search).
+/// The polarity-demand closure of one output under one phase — exactly
+/// the domino gates and boundary inverters this output contributes —
+/// flattened for the incremental accountants in [`search`](crate::search).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConeDemand {
-    /// Demanded `(node, complemented)` gate pairs, deduplicated.
-    pub gates: Vec<(NodeId, bool)>,
-    /// Sources demanded complemented (each costs one input inverter, shared
-    /// across outputs).
-    pub complemented_sources: Vec<NodeId>,
+pub(crate) struct FlatCone {
+    /// Demanded gates as `2·node + polarity` slots, deduplicated.
+    pub(crate) gate_slots: Vec<u32>,
+    /// Node indices of the sources demanded complemented (each costs one
+    /// input inverter, shared across outputs).
+    pub(crate) inv_slots: Vec<u32>,
     /// Where the output's own demand lands.
-    pub root: DemandRoot,
+    pub(crate) root: DemandRoot,
+}
+
+/// The demand slot of `node` in polarity `complemented`.
+fn slot(node: NodeId, complemented: bool) -> usize {
+    2 * node.index() + usize::from(complemented)
 }
 
 /// One output of a synthesized [`DominoNetwork`].
@@ -120,7 +134,6 @@ pub struct DominoOutput {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DominoNetwork {
     gates: Vec<DominoGate>,
-    gate_index: HashMap<(NodeId, bool), usize>,
     input_inverters: Vec<NodeId>,
     outputs: Vec<DominoOutput>,
     sources: Vec<NodeId>,
@@ -201,10 +214,12 @@ impl DominoNetwork {
     /// Number of original nodes realized in *both* polarities — the
     /// trapped-inverter duplication of Figure 4.
     pub fn duplicated_node_count(&self) -> usize {
-        self.gate_index
-            .keys()
-            .filter(|(n, c)| *c && self.gate_index.contains_key(&(*n, false)))
-            .count()
+        let len = self.gates.iter().map(|g| g.source.index() + 1).max();
+        let mut polarities = vec![0u8; len.unwrap_or(0)];
+        for g in &self.gates {
+            polarities[g.source.index()] |= 1 << u8::from(g.complemented);
+        }
+        polarities.iter().filter(|&&p| p == 3).count()
     }
 
     /// `true` if the block contains no logical inverters (always holds by
@@ -498,6 +513,9 @@ pub struct DominoSynthesizer<'a> {
     net: &'a Network,
     view_outputs: Vec<ViewOutput>,
     sources: Vec<NodeId>,
+    /// `cones[2·output + phase]`, filled on first use; a `OnceLock` so the
+    /// sharded Gray walk's threads share them.
+    cones: Vec<OnceLock<FlatCone>>,
 }
 
 impl<'a> DominoSynthesizer<'a> {
@@ -535,10 +553,14 @@ impl<'a> DominoSynthesizer<'a> {
             .chain(net.latches().iter())
             .copied()
             .collect();
+        let cones = std::iter::repeat_with(OnceLock::new)
+            .take(2 * view_outputs.len())
+            .collect();
         Ok(DominoSynthesizer {
             net,
             view_outputs,
             sources,
+            cones,
         })
     }
 
@@ -615,47 +637,50 @@ impl<'a> DominoSynthesizer<'a> {
 
     /// The demand closure of a single output under a given phase — the set
     /// of gates and boundary inverters it requires (Figure 3's "zone that
-    /// must become inverterless").
-    pub fn cone_demand(&self, output: usize, phase: Phase) -> ConeDemand {
+    /// must become inverterless"). Computed on first use, then shared.
+    pub(crate) fn cone(&self, output: usize, phase: Phase) -> &FlatCone {
+        self.cones[2 * output + usize::from(phase.is_negative())]
+            .get_or_init(|| self.demand_closure(output, phase))
+    }
+
+    fn demand_closure(&self, output: usize, phase: Phase) -> FlatCone {
         let driver = self.view_outputs[output].driver;
         let root = self.resolve(driver, phase.is_negative());
-        let mut gates = Vec::new();
-        // Dense visited sets (bit 0 = direct, bit 1 = complemented): the
-        // demand walk feeds the search accountants, where hash probes per
-        // gate were measurable.
-        let mut seen = vec![0u8; self.net.len()];
-        let mut neg_sources: Vec<NodeId> = Vec::new();
+        let mut gate_slots = Vec::new();
+        let mut inv_slots = Vec::new();
+        // Dense visited marks: one per gate slot, one per source.
+        let mut seen = vec![false; 2 * self.net.len()];
         let mut neg_seen = vec![false; self.net.len()];
         let mut stack: Vec<(NodeId, bool)> = Vec::new();
         match root {
             DemandRoot::Node(n, c) => stack.push((n, c)),
             DemandRoot::Source(s, true) => {
                 neg_seen[s.index()] = true;
-                neg_sources.push(s);
+                inv_slots.push(s.index() as u32);
             }
             _ => {}
         }
         while let Some((n, c)) = stack.pop() {
-            let mark = 1u8 << u8::from(c);
-            if seen[n.index()] & mark != 0 {
+            let at = slot(n, c);
+            if seen[at] {
                 continue;
             }
-            seen[n.index()] |= mark;
-            gates.push((n, c));
+            seen[at] = true;
+            gate_slots.push(at as u32);
             for &f in self.net.node(n).comb_fanins() {
                 match self.resolve(f, c) {
                     DemandRoot::Node(m, mc) => stack.push((m, mc)),
                     DemandRoot::Source(s, true) if !neg_seen[s.index()] => {
                         neg_seen[s.index()] = true;
-                        neg_sources.push(s);
+                        inv_slots.push(s.index() as u32);
                     }
                     _ => {}
                 }
             }
         }
-        ConeDemand {
-            gates,
-            complemented_sources: neg_sources,
+        FlatCone {
+            gate_slots,
+            inv_slots,
             root,
         }
     }
@@ -674,65 +699,62 @@ impl<'a> DominoSynthesizer<'a> {
             });
         }
         // Demand closure with explicit post-order so gates come out
-        // topologically sorted.
-        let mut state: HashMap<(NodeId, bool), u8> = HashMap::new(); // 1 = open, 2 = done
-        let mut postorder: Vec<(NodeId, bool)> = Vec::new();
-        let mut neg_sources: Vec<NodeId> = Vec::new();
-        let mut neg_seen: HashMap<NodeId, ()> = HashMap::new();
-
-        let mut roots: Vec<DemandRoot> = Vec::with_capacity(self.view_outputs.len());
-        for (i, vo) in self.view_outputs.iter().enumerate() {
-            roots.push(self.resolve(vo.driver, assignment.phase(i).is_negative()));
-        }
+        // topologically sorted: a slot's gate index is its post-order
+        // position.
+        let mut walk = DemandWalk {
+            gate_of: vec![UNSEEN; 2 * self.net.len()],
+            postorder: Vec::new(),
+            neg_sources: Vec::new(),
+            neg_seen: vec![false; self.net.len()],
+            stack: Vec::new(),
+        };
+        let roots: Vec<DemandRoot> = self
+            .view_outputs
+            .iter()
+            .enumerate()
+            .map(|(i, vo)| self.resolve(vo.driver, assignment.phase(i).is_negative()))
+            .collect();
         for &root in &roots {
             match root {
-                DemandRoot::Node(n, c) => {
-                    self.demand_dfs(
-                        n,
-                        c,
-                        &mut state,
-                        &mut postorder,
-                        &mut neg_sources,
-                        &mut neg_seen,
-                    );
-                }
-                DemandRoot::Source(s, true) if neg_seen.insert(s, ()).is_none() => {
-                    neg_sources.push(s);
-                }
+                DemandRoot::Node(n, c) => self.demand_dfs(n, c, &mut walk),
+                DemandRoot::Source(s, true) => walk.negate(s),
                 _ => {}
             }
         }
 
         // Emit gates in post-order.
-        let mut gate_index: HashMap<(NodeId, bool), usize> = HashMap::new();
-        let mut gates: Vec<DominoGate> = Vec::with_capacity(postorder.len());
-        for &(n, c) in &postorder {
-            let node = self.net.node(n);
-            let kind = match (node.kind, c) {
-                (NodeKind::And, false) | (NodeKind::Or, true) => DominoGateKind::And,
-                (NodeKind::Or, false) | (NodeKind::And, true) => DominoGateKind::Or,
-                _ => unreachable!("demand closure only contains and/or nodes"),
-            };
-            let fanins = node
-                .comb_fanins()
-                .iter()
-                .map(|&f| match self.resolve(f, c) {
-                    DemandRoot::Node(m, mc) => DominoRef::Gate(gate_index[&(m, mc)]),
-                    DemandRoot::Source(s, sc) => DominoRef::Source {
-                        node: s,
-                        complemented: sc,
-                    },
-                    DemandRoot::Constant(v) => DominoRef::Constant(v),
-                })
-                .collect();
-            gate_index.insert((n, c), gates.len());
-            gates.push(DominoGate {
-                source: n,
-                complemented: c,
-                kind,
-                fanins,
-            });
-        }
+        let gate_of = &walk.gate_of;
+        let domino_ref = |root: DemandRoot| match root {
+            DemandRoot::Node(n, c) => DominoRef::Gate(gate_of[slot(n, c)] as usize),
+            DemandRoot::Source(s, sc) => DominoRef::Source {
+                node: s,
+                complemented: sc,
+            },
+            DemandRoot::Constant(v) => DominoRef::Constant(v),
+        };
+        let gates: Vec<DominoGate> = walk
+            .postorder
+            .iter()
+            .map(|&(n, c)| {
+                let node = self.net.node(n);
+                let kind = match (node.kind, c) {
+                    (NodeKind::And, false) | (NodeKind::Or, true) => DominoGateKind::And,
+                    (NodeKind::Or, false) | (NodeKind::And, true) => DominoGateKind::Or,
+                    _ => unreachable!("demand closure only contains and/or nodes"),
+                };
+                let fanins = node
+                    .comb_fanins()
+                    .iter()
+                    .map(|&f| domino_ref(self.resolve(f, c)))
+                    .collect();
+                DominoGate {
+                    source: n,
+                    complemented: c,
+                    kind,
+                    fanins,
+                }
+            })
+            .collect();
 
         let outputs = self
             .view_outputs
@@ -741,14 +763,7 @@ impl<'a> DominoSynthesizer<'a> {
             .enumerate()
             .map(|(i, (vo, &root))| DominoOutput {
                 name: vo.name.clone(),
-                driver: match root {
-                    DemandRoot::Node(n, c) => DominoRef::Gate(gate_index[&(n, c)]),
-                    DemandRoot::Source(s, c) => DominoRef::Source {
-                        node: s,
-                        complemented: c,
-                    },
-                    DemandRoot::Constant(v) => DominoRef::Constant(v),
-                },
+                driver: domino_ref(root),
                 phase: assignment.phase(i),
                 is_latch_data: vo.is_latch_data,
             })
@@ -765,8 +780,7 @@ impl<'a> DominoSynthesizer<'a> {
             .collect();
         Ok(DominoNetwork {
             gates,
-            gate_index,
-            input_inverters: neg_sources,
+            input_inverters: walk.neg_sources,
             outputs,
             sources: self.sources.clone(),
             latch_inits,
@@ -774,48 +788,59 @@ impl<'a> DominoSynthesizer<'a> {
         })
     }
 
-    fn demand_dfs(
-        &self,
-        root_n: NodeId,
-        root_c: bool,
-        state: &mut HashMap<(NodeId, bool), u8>,
-        postorder: &mut Vec<(NodeId, bool)>,
-        neg_sources: &mut Vec<NodeId>,
-        neg_seen: &mut HashMap<NodeId, ()>,
-    ) {
+    fn demand_dfs(&self, root_n: NodeId, root_c: bool, walk: &mut DemandWalk) {
         // Iterative DFS with an explicit frame stack: (node, comp, child idx).
-        if state.contains_key(&(root_n, root_c)) {
+        if walk.gate_of[slot(root_n, root_c)] != UNSEEN {
             return;
         }
-        let mut stack: Vec<((NodeId, bool), usize)> = vec![((root_n, root_c), 0)];
-        state.insert((root_n, root_c), 1);
-        while !stack.is_empty() {
-            let ((n, c), child) = {
-                let top = stack.last_mut().expect("stack is non-empty");
-                let frame = (top.0, top.1);
-                top.1 += 1;
-                frame
-            };
+        walk.gate_of[slot(root_n, root_c)] = OPEN;
+        walk.stack.push(((root_n, root_c), 0));
+        while let Some(top) = walk.stack.last_mut() {
+            let ((n, c), child) = *top;
+            top.1 += 1;
             let fanins = self.net.node(n).comb_fanins();
             if child < fanins.len() {
-                let f = fanins[child];
-                match self.resolve(f, c) {
-                    DemandRoot::Node(m, mc) => {
-                        if let std::collections::hash_map::Entry::Vacant(e) = state.entry((m, mc)) {
-                            e.insert(1);
-                            stack.push(((m, mc), 0));
-                        }
+                match self.resolve(fanins[child], c) {
+                    DemandRoot::Node(m, mc) if walk.gate_of[slot(m, mc)] == UNSEEN => {
+                        walk.gate_of[slot(m, mc)] = OPEN;
+                        walk.stack.push(((m, mc), 0));
                     }
-                    DemandRoot::Source(s, true) if neg_seen.insert(s, ()).is_none() => {
-                        neg_sources.push(s);
-                    }
+                    DemandRoot::Source(s, true) => walk.negate(s),
                     _ => {}
                 }
             } else {
-                state.insert((n, c), 2);
-                postorder.push((n, c));
-                stack.pop();
+                walk.gate_of[slot(n, c)] = walk.postorder.len() as u32;
+                walk.postorder.push((n, c));
+                walk.stack.pop();
             }
+        }
+    }
+}
+
+/// A demand slot not reached yet.
+const UNSEEN: u32 = u32::MAX;
+
+/// A demand slot on the DFS stack, its gate index not known yet.
+const OPEN: u32 = u32::MAX - 1;
+
+/// The state of [`DominoSynthesizer::synthesize`]'s demand walk, over
+/// dense `2·node + polarity` slots.
+struct DemandWalk {
+    /// Per slot: [`UNSEEN`], [`OPEN`], or the gate index it was emitted at.
+    gate_of: Vec<u32>,
+    postorder: Vec<(NodeId, bool)>,
+    /// Sources demanded complemented, in first-demand order.
+    neg_sources: Vec<NodeId>,
+    neg_seen: Vec<bool>,
+    stack: Vec<((NodeId, bool), usize)>,
+}
+
+impl DemandWalk {
+    /// Records a demand for source `s`'s complemented rail.
+    fn negate(&mut self, s: NodeId) {
+        if !self.neg_seen[s.index()] {
+            self.neg_seen[s.index()] = true;
+            self.neg_sources.push(s);
         }
     }
 }
@@ -996,29 +1021,31 @@ mod tests {
     }
 
     #[test]
-    fn cone_demand_matches_synthesis() {
+    fn cones_match_synthesis() {
         let net = fig_functions();
         let synth = DominoSynthesizer::new(&net).unwrap();
         for bits in 0..4u64 {
             let pa = PhaseAssignment::from_bits(2, bits);
             let d = synth.synthesize(&pa).unwrap();
             // Union of per-output demands = synthesized gates.
-            let mut union: std::collections::HashSet<(NodeId, bool)> =
-                std::collections::HashSet::new();
-            let mut inv_union: std::collections::HashSet<NodeId> = std::collections::HashSet::new();
+            let mut union: std::collections::HashSet<u32> = std::collections::HashSet::new();
+            let mut inv_union: std::collections::HashSet<u32> = std::collections::HashSet::new();
             for i in 0..2 {
-                let cd = synth.cone_demand(i, pa.phase(i));
-                union.extend(cd.gates.iter().copied());
-                inv_union.extend(cd.complemented_sources.iter().copied());
+                let cone = synth.cone(i, pa.phase(i));
+                union.extend(cone.gate_slots.iter().copied());
+                inv_union.extend(cone.inv_slots.iter().copied());
             }
-            let gates: std::collections::HashSet<(NodeId, bool)> = d
+            let gates: std::collections::HashSet<u32> = d
                 .gates()
                 .iter()
-                .map(|g| (g.source, g.complemented))
+                .map(|g| slot(g.source, g.complemented) as u32)
                 .collect();
             assert_eq!(union, gates, "assignment {pa}");
-            let invs: std::collections::HashSet<NodeId> =
-                d.input_inverters().iter().copied().collect();
+            let invs: std::collections::HashSet<u32> = d
+                .input_inverters()
+                .iter()
+                .map(|s| s.index() as u32)
+                .collect();
             assert_eq!(inv_union, invs, "assignment {pa}");
         }
     }
