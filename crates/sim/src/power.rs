@@ -16,6 +16,14 @@
 //! * a **flip-flop** pays clock capacitance every cycle and switches its
 //!   output load when its state changes.
 //!
+//! [`measure_power`] compiles the mapped netlist once per call: every rail
+//! becomes an index into one word array laid out
+//! `[sources | cells | 0 | !0]`, cell fanins become CSR ranges of those
+//! indices, and cells are grouped by event rule. A simulation step then
+//! evaluates and counts with indexed loads and writes each cell word in
+//! place; the only words it keeps from the previous step are those of the
+//! input inverters, whose events are toggles.
+//!
 //! Switching events are accumulated per cell as *integer popcounts* of the
 //! packed value words and converted to `f64` exactly once at the end, so
 //! totals are independent of accumulation order — the property that makes
@@ -227,93 +235,172 @@ pub(crate) fn finalize_power(
     }
 }
 
-/// Cell indices grouped by event rule, hoisted out of the per-word
-/// counting loop: three tight popcount loops instead of a per-cell class
-/// match. Shared read-only across shards.
-struct CellClasses {
+/// How a compiled cell combines its fanin words. A domino buffer is a
+/// one-fanin `And`.
+#[derive(Debug, Clone, Copy)]
+enum CellOp {
+    And,
+    Or,
+    Not,
+}
+
+/// A [`MappedNetlist`] compiled for word-parallel simulation (see the
+/// module docs). Shared read-only across shards.
+struct CompiledNetlist {
+    /// Source rails, primary inputs first: word indices `0..sources`.
+    sources: usize,
+    pis: usize,
+    /// Per cell: its operation; cell `i` is word `sources + i`.
+    ops: Vec<CellOp>,
+    /// CSR offsets: cell `i` reads the words
+    /// `fanins[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<u32>,
+    fanins: Vec<u32>,
+    /// Cell indices by event rule.
     domino: Vec<u32>,
     input_inv: Vec<u32>,
     output_inv: Vec<u32>,
+    /// Per flop: the word of its data input and of the rail it drives.
+    dff_data: Vec<u32>,
+    dff_source: Vec<u32>,
 }
 
-impl CellClasses {
-    fn of(mapped: &MappedNetlist) -> Self {
-        let mut classes = CellClasses {
+impl CompiledNetlist {
+    fn new(mapped: &MappedNetlist) -> Self {
+        let sources = mapped.source_count();
+        let cells = mapped.cells().len();
+        let word = |r: MappedRef| -> u32 {
+            let index = match r {
+                MappedRef::Source(i) => i,
+                MappedRef::Cell(i) => sources + i,
+                MappedRef::Const(v) => sources + cells + usize::from(v),
+            };
+            u32::try_from(index).expect("netlist rail count exceeds u32::MAX")
+        };
+        let mut net = CompiledNetlist {
+            sources,
+            pis: mapped.pi_count(),
+            ops: Vec::with_capacity(cells),
+            offsets: Vec::with_capacity(cells + 1),
+            fanins: Vec::new(),
             domino: Vec::new(),
             input_inv: Vec::new(),
             output_inv: Vec::new(),
+            dff_data: mapped.dffs().iter().map(|d| word(d.data)).collect(),
+            dff_source: mapped
+                .dffs()
+                .iter()
+                .map(|d| d.source_index as u32)
+                .collect(),
         };
+        net.offsets.push(0);
         for (i, cell) in mapped.cells().iter().enumerate() {
             let i = i as u32;
-            match cell.class {
-                CellClass::DominoAnd | CellClass::DominoOr | CellClass::DominoBuf => {
-                    classes.domino.push(i);
+            let op = match cell.class {
+                CellClass::DominoAnd | CellClass::DominoBuf => {
+                    net.domino.push(i);
+                    CellOp::And
                 }
-                CellClass::InputInv => classes.input_inv.push(i),
-                CellClass::OutputInv => classes.output_inv.push(i),
+                CellClass::DominoOr => {
+                    net.domino.push(i);
+                    CellOp::Or
+                }
+                CellClass::InputInv => {
+                    net.input_inv.push(i);
+                    CellOp::Not
+                }
+                CellClass::OutputInv => {
+                    net.output_inv.push(i);
+                    CellOp::Not
+                }
                 CellClass::Dff => unreachable!("flops are not in cells"),
-            }
+            };
+            net.ops.push(op);
+            net.fanins.extend(cell.fanins.iter().map(|&f| word(f)));
+            net.offsets.push(net.fanins.len() as u32);
         }
-        classes
+        net
+    }
+
+    /// A fresh word array: every flop rail at its reset value, the two
+    /// constant words set, everything else zero.
+    fn initial_words(&self, mapped: &MappedNetlist) -> Vec<u64> {
+        let cells = self.ops.len();
+        let mut words = vec![0u64; self.sources + cells + 2];
+        for dff in mapped.dffs() {
+            words[dff.source_index] = broadcast(dff.init);
+        }
+        words[self.sources + cells + 1] = !0;
+        words
+    }
+
+    /// Evaluates every cell, in topological order, from the source words.
+    fn eval(&self, words: &mut [u64]) {
+        for (i, op) in self.ops.iter().enumerate() {
+            let fanins = &self.fanins[self.offsets[i] as usize..self.offsets[i + 1] as usize];
+            words[self.sources + i] = match op {
+                CellOp::And => fanins.iter().fold(!0, |acc, &f| acc & words[f as usize]),
+                CellOp::Or => fanins.iter().fold(0, |acc, &f| acc | words[f as usize]),
+                CellOp::Not => !words[fanins[0] as usize],
+            };
+        }
     }
 }
 
-/// One word-step of the packed mapped-netlist simulation.
+/// One shard's simulation state over a [`CompiledNetlist`].
 struct PackedPowerSim<'a> {
-    mapped: &'a MappedNetlist,
-    classes: &'a CellClasses,
+    net: &'a CompiledNetlist,
     vectors: PackedVectorSource,
-    source_words: Vec<u64>,
-    prev_cell_words: Vec<u64>,
-    cell_words: Vec<u64>,
-    pi_words: Vec<u64>,
+    words: Vec<u64>,
+    /// Each input inverter's word of the previous step.
+    prev_input_inv: Vec<u64>,
     dff_next: Vec<u64>,
 }
 
 impl PackedPowerSim<'_> {
     /// Advances every lane one cycle; counts events on lanes in `mask`.
     fn step(&mut self, mask: u64, counters: &mut PowerCounters) {
-        self.vectors.next_words(&mut self.pi_words);
-        let pi_count = self.mapped.pi_count();
-        self.source_words[..pi_count].copy_from_slice(&self.pi_words);
-        self.mapped
-            .eval_cells_packed(&self.source_words, &mut self.cell_words);
+        let net = self.net;
+        self.vectors.next_words(&mut self.words[..net.pis]);
+        net.eval(&mut self.words);
 
+        let cells = &self.words[net.sources..];
         if mask != 0 {
-            for &i in &self.classes.domino {
+            for &i in &net.domino {
                 let i = i as usize;
-                let events = self.cell_words[i] & mask;
+                let events = cells[i] & mask;
                 counters.cell_events[i] += u64::from(events.count_ones());
             }
-            for &i in &self.classes.input_inv {
+            for (&i, &prev) in net.input_inv.iter().zip(&self.prev_input_inv) {
                 let i = i as usize;
-                let events = (self.cell_words[i] ^ self.prev_cell_words[i]) & mask;
+                let events = (cells[i] ^ prev) & mask;
                 counters.cell_events[i] += u64::from(events.count_ones());
             }
             // Pulses with its domino driver (driver high ⇔ inverter output
             // low).
-            for &i in &self.classes.output_inv {
+            for &i in &net.output_inv {
                 let i = i as usize;
-                let events = !self.cell_words[i] & mask;
+                let events = !cells[i] & mask;
                 counters.cell_events[i] += u64::from(events.count_ones());
             }
         }
-        self.prev_cell_words.copy_from_slice(&self.cell_words);
+        for (prev, &i) in self.prev_input_inv.iter_mut().zip(&net.input_inv) {
+            *prev = cells[i as usize];
+        }
 
         // Clock the flops simultaneously: every data input samples the
         // rails of *this* cycle before any flop output moves, so a flop
         // chained directly to another flop's rail sees its pre-edge value.
-        for (j, dff) in self.mapped.dffs().iter().enumerate() {
-            self.dff_next[j] = self
-                .mapped
-                .ref_word(dff.data, &self.source_words, &self.cell_words);
+        for (next, &d) in self.dff_next.iter_mut().zip(&net.dff_data) {
+            *next = self.words[d as usize];
         }
-        for (j, dff) in self.mapped.dffs().iter().enumerate() {
+        for (j, (&next, &s)) in self.dff_next.iter().zip(&net.dff_source).enumerate() {
+            let s = s as usize;
             if mask != 0 {
-                let flips = (self.dff_next[j] ^ self.source_words[dff.source_index]) & mask;
+                let flips = (next ^ self.words[s]) & mask;
                 counters.dff_events[j] += u64::from(flips.count_ones());
             }
-            self.source_words[dff.source_index] = self.dff_next[j];
+            self.words[s] = next;
         }
     }
 }
@@ -351,23 +438,16 @@ pub fn measure_power(
     );
     let loads = mapped.load_caps_ff(lib);
     let source_loads = dff_source_loads(mapped, lib);
-    let classes = CellClasses::of(mapped);
+    let net = CompiledNetlist::new(mapped);
     let plan = shard_plan(config);
     let tol = f64::from(config.adaptive_tol_ppm) * 1e-6;
 
     let run_shard = |slice: &ShardSlice| -> PowerShardOutput {
-        let mut source_words = vec![0u64; mapped.source_count()];
-        for dff in mapped.dffs() {
-            source_words[dff.source_index] = broadcast(dff.init);
-        }
         let mut sim = PackedPowerSim {
-            mapped,
-            classes: &classes,
+            net: &net,
             vectors: PackedVectorSource::new(pi_probs, slice.seed),
-            source_words,
-            prev_cell_words: vec![0u64; mapped.cells().len()],
-            cell_words: Vec::new(),
-            pi_words: vec![0u64; mapped.pi_count()],
+            words: net.initial_words(mapped),
+            prev_input_inv: vec![0u64; net.input_inv.len()],
             dff_next: vec![0u64; mapped.dffs().len()],
         };
         let mut counters = PowerCounters {
@@ -841,6 +921,53 @@ mod tests {
         assert!(report.total_ma() > 0.0);
         // The toggling flop generates events.
         assert!(report.switch_events > 0);
+    }
+
+    #[test]
+    fn compiled_eval_agrees_with_scalar_lane_by_lane() {
+        // f = !(a·b) + c under a mixed phase assignment exercises every
+        // cell class except Dff; a 5-input AND adds a decomposed tree.
+        let mut net = Network::new("pk");
+        let ins: Vec<_> = (0..5)
+            .map(|i| net.add_input(format!("i{i}")).unwrap())
+            .collect();
+        let ab = net.add_and([ins[0], ins[1]]).unwrap();
+        let nab = net.add_not(ab).unwrap();
+        let f = net.add_or([nab, ins[2]]).unwrap();
+        let wide = net.add_and(ins.iter().copied()).unwrap();
+        net.add_output("f", f).unwrap();
+        net.add_output("g", ab).unwrap();
+        net.add_output("w", wide).unwrap();
+        let synth = DominoSynthesizer::new(&net).unwrap();
+        let lib = domino_techmap::Library::standard();
+        for bits in 0..8u64 {
+            let domino = synth
+                .synthesize(&PhaseAssignment::from_bits(3, bits))
+                .unwrap();
+            let mapped = map(&domino, &lib);
+            let compiled = CompiledNetlist::new(&mapped);
+            let mut words = compiled.initial_words(&mapped);
+            // All 32 input patterns across lanes 0..32.
+            for lane in 0..32usize {
+                for (i, w) in words[..5].iter_mut().enumerate() {
+                    if (lane >> i) & 1 == 1 {
+                        *w |= 1 << lane;
+                    }
+                }
+            }
+            compiled.eval(&mut words);
+            for lane in 0..32usize {
+                let values: Vec<bool> = (0..5).map(|i| (words[i] >> lane) & 1 == 1).collect();
+                let scalar = mapped.eval_cells(&values);
+                for (i, &v) in scalar.iter().enumerate() {
+                    assert_eq!(
+                        (words[5 + i] >> lane) & 1 == 1,
+                        v,
+                        "bits {bits} lane {lane} cell {i}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

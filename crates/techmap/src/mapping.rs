@@ -148,56 +148,6 @@ impl MappedNetlist {
         values
     }
 
-    /// Resolves a rail's packed value (64 simulation lanes per word) given
-    /// source words and already computed cell words.
-    pub fn ref_word(&self, r: MappedRef, sources: &[u64], cell_words: &[u64]) -> u64 {
-        match r {
-            MappedRef::Cell(i) => cell_words[i],
-            MappedRef::Source(i) => sources[i],
-            MappedRef::Const(v) => {
-                if v {
-                    !0
-                } else {
-                    0
-                }
-            }
-        }
-    }
-
-    /// Bit-parallel variant of [`MappedNetlist::eval_cells`]: every word
-    /// carries 64 independent simulation lanes and each cell evaluates as
-    /// one word-wide boolean operation. `values` is resized to the cell
-    /// count and fully overwritten (reuse the buffer across cycles to stay
-    /// allocation-free).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sources` does not match [`MappedNetlist::source_count`].
-    pub fn eval_cells_packed(&self, sources: &[u64], values: &mut Vec<u64>) {
-        assert_eq!(sources.len(), self.source_count(), "source word count");
-        values.clear();
-        values.resize(self.cells.len(), 0);
-        for i in 0..self.cells.len() {
-            let cell = &self.cells[i];
-            let w = match cell.class {
-                CellClass::DominoAnd => cell
-                    .fanins
-                    .iter()
-                    .fold(!0u64, |acc, &f| acc & self.ref_word(f, sources, values)),
-                CellClass::DominoOr => cell
-                    .fanins
-                    .iter()
-                    .fold(0u64, |acc, &f| acc | self.ref_word(f, sources, values)),
-                CellClass::DominoBuf => self.ref_word(cell.fanins[0], sources, values),
-                CellClass::InputInv | CellClass::OutputInv => {
-                    !self.ref_word(cell.fanins[0], sources, values)
-                }
-                CellClass::Dff => unreachable!("flip-flops live in dffs, not cells"),
-            };
-            values[i] = w;
-        }
-    }
-
     /// Evaluates the primary outputs for one cycle.
     pub fn eval_outputs(&self, sources: &[bool]) -> Vec<bool> {
         let values = self.eval_cells(sources);
@@ -402,45 +352,6 @@ mod tests {
         let mut one_false = all_true.clone();
         one_false[7] = false;
         assert_eq!(mapped.eval_outputs(&one_false), vec![false]);
-    }
-
-    #[test]
-    fn packed_cell_eval_agrees_with_scalar_lane_by_lane() {
-        // f = !(a·b) + c under a mixed phase assignment exercises every
-        // cell class except Dff.
-        let mut net = Network::new("pk");
-        let a = net.add_input("a").unwrap();
-        let b = net.add_input("b").unwrap();
-        let c = net.add_input("c").unwrap();
-        let ab = net.add_and([a, b]).unwrap();
-        let nab = net.add_not(ab).unwrap();
-        let f = net.add_or([nab, c]).unwrap();
-        net.add_output("f", f).unwrap();
-        net.add_output("g", ab).unwrap();
-        let (mapped, _) = map_network(&net, 0b01);
-        let mut words = vec![0u64; mapped.source_count()];
-        for lane in 0..8usize {
-            for (i, w) in words.iter_mut().enumerate() {
-                if (lane >> i) & 1 == 1 {
-                    *w |= 1 << lane;
-                }
-            }
-        }
-        let mut packed = Vec::new();
-        mapped.eval_cells_packed(&words, &mut packed);
-        for lane in 0..8usize {
-            let bits: Vec<bool> = (0..mapped.source_count())
-                .map(|i| (words[i] >> lane) & 1 == 1)
-                .collect();
-            let scalar = mapped.eval_cells(&bits);
-            for i in 0..scalar.len() {
-                assert_eq!(
-                    (packed[i] >> lane) & 1 == 1,
-                    scalar[i],
-                    "lane {lane} cell {i}"
-                );
-            }
-        }
     }
 
     #[test]
