@@ -595,9 +595,11 @@ fn route(shared: &Arc<GwShared>, request: Request, responder: Responder) {
             responder.respond(200, &[], body.as_bytes());
         }
         ("POST", "/shutdown") => {
+            // Drain first: a client that reacts to this answer must find
+            // admissions already closed.
+            shared.begin_shutdown();
             let body = Json::obj(vec![("status", Json::Str("shutting-down".into()))]);
             responder.respond_close(200, &[], body.serialize().as_bytes());
-            shared.begin_shutdown();
         }
         ("POST", "/jobs") => {
             let shared2 = Arc::clone(shared);

@@ -345,6 +345,31 @@ fn job_ids_and_event_streams_are_gateway_scoped() {
 /// caller with a visibly *truncated* stream (an I/O error) — never a
 /// well-formed, terminated stream missing its terminal event. Uses a
 /// scripted fake backend so the mid-stream death is deterministic.
+/// `POST /shutdown` closes admissions before it answers: a submission
+/// sent as soon as the 200 is read is refused — a 503 "gateway is
+/// draining" if its connection is still open, else the closed connection
+/// itself — and never relayed to a backend.
+#[test]
+fn submissions_after_the_shutdown_answer_are_refused() {
+    let (backend, backend_addr) = start_backend(None);
+    let (gateway, client) = start_gateway(vec![backend_addr]);
+    let spec = public_specs().swap_remove(1);
+    // Warm the client's connection pool so the submission below can go
+    // out on an already open connection.
+    client.healthz().expect("gateway is up");
+    client.shutdown().expect("shutdown accepted");
+    match client.submit(&spec) {
+        Err(ClientError::Api {
+            status: 503, error, ..
+        }) if error.contains("gateway is draining") => {}
+        Err(ClientError::Unreachable(_) | ClientError::Io(_)) => {}
+        other => panic!("expected refusal during the drain, got {other:?}"),
+    }
+    gateway.wait();
+    assert_eq!(backend.metrics().submitted, 0, "no job reached the backend");
+    backend.shutdown();
+}
+
 #[test]
 fn truncated_backend_event_stream_is_not_forged_complete() {
     use domino_serve::front::{FrontConfig, HttpFront, Responder};
