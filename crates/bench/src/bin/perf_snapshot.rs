@@ -1,7 +1,7 @@
 //! Machine-readable performance snapshot of the hot paths: full MA-vs-MP
-//! flow wall time, BDD construction, warm probability evaluation, the
-//! min-power search, and packed power simulation, per public-suite
-//! circuit; a `serve` section measuring the `dominod` service (cold vs
+//! flow wall time, inline-BLIF ingestion, BDD construction, warm
+//! probability evaluation, the min-power search, synthesis of its
+//! assignment, and packed power simulation, per public-suite circuit; a `serve` section measuring the `dominod` service (cold vs
 //! warm-cache throughput and latency, via the same harness as
 //! `serve_bench`) — plus the CI perf-regression gate.
 //!
@@ -158,6 +158,12 @@ fn main() -> ExitCode {
         let flow_ms = best_ms(samples, || {
             experiment.compare(bench.name, net).expect("flow runs")
         });
+        // Ingestion as a submitted job sees it: the row as inline BLIF,
+        // parsed and keyed by `JobSpec::resolve`.
+        let inline = JobSpec::for_network(bench.name, net);
+        let ingest_ms = best_ms(samples, || {
+            inline.clone().resolve().expect("inline BLIF resolves")
+        });
         let build_ms = best_ms(samples, || CircuitBdds::build(net).expect("bdds build"));
         let bdds = CircuitBdds::build(net).expect("bdds build");
         // One untimed warm-up eval, then timed warm evaluations: after the
@@ -171,15 +177,21 @@ fn main() -> ExitCode {
             compute_probabilities(net, &pi, &flow_config.probability).expect("probabilities");
         let synth = DominoSynthesizer::new(net).expect("synthesizer");
         let n = synth.view_outputs().len();
-        let search_ms = best_ms(samples, || {
-            min_power_assignment(
-                &synth,
-                &probs,
-                PhaseAssignment::all_positive(n),
-                &flow_config.power,
-            )
-            .expect("search runs")
-        });
+        let (search_ms, outcomes) = best_runs(
+            samples,
+            || {},
+            || {
+                min_power_assignment(
+                    &synth,
+                    &probs,
+                    PhaseAssignment::all_positive(n),
+                    &flow_config.power,
+                )
+                .expect("search runs")
+            },
+        );
+        let mp = &outcomes[0].assignment;
+        let synth_ms = best_ms(samples, || synth.synthesize(mp).expect("synthesis"));
         // Packed power simulation of the all-positive mapped netlist under
         // the default 4096-cycle config — the flow's dominant cost before
         // the bit-parallel engine.
@@ -194,9 +206,11 @@ fn main() -> ExitCode {
         rows.push(Json::obj(vec![
             ("name", Json::Str(bench.name.to_string())),
             ("flow_ms", Json::Num(flow_ms)),
+            ("ingest_ms", Json::Num(ingest_ms)),
             ("bdd_build_ms", Json::Num(build_ms)),
             ("prob_eval_ms", Json::Num(prob_eval_ms)),
             ("search_ms", Json::Num(search_ms)),
+            ("synth_ms", Json::Num(synth_ms)),
             ("sim_ms", Json::Num(sim_ms)),
             ("bdd_nodes", Json::Num(probs.bdd_node_count() as f64)),
             ("manager_nodes", Json::Num(stats.nodes as f64)),

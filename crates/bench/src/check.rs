@@ -35,9 +35,11 @@ use domino_engine::json::Json;
 /// (everything else in a snapshot row is informational or count-gated).
 pub const TIME_METRICS: &[&str] = &[
     "flow_ms",
+    "ingest_ms",
     "bdd_build_ms",
     "prob_eval_ms",
     "search_ms",
+    "synth_ms",
     "sim_ms",
 ];
 
