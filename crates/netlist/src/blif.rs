@@ -284,9 +284,12 @@ impl BlifStream {
                         let id = self.intern(tok);
                         self.fanin_pool.push(id);
                     }
-                    let output = self.fanin_pool.pop().ok_or_else(|| {
-                        parse_err(".names requires at least an output signal".into())
-                    })?;
+                    if self.fanin_pool.len() == start {
+                        return Err(parse_err(
+                            ".names requires at least an output signal".into(),
+                        ));
+                    }
+                    let output = self.fanin_pool.pop().expect("the block has a signal");
                     self.blocks.push(NamesBlock {
                         fanins: (start, self.fanin_pool.len()),
                         output,
@@ -814,6 +817,12 @@ mod tests {
             line_of(".model m\n.inputs a\n.outputs a\n.outputs a\n.end\n"),
             4
         );
+        // A `.names` without signals, after a block whose signals it must
+        // not borrow.
+        assert!(matches!(
+            parse_blif(".model m\n.inputs a\n.outputs f\n.names a f\n1 1\n.names\n.end\n"),
+            Err(NetlistError::Parse { line: 6, msg }) if msg.contains("requires at least an output")
+        ));
     }
 
     #[test]
