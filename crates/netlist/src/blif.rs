@@ -481,10 +481,10 @@ impl BlifStream {
             }
         }
 
-        let mut scratch = CoverScratch::default();
+        let mut bufs = CoverBuffers::default();
         for i in order {
             let block = &self.blocks[i];
-            let id = self.build_cover(&mut net, block, i as u32, &node_of, &mut scratch)?;
+            let id = self.build_cover(&mut net, block, i as u32, &node_of, &mut bufs)?;
             node_of[block.output as usize] = id.index() as u32;
         }
 
@@ -523,7 +523,7 @@ impl BlifStream {
         block: &NamesBlock,
         stamp: u32,
         node_of: &[u32],
-        scratch: &mut CoverScratch,
+        bufs: &mut CoverBuffers,
     ) -> Result<NodeId, NetlistError> {
         if block.width() == 0 {
             // Constant block: on-set non-empty ⇒ 1, empty ⇒ 0.
@@ -539,28 +539,27 @@ impl BlifStream {
         let width = fanins.len();
         // Negated-literal cache, so repeated literals share an inverter:
         // per node, the block that last negated it and the inverter.
-        scratch
-            .inverter
+        bufs.inverter
             .resize(net.len(), (NONE, NodeId::from_index(0)));
-        scratch.cubes.clear();
+        bufs.cubes.clear();
         for row in 0..block.rows {
             let start = block.cover_start + row * width;
             let pattern = &self.cover_pool[start..start + width];
-            scratch.literals.clear();
+            bufs.literals.clear();
             for (&ch, &name) in pattern.iter().zip(fanins) {
                 let src = NodeId::from_index(node_of[name as usize] as usize);
                 match ch {
-                    b'1' => scratch.literals.push(src),
+                    b'1' => bufs.literals.push(src),
                     b'0' => {
-                        let (owner, inv) = scratch.inverter[src.index()];
+                        let (owner, inv) = bufs.inverter[src.index()];
                         let n = if owner == stamp {
                             inv
                         } else {
                             let n = net.add_not(src)?;
-                            scratch.inverter[src.index()] = (stamp, n);
+                            bufs.inverter[src.index()] = (stamp, n);
                             n
                         };
-                        scratch.literals.push(n);
+                        bufs.literals.push(n);
                     }
                     b'-' => {}
                     _ => {
@@ -577,17 +576,17 @@ impl BlifStream {
                     }
                 }
             }
-            let cube = match scratch.literals.len() {
+            let cube = match bufs.literals.len() {
                 0 => net.add_const(true),
-                1 => scratch.literals[0],
-                _ => net.add_and(scratch.literals.iter().copied())?,
+                1 => bufs.literals[0],
+                _ => net.add_and(bufs.literals.iter().copied())?,
             };
-            scratch.cubes.push(cube);
+            bufs.cubes.push(cube);
         }
-        let sum = match scratch.cubes.len() {
+        let sum = match bufs.cubes.len() {
             0 => net.add_const(false),
-            1 => scratch.cubes[0],
-            _ => net.add_or(scratch.cubes.iter().copied())?,
+            1 => bufs.cubes[0],
+            _ => net.add_or(bufs.cubes.iter().copied())?,
         };
         let result = if block.phase == b'1' {
             sum
@@ -601,7 +600,7 @@ impl BlifStream {
 
 /// Buffers [`BlifStream::build_cover`] reuses from block to block.
 #[derive(Default)]
-struct CoverScratch {
+struct CoverBuffers {
     /// Per network node: `(block stamp, its inverter)`.
     inverter: Vec<(u32, NodeId)>,
     literals: Vec<NodeId>,
