@@ -593,7 +593,15 @@ impl BlifStream {
         } else {
             net.add_not(sum)?
         };
-        net.set_node_name(result, self.name(block.output))?;
+        // A buffer of an input or latch output maps its signal to that
+        // source, which keeps its own name: the interface stays as
+        // written. Any other node takes the block's name.
+        if !matches!(
+            net.node(result).kind,
+            NodeKind::Input | NodeKind::Latch { .. }
+        ) {
+            net.set_node_name(result, self.name(block.output))?;
+        }
         Ok(result)
     }
 }

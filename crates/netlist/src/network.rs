@@ -54,6 +54,12 @@ pub struct Network {
     inputs: Vec<NodeId>,
     latches: Vec<NodeId>,
     outputs: Vec<Output>,
+    /// The inputs' names, so a duplicate is found without a scan of every
+    /// input; [`Network::add_input`] and [`Network::set_node_name`] keep
+    /// it in sync.
+    input_names: HashSet<String>,
+    /// The outputs' names, for the same reason.
+    output_names: HashSet<String>,
 }
 
 impl Network {
@@ -65,6 +71,8 @@ impl Network {
             inputs: Vec::new(),
             latches: Vec::new(),
             outputs: Vec::new(),
+            input_names: HashSet::new(),
+            output_names: HashSet::new(),
         }
     }
 
@@ -146,11 +154,7 @@ impl Network {
     /// already exists.
     pub fn add_input(&mut self, name: impl Into<String>) -> Result<NodeId, NetlistError> {
         let name = name.into();
-        if self
-            .inputs
-            .iter()
-            .any(|&i| self.nodes[i.index()].name.as_deref() == Some(name.as_str()))
-        {
+        if !self.input_names.insert(name.clone()) {
             return Err(NetlistError::DuplicateName(name));
         }
         let id = self.push(Node {
@@ -287,7 +291,7 @@ impl Network {
     ) -> Result<(), NetlistError> {
         self.check_ids([&driver])?;
         let name = name.into();
-        if self.outputs.iter().any(|o| o.name == name) {
+        if !self.output_names.insert(name.clone()) {
             return Err(NetlistError::DuplicateName(name));
         }
         self.outputs.push(Output { name, driver });
@@ -298,14 +302,26 @@ impl Network {
     ///
     /// # Errors
     ///
-    /// Returns [`NetlistError::UnknownNode`] for foreign ids.
+    /// Returns [`NetlistError::UnknownNode`] for foreign ids, and
+    /// [`NetlistError::DuplicateName`] if `id` is an input and another
+    /// input already has this name.
     pub fn set_node_name(
         &mut self,
         id: NodeId,
         name: impl Into<String>,
     ) -> Result<(), NetlistError> {
         self.check_ids([&id])?;
-        self.nodes[id.index()].name = Some(name.into());
+        let name = name.into();
+        let node = &mut self.nodes[id.index()];
+        if node.kind == NodeKind::Input && node.name.as_ref() != Some(&name) {
+            if !self.input_names.insert(name.clone()) {
+                return Err(NetlistError::DuplicateName(name));
+            }
+            if let Some(old) = &node.name {
+                self.input_names.remove(old);
+            }
+        }
+        node.name = Some(name);
         Ok(())
     }
 
@@ -426,6 +442,23 @@ mod tests {
             net.add_input("a"),
             Err(NetlistError::DuplicateName("a".into()))
         );
+    }
+
+    #[test]
+    fn renaming_an_input_keeps_names_unique() {
+        let mut net = Network::new("t");
+        let a = net.add_input("a").unwrap();
+        let b = net.add_input("b").unwrap();
+        assert_eq!(
+            net.set_node_name(b, "a"),
+            Err(NetlistError::DuplicateName("a".into()))
+        );
+        net.set_node_name(a, "a").unwrap();
+        net.set_node_name(a, "c").unwrap();
+        // The old name is free again; the new one is taken.
+        net.add_input("a").unwrap();
+        assert!(net.add_input("c").is_err());
+        net.validate().unwrap();
     }
 
     #[test]

@@ -86,6 +86,73 @@ fn flow_runs_from_blif_text() {
     }
 }
 
+/// An output driven straight from a source is written as a buffer block,
+/// `.names a x` / `1 1`; parsing it maps `x` to the source and keeps the
+/// source's own name, so the interface and the structural digest (the
+/// circuit's cache key) survive the round trip.
+#[test]
+fn output_driven_straight_from_an_input_round_trips() {
+    let mut net = Network::new("buf");
+    let a = net.add_input("a").expect("fresh name");
+    let b = net.add_input("b").expect("fresh name");
+    let f = net.add_and([a, b]).expect("valid fanins");
+    net.add_output("f", f).expect("fresh name");
+    net.add_output("x", a).expect("fresh name");
+    let text = write_blif(&net);
+    assert!(text.contains(".names a x\n1 1\n"), "{text}");
+    let back = parse_blif(&text).expect("written BLIF parses");
+    let names: Vec<_> = back
+        .inputs()
+        .iter()
+        .map(|&i| back.node(i).name.as_deref())
+        .collect();
+    assert_eq!(names, [Some("a"), Some("b")]);
+    assert_eq!(back.outputs()[1].driver, back.inputs()[0]);
+    assert_eq!(back.structural_digest(), net.structural_digest());
+}
+
+#[test]
+fn output_driven_straight_from_a_latch_round_trips() {
+    let mut net = Network::new("qbuf");
+    let a = net.add_input("a").expect("fresh name");
+    let q = net.add_latch(true);
+    net.set_node_name(q, "q").expect("known id");
+    let nq = net.add_not(q).expect("valid fanin");
+    let d = net.add_and([a, nq]).expect("valid fanins");
+    net.set_latch_data(q, d).expect("latch");
+    net.add_output("y", q).expect("fresh name");
+    let back = parse_blif(&write_blif(&net)).expect("written BLIF parses");
+    let q_back = back.latches()[0];
+    assert_eq!(back.node(q_back).name.as_deref(), Some("q"));
+    assert_eq!(back.outputs()[0].driver, q_back);
+    assert_eq!(back.structural_digest(), net.structural_digest());
+    // A second round trip is the identity.
+    let again = parse_blif(&write_blif(&back)).expect("written BLIF parses");
+    assert!(again == back, "second round trip changed the network");
+}
+
+/// Port names are checked through sets, so a model with 100,000 inputs
+/// parses in linear time, and a duplicate input is still an error naming
+/// its `.inputs` line.
+#[test]
+fn wide_models_parse_and_still_reject_duplicates() {
+    let names: Vec<String> = (0..100_000).map(|i| format!("i{i}")).collect();
+    let text = format!(
+        ".model wide\n.inputs {}\n.outputs f\n.names i0 i99999 f\n11 1\n.end\n",
+        names.join(" ")
+    );
+    let net = parse_blif(&text).expect("wide model parses");
+    assert_eq!(net.inputs().len(), 100_000);
+    let dup = format!(
+        ".model wide\n.inputs {}\n.inputs i7\n.outputs f\n.names i0 f\n1 1\n.end\n",
+        names.join(" ")
+    );
+    match parse_blif(&dup) {
+        Err(NetlistError::Parse { line: 3, msg }) => assert!(msg.contains("i7"), "{msg}"),
+        other => panic!("duplicate input accepted or misreported: {other:?}"),
+    }
+}
+
 /// A random `generate` network: 6–15 inputs, 2–6 outputs, 20–59 gates,
 /// `latches` latches.
 fn generated(seed: u64, latches: usize) -> Network {
