@@ -3,18 +3,28 @@
 //!
 //! Both searches share an incremental [`ConeAccountant`] that maintains the
 //! union of per-output demand cones under the current assignment with
-//! reference counts, so changing one output's phase costs `O(|cone|)` rather
-//! than a full resynthesis. The accountant is exact: its totals equal
+//! reference counts. The accountant is exact: its totals equal
 //! [`estimate_power`](crate::power::estimate_power) /
 //! [`DominoNetwork::area_cells`](crate::DominoNetwork::area_cells) on the
 //! synthesized network (asserted by tests).
 //!
-//! The cones themselves belong to the [`DominoSynthesizer`]: each
-//! `(output, phase)` closure is computed once per synthesizer and borrowed
-//! by every accountant over it — the min-area walk's shards and the
-//! min-power search of the same job alike.
+//! The cones belong to the [`DominoSynthesizer`], which stores each
+//! output's two cones as the slots they share plus each phase's **flip
+//! diff** (the slots only that phase's cone holds). Flipping an output
+//! changes the block by its flip diffs alone, so the accountant scores a
+//! candidate — one flip, a pair or a group — as an **exact integer
+//! delta** read off the diffs, without moving: a slot at count 0 that the
+//! candidate adds costs its weight, a slot at count 1 that it drops saves
+//! its weight, and the output inverter comes or goes. Every search scores
+//! its candidates that way and applies only the ones it commits, and a
+//! commit moves the counts of the diff slots only. The §4.1 loop draws its
+//! `n(n−1)/2` initial pairs from one sorted run, merged with a small heap
+//! of re-scored stale pairs.
 
-use domino_netlist::NodeKind;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+use domino_netlist::{NodeId, NodeKind};
 
 use crate::cost::CostModel;
 use crate::error::PhaseError;
@@ -42,46 +52,47 @@ pub enum Objective<'p> {
 
 /// Incremental objective evaluator over phase assignments.
 ///
-/// Maintains, for the current assignment, reference counts over demanded
-/// `(node, polarity)` gates and complemented sources; the weighted total
-/// updates in `O(|cone|)` per phase change.
-///
-/// The reference counts are dense per-node arrays indexed by the arena
-/// index (`gate_refs[node][polarity]`, `inv_refs[node]`) rather than hash
-/// maps: a phase change touches every gate of a cone, so the count update
-/// is the innermost loop of both searches and a bounds-checked array slot
-/// beats a hash per gate.
+/// Maintains, for the current assignment, a reference count per demand
+/// slot — `2·node + polarity` for a gate, `2·source + 1` for a source's
+/// input inverter — in one dense array indexed like the synthesizer's
+/// cones. A phase change moves only the counts of the output's flip diffs
+/// ([`set_phase`](Self::set_phase)); [`flip_delta`](Self::flip_delta) and
+/// [`moves_delta`](Self::moves_delta) read what a change would do to the
+/// total without making it.
 ///
 /// # Fixed-point totals
 ///
 /// Every element weight is quantized once, at construction, onto the
-/// [`FixedPower`] `2⁻⁴⁰` grid (`gate_weights[node][polarity]`,
-/// `inv_weights[node]`), and the three running components are plain `i64`
-/// sums of those table entries. A phase change therefore applies an
-/// **incremental integer delta** per touched element — no per-step weight
-/// recomputation — and because integer addition is associative and
-/// commutative the total is *path-independent*: an accountant flipped to an
-/// assignment step by step carries bit-identical totals to one freshly
-/// seeded there, which is what lets [`search_objective`] shard the
-/// exhaustive walk for *every* objective, power included.
+/// [`FixedPower`] `2⁻⁴⁰` grid (one weight per slot, one per output
+/// inverter), and the running totals are plain `i64` sums of those table
+/// entries. A phase change therefore applies an **incremental integer
+/// delta** per touched element — no per-step weight recomputation — and
+/// because integer addition is associative and commutative the total is
+/// *path-independent*: an accountant flipped to an assignment step by step
+/// carries bit-identical totals to one freshly seeded there, which is what
+/// lets [`search_objective`] shard the exhaustive walk for *every*
+/// objective, power included, and what makes a scored delta equal to the
+/// change of applying it, bit for bit.
 #[derive(Debug)]
-pub struct ConeAccountant<'a, 'p> {
+pub struct ConeAccountant<'a> {
     synth: &'a DominoSynthesizer<'a>,
-    objective: Objective<'p>,
     current: PhaseAssignment,
-    /// Refcount per gate slot (`2·node + polarity`).
-    gate_refs: Vec<u32>,
-    inv_refs: Vec<u32>,
-    /// Quantized weight per gate slot (`2·node + polarity`).
-    gate_weights: Vec<FixedPower>,
-    /// Quantized weight of the input-boundary inverter on each source.
-    inv_weights: Vec<FixedPower>,
-    block: FixedPower,
-    input_inv: FixedPower,
+    /// Refcount per slot.
+    refs: Vec<u32>,
+    /// Quantized weight per slot.
+    weights: Vec<FixedPower>,
+    /// Quantized weight of output `i`'s output inverter, placed while it
+    /// is in negative phase.
+    out_weights: Vec<FixedPower>,
+    /// Net count change per slot while [`moves_delta`](Self::moves_delta)
+    /// runs; all zero between calls.
+    pending: Vec<i32>,
+    /// Gates and input inverters.
+    placed: FixedPower,
     output_inv: FixedPower,
 }
 
-impl<'a, 'p> ConeAccountant<'a, 'p> {
+impl<'a> ConeAccountant<'a> {
     /// Creates an accountant positioned at `initial`.
     ///
     /// # Errors
@@ -90,7 +101,7 @@ impl<'a, 'p> ConeAccountant<'a, 'p> {
     /// match the synthesizer's view outputs.
     pub fn new(
         synth: &'a DominoSynthesizer<'a>,
-        objective: Objective<'p>,
+        objective: Objective<'_>,
         initial: PhaseAssignment,
     ) -> Result<Self, PhaseError> {
         let n = synth.view_outputs().len();
@@ -100,26 +111,28 @@ impl<'a, 'p> ConeAccountant<'a, 'p> {
                 got: initial.len(),
             });
         }
-        let n_nodes = synth.network().len();
-        let (gate_weights, inv_weights) = build_weight_tables(synth, &objective);
+        let weights = build_weight_table(synth, &objective);
+        let cones = synth.cones();
+        let out_weights = (0..n)
+            .map(|i| output_inverter_weight(&objective, cones.root(i, Phase::Negative)))
+            .collect();
         let mut acct = ConeAccountant {
             synth,
-            objective,
-            current: PhaseAssignment::all_positive(n),
-            gate_refs: vec![0; 2 * n_nodes],
-            inv_refs: vec![0; n_nodes],
-            gate_weights,
-            inv_weights,
-            block: 0,
-            input_inv: 0,
+            current: initial,
+            refs: vec![0; weights.len()],
+            pending: vec![0; weights.len()],
+            weights,
+            out_weights,
+            placed: 0,
             output_inv: 0,
         };
         for i in 0..n {
-            acct.add_cone(i, Phase::Positive);
-        }
-        // Move to the requested assignment.
-        for i in 0..n {
-            acct.set_phase(i, initial.phase(i));
+            let phase = acct.current.phase(i);
+            acct.add(cones.shared(i));
+            acct.add(cones.only(i, phase));
+            if phase.is_negative() {
+                acct.output_inv += acct.out_weights[i];
+            }
         }
         Ok(acct)
     }
@@ -138,26 +151,46 @@ impl<'a, 'p> ConeAccountant<'a, 'p> {
     /// assignments give equal bits regardless of the flip path taken to
     /// reach them (see the type-level docs).
     pub fn fixed_total(&self) -> FixedPower {
-        self.block + self.input_inv + self.output_inv
+        self.placed + self.output_inv
     }
 
-    /// `(block, input inverters, output inverters)` components.
+    /// `(block, input inverters, output inverters)` components. Splits the
+    /// placed slots by kind, so it costs one pass over them.
     pub fn components(&self) -> (f64, f64, f64) {
+        let net = self.synth.network();
+        let input_inv: FixedPower = (1..self.refs.len())
+            .step_by(2)
+            .filter(|&at| {
+                self.refs[at] > 0
+                    && matches!(
+                        net.node(NodeId::from_index(at / 2)).kind,
+                        NodeKind::Input | NodeKind::Latch { .. }
+                    )
+            })
+            .map(|at| self.weights[at])
+            .sum();
         (
-            fixed_to_power(self.block),
-            fixed_to_power(self.input_inv),
+            fixed_to_power(self.placed - input_inv),
+            fixed_to_power(input_inv),
             fixed_to_power(self.output_inv),
         )
     }
 
-    /// Changes output `i`'s phase; no-op if unchanged.
+    /// Changes output `i`'s phase; no-op if unchanged. Moves the counts of
+    /// `i`'s flip diffs only.
     pub fn set_phase(&mut self, i: usize, phase: Phase) {
         let old = self.current.phase(i);
         if old == phase {
             return;
         }
-        self.remove_cone(i, old);
-        self.add_cone(i, phase);
+        let cones = self.synth.cones();
+        self.remove(cones.only(i, old));
+        self.add(cones.only(i, phase));
+        if phase.is_negative() {
+            self.output_inv += self.out_weights[i];
+        } else {
+            self.output_inv -= self.out_weights[i];
+        }
         self.current.set(i, phase);
     }
 
@@ -166,76 +199,142 @@ impl<'a, 'p> ConeAccountant<'a, 'p> {
         self.set_phase(i, self.current.phase(i).flipped());
     }
 
-    /// Quantized weight of the output-boundary inverter a negative-phase
-    /// output adds on `root`. Pure in `root`, so repeated add/remove of the
-    /// same cone cancels exactly in the integer total.
-    fn output_inverter_weight(&self, root: DemandRoot) -> FixedPower {
-        match &self.objective {
-            Objective::Area => AREA_UNIT,
-            Objective::Power { probs, model } => {
-                let p = match root {
-                    DemandRoot::Node(n, c) | DemandRoot::Source(n, c) => {
-                        let base = probs[n.index()];
-                        if c {
-                            1.0 - base
-                        } else {
-                            base
-                        }
-                    }
-                    DemandRoot::Constant(v) => {
-                        if v {
-                            1.0
-                        } else {
-                            0.0
-                        }
-                    }
-                };
-                power_to_fixed(p * model.inverter_cap)
+    /// The exact change of [`fixed_total`](Self::fixed_total) that
+    /// [`flip`](Self::flip)`(i)` would make, read off `i`'s flip diffs
+    /// without moving.
+    pub fn flip_delta(&self, i: usize) -> FixedPower {
+        let old = self.current.phase(i);
+        let new = old.flipped();
+        let cones = self.synth.cones();
+        let mut delta = self.output_inverter_delta(i, new);
+        for &at in cones.only(i, old) {
+            if self.refs[at as usize] == 1 {
+                delta -= self.weights[at as usize];
+            }
+        }
+        for &at in cones.only(i, new) {
+            if self.refs[at as usize] == 0 {
+                delta += self.weights[at as usize];
+            }
+        }
+        delta
+    }
+
+    /// The exact change of [`fixed_total`](Self::fixed_total) that setting
+    /// every `(output, phase)` of `moves` would make, without moving.
+    /// Outputs must be distinct; one already in its phase adds nothing.
+    ///
+    /// Moves' flip diffs may overlap, so the net count change of each diff
+    /// slot is summed first; a slot then costs its weight if it goes from
+    /// 0 to above 0 and saves it if it goes to 0.
+    pub fn moves_delta(&mut self, moves: &[(usize, Phase)]) -> FixedPower {
+        let mut changed = moves
+            .iter()
+            .filter(|&&(i, phase)| self.current.phase(i) != phase);
+        match (changed.next(), changed.next()) {
+            (None, _) => return 0,
+            (Some(&(i, _)), None) => return self.flip_delta(i),
+            _ => {}
+        }
+        let cones = self.synth.cones();
+        let mut delta = 0;
+        for &(i, phase) in moves {
+            let old = self.current.phase(i);
+            if old == phase {
+                continue;
+            }
+            delta += self.output_inverter_delta(i, phase);
+            for &at in cones.only(i, old) {
+                self.pending[at as usize] -= 1;
+            }
+            for &at in cones.only(i, phase) {
+                self.pending[at as usize] += 1;
+            }
+        }
+        for &(i, phase) in moves {
+            let old = self.current.phase(i);
+            if old == phase {
+                continue;
+            }
+            for &at in cones.only(i, old).iter().chain(cones.only(i, phase)) {
+                let at = at as usize;
+                let change = std::mem::take(&mut self.pending[at]);
+                if change == 0 {
+                    continue; // balanced, or already counted
+                }
+                if self.refs[at] == 0 {
+                    delta += self.weights[at];
+                } else if i64::from(self.refs[at]) + i64::from(change) == 0 {
+                    delta -= self.weights[at];
+                }
+            }
+        }
+        delta
+    }
+
+    /// Sets every `(output, phase)` of `moves`.
+    pub fn apply(&mut self, moves: &[(usize, Phase)]) {
+        for &(i, phase) in moves {
+            self.set_phase(i, phase);
+        }
+    }
+
+    /// The output-inverter change of moving output `i` to `phase` from the
+    /// other phase.
+    fn output_inverter_delta(&self, i: usize, phase: Phase) -> FixedPower {
+        if phase.is_negative() {
+            self.out_weights[i]
+        } else {
+            -self.out_weights[i]
+        }
+    }
+
+    fn add(&mut self, slots: &[u32]) {
+        for &at in slots {
+            let count = &mut self.refs[at as usize];
+            *count += 1;
+            if *count == 1 {
+                self.placed += self.weights[at as usize];
             }
         }
     }
 
-    fn add_cone(&mut self, i: usize, phase: Phase) {
-        let cone = self.synth.cone(i, phase);
-        for &slot in &cone.gate_slots {
-            let count = &mut self.gate_refs[slot as usize];
-            *count += 1;
-            if *count == 1 {
-                self.block += self.gate_weights[slot as usize];
+    fn remove(&mut self, slots: &[u32]) {
+        for &at in slots {
+            let count = &mut self.refs[at as usize];
+            assert!(*count > 0, "removing an unaccounted slot");
+            *count -= 1;
+            if *count == 0 {
+                self.placed -= self.weights[at as usize];
             }
-        }
-        for &s in &cone.inv_slots {
-            let count = &mut self.inv_refs[s as usize];
-            *count += 1;
-            if *count == 1 {
-                self.input_inv += self.inv_weights[s as usize];
-            }
-        }
-        if phase.is_negative() {
-            self.output_inv += self.output_inverter_weight(cone.root);
         }
     }
+}
 
-    fn remove_cone(&mut self, i: usize, phase: Phase) {
-        let cone = self.synth.cone(i, phase);
-        for &slot in &cone.gate_slots {
-            let count = &mut self.gate_refs[slot as usize];
-            assert!(*count > 0, "removing unaccounted gate");
-            *count -= 1;
-            if *count == 0 {
-                self.block -= self.gate_weights[slot as usize];
-            }
-        }
-        for &s in &cone.inv_slots {
-            let count = &mut self.inv_refs[s as usize];
-            assert!(*count > 0, "removing unaccounted inverter");
-            *count -= 1;
-            if *count == 0 {
-                self.input_inv -= self.inv_weights[s as usize];
-            }
-        }
-        if phase.is_negative() {
-            self.output_inv -= self.output_inverter_weight(cone.root);
+/// Quantized weight of the output-boundary inverter a negative-phase output
+/// adds on `root`.
+fn output_inverter_weight(objective: &Objective<'_>, root: DemandRoot) -> FixedPower {
+    match objective {
+        Objective::Area => AREA_UNIT,
+        Objective::Power { probs, model } => {
+            let p = match root {
+                DemandRoot::Node(n, c) | DemandRoot::Source(n, c) => {
+                    let base = probs[n.index()];
+                    if c {
+                        1.0 - base
+                    } else {
+                        base
+                    }
+                }
+                DemandRoot::Constant(v) => {
+                    if v {
+                        1.0
+                    } else {
+                        0.0
+                    }
+                }
+            };
+            power_to_fixed(p * model.inverter_cap)
         }
     }
 }
@@ -245,38 +344,40 @@ impl<'a, 'p> ConeAccountant<'a, 'p> {
 const AREA_UNIT: FixedPower = 1 << POWER_FRAC_BITS;
 
 /// Quantizes every per-element weight once, up front: the per-flip work of
-/// [`ConeAccountant`] then reduces to integer table deltas (the fix for the
-/// old per-step weight recomputation in the exhaustive power walk). Gate
-/// weights are laid out flat, `2·node + polarity`, matching the cones'
-/// gate slots.
-fn build_weight_tables(
-    synth: &DominoSynthesizer<'_>,
-    objective: &Objective<'_>,
-) -> (Vec<FixedPower>, Vec<FixedPower>) {
+/// [`ConeAccountant`] then reduces to integer table deltas. The table is
+/// laid out like the cones' slots: gate weights at `2·node + polarity`, a
+/// source's input-inverter weight at `2·source + 1`.
+fn build_weight_table(synth: &DominoSynthesizer<'_>, objective: &Objective<'_>) -> Vec<FixedPower> {
     let net = synth.network();
     let n_nodes = net.len();
     match objective {
-        Objective::Area => (vec![AREA_UNIT; 2 * n_nodes], vec![AREA_UNIT; n_nodes]),
+        Objective::Area => vec![AREA_UNIT; 2 * n_nodes],
         Objective::Power { probs, model } => {
-            let mut gate_weights = vec![0 as FixedPower; 2 * n_nodes];
-            let mut inv_weights = vec![0 as FixedPower; n_nodes];
+            let mut weights = vec![0 as FixedPower; 2 * n_nodes];
             for idx in 0..n_nodes {
-                let node = net.node(domino_netlist::NodeId::from_index(idx));
+                let node = net.node(NodeId::from_index(idx));
                 let p = probs[idx];
-                if matches!(node.kind, NodeKind::And | NodeKind::Or) {
-                    for (pol, complemented) in [(0usize, false), (1usize, true)] {
-                        let kind = match (node.kind, complemented) {
-                            (NodeKind::And, false) | (NodeKind::Or, true) => DominoGateKind::And,
-                            _ => DominoGateKind::Or,
-                        };
-                        let rail = if complemented { 1.0 - p } else { p };
-                        gate_weights[2 * idx + pol] =
-                            power_to_fixed(rail * model.gate_weight(kind));
+                match node.kind {
+                    NodeKind::And | NodeKind::Or => {
+                        for (pol, complemented) in [(0usize, false), (1usize, true)] {
+                            let kind = match (node.kind, complemented) {
+                                (NodeKind::And, false) | (NodeKind::Or, true) => {
+                                    DominoGateKind::And
+                                }
+                                _ => DominoGateKind::Or,
+                            };
+                            let rail = if complemented { 1.0 - p } else { p };
+                            weights[2 * idx + pol] = power_to_fixed(rail * model.gate_weight(kind));
+                        }
                     }
+                    NodeKind::Input | NodeKind::Latch { .. } => {
+                        weights[2 * idx + 1] =
+                            power_to_fixed(static_switching(p) * model.inverter_cap);
+                    }
+                    NodeKind::Not | NodeKind::Constant(_) => {}
                 }
-                inv_weights[idx] = power_to_fixed(static_switching(p) * model.inverter_cap);
             }
-            (gate_weights, inv_weights)
+            weights
         }
     }
 }
@@ -405,40 +506,74 @@ pub fn search_objective_with_shards(
     }
 
     let mut acct = ConeAccountant::new(synth, objective, PhaseAssignment::all_positive(n))?;
-    let mut evaluations = 1usize;
-    let mut best = acct.fixed_total();
-    let mut best_assignment = acct.assignment().clone();
-    let mut trace = vec![fixed_to_power(best)];
-    let mut commits = 0usize;
+    let mut progress = Progress::new(acct.fixed_total());
+    progress.evaluations = 1;
+    hill_climb(&mut acct, config.max_passes, &mut progress);
+    Ok(progress.finish(&acct))
+}
 
-    // Hill climbing on single flips.
-    for _ in 0..config.max_passes {
+/// The running record every local search reports in its [`SearchOutcome`].
+/// The accountant always sits at the best assignment found, so `best`
+/// equals its total (or, under `always_commit`, the last committed one).
+struct Progress {
+    best: FixedPower,
+    trace: Vec<f64>,
+    evaluations: usize,
+    commits: usize,
+}
+
+impl Progress {
+    fn new(best: FixedPower) -> Self {
+        Progress {
+            best,
+            trace: vec![fixed_to_power(best)],
+            evaluations: 0,
+            commits: 0,
+        }
+    }
+
+    /// Counts one evaluated candidate whose total would be `total`, and
+    /// records it as a commit if it beats the best (or `always_commit`).
+    /// Returns whether the caller should apply it.
+    fn commits(&mut self, total: FixedPower, always_commit: bool) -> bool {
+        self.evaluations += 1;
+        if total < self.best || always_commit {
+            self.best = total;
+            self.trace.push(fixed_to_power(total));
+            self.commits += 1;
+            true
+        } else {
+            false
+        }
+    }
+
+    fn finish(self, acct: &ConeAccountant<'_>) -> SearchOutcome {
+        SearchOutcome {
+            assignment: acct.assignment().clone(),
+            objective: fixed_to_power(self.best),
+            evaluations: self.evaluations,
+            commits: self.commits,
+            trace: self.trace,
+        }
+    }
+}
+
+/// Single-flip hill climbing: up to `passes` sweeps over the outputs, each
+/// flip scored by its exact delta and applied only if it improves; stops
+/// after a sweep without a commit.
+fn hill_climb(acct: &mut ConeAccountant<'_>, passes: usize, progress: &mut Progress) {
+    for _ in 0..passes {
         let mut improved = false;
-        for i in 0..n {
-            acct.flip(i);
-            evaluations += 1;
-            let total = acct.fixed_total();
-            if total < best {
-                best = total;
-                best_assignment = acct.assignment().clone();
-                trace.push(fixed_to_power(best));
-                commits += 1;
+        for i in 0..acct.assignment().len() {
+            if progress.commits(acct.fixed_total() + acct.flip_delta(i), false) {
+                acct.flip(i);
                 improved = true;
-            } else {
-                acct.flip(i); // revert
             }
         }
         if !improved {
             break;
         }
     }
-    Ok(SearchOutcome {
-        assignment: best_assignment,
-        objective: fixed_to_power(best),
-        evaluations,
-        commits,
-        trace,
-    })
 }
 
 /// Worker count of a sharded exhaustive walk. A fixed constant (rather
@@ -599,9 +734,11 @@ impl Default for MinPowerConfig {
     }
 }
 
-/// Ordered f64 key for the candidate heap.
+/// A scored pair of the §4.1 loop. Ordered by cost (`total_cmp`), then
+/// `(i, j)`: a total order, and a pair has at most one entry at a time, so
+/// the loop's pop sequence is fixed.
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct HeapEntry {
+struct PairEntry {
     cost: f64,
     i: usize,
     j: usize,
@@ -611,19 +748,17 @@ struct HeapEntry {
     version_j: u64,
 }
 
-impl Eq for HeapEntry {}
+impl Eq for PairEntry {}
 
-impl Ord for HeapEntry {
+impl Ord for PairEntry {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the min cost on top.
-        other
-            .cost
-            .total_cmp(&self.cost)
-            .then_with(|| (other.i, other.j).cmp(&(self.i, self.j)))
+        self.cost
+            .total_cmp(&other.cost)
+            .then_with(|| (self.i, self.j).cmp(&(other.i, other.j)))
     }
 }
 
-impl PartialOrd for HeapEntry {
+impl PartialOrd for PairEntry {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
@@ -689,60 +824,45 @@ pub fn min_power_assignment(
         },
         initial,
     )?;
-    let mut best = acct.fixed_total();
-    let mut trace = vec![fixed_to_power(best)];
-    let mut evaluations = 0usize;
-    let mut commits = 0usize;
+    let mut progress = Progress::new(acct.fixed_total());
 
     if n >= 2 {
         let mut versions = vec![0u64; n];
-        if config.k_guided {
-            // A pair has at most one heap entry at a time: it is pushed
-            // once, and re-pushed only when popped stale, so a fresh pop
-            // evaluates it exactly once and it never returns.
-            let mut heap = std::collections::BinaryHeap::new();
-            for i in 0..n {
-                for j in i + 1..n {
-                    let (pi, pj, k) = cost_model.pair_best(i, j, acct.assignment());
-                    heap.push(HeapEntry {
-                        cost: k,
-                        i,
-                        j,
-                        phase_i: pi,
-                        phase_j: pj,
-                        version_i: 0,
-                        version_j: 0,
-                    });
-                }
+        let score = |i: usize, j: usize, acct: &ConeAccountant<'_>, versions: &[u64]| {
+            let (phase_i, phase_j, cost) = cost_model.pair_best(i, j, acct.assignment());
+            PairEntry {
+                cost,
+                i,
+                j,
+                phase_i,
+                phase_j,
+                version_i: versions[i],
+                version_j: versions[j],
             }
-            while let Some(entry) = heap.pop() {
+        };
+        if config.k_guided {
+            // Every pair starts in one sorted run, cheapest last; a pair
+            // popped stale is re-scored into the small `stale` heap. The
+            // cheaper head of the two is the global minimum, as one heap
+            // of every entry would pop it.
+            let mut run: Vec<PairEntry> = (0..n)
+                .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
+                .map(|(i, j)| score(i, j, &acct, &versions))
+                .collect();
+            run.sort_unstable_by(|a, b| b.cmp(a));
+            let mut stale: BinaryHeap<Reverse<PairEntry>> = BinaryHeap::new();
+            loop {
+                let entry = match (run.last(), stale.peek()) {
+                    (Some(head), Some(Reverse(top))) if top < head => stale.pop().map(|e| e.0),
+                    (Some(_), _) => run.pop(),
+                    (None, _) => stale.pop().map(|e| e.0),
+                };
+                let Some(entry) = entry else { break };
                 if entry.version_i != versions[entry.i] || entry.version_j != versions[entry.j] {
-                    // Stale: recompute under the current assignment.
-                    let (pi, pj, k) = cost_model.pair_best(entry.i, entry.j, acct.assignment());
-                    heap.push(HeapEntry {
-                        cost: k,
-                        i: entry.i,
-                        j: entry.j,
-                        phase_i: pi,
-                        phase_j: pj,
-                        version_i: versions[entry.i],
-                        version_j: versions[entry.j],
-                    });
+                    stale.push(Reverse(score(entry.i, entry.j, &acct, &versions)));
                     continue;
                 }
-                evaluate_pair(
-                    &mut acct,
-                    entry.i,
-                    entry.j,
-                    entry.phase_i,
-                    entry.phase_j,
-                    config,
-                    &mut best,
-                    &mut trace,
-                    &mut evaluations,
-                    &mut commits,
-                    &mut versions,
-                );
+                evaluate_pair(&mut acct, &entry, config, &mut progress, &mut versions);
             }
         } else {
             // Ablation: random pair order, combination still by K.
@@ -758,52 +878,15 @@ pub fn min_power_assignment(
                 pairs.swap(idx, j);
             }
             for (i, j) in pairs {
-                let (pi, pj, _) = cost_model.pair_best(i, j, acct.assignment());
-                evaluate_pair(
-                    &mut acct,
-                    i,
-                    j,
-                    pi,
-                    pj,
-                    config,
-                    &mut best,
-                    &mut trace,
-                    &mut evaluations,
-                    &mut commits,
-                    &mut versions,
-                );
+                let entry = score(i, j, &acct, &versions);
+                evaluate_pair(&mut acct, &entry, config, &mut progress, &mut versions);
             }
         }
     }
 
     // Optional refinement: measurement-driven single flips.
-    for _ in 0..config.refinement_passes {
-        let mut improved = false;
-        for i in 0..n {
-            acct.flip(i);
-            evaluations += 1;
-            let total = acct.fixed_total();
-            if total < best {
-                best = total;
-                trace.push(fixed_to_power(total));
-                commits += 1;
-                improved = true;
-            } else {
-                acct.flip(i);
-            }
-        }
-        if !improved {
-            break;
-        }
-    }
-
-    Ok(SearchOutcome {
-        assignment: acct.assignment().clone(),
-        objective: fixed_to_power(best),
-        evaluations,
-        commits,
-        trace,
-    })
+    hill_climb(&mut acct, config.refinement_passes, &mut progress);
+    Ok(progress.finish(&acct))
 }
 
 /// The *optimal* minimum-power assignment by exhaustive gray-code search —
@@ -880,10 +963,7 @@ pub fn min_power_assignment_grouped(
         },
         initial,
     )?;
-    let mut best = acct.fixed_total();
-    let mut trace = vec![fixed_to_power(best)];
-    let mut evaluations = 0usize;
-    let mut commits = 0usize;
+    let mut progress = Progress::new(acct.fixed_total());
 
     if n >= group_size {
         // Enumerate all C(n, g) groups, order by best-combination K.
@@ -919,57 +999,19 @@ pub fn min_power_assignment_grouped(
             // Re-derive the best combination under the *current* assignment
             // (commits since ranking may have changed it).
             let (phases, _) = group_best(&cost_model, &members, acct.assignment());
-            let old: Vec<Phase> = members
-                .iter()
-                .map(|&i| acct.assignment().phase(i))
-                .collect();
-            if old == phases {
+            let moves: Vec<(usize, Phase)> = members.into_iter().zip(phases).collect();
+            if moves.iter().all(|&(i, p)| acct.assignment().phase(i) == p) {
                 continue;
             }
-            for (&i, &p) in members.iter().zip(&phases) {
-                acct.set_phase(i, p);
-            }
-            evaluations += 1;
-            let total = acct.fixed_total();
-            if total < best || config.always_commit {
-                best = total;
-                trace.push(fixed_to_power(total));
-                commits += 1;
-            } else {
-                for (&i, &p) in members.iter().zip(&old) {
-                    acct.set_phase(i, p);
-                }
+            let total = acct.fixed_total() + acct.moves_delta(&moves);
+            if progress.commits(total, config.always_commit) {
+                acct.apply(&moves);
             }
         }
     }
 
-    for _ in 0..config.refinement_passes {
-        let mut improved = false;
-        for i in 0..n {
-            acct.flip(i);
-            evaluations += 1;
-            let total = acct.fixed_total();
-            if total < best {
-                best = total;
-                trace.push(fixed_to_power(total));
-                commits += 1;
-                improved = true;
-            } else {
-                acct.flip(i);
-            }
-        }
-        if !improved {
-            break;
-        }
-    }
-
-    Ok(SearchOutcome {
-        assignment: acct.assignment().clone(),
-        objective: fixed_to_power(best),
-        evaluations,
-        commits,
-        trace,
-    })
+    hill_climb(&mut acct, config.refinement_passes, &mut progress);
+    Ok(progress.finish(&acct))
 }
 
 /// Best phase combination for a group under the generalized `K`.
@@ -1012,39 +1054,24 @@ fn group_best(
     (best_phases, best_k)
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Scores the pair's chosen combination as an exact delta and applies it
+/// if it commits. A combination that keeps both phases measures nothing.
 fn evaluate_pair(
-    acct: &mut ConeAccountant<'_, '_>,
-    i: usize,
-    j: usize,
-    phase_i: Phase,
-    phase_j: Phase,
+    acct: &mut ConeAccountant<'_>,
+    entry: &PairEntry,
     config: &MinPowerConfig,
-    best: &mut FixedPower,
-    trace: &mut Vec<f64>,
-    evaluations: &mut usize,
-    commits: &mut usize,
+    progress: &mut Progress,
     versions: &mut [u64],
 ) {
-    let old_i = acct.assignment().phase(i);
-    let old_j = acct.assignment().phase(j);
-    if old_i == phase_i && old_j == phase_j {
-        // Retain/retain: nothing to measure, power unchanged.
+    let moves = [(entry.i, entry.phase_i), (entry.j, entry.phase_j)];
+    if moves.iter().all(|&(i, p)| acct.assignment().phase(i) == p) {
         return;
     }
-    acct.set_phase(i, phase_i);
-    acct.set_phase(j, phase_j);
-    *evaluations += 1;
-    let total = acct.fixed_total();
-    if total < *best || config.always_commit {
-        *best = total;
-        trace.push(fixed_to_power(total));
-        *commits += 1;
-        versions[i] += 1;
-        versions[j] += 1;
-    } else {
-        acct.set_phase(i, old_i);
-        acct.set_phase(j, old_j);
+    let total = acct.fixed_total() + acct.moves_delta(&moves);
+    if progress.commits(total, config.always_commit) {
+        acct.apply(&moves);
+        versions[entry.i] += 1;
+        versions[entry.j] += 1;
     }
 }
 

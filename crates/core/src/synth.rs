@@ -20,13 +20,21 @@
 //! Every `(node, polarity)` demand is a dense slot `2·node + polarity` —
 //! the same slots the search's [`ConeAccountant`](crate::search::ConeAccountant)
 //! counts — so the demand walk of [`DominoSynthesizer::synthesize`] keeps
-//! its visited marks and gate indices in flat arrays, not hash maps. The
-//! synthesizer also memoizes each `(output, phase)` demand closure as a
-//! [`FlatCone`] on first use: the job's min-area walk (every shard of it)
-//! and min-power search then share one copy of every cone.
+//! its visited marks and gate indices in flat arrays, not hash maps. A
+//! source's input inverter takes the slot `2·source + 1`, which no gate
+//! uses, since a source is never a gate.
+//!
+//! [`DominoSynthesizer::new`] resolves every gate's fanins once (NOT chains
+//! followed, constants dropped) and builds every output's two demand cones
+//! up front, with one reused stamp array. It stores them as [`Cones`]: the
+//! slots both phases' cones hold, plus each phase's **flip diff**, the
+//! slots only that phase's cone holds. Flipping an output changes the
+//! block by its flip diffs alone, which is what lets the searches score a
+//! candidate as an exact delta without moving the accountant. The job's
+//! min-area walk (every shard of it) and min-power search borrow the same
+//! cones.
 
 use std::collections::HashMap;
-use std::sync::OnceLock;
 
 use domino_netlist::{Network, NodeId, NodeKind};
 
@@ -98,23 +106,169 @@ pub enum DemandRoot {
     Constant(bool),
 }
 
-/// The polarity-demand closure of one output under one phase — exactly
-/// the domino gates and boundary inverters this output contributes —
-/// flattened for the incremental accountants in [`search`](crate::search).
+/// The polarity-demand closures of every view output under both phases —
+/// exactly the domino gates and input inverters each output contributes
+/// (Figure 3's "zone that must become inverterless") — as dense slots for
+/// the incremental accountants in [`search`](crate::search).
+///
+/// Output `o` in phase `p` demands `shared(o) ∪ only(o, p)`, and the two
+/// lists are disjoint. A slot is `2·node + polarity` for a gate and
+/// `2·source + 1` for a source's input inverter; each list holds a slot
+/// at most once.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct FlatCone {
-    /// Demanded gates as `2·node + polarity` slots, deduplicated.
-    pub(crate) gate_slots: Vec<u32>,
-    /// Node indices of the sources demanded complemented (each costs one
-    /// input inverter, shared across outputs).
-    pub(crate) inv_slots: Vec<u32>,
-    /// Where the output's own demand lands.
-    pub(crate) root: DemandRoot,
+pub(crate) struct Cones {
+    /// Three lists per output, back to back: shared, positive-only,
+    /// negative-only.
+    slots: Vec<u32>,
+    /// List `k = 3·o + part` is `slots[bounds[k]..bounds[k + 1]]`.
+    bounds: Vec<u32>,
+    /// `roots[2·o + p]`: where output `o`'s own demand lands in phase `p`.
+    roots: Vec<DemandRoot>,
+}
+
+impl Cones {
+    /// Walks both cones of every output. `stamp[slot]` holds `(output + 1)
+    /// << 2` plus one bit per phase whose cone reached the slot, so one
+    /// array serves every walk without clearing, and after an output's two
+    /// walks it tells the shared slots from the flip diff.
+    fn build(net: &Network, view_outputs: &[ViewOutput], fanins: &ResolvedFanins) -> Self {
+        let mut stamp = vec![0u32; 2 * net.len()];
+        let mut walked: [Vec<u32>; 2] = [Vec::new(), Vec::new()];
+        let mut stack: Vec<u32> = Vec::new();
+        let mut cones = Cones {
+            slots: Vec::new(),
+            bounds: vec![0],
+            roots: Vec::with_capacity(2 * view_outputs.len()),
+        };
+        for (o, vo) in view_outputs.iter().enumerate() {
+            let mark = (o as u32 + 1) << 2;
+            for (p, list) in walked.iter_mut().enumerate() {
+                let bit = 1u32 << p;
+                list.clear();
+                // Adds resolved target `t` to this walk's cone once.
+                let mut reach = |t: u32, stack: &mut Vec<u32>| {
+                    if t & SOURCE != 0 && t & 1 == 0 {
+                        return; // a source demanded direct needs no inverter
+                    }
+                    let at = t & !SOURCE;
+                    let s = &mut stamp[at as usize];
+                    if *s & !3 != mark {
+                        *s = mark;
+                    }
+                    if *s & bit == 0 {
+                        *s |= bit;
+                        list.push(at);
+                        if t & SOURCE == 0 {
+                            stack.push(at);
+                        }
+                    }
+                };
+                let root = resolve(net, vo.driver, p == 1);
+                cones.roots.push(root);
+                match root {
+                    DemandRoot::Node(n, c) => reach(slot(n, c) as u32, &mut stack),
+                    DemandRoot::Source(s, c) => reach(slot(s, c) as u32 | SOURCE, &mut stack),
+                    DemandRoot::Constant(_) => {}
+                }
+                while let Some(at) = stack.pop() {
+                    for &t in fanins.of(at as usize / 2) {
+                        reach(t ^ (at & 1), &mut stack);
+                    }
+                }
+            }
+            let both = |at: &&u32| stamp[**at as usize] & 3 == 3;
+            cones.slots.extend(walked[0].iter().filter(both));
+            cones.bounds.push(cones.slots.len() as u32);
+            for list in &walked {
+                cones.slots.extend(list.iter().filter(|at| !both(at)));
+                cones.bounds.push(cones.slots.len() as u32);
+            }
+        }
+        cones
+    }
+
+    fn list(&self, k: usize) -> &[u32] {
+        &self.slots[self.bounds[k] as usize..self.bounds[k + 1] as usize]
+    }
+
+    /// The slots both of output `o`'s cones hold.
+    pub(crate) fn shared(&self, o: usize) -> &[u32] {
+        self.list(3 * o)
+    }
+
+    /// Output `o`'s flip diff on the `phase` side: the slots only its
+    /// `phase` cone holds.
+    pub(crate) fn only(&self, o: usize, phase: Phase) -> &[u32] {
+        self.list(3 * o + 1 + usize::from(phase.is_negative()))
+    }
+
+    /// Where output `o`'s own demand lands in `phase`.
+    pub(crate) fn root(&self, o: usize, phase: Phase) -> DemandRoot {
+        self.roots[2 * o + usize::from(phase.is_negative())]
+    }
 }
 
 /// The demand slot of `node` in polarity `complemented`.
 fn slot(node: NodeId, complemented: bool) -> usize {
     2 * node.index() + usize::from(complemented)
+}
+
+/// Where the demand for `node` (complemented if `complemented`) lands
+/// after following inverter chains; see [`DominoSynthesizer::resolve`].
+fn resolve(net: &Network, mut node: NodeId, mut complemented: bool) -> DemandRoot {
+    loop {
+        match net.node(node).kind {
+            NodeKind::Not => {
+                complemented = !complemented;
+                node = net.node(node).fanins[0];
+            }
+            NodeKind::Constant(v) => return DemandRoot::Constant(v ^ complemented),
+            NodeKind::Input | NodeKind::Latch { .. } => {
+                return DemandRoot::Source(node, complemented)
+            }
+            NodeKind::And | NodeKind::Or => return DemandRoot::Node(node, complemented),
+        }
+    }
+}
+
+/// Tag of a resolved fanin that lands on a source rather than a gate.
+const SOURCE: u32 = 1 << 31;
+
+/// Every AND/OR node's fanins resolved once, for polarity "direct": each
+/// entry is `2·node + complemented` of where the fanin's demand lands,
+/// tagged [`SOURCE`] for a source; constants are dropped, since they
+/// demand nothing. Demanding the gate complemented flips the low bit of
+/// every entry (DeMorgan: the complement propagates unchanged).
+#[derive(Debug, Clone)]
+struct ResolvedFanins {
+    /// Node `n`'s entries are `targets[bounds[n]..bounds[n + 1]]`.
+    bounds: Vec<u32>,
+    targets: Vec<u32>,
+}
+
+impl ResolvedFanins {
+    fn new(net: &Network) -> Self {
+        let mut bounds = Vec::with_capacity(net.len() + 1);
+        let mut targets = Vec::new();
+        bounds.push(0);
+        for node in net.node_ids().map(|id| net.node(id)) {
+            if matches!(node.kind, NodeKind::And | NodeKind::Or) {
+                for &f in &node.fanins {
+                    match resolve(net, f, false) {
+                        DemandRoot::Node(m, c) => targets.push(slot(m, c) as u32),
+                        DemandRoot::Source(s, c) => targets.push(slot(s, c) as u32 | SOURCE),
+                        DemandRoot::Constant(_) => {}
+                    }
+                }
+            }
+            bounds.push(targets.len() as u32);
+        }
+        ResolvedFanins { bounds, targets }
+    }
+
+    fn of(&self, node: usize) -> &[u32] {
+        &self.targets[self.bounds[node] as usize..self.bounds[node + 1] as usize]
+    }
 }
 
 /// One output of a synthesized [`DominoNetwork`].
@@ -513,9 +667,8 @@ pub struct DominoSynthesizer<'a> {
     net: &'a Network,
     view_outputs: Vec<ViewOutput>,
     sources: Vec<NodeId>,
-    /// `cones[2·output + phase]`, filled on first use; a `OnceLock` so the
-    /// sharded Gray walk's threads share them.
-    cones: Vec<OnceLock<FlatCone>>,
+    fanins: ResolvedFanins,
+    cones: Cones,
 }
 
 impl<'a> DominoSynthesizer<'a> {
@@ -553,13 +706,13 @@ impl<'a> DominoSynthesizer<'a> {
             .chain(net.latches().iter())
             .copied()
             .collect();
-        let cones = std::iter::repeat_with(OnceLock::new)
-            .take(2 * view_outputs.len())
-            .collect();
+        let fanins = ResolvedFanins::new(net);
+        let cones = Cones::build(net, &view_outputs, &fanins);
         Ok(DominoSynthesizer {
             net,
             view_outputs,
             sources,
+            fanins,
             cones,
         })
     }
@@ -619,70 +772,14 @@ impl<'a> DominoSynthesizer<'a> {
 
     /// Follows inverter chains and constants: where does the demand for
     /// `node` (complemented if `complemented`) actually land?
-    pub fn resolve(&self, mut node: NodeId, mut complemented: bool) -> DemandRoot {
-        loop {
-            match self.net.node(node).kind {
-                NodeKind::Not => {
-                    complemented = !complemented;
-                    node = self.net.node(node).fanins[0];
-                }
-                NodeKind::Constant(v) => return DemandRoot::Constant(v ^ complemented),
-                NodeKind::Input | NodeKind::Latch { .. } => {
-                    return DemandRoot::Source(node, complemented)
-                }
-                NodeKind::And | NodeKind::Or => return DemandRoot::Node(node, complemented),
-            }
-        }
+    pub fn resolve(&self, node: NodeId, complemented: bool) -> DemandRoot {
+        resolve(self.net, node, complemented)
     }
 
-    /// The demand closure of a single output under a given phase — the set
-    /// of gates and boundary inverters it requires (Figure 3's "zone that
-    /// must become inverterless"). Computed on first use, then shared.
-    pub(crate) fn cone(&self, output: usize, phase: Phase) -> &FlatCone {
-        self.cones[2 * output + usize::from(phase.is_negative())]
-            .get_or_init(|| self.demand_closure(output, phase))
-    }
-
-    fn demand_closure(&self, output: usize, phase: Phase) -> FlatCone {
-        let driver = self.view_outputs[output].driver;
-        let root = self.resolve(driver, phase.is_negative());
-        let mut gate_slots = Vec::new();
-        let mut inv_slots = Vec::new();
-        // Dense visited marks: one per gate slot, one per source.
-        let mut seen = vec![false; 2 * self.net.len()];
-        let mut neg_seen = vec![false; self.net.len()];
-        let mut stack: Vec<(NodeId, bool)> = Vec::new();
-        match root {
-            DemandRoot::Node(n, c) => stack.push((n, c)),
-            DemandRoot::Source(s, true) => {
-                neg_seen[s.index()] = true;
-                inv_slots.push(s.index() as u32);
-            }
-            _ => {}
-        }
-        while let Some((n, c)) = stack.pop() {
-            let at = slot(n, c);
-            if seen[at] {
-                continue;
-            }
-            seen[at] = true;
-            gate_slots.push(at as u32);
-            for &f in self.net.node(n).comb_fanins() {
-                match self.resolve(f, c) {
-                    DemandRoot::Node(m, mc) => stack.push((m, mc)),
-                    DemandRoot::Source(s, true) if !neg_seen[s.index()] => {
-                        neg_seen[s.index()] = true;
-                        inv_slots.push(s.index() as u32);
-                    }
-                    _ => {}
-                }
-            }
-        }
-        FlatCone {
-            gate_slots,
-            inv_slots,
-            root,
-        }
+    /// Every output's two demand cones and flip diffs, built by
+    /// [`DominoSynthesizer::new`].
+    pub(crate) fn cones(&self) -> &Cones {
+        &self.cones
     }
 
     /// Synthesizes the inverter-free domino block for `assignment`.
@@ -798,15 +895,17 @@ impl<'a> DominoSynthesizer<'a> {
         while let Some(top) = walk.stack.last_mut() {
             let ((n, c), child) = *top;
             top.1 += 1;
-            let fanins = self.net.node(n).comb_fanins();
+            let fanins = self.fanins.of(n.index());
             if child < fanins.len() {
-                match self.resolve(fanins[child], c) {
-                    DemandRoot::Node(m, mc) if walk.gate_of[slot(m, mc)] == UNSEEN => {
-                        walk.gate_of[slot(m, mc)] = OPEN;
-                        walk.stack.push(((m, mc), 0));
+                let t = fanins[child] ^ u32::from(c);
+                let target = NodeId::from_index((t & !SOURCE) as usize / 2);
+                if t & SOURCE == 0 {
+                    if walk.gate_of[t as usize] == UNSEEN {
+                        walk.gate_of[t as usize] = OPEN;
+                        walk.stack.push(((target, t & 1 == 1), 0));
                     }
-                    DemandRoot::Source(s, true) => walk.negate(s),
-                    _ => {}
+                } else if t & 1 == 1 {
+                    walk.negate(target);
                 }
             } else {
                 walk.gate_of[slot(n, c)] = walk.postorder.len() as u32;
@@ -1027,26 +1126,23 @@ mod tests {
         for bits in 0..4u64 {
             let pa = PhaseAssignment::from_bits(2, bits);
             let d = synth.synthesize(&pa).unwrap();
-            // Union of per-output demands = synthesized gates.
+            // Union of per-output demands = synthesized gates and input
+            // inverters.
+            let cones = synth.cones();
             let mut union: std::collections::HashSet<u32> = std::collections::HashSet::new();
-            let mut inv_union: std::collections::HashSet<u32> = std::collections::HashSet::new();
             for i in 0..2 {
-                let cone = synth.cone(i, pa.phase(i));
-                union.extend(cone.gate_slots.iter().copied());
-                inv_union.extend(cone.inv_slots.iter().copied());
+                let shared = cones.shared(i);
+                let only = cones.only(i, pa.phase(i));
+                assert!(only.iter().all(|s| !shared.contains(s)));
+                union.extend(shared.iter().chain(only));
             }
-            let gates: std::collections::HashSet<u32> = d
+            let placed: std::collections::HashSet<u32> = d
                 .gates()
                 .iter()
                 .map(|g| slot(g.source, g.complemented) as u32)
+                .chain(d.input_inverters().iter().map(|&s| slot(s, true) as u32))
                 .collect();
-            assert_eq!(union, gates, "assignment {pa}");
-            let invs: std::collections::HashSet<u32> = d
-                .input_inverters()
-                .iter()
-                .map(|s| s.index() as u32)
-                .collect();
-            assert_eq!(inv_union, invs, "assignment {pa}");
+            assert_eq!(union, placed, "assignment {pa}");
         }
     }
 
