@@ -1,6 +1,7 @@
 //! Machine-readable performance snapshot of the hot paths: full MA-vs-MP
 //! flow wall time, inline-BLIF ingestion, BDD construction, warm
-//! probability evaluation, the min-power search, synthesis of its
+//! probability evaluation, a fresh synthesizer's cones and flip diffs,
+//! the min-power search, synthesis of its
 //! assignment, and packed power simulation, per public-suite circuit; a `serve` section measuring the `dominod` service (cold vs
 //! warm-cache throughput and latency, via the same harness as
 //! `serve_bench`) — plus the CI perf-regression gate.
@@ -175,6 +176,12 @@ fn main() -> ExitCode {
         });
         let probs =
             compute_probabilities(net, &pi, &flow_config.probability).expect("probabilities");
+        // A fresh synthesizer resolves every gate's fanins and builds every
+        // output's two cones and flip diffs; the search below runs on a
+        // warm one, so this is the row where cone cost shows.
+        let cones_ms = best_ms(samples, || {
+            DominoSynthesizer::new(net).expect("synthesizer")
+        });
         let synth = DominoSynthesizer::new(net).expect("synthesizer");
         let n = synth.view_outputs().len();
         let (search_ms, outcomes) = best_runs(
@@ -209,6 +216,7 @@ fn main() -> ExitCode {
             ("ingest_ms", Json::Num(ingest_ms)),
             ("bdd_build_ms", Json::Num(build_ms)),
             ("prob_eval_ms", Json::Num(prob_eval_ms)),
+            ("cones_ms", Json::Num(cones_ms)),
             ("search_ms", Json::Num(search_ms)),
             ("synth_ms", Json::Num(synth_ms)),
             ("sim_ms", Json::Num(sim_ms)),

@@ -38,6 +38,7 @@ pub const TIME_METRICS: &[&str] = &[
     "ingest_ms",
     "bdd_build_ms",
     "prob_eval_ms",
+    "cones_ms",
     "search_ms",
     "synth_ms",
     "sim_ms",
