@@ -115,7 +115,7 @@ pub enum DemandRoot {
 /// lists are disjoint. A slot is `2·node + polarity` for a gate and
 /// `2·source + 1` for a source's input inverter; each list holds a slot
 /// at most once.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub(crate) struct Cones {
     /// Three lists per output, back to back: shared, positive-only,
     /// negative-only.
