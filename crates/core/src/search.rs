@@ -186,11 +186,7 @@ impl<'a> ConeAccountant<'a> {
         let cones = self.synth.cones();
         self.remove(cones.only(i, old));
         self.add(cones.only(i, phase));
-        if phase.is_negative() {
-            self.output_inv += self.out_weights[i];
-        } else {
-            self.output_inv -= self.out_weights[i];
-        }
+        self.output_inv += self.output_inverter_delta(i, phase);
         self.current.set(i, phase);
     }
 

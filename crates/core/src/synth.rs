@@ -672,7 +672,9 @@ pub struct DominoSynthesizer<'a> {
 }
 
 impl<'a> DominoSynthesizer<'a> {
-    /// Creates a synthesizer for `net`.
+    /// Creates a synthesizer for `net`. It resolves every gate's fanins
+    /// and builds every output's two demand cones and flip diffs up front,
+    /// for the searches to share.
     ///
     /// # Errors
     ///
