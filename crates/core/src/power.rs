@@ -42,10 +42,9 @@ pub const POWER_SCALE: f64 = (1u64 << POWER_FRAC_BITS) as f64;
 /// makes them
 ///
 /// * **path-independent** — integer addition is associative and
-///   commutative, so any accumulation order (sequential Gray-code flips, a
-///   freshly seeded accountant, per-shard partial sums merged by addition)
-///   produces the *same bits*; this is what lets the exhaustive power walk
-///   shard across threads without breaking determinism;
+///   commutative, so any accumulation order (a walk of Gray-code flips, a
+///   freshly seeded accountant, a scored delta added to a total) produces
+///   the *same bits*;
 /// * **exactly reversible** — adding and later subtracting an element's
 ///   weight restores the previous total exactly, so incremental
 ///   accountants never drift from a full recomputation.

@@ -15,11 +15,15 @@
 //! candidate — one flip, a pair or a group — as an **exact integer
 //! delta** read off the diffs, without moving: a slot at count 0 that the
 //! candidate adds costs its weight, a slot at count 1 that it drops saves
-//! its weight, and the output inverter comes or goes. Every search scores
-//! its candidates that way and applies only the ones it commits, and a
-//! commit moves the counts of the diff slots only. The §4.1 loop draws its
-//! `n(n−1)/2` initial pairs from one sorted run, merged with a small heap
-//! of re-scored stale pairs.
+//! its weight, and the output inverter comes or goes. The local searches
+//! score their candidates that way and apply only the ones they commit,
+//! and a commit moves the counts of the diff slots only. The §4.1 loop
+//! draws its `n(n−1)/2` initial pairs from one sorted run, merged with a
+//! small heap of re-scored stale pairs.
+//!
+//! Every search runs on the thread that calls it, with one accountant; the
+//! exhaustive walk of [`search_objective`] moves it through all `2^n`
+//! assignments in Gray-code order, one flip per step.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -70,9 +74,7 @@ pub enum Objective<'p> {
 /// because integer addition is associative and commutative the total is
 /// *path-independent*: an accountant flipped to an assignment step by step
 /// carries bit-identical totals to one freshly seeded there, which is what
-/// lets [`search_objective`] shard the exhaustive walk for *every*
-/// objective, power included, and what makes a scored delta equal to the
-/// change of applying it, bit for bit.
+/// makes a scored delta equal to the change of applying it, bit for bit.
 #[derive(Debug)]
 pub struct ConeAccountant<'a> {
     synth: &'a DominoSynthesizer<'a>,
@@ -433,12 +435,9 @@ pub fn min_area_assignment(
 /// machinery behind [`min_area_assignment`], also used to find the *true*
 /// optimum power assignment on small circuits (frg1's 8-assignment space).
 ///
-/// The exhaustive branch walks all `2^n` assignments in Gray-code order
-/// (one flip per step, `O(|cone|)` each); large enough spaces are sharded
-/// across [`GRAY_SHARDS`] `std::thread` workers with a deterministic merge.
-/// Since the accountant's fixed-point totals are path-independent integers
-/// this applies to **every** objective — power included — and the result is
-/// bit-identical to the single-threaded walk (see `gray_walk`).
+/// Up to `exhaustive_limit` view outputs it walks all `2^n` assignments in
+/// Gray-code order on one accountant (one flip per step, `O(flip diff)`
+/// each); above that it hill-climbs from all-positive.
 ///
 /// # Errors
 ///
@@ -471,46 +470,20 @@ pub fn search_objective(
     config: &MinAreaConfig,
 ) -> Result<SearchOutcome, PhaseError> {
     let n = synth.view_outputs().len();
-    let auto_shards =
-        if n <= config.exhaustive_limit && n > 0 && (1u64 << n) >= GRAY_SHARD_MIN_STEPS {
-            GRAY_SHARDS
-        } else {
-            1
-        };
-    search_objective_with_shards(synth, objective, config, auto_shards)
-}
-
-/// [`search_objective`] with an explicit shard count for the exhaustive
-/// branch (clamped to `[1, 16]`; the hill-climbing branch is inherently
-/// sequential and ignores it). The outcome is bit-identical for every
-/// shard count — exposed so tests and benches can pin that contract
-/// directly; ordinary callers should use [`search_objective`], which picks
-/// the count automatically.
-///
-/// # Errors
-///
-/// Propagates [`PhaseError`] from accounting.
-pub fn search_objective_with_shards(
-    synth: &DominoSynthesizer<'_>,
-    objective: Objective<'_>,
-    config: &MinAreaConfig,
-    shards: usize,
-) -> Result<SearchOutcome, PhaseError> {
-    let n = synth.view_outputs().len();
-    if n <= config.exhaustive_limit && n > 0 {
-        return gray_walk(synth, &objective, n, shards);
-    }
-
     let mut acct = ConeAccountant::new(synth, objective, PhaseAssignment::all_positive(n))?;
+    if n <= config.exhaustive_limit && n > 0 {
+        return Ok(gray_walk(acct, n));
+    }
     let mut progress = Progress::new(acct.fixed_total());
     progress.evaluations = 1;
     hill_climb(&mut acct, config.max_passes, &mut progress);
     Ok(progress.finish(&acct))
 }
 
-/// The running record every local search reports in its [`SearchOutcome`].
-/// The accountant always sits at the best assignment found, so `best`
-/// equals its total (or, under `always_commit`, the last committed one).
+/// The running record every search reports in its [`SearchOutcome`]. In
+/// the local searches the accountant sits at the best assignment found, so
+/// `best` equals its total (or, under `always_commit`, the last committed
+/// one); the Gray walk moves on and remembers the best step itself.
 struct Progress {
     best: FixedPower,
     trace: Vec<f64>,
@@ -572,128 +545,23 @@ fn hill_climb(acct: &mut ConeAccountant<'_>, passes: usize, progress: &mut Progr
     }
 }
 
-/// Worker count of a sharded exhaustive walk. A fixed constant (rather
-/// than the machine's core count) so the shard boundaries — and therefore
-/// the floating-point accumulation paths — are identical on every machine.
-pub const GRAY_SHARDS: usize = 8;
-
-/// Smallest `2^n` for which the walk is sharded; below this the thread
-/// spawn/merge overhead exceeds the walk itself.
-const GRAY_SHARD_MIN_STEPS: u64 = 1 << 12;
-
-/// A shard-local improvement candidate of the Gray-code walk.
-struct GrayCandidate {
-    step: u64,
-    total: FixedPower,
-}
-
-/// Exhaustive Gray-code walk over all `2^n` assignments, sharded across
-/// `shards` workers.
-///
-/// The global walk visits assignment `gray(s) = s ^ (s >> 1)` at step `s`.
-/// The step range `[0, 2^n)` is split into `shards` contiguous
-/// near-equal chunks (earlier shards take the remainder, so every shard
-/// count covers every step exactly once): shard `w` positions a private
-/// [`ConeAccountant`] at its range's first assignment, walks the range
-/// flipping `trailing_zeros(step)` per step, and records every *strict
-/// prefix minimum* (strictly smaller than everything earlier in the
-/// shard).
-///
-/// Totals are the accountant's fixed-point integers, so they are **exact**
-/// and path-independent for every objective: a shard accountant freshly
-/// seeded at its range start carries the same bits as one flipped there
-/// sequentially. The sequential walk commits step `s` iff
-/// `total(s) < min(totals before s)` — exactly the strict prefix minima of
-/// the global sequence, each of which is also a strict prefix minimum of
-/// its own shard. Replaying the recorded candidates in global step order
-/// through the same commit rule therefore reproduces the single-threaded
-/// result bit for bit — same assignment, objective, trace and commit
-/// count, independent of `shards`. (Before the fixed-point weights this
-/// held only for the integer-weighted area objective; `f64` power totals
-/// were accumulation-path-dependent, which is why power walks used to be
-/// single-threaded.)
-fn gray_walk(
-    synth: &DominoSynthesizer<'_>,
-    objective: &Objective<'_>,
-    n: usize,
-    shards: usize,
-) -> Result<SearchOutcome, PhaseError> {
-    let total_steps = 1u64 << n;
-    // Each shard must own at least one step; earlier shards take the
-    // remainder of the balanced split, so any count in [1, 16] covers
-    // every step exactly once.
-    let shards = (shards.clamp(1, 16) as u64).min(total_steps);
-    let base = total_steps / shards;
-    let rem = total_steps % shards;
-
-    let walk_shard = |w: u64| -> Result<Vec<GrayCandidate>, PhaseError> {
-        let start = w * base + w.min(rem);
-        let len = base + u64::from(w < rem);
-        let start_bits = start ^ (start >> 1);
-        let mut acct = ConeAccountant::new(
-            synth,
-            objective.clone(),
-            PhaseAssignment::from_bits(n, start_bits),
-        )?;
-        let mut local_best = FixedPower::MAX;
-        let mut candidates = Vec::new();
-        let mut record = |step: u64, total: FixedPower, local_best: &mut FixedPower| {
-            if total < *local_best {
-                *local_best = total;
-                candidates.push(GrayCandidate { step, total });
-            }
-        };
-        record(start, acct.fixed_total(), &mut local_best);
-        for step in start + 1..start + len {
-            acct.flip(step.trailing_zeros() as usize);
-            record(step, acct.fixed_total(), &mut local_best);
-        }
-        Ok(candidates)
-    };
-
-    let shard_results: Vec<Result<Vec<GrayCandidate>, PhaseError>> = if shards == 1 {
-        vec![walk_shard(0)]
-    } else {
-        std::thread::scope(|scope| {
-            let walk_shard = &walk_shard;
-            let handles: Vec<_> = (0..shards)
-                .map(|w| scope.spawn(move || walk_shard(w)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("gray-walk shard panicked"))
-                .collect()
-        })
-    };
-
-    // Deterministic merge in global step order.
-    let mut best = FixedPower::MAX;
+/// Exhaustive walk over all `2^n` assignments in Gray-code order: step `s`
+/// visits `s ^ (s >> 1)`, one flip (`trailing_zeros(s)`) away from the
+/// step before, and commits iff it beats every earlier step. The reported
+/// assignment is that of the last committed step.
+fn gray_walk(mut acct: ConeAccountant<'_>, n: usize) -> SearchOutcome {
+    let mut progress = Progress::new(acct.fixed_total());
+    progress.evaluations = 1;
     let mut best_step = 0u64;
-    let mut trace = Vec::new();
-    let mut commits = 0usize;
-    for candidates in shard_results {
-        for cand in candidates? {
-            if cand.step == 0 {
-                // The sequential loop seeds `best` with the all-positive
-                // total before walking (not a commit).
-                best = cand.total;
-                best_step = 0;
-                trace.push(fixed_to_power(best));
-            } else if cand.total < best {
-                best = cand.total;
-                best_step = cand.step;
-                trace.push(fixed_to_power(best));
-                commits += 1;
-            }
+    for step in 1..1u64 << n {
+        acct.flip(step.trailing_zeros() as usize);
+        if progress.commits(acct.fixed_total(), false) {
+            best_step = step;
         }
     }
-    Ok(SearchOutcome {
-        assignment: PhaseAssignment::from_bits(n, best_step ^ (best_step >> 1)),
-        objective: fixed_to_power(best),
-        evaluations: total_steps as usize,
-        commits,
-        trace,
-    })
+    let mut outcome = progress.finish(&acct);
+    outcome.assignment = PhaseAssignment::from_bits(n, best_step ^ (best_step >> 1));
+    outcome
 }
 
 /// Configuration for [`min_power_assignment`].
@@ -883,38 +751,6 @@ pub fn min_power_assignment(
     // Optional refinement: measurement-driven single flips.
     hill_climb(&mut acct, config.refinement_passes, &mut progress);
     Ok(progress.finish(&acct))
-}
-
-/// The *optimal* minimum-power assignment by exhaustive gray-code search —
-/// feasible exactly when the paper says it is (frg1's "only 2³ or 8
-/// possible phase assignments"). Used to certify the heuristic on small
-/// circuits.
-///
-/// # Errors
-///
-/// Propagates [`PhaseError`] from accounting.
-///
-/// # Panics
-///
-/// Panics if the network has more than 20 view outputs (2²⁰ evaluations).
-pub fn optimal_power_assignment(
-    synth: &DominoSynthesizer<'_>,
-    probs: &NodeProbabilities,
-    model: PowerModel,
-) -> Result<SearchOutcome, PhaseError> {
-    let n = synth.view_outputs().len();
-    assert!(n <= 20, "exhaustive power search is exponential in outputs");
-    search_objective(
-        synth,
-        Objective::Power {
-            probs: probs.as_slice(),
-            model,
-        },
-        &MinAreaConfig {
-            exhaustive_limit: 20,
-            max_passes: 0,
-        },
-    )
 }
 
 /// The §4.1 extension: the cost function `K` generalized from pairs to
@@ -1257,7 +1093,15 @@ mod tests {
         let synth = DominoSynthesizer::new(&net).unwrap();
         for p in [0.1, 0.5, 0.9] {
             let probs = probs_for(&net, p);
-            let optimal = optimal_power_assignment(&synth, &probs, PowerModel::unit()).unwrap();
+            let power = Objective::Power {
+                probs: probs.as_slice(),
+                model: PowerModel::unit(),
+            };
+            let exhaustive = MinAreaConfig {
+                exhaustive_limit: 2,
+                max_passes: 0,
+            };
+            let optimal = search_objective(&synth, power, &exhaustive).unwrap();
             let heuristic = min_power_assignment(
                 &synth,
                 &probs,
@@ -1340,9 +1184,7 @@ mod tests {
         );
     }
 
-    /// 12 outputs with shared, asymmetric cones over 6 inputs — wide
-    /// enough (4096 assignments) that [`search_objective`] takes the
-    /// sharded walk.
+    /// 12 outputs with shared, asymmetric cones over 6 inputs.
     fn wide12() -> Network {
         let mut net = Network::new("wide12");
         let ins: Vec<_> = (0..6)
@@ -1359,62 +1201,6 @@ mod tests {
             net.add_output(format!("o{i}"), driver).unwrap();
         }
         net
-    }
-
-    /// The sharded Gray walk must reproduce the single-threaded walk
-    /// exactly — same assignment, same objective bits, same trace — for
-    /// any shard count and *every* objective: fixed-point totals are
-    /// path-independent integers, so this holds at arbitrary (non-dyadic)
-    /// probabilities, which is exactly what lets [`search_objective`]
-    /// auto-shard power walks.
-    #[test]
-    fn sharded_gray_walk_matches_sequential() {
-        let net = wide12();
-        let synth = DominoSynthesizer::new(&net).unwrap();
-        for p in [0.5, 0.9, 0.37] {
-            let probs = probs_for(&net, p);
-            let objectives = [
-                Objective::Area,
-                Objective::Power {
-                    probs: probs.as_slice(),
-                    model: PowerModel::unit(),
-                },
-            ];
-            for objective in objectives {
-                let seq = gray_walk(&synth, &objective, 12, 1).unwrap();
-                for shards in [2, 3, 4, 7, 8] {
-                    let par = gray_walk(&synth, &objective, 12, shards).unwrap();
-                    assert_eq!(seq.assignment, par.assignment, "p={p} shards={shards}");
-                    assert_eq!(
-                        seq.objective.to_bits(),
-                        par.objective.to_bits(),
-                        "p={p} shards={shards}"
-                    );
-                    assert_eq!(seq.commits, par.commits, "p={p} shards={shards}");
-                    assert_eq!(seq.trace, par.trace, "p={p} shards={shards}");
-                    assert_eq!(par.evaluations, 1 << 12);
-                }
-            }
-        }
-        // The public entry points (which auto-shard at this width) agree
-        // with the explicit single-shard walk, for area and power alike.
-        let cfg = MinAreaConfig {
-            exhaustive_limit: 12,
-            max_passes: 0,
-        };
-        let probs = probs_for(&net, 0.9);
-        for objective in [
-            Objective::Area,
-            Objective::Power {
-                probs: probs.as_slice(),
-                model: PowerModel::unit(),
-            },
-        ] {
-            let auto = search_objective(&synth, objective.clone(), &cfg).unwrap();
-            let seq = gray_walk(&synth, &objective, 12, 1).unwrap();
-            assert_eq!(auto.assignment, seq.assignment);
-            assert_eq!(auto.objective.to_bits(), seq.objective.to_bits());
-        }
     }
 
     /// The incremental fixed-point delta must never drift from a full
@@ -1445,23 +1231,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    /// The sharded exhaustive optimum must equal brute force over a
-    /// smaller space where brute force is cheap.
-    #[test]
-    fn sharded_walk_finds_the_true_optimum() {
-        let net = wide12();
-        let synth = DominoSynthesizer::new(&net).unwrap();
-        // Walk the full 2^12 space sharded; verify against the best of a
-        // sequential walk (already proven equal to brute force for the
-        // 2-output case by `min_area_exhaustive_is_optimal`).
-        let sharded = gray_walk(&synth, &Objective::Area, 12, 8).unwrap();
-        let sequential = gray_walk(&synth, &Objective::Area, 12, 1).unwrap();
-        assert_eq!(sharded.objective, sequential.objective);
-        // And the reported assignment really achieves the reported cost.
-        let full = synth.synthesize(&sharded.assignment).unwrap();
-        assert_eq!(sharded.objective as usize, full.area_cells());
     }
 
     #[test]

@@ -31,8 +31,7 @@
 //! slots only that phase's cone holds. Flipping an output changes the
 //! block by its flip diffs alone, which is what lets the searches score a
 //! candidate as an exact delta without moving the accountant. The job's
-//! min-area walk (every shard of it) and min-power search borrow the same
-//! cones.
+//! min-area search and min-power search borrow the same cones.
 
 use std::collections::HashMap;
 

@@ -193,17 +193,12 @@ impl JobSpec {
     /// except the display name and the circuit source (the circuit itself is
     /// covered by the structural digest).
     pub fn config_json(&self) -> Json {
-        self.config_json_with(&self.sim)
-    }
-
-    /// [`JobSpec::config_json`] with `sim` in place of the spec's own.
-    fn config_json_with(&self, sim: &SimConfig) -> Json {
         Json::obj(vec![
             ("objective", Json::Str(self.objective.tag().to_string())),
             ("pi", pi_to_json(&self.pi)),
             ("flow", flow_to_json(&self.flow)),
             ("library", library_to_json(&self.library)),
-            ("sim", sim_to_json(sim)),
+            ("sim", sim_to_json(&self.sim)),
             ("timing_fraction", opt_num(self.timing_fraction)),
             ("mp_and_penalty", opt_num(self.mp_and_penalty)),
         ])
@@ -229,7 +224,11 @@ impl JobSpec {
     ///
     /// # Errors
     ///
-    /// [`EngineError::Spec`] on malformed structure or unknown tags.
+    /// [`EngineError::Spec`] on malformed structure or unknown tags, and
+    /// for values the flow cannot run: `sim.cycles` of 0 (the currents
+    /// would divide by zero), `library.max_fanin` below 2 (mapping could
+    /// not split a wide gate) and `flow.area.exhaustive_limit` above 20
+    /// (a walk of more than 2²⁰ assignments).
     pub fn from_json(v: &Json) -> Result<Self, EngineError> {
         let name = v
             .get("name")
@@ -274,6 +273,19 @@ impl JobSpec {
             Some(j) => sim_from_json(j)?,
             None => defaults.sim,
         };
+        if sim.cycles == 0 {
+            return Err(EngineError::Spec("sim.cycles must be at least 1".into()));
+        }
+        if library.max_fanin < 2 {
+            return Err(EngineError::Spec(
+                "library.max_fanin must be at least 2".into(),
+            ));
+        }
+        if flow.area.exhaustive_limit > MAX_EXHAUSTIVE_LIMIT {
+            return Err(EngineError::Spec(format!(
+                "flow.area.exhaustive_limit must be at most {MAX_EXHAUSTIVE_LIMIT}"
+            )));
+        }
         Ok(JobSpec {
             name,
             source,
@@ -287,6 +299,11 @@ impl JobSpec {
         })
     }
 }
+
+/// The largest `flow.area.exhaustive_limit` a spec may carry: a walk over
+/// 2²⁰ assignments takes tens of milliseconds, each further output doubles
+/// it, and a running walk cannot be cancelled.
+const MAX_EXHAUSTIVE_LIMIT: usize = 20;
 
 /// A [`JobSpec`] paired with its resolved circuit and content-address.
 #[derive(Debug, Clone)]
@@ -314,20 +331,11 @@ impl FlowJob {
     }
 }
 
-/// Computes the content-address for running `spec` on `net`.
-///
-/// `sim.threads` is canonicalized away first: it is an execution knob —
-/// the sharded kernels produce bit-identical results for every thread
-/// count (pinned by the sim crate's invariance tests) — so jobs differing
-/// only in thread count share one cache entry. `sim.shards` stays in the
-/// key: the shard count defines the vector streams and therefore the
-/// measured bits.
+/// Computes the content-address for running `spec` on `net`. `sim.shards`
+/// is in the key: the shard count defines the vector streams and therefore
+/// the measured bits.
 pub fn cache_key(net: &Network, spec: &JobSpec) -> String {
-    let sim = SimConfig {
-        threads: 1,
-        ..spec.sim
-    };
-    let config = spec.config_json_with(&sim).serialize();
+    let config = spec.config_json().serialize();
     let net_digest = net.structural_digest();
     // Two independent FNV-1a passes (salted differently) give a 128-bit
     // address; collisions are negligible at any realistic cache size.
@@ -999,7 +1007,10 @@ fn sim_to_json(sim: &SimConfig) -> Json {
             Json::Num(f64::from(sim.adaptive_tol_ppm)),
         ),
         ("shards", Json::Num(f64::from(sim.shards))),
-        ("threads", Json::Num(sim.threads as f64)),
+        // A constant: every simulation runs on one thread, and the field
+        // stays so that cache keys, and the entries stored under them, do
+        // not move. `sim_from_json` ignores an incoming `threads`.
+        ("threads", Json::Num(1.0)),
     ])
 }
 
@@ -1027,10 +1038,6 @@ fn sim_from_json(v: &Json) -> Result<SimConfig, EngineError> {
                 .and_then(|n| u32::try_from(n).ok())
                 .ok_or_else(|| missing("shards"))?,
         },
-        threads: match v.get("threads") {
-            None | Some(Json::Null) => defaults.threads,
-            Some(j) => j.as_usize().ok_or_else(|| missing("threads"))?,
-        },
     })
 }
 
@@ -1048,7 +1055,6 @@ mod tests {
         // Above 2^53: would be silently rounded if seeds went through f64.
         spec.sim.seed = 9_007_199_254_740_993;
         spec.sim.shards = 4;
-        spec.sim.threads = 3;
         spec.pi = PiSpec::PerInput(vec![0.25, 0.75]);
         let back = JobSpec::from_json(&spec.to_json()).unwrap();
         assert_eq!(back, spec);
@@ -1080,18 +1086,51 @@ mod tests {
 
     #[test]
     fn sim_threads_do_not_split_the_cache() {
-        // threads is execution-only: results are thread-invariant, so the
-        // key canonicalizes it away...
+        // Simulations run on one thread: a spec carrying any `threads`
+        // parses to the key of one without...
         let a = JobSpec::suite("frg1").resolve().unwrap();
-        let mut threaded_spec = JobSpec::suite("frg1");
-        threaded_spec.sim.threads = 8;
-        let b = threaded_spec.resolve().unwrap();
-        assert_eq!(a.cache_key(), b.cache_key());
+        let text = a.spec.to_json().serialize();
+        assert!(text.contains(r#""threads":1"#));
+        for threads in ["8", "0", "null"] {
+            let carried = text.replace(r#""threads":1"#, &format!(r#""threads":{threads}"#));
+            let spec = JobSpec::from_json(&parse(&carried).unwrap()).unwrap();
+            assert_eq!(spec.resolve().unwrap().cache_key(), a.cache_key());
+        }
         // ...while shards define the vector streams and stay in the key.
         let mut sharded_spec = JobSpec::suite("frg1");
         sharded_spec.sim.shards = 1;
         let c = sharded_spec.resolve().unwrap();
         assert_ne!(a.cache_key(), c.cache_key());
+    }
+
+    #[test]
+    fn specs_the_flow_cannot_run_are_refused() {
+        let base = JobSpec::suite("frg1");
+        let mut zero_cycles = base.clone();
+        zero_cycles.sim.cycles = 0;
+        let mut unit_fanin = base.clone();
+        unit_fanin.library.max_fanin = 1;
+        let mut no_fanin = base.clone();
+        no_fanin.library.max_fanin = 0;
+        let mut wide_walk = base.clone();
+        wide_walk.flow.area.exhaustive_limit = 21;
+        for (spec, field) in [
+            (zero_cycles, "sim.cycles"),
+            (unit_fanin, "library.max_fanin"),
+            (no_fanin, "library.max_fanin"),
+            (wide_walk, "flow.area.exhaustive_limit"),
+        ] {
+            match JobSpec::from_json(&spec.to_json()) {
+                Err(EngineError::Spec(msg)) => assert!(msg.contains(field), "{msg}"),
+                other => panic!("{field}: expected a spec error, got {other:?}"),
+            }
+        }
+        // The bounds themselves are accepted.
+        let mut edge = base;
+        edge.sim.cycles = 1;
+        edge.library.max_fanin = 2;
+        edge.flow.area.exhaustive_limit = 20;
+        assert_eq!(JobSpec::from_json(&edge.to_json()).unwrap(), edge);
     }
 
     #[test]

@@ -67,7 +67,6 @@ fn usage() -> String {
      \x20 --jsonl <file|->                 JSONL outcomes\n\
      \x20 --sim-cycles <n>                 simulation cycles [4096]\n\
      \x20 --sim-shards <n>                 simulation stream shards [8]\n\
-     \x20 --sim-threads <n>                threads per simulation, 0 = all CPUs [1]\n\
      \x20 --reorder off|auto|sift          BDD dynamic variable reordering [off]\n\
      \x20 --stats                          print BDD kernel + simulation statistics\n\
      \x20 --quiet                          suppress progress\n\
@@ -96,7 +95,6 @@ struct Options {
     jsonl: Option<String>,
     sim_cycles: Option<usize>,
     sim_shards: Option<u32>,
-    sim_threads: Option<usize>,
     reorder: ReorderMode,
     stats: bool,
     quiet: bool,
@@ -120,7 +118,6 @@ impl Options {
             jsonl: None,
             sim_cycles: None,
             sim_shards: None,
-            sim_threads: None,
             reorder: ReorderMode::Off,
             stats: false,
             quiet: false,
@@ -175,11 +172,13 @@ impl Options {
                 "--snapshot-dir" => opts.snapshot_dir = Some(value("--snapshot-dir")?),
                 "--jsonl" => opts.jsonl = Some(value("--jsonl")?),
                 "--sim-cycles" => {
-                    opts.sim_cycles = Some(
-                        value("--sim-cycles")?
-                            .parse()
-                            .map_err(|_| "--sim-cycles needs an integer".to_string())?,
-                    );
+                    let n: usize = value("--sim-cycles")?
+                        .parse()
+                        .map_err(|_| "--sim-cycles needs an integer".to_string())?;
+                    if n == 0 {
+                        return Err("--sim-cycles must be at least 1".to_string());
+                    }
+                    opts.sim_cycles = Some(n);
                 }
                 "--sim-shards" => {
                     let n: u32 = value("--sim-shards")?
@@ -189,13 +188,6 @@ impl Options {
                         return Err("--sim-shards must be at least 1".to_string());
                     }
                     opts.sim_shards = Some(n);
-                }
-                "--sim-threads" => {
-                    opts.sim_threads = Some(
-                        value("--sim-threads")?
-                            .parse()
-                            .map_err(|_| "--sim-threads needs an integer".to_string())?,
-                    );
                 }
                 "--reorder" => {
                     opts.reorder = value("--reorder")?.parse()?;
@@ -225,9 +217,6 @@ impl Options {
         }
         if let Some(shards) = self.sim_shards {
             spec.sim.shards = shards;
-        }
-        if let Some(threads) = self.sim_threads {
-            spec.sim.threads = threads;
         }
         spec.flow.probability.reorder = self.reorder;
         spec

@@ -414,6 +414,56 @@ fn malformed_requests_get_4xx_not_silence() {
     server.shutdown();
 }
 
+/// Specs the flow cannot run get a 400 before admission, and the server
+/// goes on serving. Runs under a timeout: a server that admits them leaves
+/// its one worker on a job that never ends.
+#[test]
+fn unrunnable_specs_are_refused_before_admission() {
+    let (done, finished) = std::sync::mpsc::channel();
+    let body = std::thread::spawn(move || {
+        let (server, client) = start_server(ServeConfig {
+            workers: 1,
+            queue_capacity: 4,
+            cache: None,
+            ..ServeConfig::default()
+        });
+        let mut zero_cycles = JobSpec::suite("frg1");
+        zero_cycles.sim.cycles = 0;
+        let mut unit_fanin = JobSpec::suite("frg1");
+        unit_fanin.library.max_fanin = 1;
+        let mut wide_walk = JobSpec::suite("apex7");
+        wide_walk.flow.area.exhaustive_limit = 40;
+        for (what, spec) in [
+            ("sim.cycles 0", zero_cycles),
+            ("library.max_fanin 1", unit_fanin),
+            ("flow.area.exhaustive_limit 40", wide_walk),
+        ] {
+            match client.submit(&spec) {
+                Err(ClientError::Api { status: 400, .. }) => {}
+                other => panic!("{what}: expected 400, got {other:?}"),
+            }
+        }
+        assert_eq!(client.metrics().expect("metrics").submitted, 0);
+
+        let normal = public_specs().remove(0);
+        let id = client.submit(&normal).expect("admitted").id;
+        let status = client.status(id, true).expect("terminal");
+        assert_eq!(status.status, JobStatus::Completed);
+        assert_eq!(client.metrics().expect("metrics").submitted, 1);
+        server.shutdown();
+        done.send(()).expect("test thread waits");
+    });
+    match finished.recv_timeout(std::time::Duration::from_secs(120)) {
+        Ok(()) => body.join().expect("test body"),
+        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(body.join().expect_err("body ended without finishing"))
+        }
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+            panic!("timed out: an admitted spec never finished")
+        }
+    }
+}
+
 #[test]
 fn unreachable_server_is_distinguished_from_job_failure() {
     // Port 9 (discard) on localhost is refused in any sane environment.

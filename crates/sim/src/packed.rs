@@ -13,12 +13,11 @@
 //! simulates its own contiguous block of the requested cycles from its own
 //! sub-seeded [`PackedVectorSource`](crate::PackedVectorSource) stream
 //! (every lane is an independent Monte-Carlo chain, so shards are simply
-//! more chains). All event counters are order-independent integers, so the
-//! per-shard counters merge by plain addition — the merged totals are a
-//! pure function of `(probs, seed, cycles, warmup, shards)` and in
-//! particular **independent of how many OS threads execute the shards**.
-//! That is the whole determinism story: `threads` is an execution knob,
-//! `shards` is part of the stream definition.
+//! more chains). The shards run one after another on the calling thread.
+//! All event counters are order-independent integers, so the per-shard
+//! counters merge by plain addition — the merged totals are a pure
+//! function of `(probs, seed, cycles, warmup, shards)`: `shards` is part of
+//! the stream definition, like the seed.
 
 pub use crate::vectors::LANES;
 
@@ -116,12 +115,11 @@ pub(crate) fn shard_seed(seed: u64, k: u64) -> u64 {
 /// Decomposes a [`SimConfig`] into its logical shards: measured cycles and
 /// warmup word-steps are split as evenly as possible (earlier shards take
 /// the remainders), and shards left with no measured cycles are dropped —
-/// so tiny runs degrade gracefully and `threads > shards > words` stays
+/// so tiny runs degrade gracefully and `shards > words` stays
 /// well-defined. When any warmup is requested at all, every shard settles
 /// for **at least one** word-step: a shard measuring from completely cold
 /// state would count spurious first-cycle inverter toggles the warmup knob
-/// exists to discard. The plan is a pure function of the config, never of
-/// the thread count.
+/// exists to discard. The plan is a pure function of the config.
 pub(crate) fn shard_plan(config: &SimConfig) -> Vec<ShardSlice> {
     let shards = (config.shards.max(1) as usize).min(config.cycles.max(1));
     let base = config.cycles / shards;
@@ -144,46 +142,6 @@ pub(crate) fn shard_plan(config: &SimConfig) -> Vec<ShardSlice> {
         .collect()
 }
 
-/// Resolves the execution thread count: `0` means "all available CPUs",
-/// and there is never a point in more workers than shards.
-fn effective_threads(threads: usize, shards: usize) -> usize {
-    let t = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        threads
-    };
-    t.clamp(1, shards.max(1))
-}
-
-/// Runs `f` over every shard of `plan`, on up to `threads` OS threads,
-/// returning the results **in shard order**. The single-thread path runs
-/// inline (no spawn overhead); the multi-thread path splits the plan into
-/// contiguous chunks. Because callers merge shard results with integer
-/// addition, the outputs are identical either way — pinned by the
-/// thread-count-invariance tests.
-pub(crate) fn run_sharded<T: Send>(
-    plan: &[ShardSlice],
-    threads: usize,
-    f: impl Fn(&ShardSlice) -> T + Sync,
-) -> Vec<T> {
-    let threads = effective_threads(threads, plan.len());
-    if threads <= 1 || plan.len() <= 1 {
-        return plan.iter().map(f).collect();
-    }
-    let chunk_len = plan.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = plan
-            .chunks(chunk_len)
-            .map(|chunk| scope.spawn(move || chunk.iter().map(f).collect::<Vec<T>>()))
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("simulation shard panicked"))
-            .collect()
-    })
-}
-
 /// Work accounting of one packed simulation run — surfaced through
 /// [`PowerReport::stats`](crate::PowerReport) and `dominoc --stats`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -196,8 +154,7 @@ pub struct SimStats {
     /// shards.
     pub measured_words: u64,
     /// Logical shards the measurement was decomposed into (1 for the
-    /// single-stream kernels). Results depend on the shard count, never on
-    /// the thread count that executed them.
+    /// single-stream kernels).
     pub shards: u64,
 }
 
@@ -292,21 +249,5 @@ mod tests {
         });
         assert_eq!(tiny.len(), 3);
         assert_eq!(tiny.iter().map(|s| s.cycles).sum::<usize>(), 3);
-    }
-
-    #[test]
-    fn run_sharded_is_thread_count_invariant() {
-        let cfg = SimConfig {
-            cycles: 1000,
-            warmup: 8,
-            shards: 8,
-            ..SimConfig::default()
-        };
-        let plan = shard_plan(&cfg);
-        let work = |s: &ShardSlice| s.seed.wrapping_mul(s.cycles as u64 + 1);
-        let seq: Vec<u64> = run_sharded(&plan, 1, work);
-        for threads in [2, 3, 8, 16] {
-            assert_eq!(run_sharded(&plan, threads, work), seq, "threads={threads}");
-        }
     }
 }

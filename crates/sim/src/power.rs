@@ -26,10 +26,10 @@
 //!
 //! Switching events are accumulated per cell as *integer popcounts* of the
 //! packed value words and converted to `f64` exactly once at the end, so
-//! totals are independent of accumulation order — the property that makes
-//! the counters shardable and lets the scalar lane-by-lane
+//! totals are independent of accumulation order — the property that lets
+//! the shards' counters merge by addition and the scalar lane-by-lane
 //! [`reference`](crate::reference) implementations reproduce them bit for
-//! bit.
+//! bit. The shards run one after another on the calling thread.
 //!
 //! Average capacitive current: `I_cap = C_avg · V_dd · f` (reported in mA);
 //! short-circuit current is modelled as 10% of capacitive (the classic
@@ -39,7 +39,7 @@
 use domino_phase::{DominoNetwork, PackedRailEvaluator};
 use domino_techmap::{CellClass, Library, MappedNetlist, MappedRef};
 
-use crate::packed::{broadcast, run_sharded, shard_plan, ShardSlice, SimStats, WordSchedule};
+use crate::packed::{broadcast, shard_plan, ShardSlice, SimStats, WordSchedule};
 use crate::vectors::PackedVectorSource;
 
 /// First adaptive checkpoint, in measured words per shard (128 vectors).
@@ -52,29 +52,25 @@ use crate::vectors::PackedVectorSource;
 /// stronger convergence signal than equal-width windows.
 const ADAPTIVE_FIRST_CHECK_WORDS: usize = 2;
 
-/// Simulation length, seeding, and shard/thread decomposition.
+/// Simulation length, seeding, and shard decomposition.
 ///
 /// # Determinism contract
 ///
 /// Measurement results are a pure function of `(cycles, warmup, seed,
-/// adaptive_tol_ppm, shards)` — everything except
-/// [`threads`](SimConfig::threads), which only chooses how many OS
-/// threads execute the (fixed) shard decomposition.
-/// Sharded kernels accumulate integer event counters per shard and merge
-/// them by addition, so `threads = 1` and `threads = 8` produce
-/// bit-identical reports; the engine's cache key canonicalizes `threads`
-/// away for the same reason.
+/// adaptive_tol_ppm, shards)`. Sharded kernels run their shards in order
+/// on the calling thread, accumulate integer event counters per shard and
+/// merge them by addition.
 ///
 /// # Example
 ///
 /// ```
 /// use domino_sim::SimConfig;
 ///
-/// let cfg = SimConfig { cycles: 1 << 16, threads: 8, ..SimConfig::default() };
-/// // threads is execution-only: these two configs measure identical bits.
-/// let sequential = SimConfig { threads: 1, ..cfg };
-/// assert_eq!(cfg.cycles, sequential.cycles);
-/// assert_eq!(cfg.shards, sequential.shards); // the stream decomposition
+/// let cfg = SimConfig { cycles: 1 << 16, ..SimConfig::default() };
+/// // The shard count is part of the stream definition, like the seed.
+/// let one_stream = SimConfig { shards: 1, ..cfg };
+/// assert_eq!(cfg.cycles, one_stream.cycles);
+/// assert_ne!(cfg, one_stream);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimConfig {
@@ -111,9 +107,6 @@ pub struct SimConfig {
     /// of the stream definition — changing it changes the sampled vectors,
     /// bit for bit, like changing the seed would.
     pub shards: u32,
-    /// OS threads executing the shards: `0` = all available CPUs. Purely
-    /// an execution knob — results are bit-identical for every value.
-    pub threads: usize,
 }
 
 impl Default for SimConfig {
@@ -124,7 +117,6 @@ impl Default for SimConfig {
             seed: 0x00D0_1110,
             adaptive_tol_ppm: 0,
             shards: 8,
-            threads: 1,
         }
     }
 }
@@ -416,10 +408,8 @@ struct PowerShardOutput {
 /// engine and reports average currents.
 ///
 /// The measurement is decomposed into [`SimConfig::shards`] sub-seeded
-/// shard streams executed on up to [`SimConfig::threads`] OS threads;
-/// per-shard integer counters merge by addition, so the report is
-/// bit-identical for every thread count (see the [`SimConfig`] determinism
-/// contract).
+/// shard streams, run in order; per-shard integer counters merge by
+/// addition (see the [`SimConfig`] determinism contract).
 ///
 /// # Panics
 ///
@@ -470,7 +460,7 @@ pub fn measure_power(
             // Adaptive early exit: stop this shard at a word boundary once
             // its running energy-per-cycle estimate has converged between
             // (doubling) checkpoints. Per-shard, so the decision depends
-            // only on the shard's own stream — never on thread scheduling.
+            // only on the shard's own stream.
             if tol > 0.0 && measured_words == next_check {
                 next_check *= 2;
                 let estimate = finalize_power(
@@ -497,7 +487,6 @@ pub fn measure_power(
         }
     };
 
-    let outputs = run_sharded(&plan, config.threads, run_shard);
     let mut counters = PowerCounters {
         cell_events: vec![0u64; mapped.cells().len()],
         dff_events: vec![0u64; mapped.dffs().len()],
@@ -507,7 +496,7 @@ pub fn measure_power(
         shards: plan.len() as u64,
         ..SimStats::default()
     };
-    for out in outputs {
+    for out in plan.iter().map(run_shard) {
         for (total, &events) in counters
             .cell_events
             .iter_mut()
@@ -588,9 +577,8 @@ pub(crate) fn inverter_positions(domino: &DominoNetwork) -> Vec<usize> {
 /// simulation (sequential state handled through the latch-data outputs,
 /// one independent chain per lane).
 ///
-/// Sharded and threaded exactly like [`measure_power`]: per-shard integer
-/// counters merged by addition, bit-identical for every
-/// [`SimConfig::threads`] value.
+/// Sharded exactly like [`measure_power`]: per-shard integer counters
+/// merged by addition.
 ///
 /// # Panics
 ///
@@ -668,7 +656,7 @@ pub fn measure_domino_switching(
     };
 
     let mut counters = SwitchingEventCounters::default();
-    for shard in run_sharded(&plan, config.threads, run_shard) {
+    for shard in plan.iter().map(run_shard) {
         counters.block += shard.block;
         counters.input_inverters += shard.input_inverters;
         counters.output_inverters += shard.output_inverters;
@@ -773,11 +761,10 @@ mod tests {
         assert!((high.stats.lane_utilization() - 1.0).abs() < 1e-12);
     }
 
-    /// The determinism contract: the thread count must never change a bit
-    /// of the report; the shard count is part of the stream definition and
-    /// may.
+    /// The shard count is part of the stream definition: different shard
+    /// counts are different, but statistically consistent, measurements.
     #[test]
-    fn thread_count_never_changes_the_report() {
+    fn shard_counts_measure_consistently() {
         let net = fig5();
         let synth = DominoSynthesizer::new(&net).unwrap();
         let domino = synth.synthesize(&PhaseAssignment::all_positive(2)).unwrap();
@@ -785,20 +772,12 @@ mod tests {
         let mapped = map(&domino, &lib);
         let pi = [0.7; 4];
         let base = SimConfig::default();
-        let sequential = measure_power(&mapped, &lib, &pi, &SimConfig { threads: 1, ..base });
-        for threads in [0, 2, 8, 64] {
-            let threaded = measure_power(&mapped, &lib, &pi, &SimConfig { threads, ..base });
-            assert_eq!(sequential, threaded, "threads={threads}");
-            let sw_seq = measure_domino_switching(&domino, &pi, &SimConfig { threads: 1, ..base });
-            let sw_par = measure_domino_switching(&domino, &pi, &SimConfig { threads, ..base });
-            assert_eq!(sw_seq, sw_par, "threads={threads}");
-        }
-        // Different shard counts are different (but valid) measurements.
+        let sharded = measure_power(&mapped, &lib, &pi, &base);
         let one_shard = measure_power(&mapped, &lib, &pi, &SimConfig { shards: 1, ..base });
         assert_eq!(one_shard.stats.shards, 1);
-        assert_eq!(one_shard.cycles, sequential.cycles);
+        assert_eq!(one_shard.cycles, sharded.cycles);
         assert!(
-            (one_shard.cap_ma - sequential.cap_ma).abs() < 0.1 * sequential.cap_ma,
+            (one_shard.cap_ma - sharded.cap_ma).abs() < 0.1 * sharded.cap_ma,
             "shardings are statistically consistent"
         );
     }

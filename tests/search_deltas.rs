@@ -1,12 +1,14 @@
 //! The delta-scored searches against the apply/measure/revert loops they
-//! replaced.
+//! replaced, and the exhaustive Gray-code walk against fresh accountants.
 //!
 //! The searches score every candidate as an exact integer delta read off
 //! the outputs' flip diffs and apply only what they commit. The reference
 //! loops below are test-only copies of the searches as they were before:
 //! each applies a candidate through `ConeAccountant::set_phase`, reads
 //! `fixed_total`, and reverts the candidates it rejects; the §4.1 loop
-//! keeps every pair in one `BinaryHeap`. Both must give the same
+//! keeps every pair in one `BinaryHeap`. The walk moves one accountant
+//! through all `2^n` assignments; its reference scores each assignment on
+//! an accountant seeded fresh there. Both sides must give the same
 //! assignment, objective bits, evaluations, commits and trace, and every
 //! scored delta must equal the `fixed_total` change of applying it.
 
@@ -172,6 +174,31 @@ fn reference_hill_climb(
     record.evaluations = 1;
     reference_climb(&mut acct, passes, &mut record);
     record.outcome(acct.assignment().clone())
+}
+
+/// The exhaustive branch of `search_objective`: every assignment in Gray
+/// order (step `s` visits `s ^ (s >> 1)`), each scored on its own freshly
+/// seeded accountant, committing on strict improvement.
+fn reference_walk(synth: &DominoSynthesizer<'_>, objective: &Objective<'_>) -> SearchOutcome {
+    let n = synth.view_outputs().len();
+    let seeded = |bits: u64| {
+        ConeAccountant::new(
+            synth,
+            objective.clone(),
+            PhaseAssignment::from_bits(n, bits),
+        )
+        .expect("assignment fits")
+    };
+    let mut record = Record::new(&seeded(0));
+    record.evaluations = 1;
+    let mut best = 0;
+    for step in 1..1u64 << n {
+        let bits = step ^ (step >> 1);
+        if record.measure(&seeded(bits), false) {
+            best = bits;
+        }
+    }
+    record.outcome(PhaseAssignment::from_bits(n, best))
 }
 
 /// The §4.1 loop's heap entry: a max-heap ordered so the cheapest pair
@@ -440,13 +467,65 @@ proptest! {
 
         let power = Objective::Power { probs: probs.as_slice(), model };
         let climb = MinAreaConfig { exhaustive_limit: 0, max_passes: 1 + refinement_passes };
+        let walk = MinAreaConfig { exhaustive_limit: n, max_passes: 0 };
         for objective in [Objective::Area, power.clone()] {
             let got = search_objective(&synth, objective.clone(), &climb).expect("search runs");
-            let want = reference_hill_climb(&synth, objective, climb.max_passes);
+            let want = reference_hill_climb(&synth, objective.clone(), climb.max_passes);
             assert_same(&got, &want, "hill climb");
+
+            let got = search_objective(&synth, objective.clone(), &walk).expect("search runs");
+            assert_eq!(got.evaluations, 1 << n);
+            assert_same(&got, &reference_walk(&synth, &objective), "exhaustive walk");
         }
 
         check_deltas(&synth, &Objective::Area, initial.clone(), &mut stream);
         check_deltas(&synth, &power, initial, &mut stream);
+    }
+}
+
+/// The walk on a network as wide as the ones whose walks were once split
+/// across threads (12–14 view outputs): a generated 14-output control block
+/// under the area objective and the power objective at three PI
+/// probabilities, each against the fresh-accountant reference; the reported
+/// area must be the area of synthesizing the reported assignment.
+#[test]
+fn exhaustive_walk_matches_fresh_accountants_on_fourteen_outputs() {
+    let net = generate(&GeneratorSpec::control_block("walk14", 10, 14, 80, 5))
+        .expect("generator succeeds");
+    let synth = DominoSynthesizer::new(&net).expect("valid network");
+    let n = synth.view_outputs().len();
+    assert_eq!(n, 14);
+    let walk = MinAreaConfig {
+        exhaustive_limit: n,
+        max_passes: 0,
+    };
+
+    let area = search_objective(&synth, Objective::Area, &walk).expect("search runs");
+    assert_eq!(area.evaluations, 1 << n);
+    assert_same(
+        &area,
+        &reference_walk(&synth, &Objective::Area),
+        "area walk",
+    );
+    let cells = synth
+        .synthesize(&area.assignment)
+        .expect("synthesis")
+        .area_cells();
+    assert_eq!(area.objective as usize, cells);
+
+    for p in [0.5, 0.9, 0.37] {
+        let pi = vec![p; net.inputs().len()];
+        let probs =
+            compute_probabilities(&net, &pi, &ProbabilityConfig::default()).expect("probabilities");
+        let power = Objective::Power {
+            probs: probs.as_slice(),
+            model: PowerModel::unit(),
+        };
+        let got = search_objective(&synth, power.clone(), &walk).expect("search runs");
+        assert_same(
+            &got,
+            &reference_walk(&synth, &power),
+            &format!("power walk p={p}"),
+        );
     }
 }
