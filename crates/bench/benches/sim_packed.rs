@@ -38,6 +38,15 @@ fn bench_sim_packed(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("power_packed", bench.name), |b| {
             b.iter(|| measure_power(&mapped, &lib, &pi, &cfg))
         });
+        // Shard counts below the lockstep block width of 8: one stream,
+        // and a remainder that splits into blocks of 2 and 1.
+        for shards in [1u32, 3] {
+            let cfg = SimConfig { shards, ..cfg };
+            group.bench_function(
+                BenchmarkId::new(format!("power_packed_{shards}shard"), bench.name),
+                |b| b.iter(|| measure_power(&mapped, &lib, &pi, &cfg)),
+            );
+        }
         group.bench_function(BenchmarkId::new("power_scalar", bench.name), |b| {
             b.iter(|| reference::measure_power(&mapped, &lib, &pi, &cfg))
         });

@@ -441,6 +441,26 @@ mod tests {
     }
 
     #[test]
+    fn unrunnable_specs_fail_in_the_engine() {
+        let FlowJob {
+            mut spec, network, ..
+        } = tiny_job("zero", 0);
+        spec.sim.cycles = 0;
+        let zero_cycles = FlowJob::new(spec, network);
+        let engine = FlowEngine::serial();
+        let results = engine.run_batch(&[zero_cycles.clone(), tiny_job("good", 0)]);
+        match &results[0] {
+            JobResult::Failed(EngineError::Spec(msg)) => assert!(msg.contains("sim.cycles")),
+            other => panic!("expected a spec failure, got {other:?}"),
+        }
+        assert!(results[1].outcome().is_some());
+        assert!(matches!(
+            engine.run_one(&zero_cycles, &CancelToken::new()),
+            JobResult::Failed(EngineError::Spec(_))
+        ));
+    }
+
+    #[test]
     fn failures_do_not_abort_the_batch() {
         let good = tiny_job("good", 0);
         let bad = FlowJob::new(

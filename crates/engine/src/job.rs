@@ -225,10 +225,7 @@ impl JobSpec {
     /// # Errors
     ///
     /// [`EngineError::Spec`] on malformed structure or unknown tags, and
-    /// for values the flow cannot run: `sim.cycles` of 0 (the currents
-    /// would divide by zero), `library.max_fanin` below 2 (mapping could
-    /// not split a wide gate) and `flow.area.exhaustive_limit` above 20
-    /// (a walk of more than 2²⁰ assignments).
+    /// for values [`JobSpec::validate`] refuses.
     pub fn from_json(v: &Json) -> Result<Self, EngineError> {
         let name = v
             .get("name")
@@ -273,20 +270,7 @@ impl JobSpec {
             Some(j) => sim_from_json(j)?,
             None => defaults.sim,
         };
-        if sim.cycles == 0 {
-            return Err(EngineError::Spec("sim.cycles must be at least 1".into()));
-        }
-        if library.max_fanin < 2 {
-            return Err(EngineError::Spec(
-                "library.max_fanin must be at least 2".into(),
-            ));
-        }
-        if flow.area.exhaustive_limit > MAX_EXHAUSTIVE_LIMIT {
-            return Err(EngineError::Spec(format!(
-                "flow.area.exhaustive_limit must be at most {MAX_EXHAUSTIVE_LIMIT}"
-            )));
-        }
-        Ok(JobSpec {
+        let spec = JobSpec {
             name,
             source,
             objective,
@@ -296,7 +280,36 @@ impl JobSpec {
             sim,
             timing_fraction: get("timing_fraction").and_then(Json::as_f64),
             mp_and_penalty: get("mp_and_penalty").and_then(Json::as_f64),
-        })
+        };
+        spec.validate()?;
+        Ok(spec)
+    }
+
+    /// Refuses values the flow cannot run: `sim.cycles` of 0 (the currents
+    /// would divide by zero), `library.max_fanin` below 2 (mapping could
+    /// not split a wide gate) and `flow.area.exhaustive_limit` above 20
+    /// (a walk of more than 2²⁰ assignments). [`JobSpec::from_json`] and
+    /// every run call it, so a spec built in code is held to the same
+    /// bounds as one sent over the wire.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::Spec`] naming the first field out of bounds.
+    pub fn validate(&self) -> Result<(), EngineError> {
+        if self.sim.cycles == 0 {
+            return Err(EngineError::Spec("sim.cycles must be at least 1".into()));
+        }
+        if self.library.max_fanin < 2 {
+            return Err(EngineError::Spec(
+                "library.max_fanin must be at least 2".into(),
+            ));
+        }
+        if self.flow.area.exhaustive_limit > MAX_EXHAUSTIVE_LIMIT {
+            return Err(EngineError::Spec(format!(
+                "flow.area.exhaustive_limit must be at most {MAX_EXHAUSTIVE_LIMIT}"
+            )));
+        }
+        Ok(())
     }
 }
 
@@ -1124,12 +1137,17 @@ mod tests {
                 Err(EngineError::Spec(msg)) => assert!(msg.contains(field), "{msg}"),
                 other => panic!("{field}: expected a spec error, got {other:?}"),
             }
+            match spec.validate() {
+                Err(EngineError::Spec(msg)) => assert!(msg.contains(field), "{msg}"),
+                other => panic!("{field}: expected a spec error, got {other:?}"),
+            }
         }
         // The bounds themselves are accepted.
         let mut edge = base;
         edge.sim.cycles = 1;
         edge.library.max_fanin = 2;
         edge.flow.area.exhaustive_limit = 20;
+        edge.validate().unwrap();
         assert_eq!(JobSpec::from_json(&edge.to_json()).unwrap(), edge);
     }
 

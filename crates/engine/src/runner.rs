@@ -41,8 +41,9 @@ use crate::job::{
 /// # Errors
 ///
 /// Flow errors ([`EngineError::Flow`]), invalid networks
-/// ([`EngineError::Netlist`]) and PI-profile mismatches
-/// ([`EngineError::Spec`]).
+/// ([`EngineError::Netlist`]), and specs that fail
+/// [`JobSpec::validate`](crate::JobSpec::validate) or carry a mismatched
+/// PI profile ([`EngineError::Spec`]).
 pub fn run_job(job: &FlowJob) -> Result<FlowOutcome, EngineError> {
     run(job, None, &|| false)
 }
@@ -67,6 +68,7 @@ pub(crate) fn run(
     is_cancelled: &dyn Fn() -> bool,
 ) -> Result<FlowOutcome, EngineError> {
     let spec = &job.spec;
+    spec.validate()?;
     job.network.validate()?;
     let pi = spec.pi.expand(&job.network)?;
     if is_cancelled() {
@@ -264,6 +266,21 @@ mod tests {
         assert!(area.ma.is_some() && area.mp.is_none());
         let power = run_job(&fig5_job(RunObjective::MinPower)).unwrap();
         assert!(power.ma.is_none() && power.mp.is_some());
+    }
+
+    /// A spec built in code meets the same bounds as one parsed from
+    /// JSON: `sim.cycles = 0` is refused before any stage runs, instead
+    /// of reaching the simulation and reporting a NaN current.
+    #[test]
+    fn unrunnable_specs_built_in_code_are_refused() {
+        let FlowJob {
+            mut spec, network, ..
+        } = fig5_job(RunObjective::Compare);
+        spec.sim.cycles = 0;
+        match run_job(&FlowJob::new(spec, network)) {
+            Err(EngineError::Spec(msg)) => assert!(msg.contains("sim.cycles"), "{msg}"),
+            other => panic!("expected a spec error, got {other:?}"),
+        }
     }
 
     #[test]

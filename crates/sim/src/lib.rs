@@ -43,4 +43,4 @@ mod vectors;
 pub use packed::SimStats;
 pub use power::{measure_domino_switching, measure_power, PowerReport, SimConfig, SwitchingCounts};
 pub use static_sim::{simulate_static, StaticSimReport};
-pub use vectors::{CorrelatedVectorSource, PackedVectorSource, VectorSource, LANES};
+pub use vectors::{PackedVectorSource, VectorSource, LANES};

@@ -112,34 +112,58 @@ pub(crate) fn shard_seed(seed: u64, k: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Decomposes a [`SimConfig`] into its logical shards: measured cycles and
-/// warmup word-steps are split as evenly as possible (earlier shards take
-/// the remainders), and shards left with no measured cycles are dropped —
-/// so tiny runs degrade gracefully and `shards > words` stays
-/// well-defined. When any warmup is requested at all, every shard settles
-/// for **at least one** word-step: a shard measuring from completely cold
-/// state would count spurious first-cycle inverter toggles the warmup knob
-/// exists to discard. The plan is a pure function of the config.
-pub(crate) fn shard_plan(config: &SimConfig) -> Vec<ShardSlice> {
-    let shards = (config.shards.max(1) as usize).min(config.cycles.max(1));
-    let base = config.cycles / shards;
-    let rem = config.cycles % shards;
-    let wbase = config.warmup / shards;
-    let wrem = config.warmup % shards;
-    (0..shards)
-        .map(|k| {
-            let mut warmup = wbase + usize::from(k < wrem);
-            if warmup == 0 && config.warmup > 0 {
-                warmup = 1;
-            }
-            ShardSlice {
-                seed: shard_seed(config.seed, k as u64),
-                warmup,
-                cycles: base + usize::from(k < rem),
-            }
-        })
-        .filter(|slice| slice.cycles > 0)
-        .collect()
+/// The logical shards of a [`SimConfig`], each computed on demand from
+/// `(config, k)`: measured cycles and warmup word-steps are split as
+/// evenly as possible (earlier shards take the remainders), and a run with
+/// fewer cycles than shards has one shard per cycle — so tiny runs degrade
+/// gracefully and `shards > cycles` stays well-defined. When any warmup is
+/// requested at all, every shard settles for **at least one** word-step: a
+/// shard measuring from completely cold state would count spurious
+/// first-cycle inverter toggles the warmup knob exists to discard. The
+/// plan is a pure function of the config, and it holds no per-shard
+/// storage, so a huge shard count costs nothing until its shards run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ShardPlan {
+    seed: u64,
+    cycles: usize,
+    warmup: usize,
+    /// Shards that measure at least one cycle (0 when `cycles` is 0).
+    shards: usize,
+}
+
+impl ShardPlan {
+    pub(crate) fn new(config: &SimConfig) -> Self {
+        ShardPlan {
+            seed: config.seed,
+            cycles: config.cycles,
+            warmup: config.warmup,
+            shards: (config.shards.max(1) as usize).min(config.cycles),
+        }
+    }
+
+    /// Number of shards, every one measuring at least one cycle.
+    pub(crate) fn len(&self) -> usize {
+        self.shards
+    }
+
+    /// Shard `k` of the plan (`k < len()`).
+    pub(crate) fn slice(&self, k: usize) -> ShardSlice {
+        debug_assert!(k < self.shards, "shard {k} of {}", self.shards);
+        let mut warmup = self.warmup / self.shards + usize::from(k < self.warmup % self.shards);
+        if warmup == 0 && self.warmup > 0 {
+            warmup = 1;
+        }
+        ShardSlice {
+            seed: shard_seed(self.seed, k as u64),
+            warmup,
+            cycles: self.cycles / self.shards + usize::from(k < self.cycles % self.shards),
+        }
+    }
+
+    /// Every shard, in order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = ShardSlice> + '_ {
+        (0..self.shards).map(|k| self.slice(k))
+    }
 }
 
 /// Work accounting of one packed simulation run — surfaced through
@@ -219,7 +243,7 @@ mod tests {
             shards: 8,
             ..SimConfig::default()
         };
-        let plan = shard_plan(&cfg);
+        let plan: Vec<ShardSlice> = ShardPlan::new(&cfg).iter().collect();
         assert_eq!(plan.len(), 8);
         assert_eq!(plan.iter().map(|s| s.cycles).sum::<usize>(), 4096);
         assert_eq!(plan.iter().map(|s| s.warmup).sum::<usize>(), 64);
@@ -230,18 +254,20 @@ mod tests {
         assert_eq!(seeds.len(), 8);
 
         // Uneven split: earlier shards take the remainders.
-        let uneven = shard_plan(&SimConfig {
+        let uneven: Vec<ShardSlice> = ShardPlan::new(&SimConfig {
             cycles: 203,
             warmup: 3,
             shards: 8,
             ..cfg
-        });
+        })
+        .iter()
+        .collect();
         assert_eq!(uneven.iter().map(|s| s.cycles).sum::<usize>(), 203);
         assert!(uneven.iter().all(|s| s.cycles > 0));
         assert!(uneven[0].cycles >= uneven[7].cycles);
 
-        // More shards than cycles: empty shards are dropped.
-        let tiny = shard_plan(&SimConfig {
+        // More shards than cycles: one shard per cycle.
+        let tiny = ShardPlan::new(&SimConfig {
             cycles: 3,
             warmup: 0,
             shards: 8,
@@ -249,5 +275,30 @@ mod tests {
         });
         assert_eq!(tiny.len(), 3);
         assert_eq!(tiny.iter().map(|s| s.cycles).sum::<usize>(), 3);
+        let none = ShardPlan::new(&SimConfig { cycles: 0, ..cfg });
+        assert_eq!(none.len(), 0);
+        assert_eq!(none.iter().count(), 0);
+    }
+
+    #[test]
+    fn a_huge_plan_is_computed_on_demand() {
+        // A billion shards of one cycle each: the count and the first
+        // block come out without building the other slices.
+        let plan = ShardPlan::new(&SimConfig {
+            cycles: 1_000_000_000,
+            warmup: 16,
+            seed: 7,
+            shards: 1_000_000_000,
+            ..SimConfig::default()
+        });
+        assert_eq!(plan.len(), 1_000_000_000);
+        let first: Vec<ShardSlice> = plan.iter().take(8).collect();
+        assert_eq!(first[0].seed, 7);
+        for (k, slice) in first.iter().enumerate() {
+            assert_eq!(slice.seed, shard_seed(7, k as u64));
+            assert_eq!((slice.warmup, slice.cycles), (1, 1));
+        }
+        let last = plan.slice(999_999_999);
+        assert_eq!((last.warmup, last.cycles), (1, 1));
     }
 }

@@ -39,7 +39,7 @@
 use domino_phase::{DominoNetwork, PackedRailEvaluator};
 use domino_techmap::{CellClass, Library, MappedNetlist, MappedRef};
 
-use crate::packed::{broadcast, shard_plan, ShardSlice, SimStats, WordSchedule};
+use crate::packed::{broadcast, ShardPlan, ShardSlice, SimStats, WordSchedule};
 use crate::vectors::PackedVectorSource;
 
 /// First adaptive checkpoint, in measured words per shard (128 vectors).
@@ -177,6 +177,17 @@ pub(crate) struct PowerCounters {
     pub measured_cycles: u64,
 }
 
+impl PowerCounters {
+    /// All-zero counters for `mapped`.
+    pub(crate) fn new(mapped: &MappedNetlist) -> Self {
+        PowerCounters {
+            cell_events: vec![0; mapped.cells().len()],
+            dff_events: vec![0; mapped.dffs().len()],
+            measured_cycles: 0,
+        }
+    }
+}
+
 /// Converts integer counters into currents. Shared verbatim by the packed
 /// engine and the scalar reference so equal counters give bit-identical
 /// reports.
@@ -227,17 +238,25 @@ pub(crate) fn finalize_power(
     }
 }
 
-/// How a compiled cell combines its fanin words. A domino buffer is a
-/// one-fanin `And`.
+/// How a compiled cell combines its fanin words, and when it switches:
+/// each cell class has one fixed event rule, so counting folds into the
+/// evaluation pass. A domino buffer is a one-fanin `And`.
 #[derive(Debug, Clone, Copy)]
 enum CellOp {
+    /// Domino AND: switches its load whenever it evaluates high.
     And,
+    /// Domino OR: the same event rule as `And`.
     Or,
-    Not,
+    /// Input inverter: switches when its word differs from the previous
+    /// step's.
+    InputInv,
+    /// Output inverter: pulses with its domino driver (driver high ⇔
+    /// inverter output low).
+    OutputInv,
 }
 
 /// A [`MappedNetlist`] compiled for word-parallel simulation (see the
-/// module docs). Shared read-only across shards.
+/// module docs). Shared read-only across shard blocks.
 struct CompiledNetlist {
     /// Source rails, primary inputs first: word indices `0..sources`.
     sources: usize,
@@ -248,11 +267,9 @@ struct CompiledNetlist {
     /// `fanins[offsets[i]..offsets[i + 1]]`.
     offsets: Vec<u32>,
     fanins: Vec<u32>,
-    /// Cell indices by event rule.
-    domino: Vec<u32>,
-    input_inv: Vec<u32>,
-    output_inv: Vec<u32>,
-    /// Per flop: the word of its data input and of the rail it drives.
+    /// Per flop: its reset value, the word of its data input and of the
+    /// rail it drives.
+    dff_init: Vec<bool>,
     dff_data: Vec<u32>,
     dff_source: Vec<u32>,
 }
@@ -275,9 +292,7 @@ impl CompiledNetlist {
             ops: Vec::with_capacity(cells),
             offsets: Vec::with_capacity(cells + 1),
             fanins: Vec::new(),
-            domino: Vec::new(),
-            input_inv: Vec::new(),
-            output_inv: Vec::new(),
+            dff_init: mapped.dffs().iter().map(|d| d.init).collect(),
             dff_data: mapped.dffs().iter().map(|d| word(d.data)).collect(),
             dff_source: mapped
                 .dffs()
@@ -286,130 +301,275 @@ impl CompiledNetlist {
                 .collect(),
         };
         net.offsets.push(0);
-        for (i, cell) in mapped.cells().iter().enumerate() {
-            let i = i as u32;
-            let op = match cell.class {
-                CellClass::DominoAnd | CellClass::DominoBuf => {
-                    net.domino.push(i);
-                    CellOp::And
-                }
-                CellClass::DominoOr => {
-                    net.domino.push(i);
-                    CellOp::Or
-                }
-                CellClass::InputInv => {
-                    net.input_inv.push(i);
-                    CellOp::Not
-                }
-                CellClass::OutputInv => {
-                    net.output_inv.push(i);
-                    CellOp::Not
-                }
+        for cell in mapped.cells() {
+            net.ops.push(match cell.class {
+                CellClass::DominoAnd | CellClass::DominoBuf => CellOp::And,
+                CellClass::DominoOr => CellOp::Or,
+                CellClass::InputInv => CellOp::InputInv,
+                CellClass::OutputInv => CellOp::OutputInv,
                 CellClass::Dff => unreachable!("flops are not in cells"),
-            };
-            net.ops.push(op);
+            });
             net.fanins.extend(cell.fanins.iter().map(|&f| word(f)));
             net.offsets.push(net.fanins.len() as u32);
         }
         net
     }
-
-    /// A fresh word array: every flop rail at its reset value, the two
-    /// constant words set, everything else zero.
-    fn initial_words(&self, mapped: &MappedNetlist) -> Vec<u64> {
-        let cells = self.ops.len();
-        let mut words = vec![0u64; self.sources + cells + 2];
-        for dff in mapped.dffs() {
-            words[dff.source_index] = broadcast(dff.init);
-        }
-        words[self.sources + cells + 1] = !0;
-        words
-    }
-
-    /// Evaluates every cell, in topological order, from the source words.
-    fn eval(&self, words: &mut [u64]) {
-        for (i, op) in self.ops.iter().enumerate() {
-            let fanins = &self.fanins[self.offsets[i] as usize..self.offsets[i + 1] as usize];
-            words[self.sources + i] = match op {
-                CellOp::And => fanins.iter().fold(!0, |acc, &f| acc & words[f as usize]),
-                CellOp::Or => fanins.iter().fold(0, |acc, &f| acc | words[f as usize]),
-                CellOp::Not => !words[fanins[0] as usize],
-            };
-        }
-    }
 }
 
-/// One shard's simulation state over a [`CompiledNetlist`].
-struct PackedPowerSim<'a> {
+/// `W` shard streams simulated in lockstep over one [`CompiledNetlist`]:
+/// every rail holds one word per shard (its *lane*), so each fanin index
+/// is loaded once per `W` words. Lanes never mix — lane `l` evolves
+/// exactly as its shard would alone — and each lane keeps its own integer
+/// event counters.
+struct LockstepSim<'a, const W: usize> {
     net: &'a CompiledNetlist,
-    vectors: PackedVectorSource,
-    words: Vec<u64>,
-    /// Each input inverter's word of the previous step.
-    prev_input_inv: Vec<u64>,
-    dff_next: Vec<u64>,
+    /// Laid out `[sources | cells | 0 | !0]`. A cell's word holds its value
+    /// of the previous step until the step overwrites it, which is all the
+    /// history the input inverters' toggle rule needs.
+    words: Vec<[u64; W]>,
+    dff_next: Vec<[u64; W]>,
+    /// Per cell and lane: switch events.
+    cell_events: Vec<[u64; W]>,
+    /// Per flop and lane: state changes.
+    dff_events: Vec<[u64; W]>,
 }
 
-impl PackedPowerSim<'_> {
-    /// Advances every lane one cycle; counts events on lanes in `mask`.
-    fn step(&mut self, mask: u64, counters: &mut PowerCounters) {
-        let net = self.net;
-        self.vectors.next_words(&mut self.words[..net.pis]);
-        net.eval(&mut self.words);
+/// Adds the events of `events` under `masks` to `counts`, lane by lane.
+fn count<const W: usize>(counts: &mut [u64; W], events: &[u64; W], masks: &[u64; W]) {
+    for ((c, &e), &m) in counts.iter_mut().zip(events).zip(masks) {
+        *c += u64::from((e & m).count_ones());
+    }
+}
 
-        let cells = &self.words[net.sources..];
-        if mask != 0 {
-            for &i in &net.domino {
-                let i = i as usize;
-                let events = cells[i] & mask;
-                counters.cell_events[i] += u64::from(events.count_ones());
-            }
-            for (&i, &prev) in net.input_inv.iter().zip(&self.prev_input_inv) {
-                let i = i as usize;
-                let events = (cells[i] ^ prev) & mask;
-                counters.cell_events[i] += u64::from(events.count_ones());
-            }
-            // Pulses with its domino driver (driver high ⇔ inverter output
-            // low).
-            for &i in &net.output_inv {
-                let i = i as usize;
-                let events = !cells[i] & mask;
-                counters.cell_events[i] += u64::from(events.count_ones());
-            }
+impl<'a, const W: usize> LockstepSim<'a, W> {
+    /// Every flop rail at its reset value, the two constant words set,
+    /// everything else zero; no events counted.
+    fn new(net: &'a CompiledNetlist) -> Self {
+        let cells = net.ops.len();
+        let mut words = vec![[0u64; W]; net.sources + cells + 2];
+        for (&s, &init) in net.dff_source.iter().zip(&net.dff_init) {
+            words[s as usize] = [broadcast(init); W];
         }
-        for (prev, &i) in self.prev_input_inv.iter_mut().zip(&net.input_inv) {
-            *prev = cells[i as usize];
+        words[net.sources + cells + 1] = [!0; W];
+        let flops = net.dff_source.len();
+        LockstepSim {
+            net,
+            words,
+            dff_next: vec![[0; W]; flops],
+            cell_events: vec![[0; W]; cells],
+            dff_events: vec![[0; W]; flops],
+        }
+    }
+
+    /// Advances every lane one cycle from the primary-input words already
+    /// in place, counting each lane's events on the vectors in its mask.
+    fn step(&mut self, masks: &[u64; W]) {
+        let net = self.net;
+        let counting = masks.iter().any(|&m| m != 0);
+        let words = &mut self.words;
+        for (i, op) in net.ops.iter().enumerate() {
+            let fanins = &net.fanins[net.offsets[i] as usize..net.offsets[i + 1] as usize];
+            let slot = net.sources + i;
+            let (value, events) = match op {
+                CellOp::And => {
+                    let mut acc = [!0; W];
+                    for &f in fanins {
+                        for (a, &w) in acc.iter_mut().zip(&words[f as usize]) {
+                            *a &= w;
+                        }
+                    }
+                    (acc, acc)
+                }
+                CellOp::Or => {
+                    let mut acc = [0; W];
+                    for &f in fanins {
+                        for (a, &w) in acc.iter_mut().zip(&words[f as usize]) {
+                            *a |= w;
+                        }
+                    }
+                    (acc, acc)
+                }
+                CellOp::InputInv => {
+                    let (input, prev) = (&words[fanins[0] as usize], &words[slot]);
+                    let value: [u64; W] = std::array::from_fn(|l| !input[l]);
+                    (value, std::array::from_fn(|l| value[l] ^ prev[l]))
+                }
+                CellOp::OutputInv => {
+                    let driver = words[fanins[0] as usize];
+                    (driver.map(|w| !w), driver)
+                }
+            };
+            words[slot] = value;
+            if counting {
+                count(&mut self.cell_events[i], &events, masks);
+            }
         }
 
         // Clock the flops simultaneously: every data input samples the
         // rails of *this* cycle before any flop output moves, so a flop
         // chained directly to another flop's rail sees its pre-edge value.
         for (next, &d) in self.dff_next.iter_mut().zip(&net.dff_data) {
-            *next = self.words[d as usize];
+            *next = words[d as usize];
         }
-        for (j, (&next, &s)) in self.dff_next.iter().zip(&net.dff_source).enumerate() {
-            let s = s as usize;
-            if mask != 0 {
-                let flips = (next ^ self.words[s]) & mask;
-                counters.dff_events[j] += u64::from(flips.count_ones());
+        for ((next, &s), events) in self
+            .dff_next
+            .iter()
+            .zip(&net.dff_source)
+            .zip(&mut self.dff_events)
+        {
+            let state = &mut words[s as usize];
+            if counting {
+                count(events, &std::array::from_fn(|l| next[l] ^ state[l]), masks);
             }
-            self.words[s] = next;
+            *state = *next;
+        }
+    }
+
+    /// Lane `l`'s counters, as its shard alone would have them.
+    fn lane_counters(&self, l: usize, measured_cycles: u64) -> PowerCounters {
+        PowerCounters {
+            cell_events: self.cell_events.iter().map(|c| c[l]).collect(),
+            dff_events: self.dff_events.iter().map(|c| c[l]).collect(),
+            measured_cycles,
         }
     }
 }
 
-/// Per-shard output of the packed power kernel, merged by addition.
-struct PowerShardOutput {
-    counters: PowerCounters,
-    words: u64,
-    measured_words: u64,
+/// One shard's vector stream and progress inside a lockstep block.
+struct ShardLane {
+    vectors: PackedVectorSource,
+    schedule: WordSchedule,
+    measured_words: usize,
+    measured_cycles: u64,
+    next_check: usize,
+    last_estimate: Option<f64>,
+    /// Set once an adaptive checkpoint has stopped the shard.
+    stopped: bool,
+}
+
+/// The inputs of one [`measure_power`] call, shared by its shard blocks.
+struct PowerRun<'a> {
+    mapped: &'a MappedNetlist,
+    lib: &'a Library,
+    pi_probs: &'a [f64],
+    loads: Vec<f64>,
+    source_loads: Vec<f64>,
+    net: CompiledNetlist,
+    plan: ShardPlan,
+    /// Adaptive tolerance as a fraction (0 = fixed length).
+    tol: f64,
+}
+
+impl PowerRun<'_> {
+    /// Runs shards `start..` in lockstep blocks of `W` for as long as a
+    /// whole block fits, adding their counters and work into the totals;
+    /// returns the first shard left over.
+    fn blocks<const W: usize>(
+        &self,
+        mut start: usize,
+        totals: &mut PowerCounters,
+        stats: &mut SimStats,
+    ) -> usize {
+        while self.plan.len() - start >= W {
+            self.block::<W>(start, totals, stats);
+            start += W;
+        }
+        start
+    }
+
+    fn block<const W: usize>(
+        &self,
+        start: usize,
+        totals: &mut PowerCounters,
+        stats: &mut SimStats,
+    ) {
+        let mut lanes: [ShardLane; W] = std::array::from_fn(|l| {
+            let slice = self.plan.slice(start + l);
+            ShardLane {
+                vectors: PackedVectorSource::new(self.pi_probs, slice.seed),
+                schedule: WordSchedule::new(slice.warmup, slice.cycles),
+                measured_words: 0,
+                measured_cycles: 0,
+                next_check: ADAPTIVE_FIRST_CHECK_WORDS,
+                last_estimate: None,
+                stopped: false,
+            }
+        });
+        let mut sim = LockstepSim::<W>::new(&self.net);
+        let mut pi_words = vec![0u64; self.net.pis];
+        for step in 0.. {
+            // A lane whose shard has finished or stopped takes a zero mask
+            // and draws no vectors; its words run on unobserved.
+            let mut masks = [0u64; W];
+            let mut running = false;
+            for (l, lane) in lanes.iter_mut().enumerate() {
+                if lane.stopped || step >= lane.schedule.total_steps() {
+                    continue;
+                }
+                running = true;
+                masks[l] = lane.schedule.step_mask(step);
+                lane.vectors.next_words(&mut pi_words);
+                for (word, &w) in sim.words.iter_mut().zip(&pi_words) {
+                    word[l] = w;
+                }
+            }
+            if !running {
+                break;
+            }
+            sim.step(&masks);
+
+            for (l, lane) in lanes.iter_mut().enumerate() {
+                if masks[l] == 0 {
+                    continue;
+                }
+                lane.measured_words += 1;
+                lane.measured_cycles += u64::from(masks[l].count_ones());
+                // Adaptive early exit: stop this shard at a word boundary
+                // once its running energy-per-cycle estimate has converged
+                // between (doubling) checkpoints. Per-shard, so the
+                // decision depends only on the shard's own stream.
+                if self.tol > 0.0 && lane.measured_words == lane.next_check {
+                    lane.next_check *= 2;
+                    let counters = sim.lane_counters(l, lane.measured_cycles);
+                    let estimate = finalize_power(
+                        self.mapped,
+                        self.lib,
+                        &self.loads,
+                        &self.source_loads,
+                        &counters,
+                        SimStats::default(),
+                    )
+                    .cap_ma;
+                    if let Some(prev) = lane.last_estimate {
+                        lane.stopped = (estimate - prev).abs() <= self.tol * prev.abs();
+                    }
+                    lane.last_estimate = Some(estimate);
+                }
+            }
+        }
+
+        for (total, events) in totals.cell_events.iter_mut().zip(&sim.cell_events) {
+            *total += events.iter().sum::<u64>();
+        }
+        for (total, events) in totals.dff_events.iter_mut().zip(&sim.dff_events) {
+            *total += events.iter().sum::<u64>();
+        }
+        for lane in &lanes {
+            totals.measured_cycles += lane.measured_cycles;
+            stats.words += (lane.schedule.warmup + lane.measured_words) as u64;
+            stats.measured_words += lane.measured_words as u64;
+        }
+    }
 }
 
 /// Simulates `mapped` with Bernoulli-`pi_probs` vectors on the packed
 /// engine and reports average currents.
 ///
 /// The measurement is decomposed into [`SimConfig::shards`] sub-seeded
-/// shard streams, run in order; per-shard integer counters merge by
-/// addition (see the [`SimConfig`] determinism contract).
+/// shard streams, simulated in lockstep blocks of 8 — then at most one
+/// block each of 4, 2 and 1 for the remainder, so no lane is padding.
+/// Per-shard integer counters merge by addition (see the [`SimConfig`]
+/// determinism contract).
 ///
 /// # Panics
 ///
@@ -426,93 +586,27 @@ pub fn measure_power(
         mapped.pi_count(),
         "one probability per primary input"
     );
-    let loads = mapped.load_caps_ff(lib);
-    let source_loads = dff_source_loads(mapped, lib);
-    let net = CompiledNetlist::new(mapped);
-    let plan = shard_plan(config);
-    let tol = f64::from(config.adaptive_tol_ppm) * 1e-6;
-
-    let run_shard = |slice: &ShardSlice| -> PowerShardOutput {
-        let mut sim = PackedPowerSim {
-            net: &net,
-            vectors: PackedVectorSource::new(pi_probs, slice.seed),
-            words: net.initial_words(mapped),
-            prev_input_inv: vec![0u64; net.input_inv.len()],
-            dff_next: vec![0u64; mapped.dffs().len()],
-        };
-        let mut counters = PowerCounters {
-            cell_events: vec![0u64; mapped.cells().len()],
-            dff_events: vec![0u64; mapped.dffs().len()],
-            measured_cycles: 0,
-        };
-
-        let schedule = WordSchedule::new(slice.warmup, slice.cycles);
-        for _ in 0..schedule.warmup {
-            sim.step(0, &mut counters);
-        }
-        let mut measured_words = 0usize;
-        let mut last_estimate: Option<f64> = None;
-        let mut next_check = ADAPTIVE_FIRST_CHECK_WORDS;
-        for k in 0..schedule.measured_words() {
-            sim.step(schedule.mask(k), &mut counters);
-            measured_words += 1;
-            counters.measured_cycles += u64::from(schedule.mask(k).count_ones());
-            // Adaptive early exit: stop this shard at a word boundary once
-            // its running energy-per-cycle estimate has converged between
-            // (doubling) checkpoints. Per-shard, so the decision depends
-            // only on the shard's own stream.
-            if tol > 0.0 && measured_words == next_check {
-                next_check *= 2;
-                let estimate = finalize_power(
-                    mapped,
-                    lib,
-                    &loads,
-                    &source_loads,
-                    &counters,
-                    SimStats::default(),
-                )
-                .cap_ma;
-                if let Some(prev) = last_estimate {
-                    if (estimate - prev).abs() <= tol * prev.abs() {
-                        break;
-                    }
-                }
-                last_estimate = Some(estimate);
-            }
-        }
-        PowerShardOutput {
-            counters,
-            words: (schedule.warmup + measured_words) as u64,
-            measured_words: measured_words as u64,
-        }
+    let run = PowerRun {
+        mapped,
+        lib,
+        pi_probs,
+        loads: mapped.load_caps_ff(lib),
+        source_loads: dff_source_loads(mapped, lib),
+        net: CompiledNetlist::new(mapped),
+        plan: ShardPlan::new(config),
+        tol: f64::from(config.adaptive_tol_ppm) * 1e-6,
     };
-
-    let mut counters = PowerCounters {
-        cell_events: vec![0u64; mapped.cells().len()],
-        dff_events: vec![0u64; mapped.dffs().len()],
-        measured_cycles: 0,
-    };
+    let mut totals = PowerCounters::new(mapped);
     let mut stats = SimStats {
-        shards: plan.len() as u64,
+        shards: run.plan.len() as u64,
         ..SimStats::default()
     };
-    for out in plan.iter().map(run_shard) {
-        for (total, &events) in counters
-            .cell_events
-            .iter_mut()
-            .zip(&out.counters.cell_events)
-        {
-            *total += events;
-        }
-        for (total, &events) in counters.dff_events.iter_mut().zip(&out.counters.dff_events) {
-            *total += events;
-        }
-        counters.measured_cycles += out.counters.measured_cycles;
-        stats.words += out.words;
-        stats.measured_words += out.measured_words;
-    }
-    stats.vectors = counters.measured_cycles;
-    finalize_power(mapped, lib, &loads, &source_loads, &counters, stats)
+    let mut start = run.blocks::<8>(0, &mut totals, &mut stats);
+    start = run.blocks::<4>(start, &mut totals, &mut stats);
+    start = run.blocks::<2>(start, &mut totals, &mut stats);
+    run.blocks::<1>(start, &mut totals, &mut stats);
+    stats.vectors = totals.measured_cycles;
+    finalize_power(mapped, lib, &run.loads, &run.source_loads, &totals, stats)
 }
 
 /// Per-element-class switching event averages for an (unmapped) domino
@@ -595,9 +689,9 @@ pub fn measure_domino_switching(
 
     let eval = domino.packed_evaluator();
     let inverter_positions = inverter_positions(domino);
-    let plan = shard_plan(config);
+    let plan = ShardPlan::new(config);
 
-    let run_shard = |slice: &ShardSlice| -> SwitchingEventCounters {
+    let run_shard = |slice: ShardSlice| -> SwitchingEventCounters {
         let mut vectors = PackedVectorSource::new(pi_probs, slice.seed);
         let mut source_words = vec![0u64; domino.sources().len()];
         for (i, &init) in domino.latch_inits().iter().enumerate() {
@@ -925,27 +1019,39 @@ mod tests {
                 .unwrap();
             let mapped = map(&domino, &lib);
             let compiled = CompiledNetlist::new(&mapped);
-            let mut words = compiled.initial_words(&mapped);
-            // All 32 input patterns across lanes 0..32.
-            for lane in 0..32usize {
-                for (i, w) in words[..5].iter_mut().enumerate() {
-                    if (lane >> i) & 1 == 1 {
-                        *w |= 1 << lane;
+            // Two lanes: lane 0 walks all 32 input patterns across bits
+            // 0..32, lane 1 their complements, so a step that mixed lanes
+            // would show.
+            let mut sim = LockstepSim::<2>::new(&compiled);
+            for bit in 0..32usize {
+                for (i, w) in sim.words[..5].iter_mut().enumerate() {
+                    if (bit >> i) & 1 == 1 {
+                        w[0] |= 1 << bit;
+                    } else {
+                        w[1] |= 1 << bit;
                     }
                 }
             }
-            compiled.eval(&mut words);
-            for lane in 0..32usize {
-                let values: Vec<bool> = (0..5).map(|i| (words[i] >> lane) & 1 == 1).collect();
-                let scalar = mapped.eval_cells(&values);
-                for (i, &v) in scalar.iter().enumerate() {
-                    assert_eq!(
-                        (words[5 + i] >> lane) & 1 == 1,
-                        v,
-                        "bits {bits} lane {lane} cell {i}"
-                    );
+            sim.step(&[0; 2]);
+            for lane in 0..2usize {
+                for bit in 0..32usize {
+                    let values: Vec<bool> = (0..5)
+                        .map(|i| (sim.words[i][lane] >> bit) & 1 == 1)
+                        .collect();
+                    let scalar = mapped.eval_cells(&values);
+                    for (i, &v) in scalar.iter().enumerate() {
+                        assert_eq!(
+                            (sim.words[5 + i][lane] >> bit) & 1 == 1,
+                            v,
+                            "bits {bits} lane {lane} bit {bit} cell {i}"
+                        );
+                    }
                 }
             }
+            assert!(
+                sim.cell_events.iter().all(|e| *e == [0; 2]),
+                "zero masks count nothing"
+            );
         }
     }
 

@@ -24,7 +24,7 @@ use domino_netlist::{Network, NodeKind, SequentialState};
 use domino_phase::{DominoNetwork, DominoRef};
 use domino_techmap::{CellClass, Library, MappedNetlist};
 
-use crate::packed::{shard_plan, SimStats, WordSchedule, LANES};
+use crate::packed::{ShardPlan, SimStats, WordSchedule, LANES};
 use crate::power::{
     dff_source_loads, finalize_power, inverter_positions, PowerCounters, SimConfig,
     SwitchingEventCounters,
@@ -77,7 +77,7 @@ pub fn measure_power(
     assert_fixed_length(config);
     let loads = mapped.load_caps_ff(lib);
     let source_loads = dff_source_loads(mapped, lib);
-    let plan = shard_plan(config);
+    let plan = ShardPlan::new(config);
 
     let mut counters = PowerCounters {
         cell_events: vec![0u64; mapped.cells().len()],
@@ -91,7 +91,7 @@ pub fn measure_power(
     };
     // Same shard decomposition as the packed kernel, each shard's stream
     // replayed lane by lane.
-    for slice in &plan {
+    for slice in plan.iter() {
         let schedule = WordSchedule::new(slice.warmup, slice.cycles);
         let total_steps = schedule.total_steps();
         let step_words = collect_words(pi_probs, slice.seed, total_steps);
@@ -164,7 +164,7 @@ pub fn measure_domino_switching(
     let mut counters = SwitchingEventCounters::default();
     // Same shard decomposition as the packed kernel, each shard's stream
     // replayed lane by lane.
-    for slice in &shard_plan(config) {
+    for slice in ShardPlan::new(config).iter() {
         let schedule = WordSchedule::new(slice.warmup, slice.cycles);
         let total_steps = schedule.total_steps();
         let step_words = collect_words(pi_probs, slice.seed, total_steps);

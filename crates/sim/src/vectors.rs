@@ -74,84 +74,6 @@ impl VectorSource {
     }
 }
 
-/// A vector stream with *temporal correlation*: each bit holds its previous
-/// value with probability `hold`, otherwise it is redrawn Bernoulli.
-///
-/// The paper's boundary-inverter model assumes temporally independent
-/// vectors (toggle probability `2p(1−p)`); real control signals are sticky.
-/// This stream lets the ablation quantify how far the independence
-/// assumption is off: the marginal probability stays `p`, while the toggle
-/// rate drops to `2p(1−p)·(1−hold)`.
-///
-/// # Example
-///
-/// ```
-/// use domino_sim::CorrelatedVectorSource;
-///
-/// let mut src = CorrelatedVectorSource::new(vec![0.5; 4], 0.9, 1);
-/// let first = src.next_vector();
-/// assert_eq!(first.len(), 4);
-/// ```
-#[derive(Debug, Clone)]
-pub struct CorrelatedVectorSource {
-    probs: Vec<f64>,
-    hold: f64,
-    state: Vec<bool>,
-    rng: StdRng,
-}
-
-impl CorrelatedVectorSource {
-    /// Creates a stream with per-bit probabilities and hold factor in
-    /// `[0, 1)` (`hold = 0` recovers an independent stream).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any probability is outside `[0, 1]` or `hold` outside
-    /// `[0, 1)`.
-    pub fn new(probs: Vec<f64>, hold: f64, seed: u64) -> Self {
-        assert!(
-            probs.iter().all(|p| (0.0..=1.0).contains(p)),
-            "probabilities must lie in [0, 1]"
-        );
-        assert!((0.0..1.0).contains(&hold), "hold factor must lie in [0, 1)");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let state = probs.iter().map(|&p| rng.gen_bool(p)).collect();
-        CorrelatedVectorSource {
-            probs,
-            hold,
-            state,
-            rng,
-        }
-    }
-
-    /// Number of bits per vector.
-    pub fn width(&self) -> usize {
-        self.probs.len()
-    }
-
-    /// Draws the next vector.
-    pub fn next_vector(&mut self) -> Vec<bool> {
-        let mut out = vec![false; self.probs.len()];
-        self.fill_next(&mut out);
-        out
-    }
-
-    /// Fills `out` with the next vector without allocating.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != self.width()`.
-    pub fn fill_next(&mut self, out: &mut [bool]) {
-        assert_eq!(out.len(), self.probs.len(), "vector width");
-        for ((slot, prev), &p) in out.iter_mut().zip(&mut self.state).zip(&self.probs) {
-            if !self.rng.gen_bool(self.hold) {
-                *prev = self.rng.gen_bool(p);
-            }
-            *slot = *prev;
-        }
-    }
-}
-
 /// Number of independent simulation lanes packed into one `u64` word.
 pub const LANES: usize = 64;
 
@@ -225,12 +147,6 @@ fn bernoulli_word(rng: &mut StdRng, t: u64) -> u64 {
 /// one draw per bit. Marginal frequencies agree with [`VectorSource`] to
 /// within 2^-33 (probabilities are resolved on a 2^-32 fixed-point grid).
 ///
-/// Correlated (`hold`) streams redraw each lane independently: a lane holds
-/// its previous value with probability `hold`, otherwise it is redrawn
-/// Bernoulli — per-word this is `(hold_mask & prev) | (!hold_mask & fresh)`,
-/// which preserves the scalar [`CorrelatedVectorSource`] marginal `p` and
-/// toggle rate `2p(1−p)·(1−hold)` lane for lane.
-///
 /// # Seed semantics
 ///
 /// The stream is a pure function of `(probs, seed)`: equal seeds replay
@@ -239,7 +155,9 @@ fn bernoulli_word(rng: &mut StdRng, t: u64) -> u64 {
 /// logical shard — shard 0 from the configured seed itself, shard `k > 0`
 /// from a SplitMix64 mix of `(seed, k)` — so a sharded measurement is as
 /// reproducible as a single stream, and a 1-shard run consumes exactly
-/// the classic single-stream sequence.
+/// the classic single-stream sequence. Simulating shards in lockstep does
+/// not interleave their streams: each source is drawn only for its own
+/// shard's steps.
 ///
 /// # Example
 ///
@@ -257,14 +175,11 @@ fn bernoulli_word(rng: &mut StdRng, t: u64) -> u64 {
 #[derive(Debug, Clone)]
 pub struct PackedVectorSource {
     thresholds: Vec<u64>,
-    hold_threshold: u64,
-    state: Vec<u64>,
     rng: StdRng,
 }
 
 impl PackedVectorSource {
-    /// Creates an independent (temporally uncorrelated) packed stream over
-    /// the given per-input probabilities.
+    /// Creates a packed stream over the given per-input probabilities.
     ///
     /// # Panics
     ///
@@ -272,8 +187,6 @@ impl PackedVectorSource {
     pub fn new(probs: &[f64], seed: u64) -> Self {
         PackedVectorSource {
             thresholds: probs.iter().map(|&p| fixed_threshold(p)).collect(),
-            hold_threshold: 0,
-            state: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
         }
     }
@@ -281,31 +194,6 @@ impl PackedVectorSource {
     /// Uniform probability ½ for `n` inputs.
     pub fn uniform(n: usize, seed: u64) -> Self {
         PackedVectorSource::new(&vec![0.5; n], seed)
-    }
-
-    /// Creates a temporally correlated packed stream: each lane holds its
-    /// previous value with probability `hold`, otherwise redraws Bernoulli.
-    /// Initial lane states are drawn from the marginal distribution, as in
-    /// [`CorrelatedVectorSource`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any probability is outside `[0, 1]` or `hold` outside
-    /// `[0, 1)`.
-    pub fn correlated(probs: &[f64], hold: f64, seed: u64) -> Self {
-        assert!((0.0..1.0).contains(&hold), "hold factor must lie in [0, 1)");
-        let thresholds: Vec<u64> = probs.iter().map(|&p| fixed_threshold(p)).collect();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let state = thresholds
-            .iter()
-            .map(|&t| bernoulli_word(&mut rng, t))
-            .collect();
-        PackedVectorSource {
-            thresholds,
-            hold_threshold: fixed_threshold(hold),
-            state,
-            rng,
-        }
     }
 
     /// Number of inputs (words per step).
@@ -320,17 +208,8 @@ impl PackedVectorSource {
     /// Panics if `out.len() != self.width()`.
     pub fn next_words(&mut self, out: &mut [u64]) {
         assert_eq!(out.len(), self.thresholds.len(), "word count");
-        if self.hold_threshold == 0 {
-            for (slot, &t) in out.iter_mut().zip(&self.thresholds) {
-                *slot = bernoulli_word(&mut self.rng, t);
-            }
-        } else {
-            for ((slot, prev), &t) in out.iter_mut().zip(&mut self.state).zip(&self.thresholds) {
-                let hold = bernoulli_word(&mut self.rng, self.hold_threshold);
-                let fresh = bernoulli_word(&mut self.rng, t);
-                *prev = (hold & *prev) | (!hold & fresh);
-                *slot = *prev;
-            }
+        for (slot, &t) in out.iter_mut().zip(&self.thresholds) {
+            *slot = bernoulli_word(&mut self.rng, t);
         }
     }
 }
@@ -375,39 +254,6 @@ mod tests {
     #[should_panic(expected = "probabilities must lie in [0, 1]")]
     fn invalid_probability_panics() {
         let _ = VectorSource::new(vec![1.5], 0);
-    }
-
-    #[test]
-    fn correlated_stream_keeps_marginal_and_cuts_toggles() {
-        let n = 40_000;
-        let p = 0.5;
-        let hold = 0.8;
-        let mut src = CorrelatedVectorSource::new(vec![p], hold, 9);
-        let mut ones = 0usize;
-        let mut toggles = 0usize;
-        let mut prev = src.next_vector()[0];
-        for _ in 0..n {
-            let v = src.next_vector()[0];
-            ones += v as usize;
-            toggles += (v != prev) as usize;
-            prev = v;
-        }
-        let marginal = ones as f64 / n as f64;
-        let toggle_rate = toggles as f64 / n as f64;
-        assert!((marginal - p).abs() < 0.02, "marginal {marginal}");
-        // Independent toggle rate would be 2p(1-p) = 0.5; held streams
-        // toggle at (1-hold) of that.
-        let expect = 2.0 * p * (1.0 - p) * (1.0 - hold);
-        assert!(
-            (toggle_rate - expect).abs() < 0.02,
-            "toggle {toggle_rate} vs {expect}"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "hold factor")]
-    fn invalid_hold_panics() {
-        let _ = CorrelatedVectorSource::new(vec![0.5], 1.0, 0);
     }
 
     #[test]
@@ -461,33 +307,6 @@ mod tests {
         }
         let frac = agree as f64 / steps as f64;
         assert!((frac - 0.5).abs() < 0.03, "lane agreement {frac}");
-    }
-
-    #[test]
-    fn packed_correlated_keeps_marginal_and_cuts_toggles() {
-        let (p, hold) = (0.5, 0.8);
-        let mut src = PackedVectorSource::correlated(&[p], hold, 9);
-        let mut w = [0u64; 1];
-        let steps = 2_000;
-        let mut ones = 0u64;
-        let mut toggles = 0u64;
-        src.next_words(&mut w);
-        let mut prev = w[0];
-        for _ in 0..steps {
-            src.next_words(&mut w);
-            ones += u64::from(w[0].count_ones());
-            toggles += u64::from((w[0] ^ prev).count_ones());
-            prev = w[0];
-        }
-        let n = (steps * LANES) as f64;
-        let marginal = ones as f64 / n;
-        let toggle_rate = toggles as f64 / n;
-        let expect = 2.0 * p * (1.0 - p) * (1.0 - hold);
-        assert!((marginal - p).abs() < 0.01, "marginal {marginal}");
-        assert!(
-            (toggle_rate - expect).abs() < 0.01,
-            "toggle {toggle_rate} vs {expect}"
-        );
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use dominolp::phase::{DominoSynthesizer, Phase, PhaseAssignment};
 use dominolp::sim::montecarlo::estimate_node_probabilities;
 use dominolp::sim::{
-    measure_domino_switching, measure_power, reference, simulate_static, SimConfig,
+    measure_domino_switching, measure_power, reference, simulate_static, SimConfig, SimStats,
 };
 use dominolp::techmap::{map, Library};
 use dominolp::workloads::{generate, public_suite, GeneratorSpec};
@@ -131,6 +131,155 @@ fn packed_sequential_simulation_matches_scalar_reference() {
         simulate_static(&net, &pi, &cfg),
         reference::simulate_static(&net, &pi, &cfg)
     );
+}
+
+/// A mixed phase assignment of `n` view outputs.
+fn mixed(n: usize) -> PhaseAssignment {
+    PhaseAssignment::from_bits(n, 0b1011_0110 & ((1u64 << n.min(63)) - 1))
+}
+
+/// The public-suite rows frg1 and apex7 and a sequential block with five
+/// flops, each synthesized under a mixed assignment: the circuits the
+/// shard-block tests run, with their input probabilities.
+fn block_test_circuits() -> Vec<(&'static str, Vec<f64>, dominolp::phase::DominoNetwork)> {
+    let suite = public_suite().expect("suite generates");
+    let seq = generate(&GeneratorSpec {
+        n_latches: 5,
+        ..GeneratorSpec::control_block("pk_seq", 8, 3, 40, 6)
+    })
+    .expect("generator succeeds");
+    let row = |name: &str| &suite.iter().find(|b| b.name == name).expect("row").network;
+    [
+        ("frg1", row("frg1"), 0.5),
+        ("apex7", row("apex7"), 0.5),
+        ("pk_seq", &seq, 0.6),
+    ]
+    .into_iter()
+    .map(|(name, net, p)| {
+        let synth = DominoSynthesizer::new(net).expect("synthesizer");
+        let domino = synth
+            .synthesize(&mixed(synth.view_outputs().len()))
+            .expect("synthesis");
+        (name, vec![p; net.inputs().len()], domino)
+    })
+    .collect()
+}
+
+/// Shards are simulated in lockstep blocks of 8, then at most one block
+/// each of 4, 2 and 1. Shard counts that leave partial blocks (1, 3, 7,
+/// 9, 17) and cycle/warmup splits under which a block's shards run
+/// different step counts must still match the scalar reference, which
+/// replays each shard on its own.
+#[test]
+fn packed_power_matches_scalar_reference_across_shard_blocks() {
+    let lib = Library::standard();
+    for (name, pi, domino) in block_test_circuits() {
+        let mapped = map(&domino, &lib);
+        for shards in [1u32, 3, 7, 9, 17] {
+            // 203/19: uneven cycles and warmup, so step counts differ
+            // within a block; 1024/16: the giant workload's budget.
+            for (cycles, warmup) in [(203, 19), (1024, 16), (130, 0)] {
+                let cfg = SimConfig {
+                    cycles,
+                    warmup,
+                    seed: 0x00D0_1110 + u64::from(shards),
+                    shards,
+                    ..SimConfig::default()
+                };
+                let packed = measure_power(&mapped, &lib, &pi, &cfg);
+                assert_eq!(
+                    packed,
+                    reference::measure_power(&mapped, &lib, &pi, &cfg),
+                    "{name}: shards {shards}, cycles {cycles}, warmup {warmup}"
+                );
+                assert_eq!(packed.stats.shards, u64::from(shards));
+                assert_eq!(
+                    measure_domino_switching(&domino, &pi, &cfg),
+                    reference::measure_domino_switching(&domino, &pi, &cfg),
+                    "{name}: switching, shards {shards}, cycles {cycles}"
+                );
+            }
+        }
+    }
+}
+
+/// The scalar reference has no adaptive mode, so adaptive reports are
+/// pinned to values recorded from the one-shard-at-a-time kernel. Both
+/// tolerances stop the shards at different checkpoints, so lanes of one
+/// block finish at different steps.
+#[test]
+fn adaptive_reports_are_pinned() {
+    let lib = Library::standard();
+    let circuits = block_test_circuits();
+    let configs = [
+        SimConfig {
+            cycles: 1 << 16,
+            warmup: 19,
+            seed: 0x00D0_1110,
+            adaptive_tol_ppm: 1_000,
+            shards: 8,
+        },
+        SimConfig {
+            cycles: 20_000,
+            warmup: 3,
+            seed: 5,
+            adaptive_tol_ppm: 500,
+            shards: 11,
+        },
+    ];
+    // Circuit and config, then the pinned cycles (= vectors), switch
+    // events, words, measured words and `cap_ma` bits.
+    let pinned = [
+        ("apex7", 0, 4864, 982_681, 95, 76, 0x3ff9_ccad_f00e_47f3),
+        (
+            "apex7",
+            1,
+            10_062,
+            2_033_111,
+            170,
+            159,
+            0x3ff9_cd3a_9c17_434a,
+        ),
+        (
+            "pk_seq",
+            0,
+            13_056,
+            561_159,
+            223,
+            204,
+            0x3fd5_d262_379e_6dbb,
+        ),
+        (
+            "pk_seq",
+            1,
+            12_163,
+            522_290,
+            204,
+            193,
+            0x3fd5_cd66_b99d_8874,
+        ),
+    ];
+    for (name, config, cycles, events, words, measured_words, cap_bits) in pinned {
+        let (_, pi, domino) = circuits.iter().find(|c| c.0 == name).expect("circuit");
+        let cfg = &configs[config];
+        let report = measure_power(&map(domino, &lib), &lib, pi, cfg);
+        let stats = SimStats {
+            vectors: cycles as u64,
+            words,
+            measured_words,
+            shards: u64::from(cfg.shards),
+        };
+        assert_eq!(
+            (
+                report.cycles,
+                report.switch_events,
+                report.stats,
+                report.cap_ma.to_bits()
+            ),
+            (cycles, events, stats, cap_bits),
+            "{name}, config {config}"
+        );
+    }
 }
 
 proptest! {
