@@ -9,7 +9,9 @@
 //! one word-wide boolean operation, and switching events are accumulated
 //! with `count_ones` into integer counters that convert to `f64` exactly
 //! once — so one pass of the netlist simulates 64 vectors and totals are
-//! independent of accumulation order.
+//! independent of accumulation order. [`measure_power`] goes one step
+//! further and simulates up to 8 sub-seeded shard streams in lockstep, 8
+//! words per rail in one pass.
 //!
 //! * [`VectorSource`] / [`PackedVectorSource`] — seeded Bernoulli vector
 //!   streams with per-input probabilities (scalar and 64-lane packed);

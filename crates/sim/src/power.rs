@@ -17,19 +17,23 @@
 //!   output load when its state changes.
 //!
 //! [`measure_power`] compiles the mapped netlist once per call: every rail
-//! becomes an index into one word array laid out
-//! `[sources | cells | 0 | !0]`, cell fanins become CSR ranges of those
-//! indices, and cells are grouped by event rule. A simulation step then
-//! evaluates and counts with indexed loads and writes each cell word in
-//! place; the only words it keeps from the previous step are those of the
-//! input inverters, whose events are toggles.
+//! becomes an index into one array laid out `[sources | cells | 0 | !0]`,
+//! and cell fanins become CSR ranges of those indices. It then simulates
+//! its shard streams **in lockstep**: blocks of 8 shards, then at most one
+//! block each of 4, 2 and 1, each rail holding one `u64` per shard of the
+//! block, so one CSR pass loads each fanin index once for up to 8 words.
+//! Each cell class has one event rule, so a step counts a cell's events as
+//! it writes the cell's words; the only history a step needs is the input
+//! inverters' previous words, which are still in place when it overwrites
+//! them.
 //!
-//! Switching events are accumulated per cell as *integer popcounts* of the
-//! packed value words and converted to `f64` exactly once at the end, so
-//! totals are independent of accumulation order — the property that lets
-//! the shards' counters merge by addition and the scalar lane-by-lane
-//! [`reference`](crate::reference) implementations reproduce them bit for
-//! bit. The shards run one after another on the calling thread.
+//! Switching events are accumulated per cell and shard as *integer
+//! popcounts* of the packed value words and converted to `f64` exactly
+//! once at the end, so totals are independent of accumulation order — the
+//! property that lets the shards' counters merge by addition and the
+//! scalar lane-by-lane [`reference`](crate::reference) implementations
+//! reproduce them bit for bit. [`measure_domino_switching`] runs its shards
+//! one after another.
 //!
 //! Average capacitive current: `I_cap = C_avg · V_dd · f` (reported in mA);
 //! short-circuit current is modelled as 10% of capacitive (the classic
@@ -57,9 +61,10 @@ const ADAPTIVE_FIRST_CHECK_WORDS: usize = 2;
 /// # Determinism contract
 ///
 /// Measurement results are a pure function of `(cycles, warmup, seed,
-/// adaptive_tol_ppm, shards)`. Sharded kernels run their shards in order
-/// on the calling thread, accumulate integer event counters per shard and
-/// merge them by addition.
+/// adaptive_tol_ppm, shards)`. Sharded kernels run their shards on the
+/// calling thread — [`measure_power`] in lockstep blocks, where a shard
+/// that has finished or stopped early takes a zero mask — accumulate
+/// integer event counters per shard and merge them by addition.
 ///
 /// # Example
 ///

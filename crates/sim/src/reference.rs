@@ -80,9 +80,8 @@ pub fn measure_power(
     let plan = ShardPlan::new(config);
 
     let mut counters = PowerCounters {
-        cell_events: vec![0u64; mapped.cells().len()],
-        dff_events: vec![0u64; mapped.dffs().len()],
         measured_cycles: config.cycles as u64,
+        ..PowerCounters::new(mapped)
     };
     let mut stats = SimStats {
         vectors: config.cycles as u64,
