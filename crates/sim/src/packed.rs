@@ -127,7 +127,7 @@ pub(crate) fn shard_seed(seed: u64, k: u64) -> u64 {
 /// first-cycle inverter toggles the warmup knob exists to discard. The
 /// plan is a pure function of the config, and it holds no per-shard
 /// storage, so a huge shard count costs nothing until its shards run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct ShardPlan {
     seed: u64,
     cycles: usize,
