@@ -71,6 +71,5 @@ mod synth;
 pub use error::PhaseError;
 pub use phase_assignment::{Phase, PhaseAssignment};
 pub use synth::{
-    DominoGate, DominoGateKind, DominoNetwork, DominoRef, DominoSynthesizer, PackedRailEvaluator,
-    ResolvedOutput, ResolvedRef, ViewOutput,
+    DominoGate, DominoGateKind, DominoNetwork, DominoRef, DominoSynthesizer, ViewOutput,
 };

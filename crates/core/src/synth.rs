@@ -519,36 +519,6 @@ impl DominoNetwork {
             .expect("domino ref to unknown source")
     }
 
-    /// Builds a bit-parallel evaluator for this block: every [`DominoRef`]
-    /// is resolved to a dense index once, so word-wide rail evaluation (64
-    /// simulation lanes per `u64`) runs without per-cycle source lookups.
-    pub fn packed_evaluator(&self) -> PackedRailEvaluator {
-        let resolve = |r: DominoRef| match r {
-            DominoRef::Gate(i) => ResolvedRef::Gate(i),
-            DominoRef::Source { node, complemented } => ResolvedRef::Source {
-                position: self.source_position(node),
-                complemented,
-            },
-            DominoRef::Constant(v) => ResolvedRef::Constant(v),
-        };
-        PackedRailEvaluator {
-            gates: self
-                .gates
-                .iter()
-                .map(|g| (g.kind, g.fanins.iter().map(|&f| resolve(f)).collect()))
-                .collect(),
-            outputs: self
-                .outputs
-                .iter()
-                .map(|o| ResolvedOutput {
-                    driver: resolve(o.driver),
-                    negative: o.phase.is_negative(),
-                    is_latch_data: o.is_latch_data,
-                })
-                .collect(),
-        }
-    }
-
     fn ref_value(&self, r: DominoRef, source_values: &[bool], rails: &[bool]) -> bool {
         match r {
             DominoRef::Gate(i) => rails[i],
@@ -557,99 +527,6 @@ impl DominoNetwork {
                 v ^ complemented
             }
             DominoRef::Constant(v) => v,
-        }
-    }
-}
-
-/// A [`DominoRef`] resolved to dense indices for bit-parallel evaluation
-/// (source rails pre-looked-up to their position in source order).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ResolvedRef {
-    /// Rail of gate `i`.
-    Gate(usize),
-    /// Source rail at `position` in source order, optionally complemented.
-    Source {
-        /// Index into the source-order value slice.
-        position: usize,
-        /// `true` if the complemented rail is referenced.
-        complemented: bool,
-    },
-    /// A constant rail.
-    Constant(bool),
-}
-
-/// One output with its driver resolved for packed evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResolvedOutput {
-    /// The block rail driving this output (before the output inverter).
-    pub driver: ResolvedRef,
-    /// `true` if the output has a boundary inverter (negative phase).
-    pub negative: bool,
-    /// `true` for latch data inputs.
-    pub is_latch_data: bool,
-}
-
-/// Bit-parallel rail evaluator for a [`DominoNetwork`]: 64 independent
-/// simulation lanes per `u64` word, every gate one word-wide boolean
-/// operation. Built once via [`DominoNetwork::packed_evaluator`]; reuse the
-/// rail buffer across cycles to stay allocation-free.
-#[derive(Debug, Clone)]
-pub struct PackedRailEvaluator {
-    gates: Vec<(DominoGateKind, Vec<ResolvedRef>)>,
-    outputs: Vec<ResolvedOutput>,
-}
-
-impl PackedRailEvaluator {
-    /// The outputs with resolved drivers, in view order.
-    pub fn outputs(&self) -> &[ResolvedOutput] {
-        &self.outputs
-    }
-
-    /// Resolves a reference's packed value.
-    pub fn ref_word(r: ResolvedRef, source_words: &[u64], rails: &[u64]) -> u64 {
-        match r {
-            ResolvedRef::Gate(i) => rails[i],
-            ResolvedRef::Source {
-                position,
-                complemented,
-            } => {
-                if complemented {
-                    !source_words[position]
-                } else {
-                    source_words[position]
-                }
-            }
-            ResolvedRef::Constant(v) => {
-                if v {
-                    !0
-                } else {
-                    0
-                }
-            }
-        }
-    }
-
-    /// Evaluates every gate rail word-wide. `rails` is resized to the gate
-    /// count and fully overwritten.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `source_words` is shorter than the block's source count
-    /// (checked indirectly through rail resolution).
-    pub fn eval_rails(&self, source_words: &[u64], rails: &mut Vec<u64>) {
-        rails.clear();
-        rails.resize(self.gates.len(), 0);
-        for i in 0..self.gates.len() {
-            let (kind, fanins) = &self.gates[i];
-            let w = match kind {
-                DominoGateKind::And => fanins.iter().fold(!0u64, |acc, &f| {
-                    acc & Self::ref_word(f, source_words, rails)
-                }),
-                DominoGateKind::Or => fanins
-                    .iter()
-                    .fold(0u64, |acc, &f| acc | Self::ref_word(f, source_words, rails)),
-            };
-            rails[i] = w;
         }
     }
 }
@@ -966,44 +843,6 @@ mod tests {
         net.add_output("f", f).unwrap();
         net.add_output("g", g).unwrap();
         net
-    }
-
-    #[test]
-    fn packed_rails_agree_with_scalar_eval_rails() {
-        let net = fig_functions();
-        let synth = DominoSynthesizer::new(&net).unwrap();
-        for bits in 0..4u64 {
-            let domino = synth
-                .synthesize(&PhaseAssignment::from_bits(2, bits))
-                .unwrap();
-            let eval = domino.packed_evaluator();
-            let n = domino.sources().len();
-            // All 16 input patterns broadcast across lanes 0..16.
-            let mut words = vec![0u64; n];
-            for lane in 0..(1usize << n) {
-                for (i, w) in words.iter_mut().enumerate() {
-                    if (lane >> i) & 1 == 1 {
-                        *w |= 1 << lane;
-                    }
-                }
-            }
-            let mut rails = Vec::new();
-            eval.eval_rails(&words, &mut rails);
-            for lane in 0..(1usize << n) {
-                let vals: Vec<bool> = (0..n).map(|i| (words[i] >> lane) & 1 == 1).collect();
-                let scalar = domino.eval_rails(&vals).unwrap();
-                for (i, &s) in scalar.iter().enumerate() {
-                    assert_eq!((rails[i] >> lane) & 1 == 1, s, "bits {bits} lane {lane}");
-                }
-                // Outputs through resolved drivers match DominoNetwork::eval.
-                let want = domino.eval(&vals).unwrap();
-                for (o, (ro, &w)) in eval.outputs().iter().zip(&want).enumerate() {
-                    let block = PackedRailEvaluator::ref_word(ro.driver, &words, &rails);
-                    let v = ((block >> lane) & 1 == 1) ^ ro.negative;
-                    assert_eq!(v, w, "output {o} lane {lane}");
-                }
-            }
-        }
     }
 
     fn check_equivalence(net: &Network, assignment: &PhaseAssignment) {

@@ -13,16 +13,17 @@
 //! simulates its own contiguous block of the requested cycles from its own
 //! sub-seeded [`PackedVectorSource`](crate::PackedVectorSource) stream
 //! (every lane is an independent Monte-Carlo chain, so shards are simply
-//! more chains). [`measure_power`](crate::measure_power) simulates up to 8
-//! shards in lockstep, one `u64` per shard on every rail; the other
-//! kernels run them one after another. Either way each shard draws only
-//! its own stream and counts only under its own masks. All event counters
-//! are order-independent integers, so the per-shard counters merge by
-//! plain addition — the merged totals are a pure function of
-//! `(probs, seed, cycles, warmup, shards)`: `shards` is part of the stream
-//! definition, like the seed. A [`ShardPlan`] computes each shard's slice
-//! from `(config, k)` when it runs, so no kernel allocates per shard up
-//! front.
+//! more chains). [`measure_power`](crate::measure_power) and
+//! [`measure_domino_switching`](crate::measure_domino_switching) simulate
+//! up to 8 shards in lockstep, one `u64` per shard on every rail; the
+//! scalar references replay them one after another. Either way each shard
+//! draws only its own stream and counts only under its own masks. All
+//! event counters are order-independent integers, so the per-shard
+//! counters merge by plain addition — the merged totals are a pure
+//! function of `(probs, seed, cycles, warmup, shards)`: `shards` is part
+//! of the stream definition, like the seed. A [`ShardPlan`] computes each
+//! shard's slice from `(config, k)` when it runs, so no kernel allocates
+//! per shard up front.
 
 pub use crate::vectors::LANES;
 

@@ -16,34 +16,36 @@
 //! * a **flip-flop** pays clock capacitance every cycle and switches its
 //!   output load when its state changes.
 //!
-//! [`measure_power`] compiles the mapped netlist once per call: every rail
-//! becomes an index into one array laid out `[sources | cells | 0 | !0]`,
-//! and cell fanins become CSR ranges of those indices. It then simulates
-//! its shard streams **in lockstep**: blocks of 8 shards, then at most one
+//! Both kernels compile their circuit once per call into one form: every
+//! rail becomes an index into one array laid out `[sources | cells | 0 |
+//! !0]`, and cell fanins become CSR ranges of those indices. A mapped
+//! netlist compiles cell for cell; a domino block compiles as its input
+//! inverters, then its gates, then one output inverter per negative-phase
+//! output, with each latch a flop. Both then simulate their shard streams
+//! **in lockstep** on one runner: blocks of 8 shards, then at most one
 //! block each of 4, 2 and 1, each rail holding one `u64` per shard of the
 //! block, so one CSR pass loads each fanin index once for up to 8 words.
 //! Each cell class has one event rule, so a step counts a cell's events as
 //! it writes the cell's words; the only history a step needs is the input
 //! inverters' previous words, which are still in place when it overwrites
-//! them.
+//! them. The two forms differ only in the words a run starts from.
 //!
 //! Switching events are accumulated per cell and shard as *integer
 //! popcounts* of the packed value words and converted to `f64` exactly
 //! once at the end, so totals are independent of accumulation order — the
 //! property that lets the shards' counters merge by addition and the
 //! scalar lane-by-lane [`reference`](crate::reference) implementations
-//! reproduce them bit for bit. [`measure_domino_switching`] runs its shards
-//! one after another.
+//! reproduce them bit for bit.
 //!
 //! Average capacitive current: `I_cap = C_avg · V_dd · f` (reported in mA);
 //! short-circuit current is modelled as 10% of capacitive (the classic
 //! rule of thumb) and leakage as a per-cell constant — giving the same
 //! three-component current breakdown the paper reports from PowerMill.
 
-use domino_phase::{DominoNetwork, PackedRailEvaluator};
+use domino_phase::{DominoGateKind, DominoNetwork, DominoRef};
 use domino_techmap::{CellClass, Library, MappedNetlist, MappedRef};
 
-use crate::packed::{broadcast, ShardPlan, ShardSlice, SimStats, WordSchedule};
+use crate::packed::{broadcast, ShardPlan, SimStats, WordSchedule};
 use crate::vectors::PackedVectorSource;
 
 /// First adaptive checkpoint, in measured words per shard (128 vectors).
@@ -61,10 +63,11 @@ const ADAPTIVE_FIRST_CHECK_WORDS: usize = 2;
 /// # Determinism contract
 ///
 /// Measurement results are a pure function of `(cycles, warmup, seed,
-/// adaptive_tol_ppm, shards)`. Sharded kernels run their shards on the
-/// calling thread — [`measure_power`] in lockstep blocks, where a shard
-/// that has finished or stopped early takes a zero mask — accumulate
-/// integer event counters per shard and merge them by addition.
+/// adaptive_tol_ppm, shards)`. The sharded kernels, [`measure_power`] and
+/// [`measure_domino_switching`], run their shards on the calling thread in
+/// lockstep blocks, where a shard that has finished or stopped early takes
+/// a zero mask; they accumulate integer event counters per shard and
+/// merge them by addition.
 ///
 /// # Example
 ///
@@ -106,6 +109,7 @@ pub struct SimConfig {
     /// change between consecutive checkpoints drops below `tol · 1e-6`.
     /// Deterministic for a given seed and shard count; the realized length
     /// is reported in [`PowerReport::cycles`] and [`PowerReport::stats`].
+    /// [`measure_domino_switching`] always runs the full length.
     pub adaptive_tol_ppm: u32,
     /// Logical shards the measurement is decomposed into (clamped to at
     /// least 1; shards that would measure zero cycles are dropped). Part
@@ -260,8 +264,8 @@ enum CellOp {
     OutputInv,
 }
 
-/// A [`MappedNetlist`] compiled for word-parallel simulation (see the
-/// module docs). Shared read-only across shard blocks.
+/// A circuit compiled for word-parallel simulation (see the module docs).
+/// Shared read-only across shard blocks.
 struct CompiledNetlist {
     /// Source rails, primary inputs first: word indices `0..sources`.
     sources: usize,
@@ -272,50 +276,141 @@ struct CompiledNetlist {
     /// `fanins[offsets[i]..offsets[i + 1]]`.
     offsets: Vec<u32>,
     fanins: Vec<u32>,
-    /// Per flop: its reset value, the word of its data input and of the
-    /// rail it drives.
-    dff_init: Vec<bool>,
+    /// Per flop: the word of its data input and of the rail it drives.
     dff_data: Vec<u32>,
     dff_source: Vec<u32>,
+    /// Every word's value before the first step, broadcast to every lane:
+    /// flop rails at their reset values and the constant `!0`. An input
+    /// inverter's first toggle counts against its word here.
+    init: Vec<u64>,
+}
+
+/// Index of a rail in a [`CompiledNetlist`]'s word array.
+fn word_index(index: usize) -> u32 {
+    u32::try_from(index).expect("netlist rail count exceeds u32::MAX")
 }
 
 impl CompiledNetlist {
-    fn new(mapped: &MappedNetlist) -> Self {
+    /// `sources` rails, the first `pis` of them primary inputs, room for
+    /// `cells` cells, no flops yet, and every initial word 0 but the
+    /// constant `!0`.
+    fn empty(sources: usize, pis: usize, cells: usize) -> Self {
+        let mut init = vec![0; sources + cells + 2];
+        init[sources + cells + 1] = !0;
+        CompiledNetlist {
+            sources,
+            pis,
+            ops: Vec::with_capacity(cells),
+            offsets: vec![0],
+            fanins: Vec::new(),
+            dff_data: Vec::new(),
+            dff_source: Vec::new(),
+            init,
+        }
+    }
+
+    /// Appends a cell; returns its word.
+    fn push_cell(&mut self, op: CellOp, fanins: impl IntoIterator<Item = u32>) -> u32 {
+        self.ops.push(op);
+        self.fanins.extend(fanins);
+        self.offsets.push(self.fanins.len() as u32);
+        word_index(self.sources + self.ops.len() - 1)
+    }
+
+    /// Adds a flop that drives source rail `source` from word `data`,
+    /// reset to `init`.
+    fn push_flop(&mut self, data: u32, source: usize, init: bool) {
+        self.dff_data.push(data);
+        self.dff_source.push(word_index(source));
+        self.init[source] = broadcast(init);
+    }
+
+    /// A mapped netlist, cell for cell. Its input inverters start at 0.
+    fn from_mapped(mapped: &MappedNetlist) -> Self {
         let sources = mapped.source_count();
         let cells = mapped.cells().len();
-        let word = |r: MappedRef| -> u32 {
-            let index = match r {
+        let word = |r: MappedRef| {
+            word_index(match r {
                 MappedRef::Source(i) => i,
                 MappedRef::Cell(i) => sources + i,
                 MappedRef::Const(v) => sources + cells + usize::from(v),
-            };
-            u32::try_from(index).expect("netlist rail count exceeds u32::MAX")
+            })
         };
-        let mut net = CompiledNetlist {
-            sources,
-            pis: mapped.pi_count(),
-            ops: Vec::with_capacity(cells),
-            offsets: Vec::with_capacity(cells + 1),
-            fanins: Vec::new(),
-            dff_init: mapped.dffs().iter().map(|d| d.init).collect(),
-            dff_data: mapped.dffs().iter().map(|d| word(d.data)).collect(),
-            dff_source: mapped
-                .dffs()
-                .iter()
-                .map(|d| d.source_index as u32)
-                .collect(),
-        };
-        net.offsets.push(0);
+        let mut net = CompiledNetlist::empty(sources, mapped.pi_count(), cells);
         for cell in mapped.cells() {
-            net.ops.push(match cell.class {
+            let op = match cell.class {
                 CellClass::DominoAnd | CellClass::DominoBuf => CellOp::And,
                 CellClass::DominoOr => CellOp::Or,
                 CellClass::InputInv => CellOp::InputInv,
                 CellClass::OutputInv => CellOp::OutputInv,
                 CellClass::Dff => unreachable!("flops are not in cells"),
-            });
-            net.fanins.extend(cell.fanins.iter().map(|&f| word(f)));
-            net.offsets.push(net.fanins.len() as u32);
+            };
+            net.push_cell(op, cell.fanins.iter().map(|&f| word(f)));
+        }
+        for dff in mapped.dffs() {
+            net.push_flop(word(dff.data), dff.source_index, dff.init);
+        }
+        net
+    }
+
+    /// A domino block: its input inverters, then its gates, then one
+    /// output inverter per negative-phase output, with each latch a flop
+    /// fed by its output after the boundary inverter. An input inverter
+    /// starts at the complement of its source's reset value (a primary
+    /// input's is 0), so its first toggle counts a change of the source.
+    fn from_domino(domino: &DominoNetwork) -> Self {
+        let sources = domino.sources().len();
+        let pis = sources - domino.latch_inits().len();
+        let inverters = domino.input_inverters().len();
+        let first_gate = sources + inverters;
+        let cells = inverters + domino.gate_count() + domino.output_inverter_count();
+        let span = domino.sources().iter().map(|s| s.index() + 1).max();
+        let mut position = vec![0; span.unwrap_or(0)];
+        for (k, s) in domino.sources().iter().enumerate() {
+            position[s.index()] = k;
+        }
+        let mut complement = vec![0; sources];
+        for (k, s) in domino.input_inverters().iter().enumerate() {
+            complement[position[s.index()]] = sources + k;
+        }
+        let word = |r: DominoRef| {
+            word_index(match r {
+                DominoRef::Gate(i) => first_gate + i,
+                DominoRef::Source { node, complemented } => {
+                    let k = position[node.index()];
+                    if complemented {
+                        complement[k]
+                    } else {
+                        k
+                    }
+                }
+                DominoRef::Constant(v) => sources + cells + usize::from(v),
+            })
+        };
+        let mut net = CompiledNetlist::empty(sources, pis, cells);
+        for s in domino.input_inverters() {
+            net.push_cell(CellOp::InputInv, [word_index(position[s.index()])]);
+        }
+        for gate in domino.gates() {
+            let op = match gate.kind {
+                DominoGateKind::And => CellOp::And,
+                DominoGateKind::Or => CellOp::Or,
+            };
+            net.push_cell(op, gate.fanins.iter().map(|&f| word(f)));
+        }
+        let mut latches = domino.latch_inits().iter().enumerate();
+        for out in domino.outputs() {
+            let mut data = word(out.driver);
+            if out.phase.is_negative() {
+                data = net.push_cell(CellOp::OutputInv, [data]);
+            }
+            if out.is_latch_data {
+                let (k, &init) = latches.next().expect("one latch per latch-data output");
+                net.push_flop(data, pis + k, init);
+            }
+        }
+        for (k, s) in domino.input_inverters().iter().enumerate() {
+            net.init[sources + k] = !net.init[position[s.index()]];
         }
         net
     }
@@ -347,19 +442,13 @@ fn count<const W: usize>(counts: &mut [u64; W], events: &[u64; W], masks: &[u64;
 }
 
 impl<'a, const W: usize> LockstepSim<'a, W> {
-    /// Every flop rail at its reset value, the two constant words set,
-    /// everything else zero; no events counted.
+    /// Every word at its initial image in every lane; no events counted.
     fn new(net: &'a CompiledNetlist) -> Self {
         let cells = net.ops.len();
-        let mut words = vec![[0u64; W]; net.sources + cells + 2];
-        for (&s, &init) in net.dff_source.iter().zip(&net.dff_init) {
-            words[s as usize] = [broadcast(init); W];
-        }
-        words[net.sources + cells + 1] = [!0; W];
         let flops = net.dff_source.len();
         LockstepSim {
             net,
-            words,
+            words: net.init.iter().map(|&w| [w; W]).collect(),
             dff_next: vec![[0; W]; flops],
             cell_events: vec![[0; W]; cells],
             dff_events: vec![[0; W]; flops],
@@ -452,20 +541,44 @@ struct ShardLane {
     stopped: bool,
 }
 
-/// The inputs of one [`measure_power`] call, shared by its shard blocks.
-struct PowerRun<'a> {
-    mapped: &'a MappedNetlist,
-    lib: &'a Library,
-    pi_probs: &'a [f64],
-    loads: Vec<f64>,
-    source_loads: Vec<f64>,
-    net: CompiledNetlist,
-    plan: ShardPlan,
-    /// Adaptive tolerance as a fraction (0 = fixed length).
+/// Adaptive early stop: a shard stops once the estimate of its counters
+/// moves by at most `tol` (relative) between consecutive checkpoints.
+struct Adaptive<'a> {
     tol: f64,
+    estimate: &'a dyn Fn(&PowerCounters) -> f64,
 }
 
-impl PowerRun<'_> {
+/// The shard streams of one call over one compiled circuit, run in
+/// lockstep blocks of 8, then at most one block each of 4, 2 and 1, so no
+/// lane is padding.
+struct ShardRun<'a> {
+    net: &'a CompiledNetlist,
+    pi_probs: &'a [f64],
+    plan: ShardPlan,
+    /// `None` runs every shard to its full length.
+    adaptive: Option<Adaptive<'a>>,
+}
+
+impl ShardRun<'_> {
+    /// Every shard's counters merged by addition, with the run's work.
+    fn run(&self) -> (PowerCounters, SimStats) {
+        let mut totals = PowerCounters {
+            cell_events: vec![0; self.net.ops.len()],
+            dff_events: vec![0; self.net.dff_data.len()],
+            measured_cycles: 0,
+        };
+        let mut stats = SimStats {
+            shards: self.plan.len() as u64,
+            ..SimStats::default()
+        };
+        let mut start = self.blocks::<8>(0, &mut totals, &mut stats);
+        start = self.blocks::<4>(start, &mut totals, &mut stats);
+        start = self.blocks::<2>(start, &mut totals, &mut stats);
+        self.blocks::<1>(start, &mut totals, &mut stats);
+        stats.vectors = totals.measured_cycles;
+        (totals, stats)
+    }
+
     /// Runs shards `start..` in lockstep blocks of `W` for as long as a
     /// whole block fits, adding their counters and work into the totals;
     /// returns the first shard left over.
@@ -500,7 +613,7 @@ impl PowerRun<'_> {
                 stopped: false,
             }
         });
-        let mut sim = LockstepSim::<W>::new(&self.net);
+        let mut sim = LockstepSim::<W>::new(self.net);
         let mut pi_words = vec![0u64; self.net.pis];
         for step in 0.. {
             // A lane whose shard has finished or stopped takes a zero mask
@@ -530,23 +643,17 @@ impl PowerRun<'_> {
                 lane.measured_words += 1;
                 lane.measured_cycles += u64::from(masks[l].count_ones());
                 // Adaptive early exit: stop this shard at a word boundary
-                // once its running energy-per-cycle estimate has converged
-                // between (doubling) checkpoints. Per-shard, so the
-                // decision depends only on the shard's own stream.
-                if self.tol > 0.0 && lane.measured_words == lane.next_check {
+                // once its running estimate has converged between
+                // (doubling) checkpoints. Per-shard, so the decision
+                // depends only on the shard's own stream.
+                let Some(adaptive) = &self.adaptive else {
+                    continue;
+                };
+                if lane.measured_words == lane.next_check {
                     lane.next_check *= 2;
-                    let counters = sim.lane_counters(l, lane.measured_cycles);
-                    let estimate = finalize_power(
-                        self.mapped,
-                        self.lib,
-                        &self.loads,
-                        &self.source_loads,
-                        &counters,
-                        SimStats::default(),
-                    )
-                    .cap_ma;
+                    let estimate = (adaptive.estimate)(&sim.lane_counters(l, lane.measured_cycles));
                     if let Some(prev) = lane.last_estimate {
-                        lane.stopped = (estimate - prev).abs() <= self.tol * prev.abs();
+                        lane.stopped = (estimate - prev).abs() <= adaptive.tol * prev.abs();
                     }
                     lane.last_estimate = Some(estimate);
                 }
@@ -591,27 +698,31 @@ pub fn measure_power(
         mapped.pi_count(),
         "one probability per primary input"
     );
-    let run = PowerRun {
-        mapped,
-        lib,
+    let loads = mapped.load_caps_ff(lib);
+    let source_loads = dff_source_loads(mapped, lib);
+    let estimate = |counters: &PowerCounters| {
+        finalize_power(
+            mapped,
+            lib,
+            &loads,
+            &source_loads,
+            counters,
+            SimStats::default(),
+        )
+        .cap_ma
+    };
+    let net = CompiledNetlist::from_mapped(mapped);
+    let (counters, stats) = ShardRun {
+        net: &net,
         pi_probs,
-        loads: mapped.load_caps_ff(lib),
-        source_loads: dff_source_loads(mapped, lib),
-        net: CompiledNetlist::new(mapped),
         plan: ShardPlan::new(config),
-        tol: f64::from(config.adaptive_tol_ppm) * 1e-6,
-    };
-    let mut totals = PowerCounters::new(mapped);
-    let mut stats = SimStats {
-        shards: run.plan.len() as u64,
-        ..SimStats::default()
-    };
-    let mut start = run.blocks::<8>(0, &mut totals, &mut stats);
-    start = run.blocks::<4>(start, &mut totals, &mut stats);
-    start = run.blocks::<2>(start, &mut totals, &mut stats);
-    run.blocks::<1>(start, &mut totals, &mut stats);
-    stats.vectors = totals.measured_cycles;
-    finalize_power(mapped, lib, &run.loads, &run.source_loads, &totals, stats)
+        adaptive: (config.adaptive_tol_ppm > 0).then_some(Adaptive {
+            tol: f64::from(config.adaptive_tol_ppm) * 1e-6,
+            estimate: &estimate,
+        }),
+    }
+    .run();
+    finalize_power(mapped, lib, &loads, &source_loads, &counters, stats)
 }
 
 /// Per-element-class switching event averages for an (unmapped) domino
@@ -657,27 +768,13 @@ impl SwitchingEventCounters {
     }
 }
 
-/// Positions (in source order) of the block's input-boundary inverters.
-pub(crate) fn inverter_positions(domino: &DominoNetwork) -> Vec<usize> {
-    domino
-        .input_inverters()
-        .iter()
-        .map(|&inv| {
-            domino
-                .sources()
-                .iter()
-                .position(|&s| s == inv)
-                .expect("inverter on known source")
-        })
-        .collect()
-}
-
 /// Counts model switching events on a [`DominoNetwork`] by packed
 /// simulation (sequential state handled through the latch-data outputs,
 /// one independent chain per lane).
 ///
-/// Sharded exactly like [`measure_power`]: per-shard integer counters
-/// merged by addition.
+/// Runs on the same compiled form and lockstep shard blocks as
+/// [`measure_power`], always for the full [`SimConfig::cycles`]:
+/// [`SimConfig::adaptive_tol_ppm`] does not apply.
 ///
 /// # Panics
 ///
@@ -688,77 +785,23 @@ pub fn measure_domino_switching(
     pi_probs: &[f64],
     config: &SimConfig,
 ) -> SwitchingCounts {
-    let n_latches = domino.latch_inits().len();
-    let n_pis = domino.sources().len() - n_latches;
+    let n_pis = domino.sources().len() - domino.latch_inits().len();
     assert_eq!(pi_probs.len(), n_pis, "one probability per primary input");
-
-    let eval = domino.packed_evaluator();
-    let inverter_positions = inverter_positions(domino);
-    let plan = ShardPlan::new(config);
-
-    let run_shard = |slice: ShardSlice| -> SwitchingEventCounters {
-        let mut vectors = PackedVectorSource::new(pi_probs, slice.seed);
-        let mut source_words = vec![0u64; domino.sources().len()];
-        for (i, &init) in domino.latch_inits().iter().enumerate() {
-            source_words[n_pis + i] = broadcast(init);
-        }
-        let mut prev_source_words = source_words.clone();
-        let mut pi_words = vec![0u64; n_pis];
-        let mut rails: Vec<u64> = Vec::new();
-        let mut out_words = vec![0u64; eval.outputs().len()];
-        let mut counters = SwitchingEventCounters::default();
-
-        let schedule = WordSchedule::new(slice.warmup, slice.cycles);
-        for step in 0..schedule.total_steps() {
-            let mask = schedule.step_mask(step);
-            vectors.next_words(&mut pi_words);
-            source_words[..n_pis].copy_from_slice(&pi_words);
-            eval.eval_rails(&source_words, &mut rails);
-            if mask != 0 {
-                for &r in &rails {
-                    counters.block += u64::from((r & mask).count_ones());
-                }
-                // Boundary inverters on both PI and latch rails toggle when
-                // the (cycle-stable) rail value differs from the previous
-                // cycle.
-                for &pos in &inverter_positions {
-                    let toggles = (source_words[pos] ^ prev_source_words[pos]) & mask;
-                    counters.input_inverters += u64::from(toggles.count_ones());
-                }
-            }
-            prev_source_words.copy_from_slice(&source_words);
-
-            // Outputs: count output-inverter pulses, then clock the latches
-            // simultaneously — every driver samples this cycle's rails
-            // before any latch state moves (a latch fed directly by another
-            // latch's rail must see its pre-edge value).
-            for (k, out) in eval.outputs().iter().enumerate() {
-                out_words[k] = PackedRailEvaluator::ref_word(out.driver, &source_words, &rails);
-                if mask != 0 && out.negative {
-                    counters.output_inverters += u64::from((out_words[k] & mask).count_ones());
-                }
-            }
-            let mut latch_idx = 0usize;
-            for (k, out) in eval.outputs().iter().enumerate() {
-                if out.is_latch_data {
-                    let logical = if out.negative {
-                        !out_words[k]
-                    } else {
-                        out_words[k]
-                    };
-                    source_words[n_pis + latch_idx] = logical;
-                    latch_idx += 1;
-                }
-            }
-        }
-        counters
-    };
-
+    let net = CompiledNetlist::from_domino(domino);
+    let (totals, _) = ShardRun {
+        net: &net,
+        pi_probs,
+        plan: ShardPlan::new(config),
+        adaptive: None,
+    }
+    .run();
     let mut counters = SwitchingEventCounters::default();
-    for shard in plan.iter().map(run_shard) {
-        counters.block += shard.block;
-        counters.input_inverters += shard.input_inverters;
-        counters.output_inverters += shard.output_inverters;
+    for (op, &events) in net.ops.iter().zip(&totals.cell_events) {
+        *match op {
+            CellOp::And | CellOp::Or => &mut counters.block,
+            CellOp::InputInv => &mut counters.input_inverters,
+            CellOp::OutputInv => &mut counters.output_inverters,
+        } += events;
     }
     counters.per_cycle(config.cycles)
 }
@@ -924,6 +967,11 @@ mod tests {
         assert!((early.cap_ma - full.cap_ma).abs() < 0.05 * full.cap_ma);
         let again = measure_power(&mapped, &lib, &[0.5; 4], &adaptive);
         assert_eq!(early, again);
+        // Switching counts always run the full length.
+        assert_eq!(
+            measure_domino_switching(&domino, &[0.5; 4], &adaptive),
+            measure_domino_switching(&domino, &[0.5; 4], &fixed)
+        );
 
         // The checkpoint interval scales with the shard count, so adaptive
         // mode must stay reachable for moderate budgets too — not just for
@@ -1018,16 +1066,11 @@ mod tests {
         net.add_output("w", wide).unwrap();
         let synth = DominoSynthesizer::new(&net).unwrap();
         let lib = domino_techmap::Library::standard();
-        for bits in 0..8u64 {
-            let domino = synth
-                .synthesize(&PhaseAssignment::from_bits(3, bits))
-                .unwrap();
-            let mapped = map(&domino, &lib);
-            let compiled = CompiledNetlist::new(&mapped);
-            // Two lanes: lane 0 walks all 32 input patterns across bits
-            // 0..32, lane 1 their complements, so a step that mixed lanes
-            // would show.
-            let mut sim = LockstepSim::<2>::new(&compiled);
+        // Two lanes: lane 0 walks all 32 input patterns across bits
+        // 0..32, lane 1 their complements, so a step that mixed lanes
+        // would show.
+        let step = |compiled: &CompiledNetlist| {
+            let mut sim = LockstepSim::<2>::new(compiled);
             for bit in 0..32usize {
                 for (i, w) in sim.words[..5].iter_mut().enumerate() {
                     if (bit >> i) & 1 == 1 {
@@ -1038,25 +1081,64 @@ mod tests {
                 }
             }
             sim.step(&[0; 2]);
-            for lane in 0..2usize {
-                for bit in 0..32usize {
-                    let values: Vec<bool> = (0..5)
-                        .map(|i| (sim.words[i][lane] >> bit) & 1 == 1)
-                        .collect();
-                    let scalar = mapped.eval_cells(&values);
-                    for (i, &v) in scalar.iter().enumerate() {
-                        assert_eq!(
-                            (sim.words[5 + i][lane] >> bit) & 1 == 1,
-                            v,
-                            "bits {bits} lane {lane} bit {bit} cell {i}"
-                        );
-                    }
-                }
-            }
             assert!(
                 sim.cell_events.iter().all(|e| *e == [0; 2]),
                 "zero masks count nothing"
             );
+            sim.words
+        };
+        for bits in 0..8u64 {
+            let domino = synth
+                .synthesize(&PhaseAssignment::from_bits(3, bits))
+                .unwrap();
+            let mapped = map(&domino, &lib);
+            let mapped_words = step(&CompiledNetlist::from_mapped(&mapped));
+            let block_words = step(&CompiledNetlist::from_domino(&domino));
+            // The block's layout: input inverters, gates, then one output
+            // inverter per negative-phase output, in output order.
+            let first_gate = 5 + domino.input_inverter_count();
+            let mut output_inverter = first_gate + domino.gate_count();
+            let outputs: Vec<usize> = domino
+                .outputs()
+                .iter()
+                .map(|o| {
+                    if o.phase.is_negative() {
+                        output_inverter += 1;
+                        output_inverter - 1
+                    } else if let DominoRef::Gate(i) = o.driver {
+                        first_gate + i
+                    } else {
+                        panic!("every output here is driven by a gate")
+                    }
+                })
+                .collect();
+            for lane in 0..2usize {
+                for bit in 0..32usize {
+                    let at = |words: &[[u64; 2]], w: usize| (words[w][lane] >> bit) & 1 == 1;
+                    let values: Vec<bool> = (0..5).map(|i| at(&mapped_words, i)).collect();
+                    for (i, &v) in mapped.eval_cells(&values).iter().enumerate() {
+                        assert_eq!(
+                            at(&mapped_words, 5 + i),
+                            v,
+                            "bits {bits} lane {lane} bit {bit} cell {i}"
+                        );
+                    }
+                    for (i, &v) in domino.eval_rails(&values).unwrap().iter().enumerate() {
+                        assert_eq!(
+                            at(&block_words, first_gate + i),
+                            v,
+                            "bits {bits} lane {lane} bit {bit} gate {i}"
+                        );
+                    }
+                    for (o, &v) in domino.eval(&values).unwrap().iter().enumerate() {
+                        assert_eq!(
+                            at(&block_words, outputs[o]),
+                            v,
+                            "bits {bits} lane {lane} bit {bit} output {o}"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -26,8 +26,7 @@ use domino_techmap::{CellClass, Library, MappedNetlist};
 
 use crate::packed::{ShardPlan, SimStats, WordSchedule, LANES};
 use crate::power::{
-    dff_source_loads, finalize_power, inverter_positions, PowerCounters, SimConfig,
-    SwitchingEventCounters,
+    dff_source_loads, finalize_power, PowerCounters, SimConfig, SwitchingEventCounters,
 };
 use crate::static_sim::StaticSimReport;
 use crate::vectors::PackedVectorSource;
@@ -141,6 +140,21 @@ pub fn measure_power(
     }
 
     finalize_power(mapped, lib, &loads, &source_loads, &counters, stats)
+}
+
+/// Positions (in source order) of the block's input-boundary inverters.
+fn inverter_positions(domino: &DominoNetwork) -> Vec<usize> {
+    domino
+        .input_inverters()
+        .iter()
+        .map(|&inv| {
+            domino
+                .sources()
+                .iter()
+                .position(|&s| s == inv)
+                .expect("inverter on known source")
+        })
+        .collect()
 }
 
 /// Scalar reference for
