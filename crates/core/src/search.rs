@@ -12,10 +12,10 @@
 //! output's two cones as the slots they share plus each phase's **flip
 //! diff** (the slots only that phase's cone holds). Flipping an output
 //! changes the block by its flip diffs alone, so the accountant scores a
-//! candidate — one flip, a pair or a group — as an **exact integer
-//! delta** read off the diffs, without moving: a slot at count 0 that the
-//! candidate adds costs its weight, a slot at count 1 that it drops saves
-//! its weight, and the output inverter comes or goes. The local searches
+//! candidate — one flip or a pair — as an **exact integer delta** read off
+//! the diffs, without moving: a slot at count 0 that the candidate adds
+//! costs its weight, a slot at count 1 that it drops saves its weight, and
+//! the output inverter comes or goes. The local searches
 //! score their candidates that way and apply only the ones they commit,
 //! and a commit moves the counts of the diff slots only. The §4.1 loop
 //! draws its `n(n−1)/2` initial pairs from one sorted run, merged with a
@@ -753,139 +753,6 @@ pub fn min_power_assignment(
     Ok(progress.finish(&acct))
 }
 
-/// The §4.1 extension: the cost function `K` generalized from pairs to
-/// groups of `group_size` outputs.
-///
-/// For a group `G` with chosen phases `p`, the cost is
-/// `Σ_{i∈G} |D_i|·a_i + ½·Σ_{i<j∈G} O(i,j)·(a_i + a_j)` — the paper's `K`
-/// restricted to `|G| = 2`, and "a greedily ordered exhaustive search" as
-/// `|G|` approaches the output count. Groups are the `C(n, g)` combinations
-/// in K-best order; each group is measured once with its best combination
-/// and committed iff power decreases, exactly like the pairwise loop.
-///
-/// Group sizes beyond 3 get expensive quickly (`C(n,g)·2^g` cost
-/// evaluations); sizes 2 and 3 cover the paper's discussion.
-///
-/// # Errors
-///
-/// Returns [`PhaseError::AssignmentMismatch`] if `initial` has the wrong
-/// length.
-///
-/// # Panics
-///
-/// Panics if `group_size < 2`.
-pub fn min_power_assignment_grouped(
-    synth: &DominoSynthesizer<'_>,
-    probs: &NodeProbabilities,
-    initial: PhaseAssignment,
-    config: &MinPowerConfig,
-    group_size: usize,
-) -> Result<SearchOutcome, PhaseError> {
-    assert!(group_size >= 2, "groups need at least two outputs");
-    if group_size == 2 {
-        return min_power_assignment(synth, probs, initial, config);
-    }
-    let n = synth.view_outputs().len();
-    let cost_model = CostModel::new(synth, probs);
-    let mut acct = ConeAccountant::new(
-        synth,
-        Objective::Power {
-            probs: probs.as_slice(),
-            model: config.model,
-        },
-        initial,
-    )?;
-    let mut progress = Progress::new(acct.fixed_total());
-
-    if n >= group_size {
-        // Enumerate all C(n, g) groups, order by best-combination K.
-        let mut groups: Vec<(f64, Vec<usize>, Vec<Phase>)> = Vec::new();
-        let mut members: Vec<usize> = (0..group_size).collect();
-        loop {
-            let (phases, k) = group_best(&cost_model, &members, acct.assignment());
-            groups.push((k, members.clone(), phases));
-            // Next combination.
-            let mut i = group_size;
-            loop {
-                if i == 0 {
-                    break;
-                }
-                i -= 1;
-                if members[i] != i + n - group_size {
-                    members[i] += 1;
-                    for j in i + 1..group_size {
-                        members[j] = members[j - 1] + 1;
-                    }
-                    break;
-                }
-                if i == 0 {
-                    members.clear();
-                }
-            }
-            if members.is_empty() {
-                break;
-            }
-        }
-        groups.sort_by(|a, b| a.0.total_cmp(&b.0));
-        for (_, members, _phases) in groups {
-            // Re-derive the best combination under the *current* assignment
-            // (commits since ranking may have changed it).
-            let (phases, _) = group_best(&cost_model, &members, acct.assignment());
-            let moves: Vec<(usize, Phase)> = members.into_iter().zip(phases).collect();
-            if moves.iter().all(|&(i, p)| acct.assignment().phase(i) == p) {
-                continue;
-            }
-            let total = acct.fixed_total() + acct.moves_delta(&moves);
-            if progress.commits(total, config.always_commit) {
-                acct.apply(&moves);
-            }
-        }
-    }
-
-    hill_climb(&mut acct, config.refinement_passes, &mut progress);
-    Ok(progress.finish(&acct))
-}
-
-/// Best phase combination for a group under the generalized `K`.
-fn group_best(
-    cost_model: &CostModel,
-    members: &[usize],
-    current: &PhaseAssignment,
-) -> (Vec<Phase>, f64) {
-    let g = members.len();
-    let mut best_phases: Vec<Phase> = members.iter().map(|&i| current.phase(i)).collect();
-    let mut best_k = f64::INFINITY;
-    for combo in 0u32..(1 << g) {
-        let phases: Vec<Phase> = members
-            .iter()
-            .enumerate()
-            .map(|(idx, &i)| {
-                if combo & (1 << idx) != 0 {
-                    current.phase(i).flipped()
-                } else {
-                    current.phase(i)
-                }
-            })
-            .collect();
-        let mut k = 0.0;
-        for (idx, &i) in members.iter().enumerate() {
-            k += cost_model.cone_size(i) as f64 * cost_model.average(i, phases[idx]);
-        }
-        for (ia, &i) in members.iter().enumerate() {
-            for (ja, &j) in members.iter().enumerate().skip(ia + 1) {
-                k += 0.5
-                    * cost_model.overlap(i, j)
-                    * (cost_model.average(i, phases[ia]) + cost_model.average(j, phases[ja]));
-            }
-        }
-        if k < best_k {
-            best_k = k;
-            best_phases = phases;
-        }
-    }
-    (best_phases, best_k)
-}
-
 /// Scores the pair's chosen combination as an exact delta and applies it
 /// if it commits. A combination that keeps both phases measures nothing.
 fn evaluate_pair(
@@ -1116,72 +983,6 @@ mod tests {
                 optimal.objective
             );
         }
-    }
-
-    #[test]
-    fn grouped_search_matches_or_beats_pairwise_on_small_circuits() {
-        let net = fig5();
-        let synth = DominoSynthesizer::new(&net).unwrap();
-        for p in [0.3, 0.5, 0.9] {
-            let probs = probs_for(&net, p);
-            let pairwise = min_power_assignment(
-                &synth,
-                &probs,
-                PhaseAssignment::all_positive(2),
-                &MinPowerConfig::default(),
-            )
-            .unwrap();
-            // group_size == 2 must be identical to the pairwise loop.
-            let same = min_power_assignment_grouped(
-                &synth,
-                &probs,
-                PhaseAssignment::all_positive(2),
-                &MinPowerConfig::default(),
-                2,
-            )
-            .unwrap();
-            assert_eq!(pairwise.assignment, same.assignment);
-        }
-    }
-
-    #[test]
-    fn grouped_search_triples_beat_pairs_when_interaction_matters() {
-        // Three outputs sharing one OR-heavy cone: flipping all three
-        // together is cheap, flipping any pair leaves a trapped polarity.
-        let mut net = Network::new("triple");
-        let a = net.add_input("a").unwrap();
-        let b = net.add_input("b").unwrap();
-        let c = net.add_input("c").unwrap();
-        let d = net.add_input("d").unwrap();
-        let core = net.add_or([a, b, c]).unwrap();
-        let f1 = net.add_or([core, d]).unwrap();
-        let f2 = net.add_or([core, a]).unwrap();
-        let f3 = net.add_or([core, b]).unwrap();
-        net.add_output("f1", f1).unwrap();
-        net.add_output("f2", f2).unwrap();
-        net.add_output("f3", f3).unwrap();
-        let synth = DominoSynthesizer::new(&net).unwrap();
-        let probs = probs_for(&net, 0.9);
-        let strict = MinPowerConfig {
-            refinement_passes: 0,
-            ..MinPowerConfig::default()
-        };
-        let pair = min_power_assignment(&synth, &probs, PhaseAssignment::all_positive(3), &strict)
-            .unwrap();
-        let triple = min_power_assignment_grouped(
-            &synth,
-            &probs,
-            PhaseAssignment::all_positive(3),
-            &strict,
-            3,
-        )
-        .unwrap();
-        assert!(
-            triple.objective <= pair.objective + 1e-12,
-            "triples {} vs pairs {}",
-            triple.objective,
-            pair.objective
-        );
     }
 
     /// 12 outputs with shared, asymmetric cones over 6 inputs.

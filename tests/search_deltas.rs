@@ -19,8 +19,8 @@ use dominolp::phase::cost::CostModel;
 use dominolp::phase::power::{fixed_to_power, FixedPower, PowerModel};
 use dominolp::phase::prob::{compute_probabilities, NodeProbabilities, ProbabilityConfig};
 use dominolp::phase::search::{
-    min_power_assignment, min_power_assignment_grouped, search_objective, ConeAccountant,
-    MinAreaConfig, MinPowerConfig, Objective, SearchOutcome,
+    min_power_assignment, search_objective, ConeAccountant, MinAreaConfig, MinPowerConfig,
+    Objective, SearchOutcome,
 };
 use dominolp::phase::{DominoSynthesizer, Phase, PhaseAssignment};
 use dominolp::workloads::{generate, GeneratorSpec};
@@ -313,80 +313,6 @@ fn reference_min_power(
     record.outcome(acct.assignment().clone())
 }
 
-/// Best phases of a group and their cost under the generalized `K`, as
-/// the search ranks them.
-fn group_best(
-    cost_model: &CostModel,
-    members: &[usize],
-    current: &PhaseAssignment,
-) -> (Vec<Phase>, f64) {
-    let mut best = (Vec::new(), f64::INFINITY);
-    for combo in 0u32..(1 << members.len()) {
-        let phases: Vec<Phase> = members
-            .iter()
-            .enumerate()
-            .map(|(idx, &i)| {
-                let keep = current.phase(i);
-                if combo & (1 << idx) != 0 {
-                    keep.flipped()
-                } else {
-                    keep
-                }
-            })
-            .collect();
-        let mut k = 0.0;
-        for (idx, &i) in members.iter().enumerate() {
-            k += cost_model.cone_size(i) as f64 * cost_model.average(i, phases[idx]);
-        }
-        for (ia, &i) in members.iter().enumerate() {
-            for (ja, &j) in members.iter().enumerate().skip(ia + 1) {
-                k += 0.5
-                    * cost_model.overlap(i, j)
-                    * (cost_model.average(i, phases[ia]) + cost_model.average(j, phases[ja]));
-            }
-        }
-        if k < best.1 {
-            best = (phases, k);
-        }
-    }
-    best
-}
-
-/// `min_power_assignment_grouped` with groups of three, every candidate
-/// applied, measured and reverted.
-fn reference_grouped(
-    synth: &DominoSynthesizer<'_>,
-    probs: &NodeProbabilities,
-    initial: PhaseAssignment,
-    config: &MinPowerConfig,
-) -> SearchOutcome {
-    let n = synth.view_outputs().len();
-    let cost_model = CostModel::new(synth, probs);
-    let mut acct = power_accountant(synth, probs, initial, config.model);
-    let mut record = Record::new(&acct);
-    let mut groups = Vec::new();
-    for a in 0..n {
-        for b in a + 1..n {
-            for c in b + 1..n {
-                let members = [a, b, c];
-                let (_, k) = group_best(&cost_model, &members, acct.assignment());
-                groups.push((k, members));
-            }
-        }
-    }
-    groups.sort_by(|a, b| a.0.total_cmp(&b.0));
-    for (_, members) in groups {
-        let (phases, _) = group_best(&cost_model, &members, acct.assignment());
-        let moves: Vec<(usize, Phase)> = members.into_iter().zip(phases).collect();
-        if moves.iter().all(|&(i, p)| acct.assignment().phase(i) == p) {
-            continue;
-        }
-        apply_measure_revert(&mut acct, &moves, &mut record, config.always_commit);
-    }
-    reference_climb(&mut acct, config.refinement_passes, &mut record);
-    record.outcome(acct.assignment().clone())
-}
-
 /// Walks an accountant through random single flips and random moves of
 /// one to three outputs: each scored delta must equal the `fixed_total`
 /// change of applying it, and the total must equal that of an accountant
@@ -459,11 +385,6 @@ proptest! {
             .expect("search runs");
         let want = reference_min_power(&synth, &probs, initial.clone(), &config);
         assert_same(&got, &want, "min_power_assignment");
-
-        let got = min_power_assignment_grouped(&synth, &probs, initial.clone(), &config, 3)
-            .expect("search runs");
-        let want = reference_grouped(&synth, &probs, initial.clone(), &config);
-        assert_same(&got, &want, "min_power_assignment_grouped");
 
         let power = Objective::Power { probs: probs.as_slice(), model };
         let climb = MinAreaConfig { exhaustive_limit: 0, max_passes: 1 + refinement_passes };

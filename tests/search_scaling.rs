@@ -1,13 +1,9 @@
 //! Search-machinery behaviour at suite scale: hill-climbing min-area beyond
-//! the exhaustive limit, grouped-K vs pairwise, and cost-model sanity on
-//! wide-interface circuits.
+//! the exhaustive limit, and cost-model sanity on wide-interface circuits.
 
 use dominolp::phase::cost::CostModel;
 use dominolp::phase::prob::{compute_probabilities, ProbabilityConfig};
-use dominolp::phase::search::{
-    min_area_assignment, min_power_assignment, min_power_assignment_grouped, MinAreaConfig,
-    MinPowerConfig,
-};
+use dominolp::phase::search::{min_area_assignment, MinAreaConfig};
 use dominolp::phase::{DominoSynthesizer, PhaseAssignment};
 use dominolp::workloads::{generate, GeneratorSpec};
 
@@ -54,25 +50,6 @@ fn exhaustive_limit_boundary_behaviour() {
         .min()
         .expect("non-empty");
     assert_eq!(outcome.objective as usize, brute);
-}
-
-#[test]
-fn grouped_k_never_loses_to_pairwise_at_scale() {
-    let spec = GeneratorSpec::control_block("grp", 20, 7, 90, 8);
-    let net = generate(&spec).expect("generator succeeds");
-    let pi = vec![0.5; 20];
-    let probs = compute_probabilities(&net, &pi, &ProbabilityConfig::default()).expect("probs");
-    let synth = DominoSynthesizer::new(&net).expect("valid");
-    let n = synth.view_outputs().len();
-    let cfg = MinPowerConfig::default();
-    let pair = min_power_assignment(&synth, &probs, PhaseAssignment::all_positive(n), &cfg)
-        .expect("search");
-    let triple =
-        min_power_assignment_grouped(&synth, &probs, PhaseAssignment::all_positive(n), &cfg, 3)
-            .expect("search");
-    // Both end at local optima of the same refinement; grouped exploration
-    // can only help the pre-refinement phase.
-    assert!(triple.objective <= pair.objective * 1.02 + 1e-9);
 }
 
 #[test]
