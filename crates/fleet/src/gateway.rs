@@ -52,12 +52,12 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use domino_engine::json::{parse, Json};
-use domino_engine::{CircuitSource, EngineError, FlowJob, JobSpec};
+use domino_engine::JobSpec;
 use domino_serve::config::{apply_connection_flags, DEFAULT_MAX_CONNECTIONS};
 use domino_serve::front::{FrontConfig, FrontHandle, HttpFront, Responder};
 use domino_serve::http::Request;
 use domino_serve::protocol::{ErrorReply, StatusReply, SubmitReply};
-use domino_serve::{ArgTable, ClientError, FailpointCounter, RetryPolicy};
+use domino_serve::{ArgTable, ClientError, FailpointCounter, ResolveMemo, RetryPolicy};
 
 use crate::pool::BackendPool;
 
@@ -202,45 +202,6 @@ impl IdTable {
     }
 }
 
-/// Bounded memo of resolved networks keyed by circuit source, so warm
-/// resubmissions of the same suite circuit do not regenerate the netlist
-/// just to compute a routing key (mirrors `dominod`'s resolve memo).
-#[derive(Debug, Default)]
-struct KeyMemo {
-    map: Mutex<HashMap<String, FlowJob>>,
-}
-
-const KEY_MEMO_CAP: usize = 64;
-
-impl KeyMemo {
-    fn source_key(source: &CircuitSource) -> Option<String> {
-        match source {
-            CircuitSource::Suite(name) => Some(format!("suite\u{0}{name}")),
-            CircuitSource::BlifInline(text) => Some(format!("blif\u{0}{text}")),
-            CircuitSource::BlifPath(_) => None,
-        }
-    }
-
-    fn routing_key(&self, spec: JobSpec) -> Result<String, EngineError> {
-        let Some(memo_key) = Self::source_key(&spec.source) else {
-            return Ok(spec.resolve()?.cache_key().to_string());
-        };
-        if let Some(proto) = self.map.lock().expect("key memo").get(&memo_key) {
-            return Ok(FlowJob::new(spec, proto.network.clone())
-                .cache_key()
-                .to_string());
-        }
-        let job = spec.resolve()?;
-        let key = job.cache_key().to_string();
-        let mut map = self.map.lock().expect("key memo");
-        if map.len() >= KEY_MEMO_CAP {
-            map.clear();
-        }
-        map.insert(memo_key, job);
-        Ok(key)
-    }
-}
-
 /// A verbatim-relayable reply a coalescing leader captured for its
 /// followers: status, optional `Retry-After`, exact body bytes.
 type StoredReply = (u16, Option<String>, Vec<u8>);
@@ -287,7 +248,7 @@ impl SyncFlight {
 struct GwShared {
     pool: Arc<BackendPool>,
     ids: Mutex<IdTable>,
-    key_memo: KeyMemo,
+    resolve_memo: ResolveMemo,
     retry: RetryPolicy,
     sync_flight: SyncFlight,
     front: FrontHandle,
@@ -398,7 +359,7 @@ impl Gateway {
         let shared = Arc::new(GwShared {
             pool: Arc::clone(&pool),
             ids: Mutex::new(IdTable::default()),
-            key_memo: KeyMemo::default(),
+            resolve_memo: ResolveMemo::default(),
             retry: RetryPolicy::new(FAILOVER_RETRY_BUDGET),
             sync_flight: SyncFlight::default(),
             front: front.handle(),
@@ -668,8 +629,9 @@ fn handle_submit(request: &Request, shared: &Arc<GwShared>, responder: Responder
         return error_reply(responder, 503, "gateway is draining for shutdown");
     }
     // Compute the routing key exactly as the backend will: resolve the
-    // spec and take its content-address. An unroutable spec fails here
-    // with the same 400 a backend would give.
+    // spec through the backends' own memo and take its content-address.
+    // An unroutable spec fails here with the same 400 a backend would
+    // give.
     let Ok(text) = std::str::from_utf8(&request.body) else {
         return error_reply(responder, 400, "body is not UTF-8");
     };
@@ -680,8 +642,8 @@ fn handle_submit(request: &Request, shared: &Arc<GwShared>, responder: Responder
         Ok(spec) => spec,
         Err(e) => return error_reply(responder, 400, &format!("invalid job spec: {e}")),
     };
-    let key = match shared.key_memo.routing_key(spec) {
-        Ok(key) => key,
+    let key = match shared.resolve_memo.resolve(spec) {
+        Ok(job) => job.cache_key().to_string(),
         Err(e) => return error_reply(responder, 400, &format!("unresolvable job: {e}")),
     };
 

@@ -16,7 +16,7 @@
 use std::sync::Arc;
 
 use domino_engine::json::parse;
-use domino_engine::{FlowEngine, JobSpec, ResultCache};
+use domino_engine::{CircuitSource, FlowEngine, JobSpec, ResultCache};
 use domino_fleet::{hash, Gateway, GatewayConfig, GatewayMetrics};
 use domino_serve::{ClientError, EventKind, JobStatus, ServeClient, ServeConfig, Server};
 
@@ -368,6 +368,42 @@ fn submissions_after_the_shutdown_answer_are_refused() {
     gateway.wait();
     assert_eq!(backend.metrics().submitted, 0, "no job reached the backend");
     backend.shutdown();
+}
+
+/// A `blif_path` source gets a 400 at the gateway before it is routed,
+/// even when the path names a valid BLIF file; the gateway then routes a
+/// normal job to completion.
+#[test]
+fn blif_path_sources_are_refused_before_routing() {
+    let dir = std::env::temp_dir().join(format!("dominolp-gw-path-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("and2.blif");
+    std::fs::write(
+        &path,
+        ".model m\n.inputs a b\n.outputs f\n.names a b f\n11 1\n.end\n",
+    )
+    .expect("write BLIF");
+    let (backend, backend_addr) = start_backend(None);
+    let (gateway, client) = start_gateway(vec![backend_addr]);
+    let mut spec = JobSpec::suite("pathy");
+    spec.source = CircuitSource::BlifPath(path.display().to_string());
+    match client.submit(&spec) {
+        Err(ClientError::Api {
+            status: 400, error, ..
+        }) => assert!(error.contains("blif_path"), "{error}"),
+        other => panic!("expected 400, got {other:?}"),
+    }
+    assert_eq!(gateway_metrics(&client).routed, 0);
+    assert_eq!(backend.metrics().submitted, 0, "no job reached the backend");
+
+    let id = client.submit(&public_specs()[0]).expect("admitted").id;
+    let status = client.status(id, true).expect("terminal");
+    assert_eq!(status.status, JobStatus::Completed);
+    assert_eq!(gateway_metrics(&client).routed, 1);
+    assert_eq!(backend.metrics().submitted, 1);
+    gateway.shutdown();
+    backend.shutdown();
+    std::fs::remove_dir_all(&dir).expect("clean up");
 }
 
 #[test]

@@ -67,4 +67,4 @@ pub use protocol::{
     MetricsReply, ReactorCounters, StatusReply, SubmitReply,
 };
 pub use registry::{AdmitError, Registry, RETAINED_TERMINAL_JOBS};
-pub use server::{ServeConfig, Server, ShutdownHandle, DEFAULT_PORT};
+pub use server::{ResolveMemo, ServeConfig, Server, ShutdownHandle, DEFAULT_PORT};

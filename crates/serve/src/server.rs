@@ -219,22 +219,27 @@ pub const DEFAULT_PORT: u16 = 7171;
 /// waiting request is parked, not held — so a handful is plenty.
 const HANDLER_THREADS: usize = 4;
 
+/// The one place `dominod` and `dominogw` resolve an admitted spec.
 /// Memoizes circuit resolution by source *content*: repeated submissions
 /// of the same suite row or inline BLIF clone the parsed
 /// [`Network`](domino_netlist::Network) instead of re-generating/-parsing
-/// it — on the warm path that is most of the per-request CPU.
-/// `BlifPath` sources are never memoized (the file can change under us),
-/// and only successfully resolved sources enter the memo, so a hit is
-/// always sound.
+/// it — on the warm path that is most of the per-request CPU. Only
+/// successfully resolved sources enter the memo, so a hit is always
+/// sound.
 ///
-/// Bounded in **bytes**, not just entries: sources above
-/// [`RESOLVE_MEMO_MAX_SOURCE_BYTES`] are never memoized, and the memo is
-/// emptied once it holds [`RESOLVE_MEMO_CAP`] entries or
-/// [`RESOLVE_MEMO_MAX_TOTAL_BYTES`] of source text (the parsed networks
-/// scale with their sources) — a client cycling through large distinct
-/// inline circuits cannot grow server memory past the budget.
+/// A server resolves only what a request carries: a `blif_path` source
+/// is refused, since resolving it would open a path on the server's own
+/// host — a FIFO blocks the handler for good, and `/dev/zero` aborts the
+/// process when the line reader runs out of memory. `dominoc submit`
+/// sends BLIF files inline.
+///
+/// Bounded in **bytes**, not just entries: sources above 1 MiB are never
+/// memoized, and the memo is emptied once it holds 256 entries or 16 MiB
+/// of source text (the parsed networks scale with their sources) — a
+/// client cycling through large distinct inline circuits cannot grow
+/// server memory past the budget.
 #[derive(Debug, Default)]
-struct ResolveMemo {
+pub struct ResolveMemo {
     map: Mutex<(HashMap<String, domino_netlist::Network>, usize)>,
 }
 
@@ -249,19 +254,27 @@ const RESOLVE_MEMO_MAX_SOURCE_BYTES: usize = 1024 * 1024;
 const RESOLVE_MEMO_MAX_TOTAL_BYTES: usize = 16 * 1024 * 1024;
 
 impl ResolveMemo {
-    fn memo_key(source: &CircuitSource) -> Option<String> {
-        match source {
-            CircuitSource::Suite(name) => Some(format!("suite\u{0}{name}")),
-            CircuitSource::BlifInline(text) => Some(format!("blif\u{0}{text}")),
-            CircuitSource::BlifPath(_) => None,
-        }
-    }
-
-    fn resolve(&self, spec: JobSpec) -> Result<FlowJob, EngineError> {
-        let key = match Self::memo_key(&spec.source) {
-            Some(key) if key.len() <= RESOLVE_MEMO_MAX_SOURCE_BYTES => key,
-            _ => return spec.resolve(),
+    /// Pairs `spec` with its circuit, parsed or generated once per
+    /// distinct source while the memo keeps it.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::Spec`] for a `blif_path` source; otherwise whatever
+    /// [`JobSpec::resolve`] returns.
+    pub fn resolve(&self, spec: JobSpec) -> Result<FlowJob, EngineError> {
+        let key = match &spec.source {
+            CircuitSource::Suite(name) => format!("suite\u{0}{name}"),
+            CircuitSource::BlifInline(text) => format!("blif\u{0}{text}"),
+            CircuitSource::BlifPath(_) => {
+                return Err(EngineError::Spec(
+                    "a server does not read 'blif_path' sources; send the BLIF text as 'blif'"
+                        .into(),
+                ))
+            }
         };
+        if key.len() > RESOLVE_MEMO_MAX_SOURCE_BYTES {
+            return spec.resolve();
+        }
         if let Some(net) = self.map.lock().expect("memo lock").0.get(&key) {
             return Ok(FlowJob::new(spec, net.clone()));
         }
@@ -932,6 +945,47 @@ fn error_reply(responder: Responder, status: u16, message: &str) {
 mod tests {
     use super::*;
     use std::io::Write;
+
+    /// A valid one-gate BLIF of about `bytes` bytes, distinct per `tag`:
+    /// the bulk is a comment, so it parses in microseconds.
+    fn padded_blif(tag: usize, bytes: usize) -> String {
+        let head = format!(".model m{tag}\n.inputs a\n.outputs f\n.names a f\n1 1\n.end\n# ");
+        let pad = bytes.saturating_sub(head.len() + 1);
+        format!("{head}{}\n", "x".repeat(pad))
+    }
+
+    #[test]
+    fn resolve_memo_stays_within_its_byte_budget() {
+        let memo = ResolveMemo::default();
+        let held = || {
+            let guard = memo.map.lock().expect("memo lock");
+            let keys: usize = guard.0.keys().map(String::len).sum();
+            assert_eq!(keys, guard.1, "the byte count is the keys' length");
+            (guard.0.len(), guard.1)
+        };
+        // 40 distinct sources just under the per-source cap: 2.5 times
+        // what the memo may hold.
+        let mut peak = 0;
+        for tag in 0..40 {
+            let text = padded_blif(tag, RESOLVE_MEMO_MAX_SOURCE_BYTES - 64);
+            let mut spec = JobSpec::suite("padded");
+            spec.source = CircuitSource::BlifInline(text);
+            memo.resolve(spec).expect("resolves");
+            let (entries, bytes) = held();
+            assert!(entries >= 1, "a fitting source is kept");
+            assert!(bytes <= RESOLVE_MEMO_MAX_TOTAL_BYTES, "{bytes} bytes kept");
+            peak = peak.max(bytes);
+        }
+        assert!(peak > RESOLVE_MEMO_MAX_TOTAL_BYTES - RESOLVE_MEMO_MAX_SOURCE_BYTES);
+
+        // A source over the per-source cap resolves but is not kept.
+        let before = held();
+        let mut spec = JobSpec::suite("giant");
+        spec.source = CircuitSource::BlifInline(padded_blif(99, 2 * RESOLVE_MEMO_MAX_SOURCE_BYTES));
+        let job = memo.resolve(spec).expect("resolves");
+        assert_eq!(job.network.outputs().len(), 1);
+        assert_eq!(held(), before, "the giant source is not kept");
+    }
 
     /// Spins until `done` holds; panics after 10 s rather than hang.
     fn wait_until(what: &str, mut done: impl FnMut() -> bool) {

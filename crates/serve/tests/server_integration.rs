@@ -20,7 +20,7 @@ use std::io::Write;
 use std::sync::Arc;
 
 use domino_engine::json::parse;
-use domino_engine::{FlowEngine, JobSpec, ResultCache};
+use domino_engine::{CircuitSource, FlowEngine, JobSpec, ResultCache};
 use domino_serve::http::HttpConnection;
 use domino_serve::{
     ClientError, EventKind, JobStatus, ServeClient, ServeConfig, Server, StatusReply,
@@ -462,6 +462,45 @@ fn unrunnable_specs_are_refused_before_admission() {
             panic!("timed out: an admitted spec never finished")
         }
     }
+}
+
+/// A `blif_path` source would make the server open a path on its own
+/// host; it gets a 400 before admission even when the path names a valid
+/// BLIF file, and the server goes on serving.
+#[test]
+fn blif_path_sources_are_refused_before_admission() {
+    let dir = std::env::temp_dir().join(format!("dominolp-serve-path-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("and2.blif");
+    std::fs::write(
+        &path,
+        ".model m\n.inputs a b\n.outputs f\n.names a b f\n11 1\n.end\n",
+    )
+    .expect("write BLIF");
+    let (server, client) = start_server(ServeConfig {
+        workers: 1,
+        queue_capacity: 4,
+        cache: None,
+        ..ServeConfig::default()
+    });
+    let mut spec = JobSpec::suite("pathy");
+    spec.source = CircuitSource::BlifPath(path.display().to_string());
+    match client.submit(&spec) {
+        Err(ClientError::Api {
+            status: 400, error, ..
+        }) => {
+            assert!(error.contains("blif_path"), "{error}");
+        }
+        other => panic!("expected 400, got {other:?}"),
+    }
+    assert_eq!(client.metrics().expect("metrics").submitted, 0);
+
+    let id = client.submit(&public_specs()[0]).expect("admitted").id;
+    let status = client.status(id, true).expect("terminal");
+    assert_eq!(status.status, JobStatus::Completed);
+    assert_eq!(client.metrics().expect("metrics").submitted, 1);
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).expect("clean up");
 }
 
 #[test]
