@@ -5,9 +5,13 @@
 //! minimal wall-clock harness with the same surface: [`Criterion`],
 //! [`BenchmarkGroup`], [`BenchmarkId`], [`Bencher::iter`], [`black_box`] and
 //! the [`criterion_group!`] / [`criterion_main!`] macros. Each benchmark runs
-//! one warm-up iteration and then `sample_size` timed samples, reporting
-//! mean/min/max to stdout. There is no statistical analysis, HTML report or
-//! `target/criterion` history — numbers are indicative, not rigorous.
+//! a warm-up that sizes its batches — doubling the iteration count until one
+//! batch spans at least [`SAMPLE_TARGET`] — and then `sample_size` timed
+//! samples of that many iterations each, reporting the per-iteration
+//! mean/min/max to stdout. Batching keeps timer resolution and one-off
+//! stalls from dominating microsecond payloads. There is no statistical
+//! analysis, HTML report or `target/criterion` history — numbers are
+//! indicative, not rigorous.
 
 #![forbid(unsafe_code)]
 
@@ -15,6 +19,10 @@ use std::fmt::Display;
 use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;
+
+/// Shortest span of one timed sample: the warm-up doubles its batch until
+/// a batch takes at least this long, and every sample runs that batch.
+pub const SAMPLE_TARGET: Duration = Duration::from_millis(1);
 
 /// Top-level benchmark driver.
 #[derive(Debug, Default)]
@@ -133,17 +141,35 @@ impl From<String> for BenchmarkId {
 /// Passed to benchmark closures; call [`Bencher::iter`] with the payload.
 pub struct Bencher {
     elapsed: Duration,
+    /// Calls of the payload per sample; 0 until the warm-up sizes it.
     iterations: u64,
 }
 
 impl Bencher {
-    /// Times `iterations` calls of `f` (results are black-boxed).
+    /// Times one batch of calls of `f` (results are black-boxed). In the
+    /// warm-up the batch doubles from one call until it spans
+    /// [`SAMPLE_TARGET`], which fixes the batch of every sample.
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut f: F) {
-        let start = Instant::now();
-        for _ in 0..self.iterations {
-            black_box(f());
+        let mut batch = |iterations: u64| {
+            let start = Instant::now();
+            for _ in 0..iterations {
+                black_box(f());
+            }
+            start.elapsed()
+        };
+        if self.iterations > 0 {
+            self.elapsed = batch(self.iterations);
+            return;
         }
-        self.elapsed = start.elapsed();
+        let mut iterations = 1;
+        loop {
+            self.elapsed = batch(iterations);
+            if self.elapsed >= SAMPLE_TARGET {
+                break;
+            }
+            iterations *= 2;
+        }
+        self.iterations = iterations;
     }
 }
 
@@ -155,27 +181,28 @@ where
         Some(g) => format!("{g}/{}", id.label),
         None => id.label.clone(),
     };
-    // One warm-up iteration, then `sample_size` one-iteration samples.
+    // One warm-up call sizes the batch, then `sample_size` batched samples.
     let mut bencher = Bencher {
         elapsed: Duration::ZERO,
-        iterations: 1,
+        iterations: 0,
     };
     f(&mut bencher);
+    let iterations = bencher.iterations.max(1);
     let mut samples = Vec::with_capacity(sample_size);
     for _ in 0..sample_size {
         let mut bencher = Bencher {
             elapsed: Duration::ZERO,
-            iterations: 1,
+            iterations,
         };
         f(&mut bencher);
-        samples.push(bencher.elapsed);
+        samples.push(bencher.elapsed / iterations as u32);
     }
     let total: Duration = samples.iter().sum();
     let mean = total / samples.len() as u32;
     let min = samples.iter().min().copied().unwrap_or_default();
     let max = samples.iter().max().copied().unwrap_or_default();
     println!(
-        "{full_name:<60} mean {:>12} min {:>12} max {:>12} ({} samples)",
+        "{full_name:<60} mean {:>12} min {:>12} max {:>12} ({} samples of {iterations})",
         format_duration(mean),
         format_duration(min),
         format_duration(max),
@@ -233,6 +260,29 @@ mod tests {
         group.finish();
         // warm-up + 3 samples
         assert_eq!(runs, 4);
+    }
+
+    #[test]
+    fn warm_up_batches_samples_to_the_target_span() {
+        let mut bencher = Bencher {
+            elapsed: Duration::ZERO,
+            iterations: 0,
+        };
+        let mut calls = 0u64;
+        bencher.iter(|| calls += 1);
+        assert!(bencher.elapsed >= SAMPLE_TARGET);
+        assert!(bencher.iterations.is_power_of_two());
+        assert!(bencher.iterations > 1, "a no-op payload is batched");
+        // Every doubling ran: 1 + 2 + … + n calls.
+        assert_eq!(calls, 2 * bencher.iterations - 1);
+
+        let mut sample = Bencher {
+            elapsed: Duration::ZERO,
+            iterations: 5,
+        };
+        let mut calls = 0u64;
+        sample.iter(|| calls += 1);
+        assert_eq!((calls, sample.iterations), (5, 5));
     }
 
     #[test]
