@@ -6,12 +6,11 @@
 //! [`BenchmarkGroup`], [`BenchmarkId`], [`Bencher::iter`], [`black_box`] and
 //! the [`criterion_group!`] / [`criterion_main!`] macros. Each benchmark runs
 //! a warm-up that sizes its batches — doubling the iteration count until one
-//! batch spans at least [`SAMPLE_TARGET`] — and then `sample_size` timed
-//! samples of that many iterations each, reporting the per-iteration
-//! mean/min/max to stdout. Batching keeps timer resolution and one-off
-//! stalls from dominating microsecond payloads. There is no statistical
-//! analysis, HTML report or `target/criterion` history — numbers are
-//! indicative, not rigorous.
+//! batch spans at least 1 ms — and then `sample_size` timed samples of that
+//! many iterations each, reporting the per-iteration mean/min/max to stdout.
+//! Batching keeps timer resolution and one-off stalls from dominating
+//! microsecond payloads. There is no statistical analysis, HTML report or
+//! `target/criterion` history — numbers are indicative, not rigorous.
 
 #![forbid(unsafe_code)]
 
@@ -22,7 +21,7 @@ pub use std::hint::black_box;
 
 /// Shortest span of one timed sample: the warm-up doubles its batch until
 /// a batch takes at least this long, and every sample runs that batch.
-pub const SAMPLE_TARGET: Duration = Duration::from_millis(1);
+const SAMPLE_TARGET: Duration = Duration::from_millis(1);
 
 /// Top-level benchmark driver.
 #[derive(Debug, Default)]
@@ -147,8 +146,8 @@ pub struct Bencher {
 
 impl Bencher {
     /// Times one batch of calls of `f` (results are black-boxed). In the
-    /// warm-up the batch doubles from one call until it spans
-    /// [`SAMPLE_TARGET`], which fixes the batch of every sample.
+    /// warm-up the batch doubles from one call until it spans 1 ms, which
+    /// fixes the batch of every sample.
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut f: F) {
         let mut batch = |iterations: u64| {
             let start = Instant::now();
