@@ -219,49 +219,6 @@ impl CircuitBdds {
         self.manager.digest(&self.node_funcs)
     }
 
-    /// Number of per-node BDD handles (== the network's node count at
-    /// build time). Snapshot loaders use this to cross-check a
-    /// deserialized instance against the network it claims to describe.
-    pub fn func_count(&self) -> usize {
-        self.node_funcs.len()
-    }
-
-    /// Serializes manager and per-node root handles into the versioned
-    /// `bddsnap` text format ([`BddManager::serialize_into`] over all node
-    /// functions). Arena-layout independent; closed with the canonical
-    /// digest, so [`CircuitBdds::deserialize_from`] can verify the
-    /// roundtrip.
-    pub fn serialize_into(&self, out: &mut String) {
-        self.manager.serialize_into(&self.node_funcs, out);
-    }
-
-    /// Rebuilds a [`CircuitBdds`] from [`CircuitBdds::serialize_into`]
-    /// text, verifying the recorded digest. The rebuilt arena is in
-    /// serialization (postorder DFS) order — identical to what
-    /// [`CircuitBdds::remap_compact`] leaves behind — so snapshots load
-    /// pre-compacted.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`crate::snapshot::SnapshotError`] for malformed input
-    /// or a digest mismatch.
-    pub fn deserialize_from(text: &str) -> Result<Self, crate::snapshot::SnapshotError> {
-        let (manager, node_funcs) = BddManager::deserialize_from(text)?;
-        Ok(CircuitBdds {
-            manager,
-            node_funcs,
-        })
-    }
-
-    /// Compacts the arena into serialization (postorder DFS) order
-    /// ([`BddManager::compact_postorder`]): children land immediately
-    /// before their parents, which is the access pattern of the
-    /// probability sweeps, and the layout matches what a snapshot load
-    /// produces. Functions, digest and probabilities are unchanged.
-    pub fn remap_compact(&mut self) {
-        self.node_funcs = self.manager.compact_postorder(&self.node_funcs);
-    }
-
     /// Runs a sifting campaign over the already-built BDDs and compacts
     /// the arena. Probabilities and evaluation results are unchanged
     /// (same functions, new shapes); node counts typically shrink.
@@ -559,54 +516,6 @@ mod tests {
         let fresh = CircuitBdds::build_with_order(&net, outcome.final_order).unwrap();
         assert_eq!(sifted.total_node_count(), fresh.total_node_count());
         assert_eq!(sifted.bdd_digest(), fresh.bdd_digest());
-    }
-
-    #[test]
-    fn snapshot_roundtrip_preserves_everything_observable() {
-        let net = pairs_net(5);
-        let cfg = ReorderConfig::with_mode(ReorderMode::Sift);
-        let (bdds, outcome) = CircuitBdds::build_reordered(&net, (0..10).collect(), &cfg).unwrap();
-        let outcome = outcome.unwrap();
-        let mut text = String::new();
-        bdds.serialize_into(&mut text);
-        let loaded = CircuitBdds::deserialize_from(&text).unwrap();
-        // Post-sift order survives the roundtrip.
-        assert_eq!(loaded.manager().order(), outcome.final_order);
-        assert_eq!(loaded.bdd_digest(), bdds.bdd_digest());
-        assert_eq!(loaded.func_count(), net.len());
-        assert_eq!(loaded.total_node_count(), bdds.total_node_count());
-        // Probabilities are bit-identical: same shapes, same summation
-        // order.
-        let probs = vec![0.3; 10];
-        let p0 = bdds.node_probabilities(&net, &probs).unwrap();
-        let p1 = loaded.node_probabilities(&net, &probs).unwrap();
-        assert_eq!(
-            p0.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
-            p1.iter().map(|p| p.to_bits()).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn remap_compact_keeps_digest_and_probability_bits() {
-        let net = pairs_net(4);
-        let mut bdds = CircuitBdds::build(&net).unwrap();
-        let digest = bdds.bdd_digest();
-        let probs = vec![0.7; 8];
-        let p0 = bdds.node_probabilities(&net, &probs).unwrap();
-        bdds.remap_compact();
-        assert_eq!(bdds.bdd_digest(), digest);
-        let p1 = bdds.node_probabilities(&net, &probs).unwrap();
-        assert_eq!(
-            p0.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
-            p1.iter().map(|p| p.to_bits()).collect::<Vec<_>>()
-        );
-        // Idempotent: already in postorder layout.
-        let mut before = String::new();
-        bdds.serialize_into(&mut before);
-        bdds.remap_compact();
-        let mut after = String::new();
-        bdds.serialize_into(&mut after);
-        assert_eq!(before, after);
     }
 
     #[test]

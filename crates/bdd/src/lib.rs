@@ -45,10 +45,8 @@ pub mod dvo;
 pub mod fx;
 mod manager;
 pub mod ordering;
-pub mod snapshot;
 mod swap;
 pub mod table;
 
 pub use dvo::{ReorderConfig, ReorderMode, ReorderOutcome};
 pub use manager::{Bdd, BddError, BddManager, BddStats};
-pub use snapshot::{SnapshotError, BDD_SNAPSHOT_HEADER};

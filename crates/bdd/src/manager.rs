@@ -62,10 +62,6 @@ impl Bdd {
     pub(crate) fn raw(self) -> u32 {
         self.0
     }
-
-    pub(crate) fn from_raw(raw: u32) -> Bdd {
-        Bdd(raw)
-    }
 }
 
 /// Errors from BDD construction.

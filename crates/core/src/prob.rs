@@ -134,11 +134,11 @@ impl NodeProbabilities {
 
     /// Reassembles a [`NodeProbabilities`] from snapshot-carried parts
     /// without any BDD work: `probs`, `bdd_nodes`, `bdd_stats` and
-    /// `reorder` come back verbatim from the snapshot (a deserialized
-    /// manager has zero traffic counters, so build-time statistics must be
-    /// carried, not recomputed), while the sequential partition — pure
-    /// graph work on the netlist, not kernel recompute — is rederived
-    /// deterministically from `net` and `config.mfvs`.
+    /// `reorder` come back verbatim from the snapshot (no manager exists
+    /// on this path, so the cold build's statistics are carried, not
+    /// recomputed), while the sequential partition — pure graph work on
+    /// the netlist, not kernel recompute — is rederived deterministically
+    /// from `net` and `config.mfvs`.
     pub fn rehydrate(
         net: &Network,
         config: &ProbabilityConfig,
@@ -201,22 +201,6 @@ pub fn compute_probabilities(
     pi_probs: &[f64],
     config: &ProbabilityConfig,
 ) -> Result<NodeProbabilities, PhaseError> {
-    compute_probabilities_with_bdds(net, pi_probs, config).map(|(probs, _)| probs)
-}
-
-/// [`compute_probabilities`], additionally returning the built
-/// [`CircuitBdds`] instead of dropping it — the seam the snapshot store
-/// uses to serialize the expensive structures right after a cold build.
-/// The probability result is bit-identical to [`compute_probabilities`].
-///
-/// # Errors
-///
-/// Same conditions as [`compute_probabilities`].
-pub fn compute_probabilities_with_bdds(
-    net: &Network,
-    pi_probs: &[f64],
-    config: &ProbabilityConfig,
-) -> Result<(NodeProbabilities, CircuitBdds), PhaseError> {
     if pi_probs.len() != net.inputs().len() {
         return Err(PhaseError::ProbabilityMismatch {
             expected: net.inputs().len(),
@@ -230,14 +214,13 @@ pub fn compute_probabilities_with_bdds(
 
     if !net.is_sequential() {
         let probs = bdds.node_probabilities(net, pi_probs)?;
-        let result = NodeProbabilities {
+        return Ok(NodeProbabilities {
             probs,
             partition: None,
             bdd_nodes,
             bdd_stats: Some(bdds.manager().stats()),
             reorder,
-        };
-        return Ok((result, bdds));
+        });
     }
 
     // Sequential: partition, then resolve latch probabilities.
@@ -294,14 +277,13 @@ pub fn compute_probabilities_with_bdds(
             source_probs[pi_probs.len() + latch_pos[l.index()]] = probs[data.index()];
         }
     }
-    let result = NodeProbabilities {
+    Ok(NodeProbabilities {
         probs,
         partition: Some(part),
         bdd_nodes,
         bdd_stats: Some(bdds.manager().stats()),
         reorder,
-    };
-    Ok((result, bdds))
+    })
 }
 
 #[cfg(test)]

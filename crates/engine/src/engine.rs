@@ -136,10 +136,10 @@ pub struct EngineConfig {
     pub cache: Option<Arc<ResultCache>>,
     /// Persistent warm-state snapshot store; `None` disables snapshotting.
     /// Sits *under* the result cache: a cache hit answers the whole job,
-    /// a snapshot hit answers only the kernel stage (BDDs + converged
-    /// probabilities) of a job that still has to run its search,
-    /// synthesis and simulation stages. The snapshot's value is surviving
-    /// restarts — the cache's memory layer does not.
+    /// a snapshot hit answers only the kernel stage (converged
+    /// probabilities, no BDD build) of a job that still has to run its
+    /// search, synthesis and simulation stages. The snapshot's value is
+    /// surviving restarts — the cache's memory layer does not.
     pub snapshots: Option<Arc<SnapshotStore>>,
 }
 

@@ -360,8 +360,8 @@ pub fn cache_key(net: &Network, spec: &JobSpec) -> String {
     format!("{hi:016x}{lo:016x}")
 }
 
-/// Computes the content-address of a job's *warm state* — the built BDDs
-/// and converged probability table that [`crate::SnapshotStore`]
+/// Computes the content-address of a job's *warm state* — the converged
+/// probability table and kernel statistics that [`crate::SnapshotStore`]
 /// persists across restarts.
 ///
 /// Deliberately **narrower** than [`cache_key`]: the kernel stage depends

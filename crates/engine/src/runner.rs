@@ -17,9 +17,7 @@
 
 use domino_phase::flow::{minimize, FlowReport};
 use domino_phase::power::PowerModel;
-use domino_phase::prob::{
-    compute_probabilities, compute_probabilities_with_bdds, NodeProbabilities,
-};
+use domino_phase::prob::{compute_probabilities, NodeProbabilities};
 use domino_phase::{DominoSynthesizer, PhaseError};
 use domino_sim::measure_power;
 use domino_store::{SnapshotStore, WarmSnapshot};
@@ -134,8 +132,8 @@ pub(crate) fn run(
 /// process.
 ///
 /// Byte-identity of warm outcomes: the snapshot carries the cold build's
-/// kernel statistics and reorder outcome verbatim (a deserialized manager
-/// has zero traffic counters), so a report assembled from a warm load is
+/// kernel statistics and reorder outcome verbatim (a warm load builds no
+/// manager to count them), so a report assembled from a warm load is
 /// indistinguishable from the cold run that produced the snapshot.
 fn kernel(
     job: &FlowJob,
@@ -158,15 +156,10 @@ fn kernel(
         ));
     }
     store.note_kernel_build();
-    let (probabilities, mut bdds) = compute_probabilities_with_bdds(&job.network, pi, prob)?;
-    // Compact to the postorder file layout before storing, so the arena a
-    // later load rebuilds is the arena this process would have had — and
-    // probability sweeps over the loaded copy walk memory in DFS order.
-    bdds.remap_compact();
+    let probabilities = compute_probabilities(&job.network, pi, prob)?;
     store.store(
         &key,
         &WarmSnapshot {
-            bdds,
             probs: probabilities.as_slice().to_vec(),
             bdd_nodes: probabilities.bdd_node_count(),
             bdd_stats: probabilities.bdd_stats().copied(),
@@ -297,20 +290,33 @@ mod tests {
         FlowJob::new(spec, job.network)
     }
 
-    /// One store lookup per job: a cold compare (untimed or timed) builds
-    /// and stores the kernel once and never hits; a restarted process
-    /// loads it once and builds nothing. Outcomes are byte-identical to a
+    fn sifted(job: FlowJob) -> FlowJob {
+        let mut spec = job.spec;
+        spec.flow.probability.reorder = crate::ReorderMode::Sift;
+        FlowJob::new(spec, job.network)
+    }
+
+    /// One store lookup per job: a cold compare (untimed, timed or
+    /// sifted) builds and stores the kernel once and never hits; a
+    /// restarted process loads it once and builds nothing. Outcomes, the
+    /// sifted kernel's `reorder` record included, are byte-identical to a
     /// run without a store either way.
     #[test]
     fn snapshotted_runs_look_up_the_store_once_per_job() {
         for (tag, job) in [
             ("untimed", fig5_job(RunObjective::Compare)),
             ("timed", timed(fig5_job(RunObjective::Compare))),
+            ("sifted", sifted(fig5_job(RunObjective::Compare))),
         ] {
             let dir = std::env::temp_dir()
                 .join(format!("dominolp-runner-snap-{tag}-{}", std::process::id()));
             let _ = std::fs::remove_dir_all(&dir);
             let plain = run_job(&job).unwrap().to_json().serialize();
+            assert_eq!(
+                plain.contains("\"reorder\""),
+                tag == "sifted",
+                "{tag}: only the sifted kernel reports a reorder"
+            );
 
             let store = SnapshotStore::on_disk(&dir).unwrap();
             let cold = run(&job, Some(&store), &|| false).unwrap();

@@ -341,10 +341,6 @@ fn job_ids_and_event_streams_are_gateway_scoped() {
     backend_b.shutdown();
 }
 
-/// A backend whose event stream dies mid-relay must leave the gateway's
-/// caller with a visibly *truncated* stream (an I/O error) — never a
-/// well-formed, terminated stream missing its terminal event. Uses a
-/// scripted fake backend so the mid-stream death is deterministic.
 /// `POST /shutdown` closes admissions before it answers: a submission
 /// sent as soon as the 200 is read is refused — a 503 "gateway is
 /// draining" if its connection is still open, else the closed connection
@@ -406,6 +402,10 @@ fn blif_path_sources_are_refused_before_routing() {
     std::fs::remove_dir_all(&dir).expect("clean up");
 }
 
+/// A backend whose event stream dies mid-relay must leave the gateway's
+/// caller with a visibly *truncated* stream (an I/O error) — never a
+/// well-formed, terminated stream missing its terminal event. Uses a
+/// scripted fake backend so the mid-stream death is deterministic.
 #[test]
 fn truncated_backend_event_stream_is_not_forged_complete() {
     use domino_serve::front::{FrontConfig, HttpFront, Responder};

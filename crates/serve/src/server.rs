@@ -141,7 +141,7 @@ impl ServeConfig {
             .flag(
                 "--snapshot-dir",
                 "<dir>",
-                "warm-state snapshot store: persisted BDD/probability\nkernels survive restarts (shared with dominoc)",
+                "warm-state snapshot store: persisted probability\nkernels survive restarts (shared with dominoc)",
             )
             .flag(
                 "--snapshot-disk-bytes",

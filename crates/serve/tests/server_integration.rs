@@ -204,14 +204,18 @@ fn full_queue_backpressures_and_drops_nothing() {
         ..ServeConfig::default()
     });
 
-    // Occupy the single worker...
-    let slow = client.submit(&slow_spec()).expect("admitted");
+    // Occupy the single worker with a holder that outlasts the checks
+    // below in release builds...
+    let mut holder = slow_spec();
+    holder.sim.cycles = 1 << 20;
+    let slow = client.submit(&holder).expect("admitted");
     loop {
         let status = client.status(slow.id, false).expect("known job");
-        if status.status == JobStatus::Running {
-            break;
+        match status.status {
+            JobStatus::Running => break,
+            JobStatus::Queued => std::thread::sleep(std::time::Duration::from_millis(5)),
+            other => panic!("the holder ended as {other:?} before it was seen running"),
         }
-        std::thread::sleep(std::time::Duration::from_millis(5));
     }
     // ...fill the queue...
     let mut queued_spec = public_specs().remove(1);

@@ -381,6 +381,21 @@ mod tests {
     }
 
     #[test]
+    fn clear_removes_entries_temps_and_quarantine() {
+        let dir = temp_dir("clear");
+        P.write_entry(&dir, "aa11", "an entry").unwrap();
+        std::fs::write(dir.join("dead.tmp1-0"), "orphan").unwrap();
+        std::fs::create_dir_all(dir.join("quarantine")).unwrap();
+        std::fs::write(dir.join("quarantine").join("old.ent"), "corpse").unwrap();
+
+        P.clear_dir(&dir).unwrap();
+        assert_eq!(P.entry_count(&dir), 0);
+        assert!(!dir.join("dead.tmp1-0").exists());
+        assert!(!dir.join("quarantine").exists());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn orphan_temps_swept_but_entries_kept() {
         let dir = temp_dir("sweep");
         P.write_entry(&dir, "aaaa", "keep me").unwrap();

@@ -4,33 +4,31 @@
 //! the dominant cost of a flow run on large circuits — and both are pure
 //! functions of the network structure, the probability configuration and
 //! the primary-input probabilities. This crate makes that work *restart
-//! durable*: a [`WarmSnapshot`] captures a built
-//! [`CircuitBdds`] (node arenas in
-//! deterministic postorder, the variable order including any post-sift
-//! order, and root handles) together with the converged per-node
-//! probabilities and the fixed-point power total, and a [`SnapshotStore`]
-//! persists snapshots on disk in a versioned, checksummed format so a
-//! restarted server answers its first request without recomputing a single
-//! BDD node.
+//! durable*: a [`WarmSnapshot`] captures what the flow reads from its
+//! kernel — the converged per-node probabilities, the fixed-point power
+//! total, and the kernel statistics and reorder outcome its report
+//! carries — and a [`SnapshotStore`] persists snapshots on disk in a
+//! versioned, checksummed format so a restarted server answers its first
+//! request without building a single BDD node. The BDDs themselves are
+//! never persisted: the search and the power estimate read only their
+//! probabilities.
 //!
 //! Trust model, in layers — a snapshot is only served when every one holds:
 //!
 //! 1. **Container checksum** ([`DiskProfile`]): the file is a complete,
 //!    untorn `dominosnap1` entry.
-//! 2. **Structure digest**: the embedded BDD section rebuilds to exactly
-//!    the recorded [`BddManager::digest`](domino_bdd::BddManager::digest) —
-//!    node-for-node the structure that was saved.
-//! 3. **Shape**: the function count matches the caller's network node
-//!    count, and the probability table covers exactly those nodes.
-//! 4. **Fixed-point total**: the recorded total equals the sum of
+//! 2. **Header**: the payload is in the current [`SNAPSHOT_HEADER`]
+//!    format, and it parses.
+//! 3. **Fixed-point total**: the recorded total equals the sum of
 //!    [`power_to_fixed`] over the loaded probabilities, pinning the
 //!    arithmetic the power model will perform downstream.
 //!
-//! Anything that fails any layer is quarantined and reported as a miss —
-//! corrupt state is rebuilt from scratch, never served. Keys are the
-//! caller's business (the engine hashes the structural digest plus the
-//! canonical probability configuration); the store treats them as opaque
-//! hex strings.
+//! On top of those, the probability table must cover exactly the caller's
+//! network nodes. Anything that fails is quarantined and reported as a
+//! miss — corrupt state is rebuilt from scratch, never served. Keys are
+//! the caller's business (the engine hashes the structural digest plus
+//! the canonical probability configuration); the store treats them as
+//! opaque hex strings.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -40,7 +38,6 @@ pub mod disk;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use domino_bdd::circuit::CircuitBdds;
 use domino_bdd::{BddStats, ReorderOutcome};
 use domino_phase::power::{power_to_fixed, FixedPower};
 
@@ -49,7 +46,7 @@ pub use disk::{DiskProfile, DiskRead};
 /// First line of every snapshot payload; the digit is the payload format
 /// version. Bump it on incompatible changes: old snapshots then fail to
 /// parse, get quarantined, and the flow transparently rebuilds.
-pub const SNAPSHOT_HEADER: &str = "snapshot 1";
+pub const SNAPSHOT_HEADER: &str = "snapshot 2";
 
 /// Disk discipline for snapshot entries. Same protocol as the engine's
 /// result cache, different magic/extension/failpoints — and no legacy
@@ -81,22 +78,18 @@ fn malformed(msg: impl Into<String>) -> SnapshotFormatError {
     SnapshotFormatError(msg.into())
 }
 
-/// Everything the flow needs to skip the kernel stage: the built BDDs, the
-/// converged probability table, and the kernel-side statistics that keep a
-/// warm run's report byte-identical to the cold run that produced it.
+/// Everything the flow needs to skip the kernel stage: the converged
+/// probability table, and the kernel-side statistics that keep a warm
+/// run's report byte-identical to the cold run that produced it.
 #[derive(Debug)]
 pub struct WarmSnapshot {
-    /// Per-node BDDs, arena in postorder layout, variable order as built
-    /// (including any post-sift order).
-    pub bdds: CircuitBdds,
     /// Converged signal probability of every network node, indexed by node
     /// id — exact bits of the cold computation.
     pub probs: Vec<f64>,
-    /// Total reachable BDD node count the cold run reported (the manager's
-    /// arena may hold more; this is the figure that goes into reports).
+    /// Total reachable BDD node count the cold run reported.
     pub bdd_nodes: usize,
-    /// Kernel traffic statistics from the cold build. A deserialized
-    /// manager has zero traffic counters, so these ride along verbatim.
+    /// Kernel traffic statistics from the cold build. A warm load builds
+    /// no manager to count them, so they ride along verbatim.
     pub bdd_stats: Option<BddStats>,
     /// Outcome of dynamic variable reordering during the cold build, when
     /// reordering was enabled.
@@ -117,8 +110,6 @@ impl WarmSnapshot {
         let mut out = String::new();
         out.push_str(SNAPSHOT_HEADER);
         out.push('\n');
-        out.push_str(&format!("net_nodes {}\n", self.bdds.func_count()));
-        self.bdds.serialize_into(&mut out);
         out.push_str(&format!("probs {}", self.probs.len()));
         for &p in &self.probs {
             out.push_str(&format!(" {:016x}", p.to_bits()));
@@ -151,68 +142,41 @@ impl WarmSnapshot {
         out
     }
 
-    /// Parses and fully verifies a snapshot payload: header, section
-    /// shapes, the embedded BDD section's structure digest, probability
-    /// count against the recorded node count, and the fixed-point total.
+    /// Parses and verifies a snapshot payload: header, line shapes, each
+    /// probability in `[0, 1]` and the fixed-point total. Every count a
+    /// payload declares is checked against the tokens actually read, so
+    /// allocation stays proportional to the payload's bytes.
     ///
     /// # Errors
     ///
-    /// A [`SnapshotFormatError`] naming the failing layer.
+    /// A [`SnapshotFormatError`] naming the failing check.
     pub fn from_payload(payload: &str) -> Result<WarmSnapshot, SnapshotFormatError> {
         let mut lines = payload.lines();
         let header = lines.next().ok_or_else(|| malformed("empty payload"))?;
         if header != SNAPSHOT_HEADER {
             return Err(malformed(format!("unsupported header {header:?}")));
         }
-        let net_nodes: usize = field(lines.next(), "net_nodes")?
-            .parse()
-            .map_err(|_| malformed("net_nodes is not a count"))?;
 
-        // The BDD section is self-delimiting: it runs from its own header
-        // through its `digest` line.
-        let mut bdd_section = String::new();
-        loop {
-            let line = lines
-                .next()
-                .ok_or_else(|| malformed("BDD section truncated"))?;
-            bdd_section.push_str(line);
-            bdd_section.push('\n');
-            if line.starts_with("digest ") {
-                break;
-            }
-        }
-        let bdds = CircuitBdds::deserialize_from(&bdd_section)
-            .map_err(|e| malformed(format!("BDD section: {e}")))?;
-        if bdds.func_count() != net_nodes {
-            return Err(malformed(format!(
-                "function count {} does not match recorded net_nodes {net_nodes}",
-                bdds.func_count()
-            )));
-        }
-
-        let probs_line = field(lines.next(), "probs")?;
-        let mut toks = probs_line.split_ascii_whitespace();
+        let mut toks = field(lines.next(), "probs")?.split_ascii_whitespace();
         let count: usize = toks
             .next()
             .ok_or_else(|| malformed("probs line missing count"))?
             .parse()
             .map_err(|_| malformed("probs count is not a number"))?;
-        if count != net_nodes {
+        let probs: Vec<f64> = toks
+            .map(|t| {
+                u64::from_str_radix(t, 16)
+                    .map(f64::from_bits)
+                    .ok()
+                    .filter(|p| (0.0..=1.0).contains(p))
+                    .ok_or_else(|| malformed("probability bits are not a probability"))
+            })
+            .collect::<Result<_, _>>()?;
+        if probs.len() != count {
             return Err(malformed(format!(
-                "probability count {count} does not match net_nodes {net_nodes}"
+                "probs line holds {} values but declares {count}",
+                probs.len()
             )));
-        }
-        let mut probs = Vec::with_capacity(count);
-        for _ in 0..count {
-            let bits = toks
-                .next()
-                .ok_or_else(|| malformed("probs line short of its count"))?;
-            let bits =
-                u64::from_str_radix(bits, 16).map_err(|_| malformed("probability bits not hex"))?;
-            probs.push(f64::from_bits(bits));
-        }
-        if toks.next().is_some() {
-            return Err(malformed("trailing tokens on probs line"));
         }
 
         let fixed_total: FixedPower = field(lines.next(), "fixed_total")?
@@ -268,7 +232,6 @@ impl WarmSnapshot {
         }
 
         let snapshot = WarmSnapshot {
-            bdds,
             probs,
             bdd_nodes,
             bdd_stats,
@@ -314,14 +277,13 @@ pub struct SnapshotStats {
 
 /// A disk-backed store of [`WarmSnapshot`]s keyed by opaque hex strings.
 ///
-/// Deliberately has no in-memory layer: a built `CircuitBdds` already
-/// lives in the engine's result-cache value path for repeat requests
-/// within a process; the snapshot store exists to survive restarts.
-/// Without a directory ([`SnapshotStore::disabled`]) every operation is a
-/// cheap no-op, so callers thread one unconditionally.
+/// Deliberately has no in-memory layer: within a process, repeat requests
+/// are answered by the engine's result cache; the snapshot store exists to
+/// survive restarts. A caller without a store passes `None` where it would
+/// pass one.
 #[derive(Debug)]
 pub struct SnapshotStore {
-    dir: Option<PathBuf>,
+    dir: PathBuf,
     disk_budget: Option<u64>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -332,26 +294,6 @@ pub struct SnapshotStore {
 }
 
 impl SnapshotStore {
-    fn new(dir: Option<PathBuf>) -> SnapshotStore {
-        SnapshotStore {
-            dir,
-            disk_budget: None,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            stores: AtomicU64::new(0),
-            corrupt_evictions: AtomicU64::new(0),
-            disk_evictions: AtomicU64::new(0),
-            kernel_builds: AtomicU64::new(0),
-        }
-    }
-
-    /// A store that persists nothing and serves nothing; `load` always
-    /// misses (without counting it), `store` is a no-op. Lets callers
-    /// avoid `Option` plumbing.
-    pub fn disabled() -> SnapshotStore {
-        SnapshotStore::new(None)
-    }
-
     /// Opens (creating if needed) a snapshot directory. Orphaned temp
     /// files from writers that died mid-store are swept immediately, so
     /// the directory holds complete entries only.
@@ -364,7 +306,16 @@ impl SnapshotStore {
         std::fs::create_dir_all(&dir)
             .map_err(|e| format!("creating snapshot dir {}: {e}", dir.display()))?;
         disk::sweep_orphan_temps(&dir);
-        Ok(SnapshotStore::new(Some(dir)))
+        Ok(SnapshotStore {
+            dir,
+            disk_budget: None,
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            stores: AtomicU64::new(0),
+            corrupt_evictions: AtomicU64::new(0),
+            disk_evictions: AtomicU64::new(0),
+            kernel_builds: AtomicU64::new(0),
+        })
     }
 
     /// Caps the total bytes of snapshot entries on disk; oldest entries
@@ -376,19 +327,13 @@ impl SnapshotStore {
         self
     }
 
-    /// Whether this store has a backing directory.
-    pub fn is_enabled(&self) -> bool {
-        self.dir.is_some()
-    }
-
     /// Loads and fully verifies the snapshot under `key`. `expected_nodes`
-    /// is the caller's network node count — a snapshot whose function or
-    /// probability count differs is not the caller's circuit (a key
-    /// collision or a stale format) and is quarantined like any other
-    /// corruption. Returns `None` on any miss; the caller rebuilds and
-    /// [`store`](SnapshotStore::store)s.
+    /// is the caller's network node count — a snapshot whose probability
+    /// count differs is not the caller's circuit (a key collision) and is
+    /// quarantined like any other corruption. Returns `None` on any miss;
+    /// the caller rebuilds and [`store`](SnapshotStore::store)s.
     pub fn load(&self, key: &str, expected_nodes: usize) -> Option<WarmSnapshot> {
-        let dir = self.dir.as_ref()?;
+        let dir = &self.dir;
         match SNAPSHOT_PROFILE.read_entry(dir, key) {
             DiskRead::Missing => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -403,16 +348,16 @@ impl SnapshotStore {
             DiskRead::Payload(payload) => {
                 let verified = WarmSnapshot::from_payload(&payload)
                     .ok()
-                    .filter(|s| s.bdds.func_count() == expected_nodes);
+                    .filter(|s| s.probs.len() == expected_nodes);
                 match verified {
                     Some(snapshot) => {
                         self.hits.fetch_add(1, Ordering::Relaxed);
                         Some(snapshot)
                     }
                     None => {
-                        // Checksum passed but a deeper layer failed (digest,
-                        // shape, fixed-point total): same treatment as torn
-                        // bytes — out of the serving path, rebuilt fresh.
+                        // Checksum passed but a deeper layer failed (header,
+                        // parse, fixed-point total, shape): same treatment as
+                        // torn bytes — out of the serving path, rebuilt fresh.
                         disk::quarantine(dir, &SNAPSHOT_PROFILE.entry_path(dir, key));
                         self.corrupt_evictions.fetch_add(1, Ordering::Relaxed);
                         self.misses.fetch_add(1, Ordering::Relaxed);
@@ -424,11 +369,9 @@ impl SnapshotStore {
     }
 
     /// Persists `snapshot` under `key` (atomic temp+rename), then enforces
-    /// the disk byte budget. No-op without a directory.
+    /// the disk byte budget.
     pub fn store(&self, key: &str, snapshot: &WarmSnapshot) {
-        let Some(dir) = self.dir.as_ref() else {
-            return;
-        };
+        let dir = &self.dir;
         let payload = snapshot.to_payload();
         if let Some(path) = SNAPSHOT_PROFILE.write_entry(dir, key, &payload) {
             self.stores.fetch_add(1, Ordering::Relaxed);
@@ -441,8 +384,9 @@ impl SnapshotStore {
 
     /// Records that the engine performed a full kernel build (BDD
     /// construction + probability convergence) because no snapshot was
-    /// servable. Counted even when the store is disabled — the metric
-    /// answers "did this process do kernel work", not "did the store".
+    /// servable. The restart-warm contract reads this counter: it answers
+    /// "did this process do kernel work", which `hits` and `misses` alone
+    /// cannot.
     pub fn note_kernel_build(&self) {
         self.kernel_builds.fetch_add(1, Ordering::Relaxed);
     }
@@ -461,35 +405,12 @@ impl SnapshotStore {
 
     /// Number of complete snapshot entries on disk.
     pub fn disk_len(&self) -> usize {
-        self.dir
-            .as_ref()
-            .map(|d| SNAPSHOT_PROFILE.entry_count(d))
-            .unwrap_or(0)
+        SNAPSHOT_PROFILE.entry_count(&self.dir)
     }
 
     /// Total bytes of complete snapshot entries on disk.
     pub fn disk_bytes(&self) -> u64 {
-        self.dir
-            .as_ref()
-            .map(|d| SNAPSHOT_PROFILE.entry_bytes(d))
-            .unwrap_or(0)
-    }
-
-    /// The backing directory, when enabled.
-    pub fn dir(&self) -> Option<&std::path::Path> {
-        self.dir.as_deref()
-    }
-
-    /// Deletes every snapshot entry, orphaned temp and quarantined corpse.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable message when a removal fails.
-    pub fn clear(&self) -> Result<(), String> {
-        match self.dir.as_ref() {
-            Some(dir) => SNAPSHOT_PROFILE.clear_dir(dir),
-            None => Ok(()),
-        }
+        SNAPSHOT_PROFILE.entry_bytes(&self.dir)
     }
 }
 

@@ -1,12 +1,13 @@
 //! Store-level tests: payload roundtrips over random generator circuits,
-//! the four verification layers, and the quarantine/rebuild contract —
-//! a corrupted snapshot is never served, and after quarantine the slot
-//! reads as a clean miss so the flow rebuilds from scratch.
+//! the verification layers, the quarantine/rebuild contract — a corrupted
+//! snapshot is never served, and after quarantine the slot reads as a
+//! clean miss so the flow rebuilds from scratch — and a payload parser
+//! that never panics or over-allocates on damaged bytes.
 
 use std::path::PathBuf;
 
-use domino_bdd::circuit::{source_nodes, CircuitBdds};
-use domino_bdd::{BddStats, ReorderConfig, ReorderMode, ReorderOutcome};
+use domino_bdd::{BddStats, ReorderMode, ReorderOutcome};
+use domino_phase::prob::{compute_probabilities, ProbabilityConfig};
 use domino_workloads::GeneratorSpec;
 use proptest::prelude::*;
 
@@ -23,29 +24,23 @@ fn random_network(pis: usize, pos: usize, gates: usize, seed: u64) -> domino_net
     .expect("generator produces valid networks")
 }
 
-/// Builds the full warm state for `net` the way the engine does: BDDs
-/// (optionally sifted), converged probabilities, kernel statistics.
+/// Builds the warm state for `net` the way the engine does: converged
+/// probabilities from an (optionally sifted) kernel, plus its statistics.
 fn warm_state(net: &domino_netlist::Network, sift: bool) -> WarmSnapshot {
-    let mut bdds = CircuitBdds::build(net).unwrap();
-    let reorder = sift.then(|| {
-        bdds.reorder(&ReorderConfig {
-            mode: ReorderMode::Sift,
-            ..ReorderConfig::default()
-        })
-        .unwrap()
-    });
-    let sources = source_nodes(net);
-    let probs = bdds
-        .node_probabilities(net, &vec![0.5; sources.len()])
-        .unwrap();
-    let bdd_nodes = bdds.total_node_count();
-    let stats = bdds.manager().stats();
+    let config = ProbabilityConfig {
+        reorder: if sift {
+            ReorderMode::Sift
+        } else {
+            ReorderMode::Off
+        },
+        ..ProbabilityConfig::default()
+    };
+    let probs = compute_probabilities(net, &vec![0.5; net.inputs().len()], &config).unwrap();
     WarmSnapshot {
-        bdds,
-        probs,
-        bdd_nodes,
-        bdd_stats: Some(stats),
-        reorder,
+        probs: probs.as_slice().to_vec(),
+        bdd_nodes: probs.bdd_node_count(),
+        bdd_stats: probs.bdd_stats().copied(),
+        reorder: probs.reorder_outcome().cloned(),
     }
 }
 
@@ -56,13 +51,50 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// Fragments spliced into valid payloads. Most are whole tokens with their
+/// separator, so a huge count, a negative number or hex that is not a
+/// probability (NaN, infinity, above one, negative) lands where a field
+/// is read; the bare ones glue onto a neighbouring token, and the line
+/// breaks and field names move fields.
+const FRAGMENTS: &[&str] = &[
+    "1000000000000000 ",
+    "18446744073709551615 ",
+    "99999999999999999999 ",
+    "-1 ",
+    "0 ",
+    "ffffffffffffffff ",
+    "7ff0000000000000 ",
+    "7fe0000000000000 ",
+    "3ff0000000000001 ",
+    "bff0000000000000 ",
+    "0x1 ",
+    "+3fe0000000000000 ",
+    "é ",
+    "-",
+    "7",
+    "g",
+    " ",
+    "\n",
+    "\r\n",
+    "probs ",
+    "fixed_total ",
+    "stats ",
+    "reorder ",
+    "snapshot 1\n",
+];
+
+fn splice() -> impl Strategy<Value = String> {
+    prop::collection::vec(0..FRAGMENTS.len(), 0..4)
+        .prop_map(|picks| picks.into_iter().map(|i| FRAGMENTS[i]).collect())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Serialize → deserialize over random generator circuits preserves
-    /// everything observable: structure digest, node count, variable
-    /// order (including post-sift), probability bits, fixed-point total,
-    /// and the carried kernel statistics.
+    /// Serialize → parse over random generator circuits preserves
+    /// everything observable: probability bits, fixed-point total, and
+    /// the carried kernel statistics and reorder outcome (including the
+    /// post-sift order).
     #[test]
     fn payload_roundtrip_is_lossless(
         seed in 0u64..1000,
@@ -73,13 +105,10 @@ proptest! {
     ) {
         let net = random_network(pis, pos, gates, seed);
         let snapshot = warm_state(&net, sift == 1);
+        prop_assert_eq!(snapshot.probs.len(), net.len());
         let payload = snapshot.to_payload();
         let loaded = WarmSnapshot::from_payload(&payload).unwrap();
 
-        prop_assert_eq!(loaded.bdds.bdd_digest(), snapshot.bdds.bdd_digest());
-        prop_assert_eq!(loaded.bdds.func_count(), net.len());
-        prop_assert_eq!(loaded.bdds.total_node_count(), snapshot.bdds.total_node_count());
-        prop_assert_eq!(loaded.bdds.manager().order(), snapshot.bdds.manager().order());
         let loaded_bits: Vec<u64> = loaded.probs.iter().map(|p| p.to_bits()).collect();
         let built_bits: Vec<u64> = snapshot.probs.iter().map(|p| p.to_bits()).collect();
         prop_assert_eq!(loaded_bits, built_bits);
@@ -87,10 +116,34 @@ proptest! {
         prop_assert_eq!(loaded.bdd_nodes, snapshot.bdd_nodes);
         prop_assert_eq!(loaded.bdd_stats, snapshot.bdd_stats);
         prop_assert_eq!(loaded.reorder.clone(), snapshot.reorder.clone());
-
-        // Reserializing the loaded snapshot is byte-identical: the
-        // postorder layout is a fixpoint of deserialization.
         prop_assert_eq!(loaded.to_payload(), payload);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// Damaged payloads are answered with `Ok` or `Err`, never a panic or
+    /// an allocation sized by a declared count. Fragments replace `cut`
+    /// whole tokens at token `at` (so a huge number can land on a count
+    /// and bad hex on a probability), then the text is truncated to
+    /// `keep` bytes when that falls inside it.
+    #[test]
+    fn payloads_survive_spliced_text(
+        at in 0usize..64,
+        cut in 0usize..3,
+        text in splice(),
+        keep in 0usize..4096,
+        sift in 0u64..2,
+    ) {
+        let net = random_network(5, 2, 12, 13);
+        let payload = warm_state(&net, sift == 1).to_payload();
+        let mut tokens: Vec<&str> = payload.split_inclusive([' ', '\n']).collect();
+        let at = at % tokens.len();
+        tokens.splice(at..(at + cut).min(tokens.len()), [text.as_str()]);
+        let mut bytes = tokens.concat().into_bytes();
+        bytes.truncate(keep);
+        let _ = WarmSnapshot::from_payload(&String::from_utf8_lossy(&bytes));
     }
 }
 
@@ -110,11 +163,7 @@ fn store_roundtrip_hits_after_restart() {
     // the snapshot with full fidelity.
     let restarted = SnapshotStore::on_disk(&dir).unwrap();
     let loaded = restarted.load("aaaa", net.len()).unwrap();
-    assert_eq!(loaded.bdds.bdd_digest(), snapshot.bdds.bdd_digest());
-    assert_eq!(
-        loaded.bdds.manager().order(),
-        snapshot.bdds.manager().order()
-    );
+    assert_eq!(loaded.to_payload(), snapshot.to_payload());
     assert_eq!(loaded.bdd_stats, snapshot.bdd_stats);
     assert_eq!(loaded.reorder, snapshot.reorder);
     let stats = restarted.stats();
@@ -209,13 +258,14 @@ fn wrong_version_header_is_quarantined() {
     let snapshot = warm_state(&net, false);
     let store = SnapshotStore::on_disk(&dir).unwrap();
 
-    // A future-format payload with a *valid* container checksum: the
-    // container layer passes, the payload header layer must reject.
-    let future = snapshot
+    // An entry in the previous `snapshot 1` format (which carried the BDD
+    // arena) with a *valid* container checksum: the container layer
+    // passes, the payload header layer must reject.
+    let previous = snapshot
         .to_payload()
-        .replacen("snapshot 1", "snapshot 2", 1);
+        .replacen("snapshot 2", "snapshot 1", 1);
     let path = SNAPSHOT_PROFILE.entry_path(&dir, "dddd");
-    std::fs::write(&path, SNAPSHOT_PROFILE.encode_entry(&future)).unwrap();
+    std::fs::write(&path, SNAPSHOT_PROFILE.encode_entry(&previous)).unwrap();
 
     assert!(store.load("dddd", net.len()).is_none());
     let stats = store.stats();
@@ -279,38 +329,34 @@ fn disk_budget_evicts_oldest_snapshot() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A declared probability count far beyond the values present, inside a
+/// valid container: the entry is quarantined as corrupt, and the load
+/// never tries to allocate what the count claims.
 #[test]
-fn disabled_store_is_inert() {
-    let store = SnapshotStore::disabled();
-    let net = random_network(4, 1, 8, 1);
-    let snapshot = warm_state(&net, false);
-    assert!(!store.is_enabled());
-    store.store("ffff", &snapshot);
-    assert!(store.load("ffff", net.len()).is_none());
-    store.note_kernel_build();
-    let stats = store.stats();
-    assert_eq!((stats.hits, stats.misses, stats.stores), (0, 0, 0));
-    assert_eq!(stats.kernel_builds, 1);
-    assert_eq!(store.disk_len(), 0);
-    assert_eq!(store.disk_bytes(), 0);
-    store.clear().unwrap();
-}
-
-#[test]
-fn clear_removes_entries_temps_and_quarantine() {
-    let dir = temp_dir("clear");
-    let net = random_network(4, 1, 10, 6);
+fn huge_declared_count_is_quarantined_not_allocated() {
+    let dir = temp_dir("huge");
+    let net = random_network(4, 1, 10, 12);
     let snapshot = warm_state(&net, false);
     let store = SnapshotStore::on_disk(&dir).unwrap();
-    store.store("aa11", &snapshot);
-    std::fs::write(dir.join("dead.tmp1-0"), "orphan").unwrap();
-    std::fs::create_dir_all(dir.join("quarantine")).unwrap();
-    std::fs::write(dir.join("quarantine").join("old.snap"), "corpse").unwrap();
 
-    store.clear().unwrap();
-    assert_eq!(store.disk_len(), 0);
-    assert!(!dir.join("dead.tmp1-0").exists());
-    assert!(!dir.join("quarantine").exists());
+    let payload = snapshot.to_payload().replacen(
+        &format!("probs {}", net.len()),
+        "probs 1000000000000000",
+        1,
+    );
+    let path = SNAPSHOT_PROFILE.entry_path(&dir, "abab");
+    std::fs::write(&path, SNAPSHOT_PROFILE.encode_entry(&payload)).unwrap();
+
+    assert!(store.load("abab", net.len()).is_none());
+    let stats = store.stats();
+    assert_eq!(
+        (stats.hits, stats.misses, stats.corrupt_evictions),
+        (0, 1, 1)
+    );
+    assert!(dir.join("quarantine").join("abab.snap").exists());
+    // The store carries on: the rebuilt entry is stored and served.
+    store.store("abab", &snapshot);
+    assert!(store.load("abab", net.len()).is_some());
 
     std::fs::remove_dir_all(&dir).unwrap();
 }
