@@ -231,19 +231,21 @@ impl WarmSnapshot {
             }
         }
 
-        let snapshot = WarmSnapshot {
+        // Checked: millions of probabilities near one would overflow.
+        let actual = probs
+            .iter()
+            .try_fold(0, |sum: FixedPower, &p| sum.checked_add(power_to_fixed(p)));
+        if actual != Some(fixed_total) {
+            return Err(malformed(format!(
+                "fixed-point total {actual:?} does not match recorded {fixed_total}"
+            )));
+        }
+        Ok(WarmSnapshot {
             probs,
             bdd_nodes,
             bdd_stats,
             reorder,
-        };
-        let actual = snapshot.fixed_power_total();
-        if actual != fixed_total {
-            return Err(malformed(format!(
-                "fixed-point total {actual} does not match recorded {fixed_total}"
-            )));
-        }
-        Ok(snapshot)
+        })
     }
 }
 
