@@ -286,7 +286,7 @@ pub struct SnapshotStats {
 #[derive(Debug)]
 pub struct SnapshotStore {
     dir: PathBuf,
-    disk_budget: Option<u64>,
+    disk_budget: u64,
     hits: AtomicU64,
     misses: AtomicU64,
     stores: AtomicU64,
@@ -310,7 +310,7 @@ impl SnapshotStore {
         disk::sweep_orphan_temps(&dir);
         Ok(SnapshotStore {
             dir,
-            disk_budget: None,
+            disk_budget: 0,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             stores: AtomicU64::new(0),
@@ -322,10 +322,11 @@ impl SnapshotStore {
 
     /// Caps the total bytes of snapshot entries on disk; oldest entries
     /// are evicted after each store until the directory fits. The entry
-    /// just written is never evicted.
+    /// just written is never evicted. `0` (the default) means unbounded,
+    /// as for the result cache.
     #[must_use]
     pub fn with_disk_byte_budget(mut self, budget: u64) -> SnapshotStore {
-        self.disk_budget = Some(budget);
+        self.disk_budget = budget;
         self
     }
 
@@ -377,8 +378,8 @@ impl SnapshotStore {
         let payload = snapshot.to_payload();
         if let Some(path) = SNAPSHOT_PROFILE.write_entry(dir, key, &payload) {
             self.stores.fetch_add(1, Ordering::Relaxed);
-            if let Some(budget) = self.disk_budget {
-                let evicted = SNAPSHOT_PROFILE.enforce_byte_budget(dir, &path, budget);
+            if self.disk_budget > 0 {
+                let evicted = SNAPSHOT_PROFILE.enforce_byte_budget(dir, &path, self.disk_budget);
                 self.disk_evictions.fetch_add(evicted, Ordering::Relaxed);
             }
         }

@@ -307,26 +307,30 @@ fn shape_mismatch_reads_as_corruption() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A budget of one entry evicts the oldest snapshot; a budget of 0 (what
+/// `--snapshot-disk-bytes` defaults to) keeps every entry.
 #[test]
 fn disk_budget_evicts_oldest_snapshot() {
-    let dir = temp_dir("budget");
     let net = random_network(5, 2, 14, 4);
     let snapshot = warm_state(&net, false);
     let one_entry = SNAPSHOT_PROFILE.encode_entry(&snapshot.to_payload()).len() as u64;
-    let store = SnapshotStore::on_disk(&dir)
-        .unwrap()
-        .with_disk_byte_budget(one_entry);
+    for (budget, kept) in [(one_entry, 1), (0, 2)] {
+        let dir = temp_dir(&format!("budget{budget}"));
+        let store = SnapshotStore::on_disk(&dir)
+            .unwrap()
+            .with_disk_byte_budget(budget);
 
-    store.store("1111", &snapshot);
-    std::thread::sleep(std::time::Duration::from_millis(20));
-    store.store("2222", &snapshot);
+        store.store("1111", &snapshot);
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        store.store("2222", &snapshot);
 
-    assert_eq!(store.disk_len(), 1);
-    assert_eq!(store.stats().disk_evictions, 1);
-    assert!(store.load("1111", net.len()).is_none());
-    assert!(store.load("2222", net.len()).is_some());
+        assert_eq!(store.disk_len(), kept, "budget {budget}");
+        assert_eq!(store.stats().disk_evictions, 2 - kept as u64);
+        assert_eq!(store.load("1111", net.len()).is_some(), kept == 2);
+        assert!(store.load("2222", net.len()).is_some());
 
-    std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
 
 /// A declared probability count far beyond the values present, inside a
