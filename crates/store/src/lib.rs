@@ -337,38 +337,27 @@ impl SnapshotStore {
     /// the caller rebuilds and [`store`](SnapshotStore::store)s.
     pub fn load(&self, key: &str, expected_nodes: usize) -> Option<WarmSnapshot> {
         let dir = &self.dir;
-        match SNAPSHOT_PROFILE.read_entry(dir, key) {
+        let verified = match SNAPSHOT_PROFILE.read_entry(dir, key) {
             DiskRead::Missing => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                None
+                return None;
             }
-            DiskRead::Corrupt => {
-                disk::quarantine(dir, &SNAPSHOT_PROFILE.entry_path(dir, key));
-                self.corrupt_evictions.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            DiskRead::Payload(payload) => {
-                let verified = WarmSnapshot::from_payload(&payload)
-                    .ok()
-                    .filter(|s| s.probs.len() == expected_nodes);
-                match verified {
-                    Some(snapshot) => {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        Some(snapshot)
-                    }
-                    None => {
-                        // Checksum passed but a deeper layer failed (header,
-                        // parse, fixed-point total, shape): same treatment as
-                        // torn bytes — out of the serving path, rebuilt fresh.
-                        disk::quarantine(dir, &SNAPSHOT_PROFILE.entry_path(dir, key));
-                        self.corrupt_evictions.fetch_add(1, Ordering::Relaxed);
-                        self.misses.fetch_add(1, Ordering::Relaxed);
-                        None
-                    }
-                }
-            }
+            DiskRead::Corrupt => None,
+            DiskRead::Payload(payload) => WarmSnapshot::from_payload(&payload)
+                .ok()
+                .filter(|s| s.probs.len() == expected_nodes),
+        };
+        if verified.is_some() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+        } else {
+            // Torn bytes, or a checksum that passed over a payload failing a
+            // deeper check (header, parse, fixed-point total, shape): out of
+            // the serving path, rebuilt fresh.
+            disk::quarantine(dir, &SNAPSHOT_PROFILE.entry_path(dir, key));
+            self.corrupt_evictions.fetch_add(1, Ordering::Relaxed);
+            self.misses.fetch_add(1, Ordering::Relaxed);
         }
+        verified
     }
 
     /// Persists `snapshot` under `key` (atomic temp+rename), then enforces
