@@ -28,13 +28,6 @@ fn finalize(h: u64) -> u64 {
     h ^ (h >> 32)
 }
 
-/// One-shot hash of a single 64-bit word.
-#[inline]
-#[must_use]
-pub fn hash_word(w: u64) -> u64 {
-    finalize(w.wrapping_mul(K))
-}
-
 /// One-shot hash of a `(level, lo, hi)`-style triple of `u32`s — the unique
 /// table key shape. Words are folded with the same rotate-xor-multiply step
 /// as [`FxHasher`].

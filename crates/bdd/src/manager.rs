@@ -267,48 +267,6 @@ impl EvalScratch {
     }
 }
 
-/// Stamp-versioned dense memo for [`BddManager::cofactor`] (`&mut self`, so
-/// it lives outside the [`RefCell`] and is taken with `mem::take` while the
-/// recursion also creates nodes).
-#[derive(Debug, Clone, Default)]
-struct CofScratch {
-    stamp: Vec<u32>,
-    value: Vec<u32>,
-    cur: u32,
-}
-
-impl CofScratch {
-    fn begin(&mut self, n_nodes: usize) {
-        if self.cur == u32::MAX {
-            self.stamp.iter_mut().for_each(|s| *s = 0);
-            self.cur = 1;
-        } else {
-            self.cur += 1;
-        }
-        if self.stamp.len() < n_nodes {
-            self.stamp.resize(n_nodes, 0);
-            self.value.resize(n_nodes, 0);
-        }
-    }
-
-    #[inline]
-    fn get(&self, i: usize) -> Option<Bdd> {
-        if i < self.stamp.len() && self.stamp[i] == self.cur {
-            Some(Bdd(self.value[i]))
-        } else {
-            None
-        }
-    }
-
-    #[inline]
-    fn set(&mut self, i: usize, v: Bdd) {
-        if i < self.stamp.len() {
-            self.stamp[i] = self.cur;
-            self.value[i] = v.0;
-        }
-    }
-}
-
 /// An arena-based ROBDD manager with a fixed variable order.
 ///
 /// Variables are external indices `0..n_vars`; the order in which they are
@@ -332,7 +290,6 @@ pub struct BddManager {
     pub(crate) var_at_level: Vec<u32>,
     node_limit: usize,
     scratch: RefCell<EvalScratch>,
-    cof_scratch: CofScratch,
 }
 
 impl BddManager {
@@ -378,7 +335,6 @@ impl BddManager {
             var_at_level: order.iter().map(|&v| v as u32).collect(),
             node_limit: 50_000_000,
             scratch: RefCell::new(EvalScratch::default()),
-            cof_scratch: CofScratch::default(),
         })
     }
 
@@ -447,22 +403,6 @@ impl BddManager {
         }
         let level = self.level_of_var[var];
         self.mk(level, Bdd::FALSE, Bdd::TRUE)
-    }
-
-    /// The negated single-variable function `!v`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BddError::UnknownVariable`] if `var ≥ n_vars`.
-    pub fn nvar(&mut self, var: usize) -> Result<Bdd, BddError> {
-        if var >= self.n_vars() {
-            return Err(BddError::UnknownVariable {
-                var,
-                n_vars: self.n_vars(),
-            });
-        }
-        let level = self.level_of_var[var];
-        self.mk(level, Bdd::TRUE, Bdd::FALSE)
     }
 
     pub(crate) fn mk(&mut self, level: u32, lo: Bdd, hi: Bdd) -> Result<Bdd, BddError> {
@@ -842,101 +782,6 @@ impl BddManager {
         count
     }
 
-    /// Existential quantification `∃var. f = f[var←0] + f[var←1]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BddError::UnknownVariable`] for out-of-range variables or
-    /// [`BddError::NodeLimit`] on blow-up.
-    pub fn exists(&mut self, root: Bdd, var: usize) -> Result<Bdd, BddError> {
-        let lo = self.cofactor(root, var, false)?;
-        let hi = self.cofactor(root, var, true)?;
-        self.or(lo, hi)
-    }
-
-    /// Universal quantification `∀var. f = f[var←0] · f[var←1]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BddError::UnknownVariable`] for out-of-range variables or
-    /// [`BddError::NodeLimit`] on blow-up.
-    pub fn forall(&mut self, root: Bdd, var: usize) -> Result<Bdd, BddError> {
-        let lo = self.cofactor(root, var, false)?;
-        let hi = self.cofactor(root, var, true)?;
-        self.and(lo, hi)
-    }
-
-    /// Functional composition `f[var ← g]` via Shannon expansion:
-    /// `g·f[var←1] + !g·f[var←0]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BddError::UnknownVariable`] for out-of-range variables or
-    /// [`BddError::NodeLimit`] on blow-up.
-    pub fn compose(&mut self, root: Bdd, var: usize, g: Bdd) -> Result<Bdd, BddError> {
-        let hi = self.cofactor(root, var, true)?;
-        let lo = self.cofactor(root, var, false)?;
-        self.ite(g, hi, lo)
-    }
-
-    /// Positive cofactor of `root` with respect to `var` (i.e. `f[var←1]`
-    /// when `positive`, else `f[var←0]`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BddError::UnknownVariable`] for out-of-range variables or
-    /// [`BddError::NodeLimit`] on blow-up.
-    pub fn cofactor(&mut self, root: Bdd, var: usize, positive: bool) -> Result<Bdd, BddError> {
-        if var >= self.n_vars() {
-            return Err(BddError::UnknownVariable {
-                var,
-                n_vars: self.n_vars(),
-            });
-        }
-        let target = self.level_of_var[var];
-        // The memo lives outside the RefCell because the recursion needs
-        // `&mut self` (it creates nodes); take it, run, put it back. Only
-        // nodes that existed at entry are memoized, so sizing it now is
-        // sound even though the arena grows underneath.
-        let mut memo = std::mem::take(&mut self.cof_scratch);
-        memo.begin(self.nodes.len());
-        let result = self.cofactor_rec(root, target, positive, &mut memo);
-        self.cof_scratch = memo;
-        result
-    }
-
-    fn cofactor_rec(
-        &mut self,
-        b: Bdd,
-        target: u32,
-        positive: bool,
-        memo: &mut CofScratch,
-    ) -> Result<Bdd, BddError> {
-        if b.is_terminal() {
-            return Ok(b);
-        }
-        let n = self.nodes[b.index()];
-        if n.level > target {
-            return Ok(b);
-        }
-        if let Some(r) = memo.get(b.index()) {
-            return Ok(r);
-        }
-        let r = if n.level == target {
-            if positive {
-                n.hi
-            } else {
-                n.lo
-            }
-        } else {
-            let lo = self.cofactor_rec(n.lo, target, positive, memo)?;
-            let hi = self.cofactor_rec(n.hi, target, positive, memo)?;
-            self.mk(n.level, lo, hi)?
-        };
-        memo.set(b.index(), r);
-        Ok(r)
-    }
-
     /// Canonical structural digest of the function DAG reachable from
     /// `roots`: a 64-bit FNV-1a over `(variable, lo, hi)` triples in a
     /// deterministic first-visit DFS numbering (lo before hi, roots in
@@ -1245,68 +1090,12 @@ mod tests {
     }
 
     #[test]
-    fn cofactor_shannon_expansion() {
-        let (mut m, a, b, c) = three_vars();
-        let ab = m.and(a, b).unwrap();
-        let f = m.or(ab, c).unwrap();
-        let f1 = m.cofactor(f, 0, true).unwrap();
-        let f0 = m.cofactor(f, 0, false).unwrap();
-        // Shannon: f = a·f1 + !a·f0
-        let re = m.ite(a, f1, f0).unwrap();
-        assert_eq!(re, f);
-        // Cofactors do not depend on the variable.
-        assert!(!m.support(f1).contains(&0));
-        assert!(!m.support(f0).contains(&0));
-    }
-
-    #[test]
-    fn quantification_semantics() {
-        let (mut m, a, b, c) = three_vars();
-        // f = a·b + !a·c
-        let f = m.ite(a, b, c).unwrap();
-        // ∃a. f = b + c
-        let ex = m.exists(f, 0).unwrap();
-        let bc = m.or(b, c).unwrap();
-        assert_eq!(ex, bc);
-        // ∀a. f = b · c
-        let fa = m.forall(f, 0).unwrap();
-        let band = m.and(b, c).unwrap();
-        assert_eq!(fa, band);
-        // ∃ then ∀ commute for distinct variables.
-        let e_then_a = {
-            let e = m.exists(f, 1).unwrap();
-            m.forall(e, 2).unwrap()
-        };
-        let a_then_e = {
-            let fa = m.forall(f, 2).unwrap();
-            m.exists(fa, 1).unwrap()
-        };
-        assert_eq!(e_then_a, a_then_e);
-    }
-
-    #[test]
-    fn compose_substitutes_functions() {
-        let (mut m, a, b, c) = three_vars();
-        // f = a·b; f[a ← (b + c)] = (b+c)·b = b
-        let f = m.and(a, b).unwrap();
-        let g = m.or(b, c).unwrap();
-        let comp = m.compose(f, 0, g).unwrap();
-        assert_eq!(comp, b);
-        // Composing a variable with itself is the identity.
-        let same = m.compose(f, 0, a).unwrap();
-        assert_eq!(same, f);
-    }
-
-    #[test]
     fn unknown_variable_rejected() {
         let mut m = BddManager::new(2);
         assert!(matches!(
             m.var(2),
             Err(BddError::UnknownVariable { var: 2, n_vars: 2 })
         ));
-        assert!(m.nvar(5).is_err());
-        let a = m.var(0).unwrap();
-        assert!(m.cofactor(a, 9, true).is_err());
     }
 
     #[test]

@@ -35,10 +35,12 @@
 //! exact `swaps` and `nodes_sifted`.
 //!
 //! A `warm_restart` section exercises the persistence layer on a
-//! giant generated circuit: a cold process flows it against an emptied
-//! snapshot directory, a fresh store over the filled directory simulates
-//! the restarted process (both timed best-of-N, one fresh engine and
-//! store per sample), and the gated facts are deterministic — the
+//! giant generated circuit: a process without a store flows it, a cold
+//! process flows it against an emptied snapshot directory, a fresh store
+//! over the filled directory simulates the restarted process (each timed
+//! best-of-N, one fresh engine and store per sample, and `warm_speedup`
+//! is the storeless time over the restart's), and the gated facts are
+//! deterministic — the
 //! restarts perform zero kernel builds, their outcomes are
 //! byte-identical to the cold run, and a corrupted snapshot is
 //! quarantined and rebuilt, never served.
@@ -107,18 +109,24 @@ fn best_runs<T>(
 }
 
 /// Runs `job` the way a freshly started process would: a new engine over
-/// a new snapshot store on `dir`. Returns the outcome and that store.
-fn run_on_fresh_store(job: &FlowJob, dir: &Path) -> (FlowOutcome, Arc<SnapshotStore>) {
-    let store = Arc::new(SnapshotStore::on_disk(dir).expect("snapshot dir"));
+/// `snapshots` (`None`: no snapshot store).
+fn run_fresh(job: &FlowJob, snapshots: Option<Arc<SnapshotStore>>) -> FlowOutcome {
     let engine = FlowEngine::new(EngineConfig {
         threads: 1,
         cache: None,
-        snapshots: Some(Arc::clone(&store)),
+        snapshots,
     });
     match engine.run_one(job, &CancelToken::new()) {
-        JobResult::Completed { outcome, .. } => (*outcome, store),
-        other => panic!("snapshotted flow failed: {other:?}"),
+        JobResult::Completed { outcome, .. } => *outcome,
+        other => panic!("fresh-process flow failed: {other:?}"),
     }
+}
+
+/// [`run_fresh`] over a new snapshot store on `dir`; returns the outcome
+/// and that store.
+fn run_on_fresh_store(job: &FlowJob, dir: &Path) -> (FlowOutcome, Arc<SnapshotStore>) {
+    let store = Arc::new(SnapshotStore::on_disk(dir).expect("snapshot dir"));
+    (run_fresh(job, Some(Arc::clone(&store))), store)
 }
 
 fn main() -> ExitCode {
@@ -357,10 +365,13 @@ fn main() -> ExitCode {
 
     // Warm-restart persistence, exercised on a giant generated circuit
     // (deep pipelined cones — far larger than any suite row, yet windowed
-    // so exact probabilities stay cheap). Each cold sample flows it
-    // against an emptied snapshot directory; each restart sample runs a
-    // fresh store over the filled directory, simulating the restarted
-    // process. Both are timed best-of-N. Every gated fact is
+    // so exact probabilities stay cheap). Each no-store sample flows it on
+    // an engine without a snapshot store; each cold sample flows it
+    // against an emptied snapshot directory, paying the snapshot write;
+    // each restart sample runs a fresh store over the filled directory,
+    // simulating the restarted process. All three are timed best-of-N,
+    // and `warm_speedup` sets the restart against the no-store run, the
+    // time a restart would take without the store. Every gated fact is
     // deterministic: zero kernel builds after restart, byte-identical
     // outcome, and corruption quarantined + rebuilt rather than served.
     let giant_spec = if fast {
@@ -375,6 +386,7 @@ fn main() -> ExitCode {
     giant_job.sim.cycles = 1024;
     let job = FlowJob::new(giant_job, giant.clone());
 
+    let (nostore_ms, _) = best_runs(samples, || {}, || run_fresh(&job, None));
     let snap_dir = std::env::temp_dir().join(format!("dominolp-perf-warm-{}", std::process::id()));
     let (cold_ms, colds) = best_runs(
         samples,
@@ -422,9 +434,10 @@ fn main() -> ExitCode {
     let warm_restart_doc = Json::obj(vec![
         ("circuit", Json::Str(giant_spec.name.clone())),
         ("gate_budget", Json::Num(giant_spec.gate_budget() as f64)),
+        ("nostore_ms", Json::Num(nostore_ms)),
         ("cold_ms", Json::Num(cold_ms)),
         ("restart_ms", Json::Num(restart_ms)),
-        ("warm_speedup", Json::Num(cold_ms / restart_ms.max(1e-9))),
+        ("warm_speedup", Json::Num(nostore_ms / restart_ms.max(1e-9))),
         (
             "restart_kernel_builds",
             Json::Num(restart_kernel_builds as f64),

@@ -28,6 +28,7 @@ use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
 use domino_engine::{JobSpec, ResultCache};
+use domino_serve::front::FrontConfig;
 use domino_serve::{ClientError, ServeClient, ServeConfig, Server};
 
 /// Load-harness knobs.
@@ -412,7 +413,10 @@ pub fn measure_connection_scale(config: &ConnectionScaleConfig) -> ConnectionSca
         workers: 1,
         queue_capacity: 64,
         cache: Some(Arc::clone(&cache)),
-        max_connections: connections + 64,
+        front: FrontConfig {
+            max_connections: connections + 64,
+            ..FrontConfig::default()
+        },
         ..ServeConfig::default()
     })
     .expect("ephemeral bind");

@@ -306,16 +306,6 @@ impl DominoNetwork {
         self.gates.len()
     }
 
-    /// `(and, or)` gate counts.
-    pub fn gate_kind_counts(&self) -> (usize, usize) {
-        let and = self
-            .gates
-            .iter()
-            .filter(|g| g.kind == DominoGateKind::And)
-            .count();
-        (and, self.gates.len() - and)
-    }
-
     /// Sources (inputs then latches of the original network) whose
     /// complemented rail is used — one static input inverter each.
     pub fn input_inverters(&self) -> &[NodeId] {

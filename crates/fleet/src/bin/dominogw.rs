@@ -12,86 +12,26 @@
 //! Exit status: 0 after a graceful drain, 2 on usage or bind errors.
 
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 use domino_fleet::{Gateway, GatewayConfig};
-
-fn usage() -> String {
-    format!(
-        "usage: dominogw --backend <host:port> [options]\n\
-         \n\
-         options:\n\
-         {}\n\
-         \n\
-         stop it with: dominoc shutdown --server <addr>, SIGTERM or SIGINT",
-        GatewayConfig::arg_table().options_help()
-    )
-}
-
-/// Arranges for SIGTERM/SIGINT to request the same graceful drain as
-/// `POST /shutdown`. Failures are reported, not fatal — a platform
-/// without signal support still serves.
-fn wire_signals(gateway: &Gateway) {
-    let flag = Arc::new(AtomicBool::new(false));
-    for signal in [signal_hook::consts::SIGTERM, signal_hook::consts::SIGINT] {
-        if let Err(e) = signal_hook::flag::register(signal, Arc::clone(&flag)) {
-            eprintln!("dominogw: signal {signal} not wired: {e}");
-        }
-    }
-    let handle = gateway.shutdown_handle();
-    std::thread::Builder::new()
-        .name("gw-signals".into())
-        .spawn(move || loop {
-            if flag.load(Ordering::SeqCst) {
-                eprintln!("dominogw: signal received, draining");
-                handle.request_shutdown();
-                return;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(50));
-        })
-        .expect("spawn signal watcher");
-}
-
-fn run(args: &[String]) -> Result<(), String> {
-    if args
-        .iter()
-        .any(|a| matches!(a.as_str(), "help" | "--help" | "-h"))
-    {
-        println!("{}", usage());
-        return Ok(());
-    }
-    let mut args = args.to_vec();
-    domino_failpoint::take_cli_args(&mut args)?;
-    if let Some((spec, seed)) = domino_failpoint::active_spec() {
-        // The reproducibility header: a chaos failure is rerunnable from
-        // this one log line.
-        eprintln!("dominogw: failpoints active: {spec} (seed {seed})");
-    }
-    let config = GatewayConfig::parse_args(&args)?;
-    let backends = config.backends.clone();
-    let gateway = Gateway::start(config).map_err(|e| format!("bind failed: {e}"))?;
-    // Scripts (CI fleet-smoke, fleet_bench) parse this exact line.
-    println!("dominogw listening on {}", gateway.addr());
-    eprintln!(
-        "dominogw: routing across {} backend(s): {}",
-        backends.len(),
-        backends.join(", ")
-    );
-    wire_signals(&gateway);
-    gateway.wait();
-    eprintln!("dominogw: drained and exiting");
-    Ok(())
-}
+use domino_serve::daemon_main;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
-            eprintln!("dominogw: {message}");
-            eprintln!("{}", usage());
-            ExitCode::from(2)
-        }
-    }
+    daemon_main(
+        "dominogw",
+        "--backend <host:port> [options]",
+        &GatewayConfig::arg_table(),
+        GatewayConfig::parse_args,
+        |config| {
+            let routing = format!(
+                "dominogw: routing across {} backend(s): {}",
+                config.backends.len(),
+                config.backends.join(", ")
+            );
+            let gateway = Gateway::start(config)?;
+            eprintln!("{routing}");
+            Ok(gateway)
+        },
+        |_| "drained and exiting".to_string(),
+    )
 }

@@ -45,19 +45,19 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::io;
-use std::net::{SocketAddr, TcpListener};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use domino_engine::json::{parse, Json};
-use domino_engine::JobSpec;
-use domino_serve::config::{apply_connection_flags, DEFAULT_MAX_CONNECTIONS};
-use domino_serve::front::{FrontConfig, FrontHandle, HttpFront, Responder};
+use domino_serve::front::{FrontConfig, FrontHandle, Responder};
 use domino_serve::http::Request;
 use domino_serve::protocol::{ErrorReply, StatusReply, SubmitReply};
-use domino_serve::{ArgTable, ClientError, FailpointCounter, ResolveMemo, RetryPolicy};
+use domino_serve::service::{Router, Service};
+use domino_serve::{
+    ArgTable, ClientError, FailpointCounter, ResolveMemo, RetryPolicy, ShutdownHandle,
+};
 
 use crate::pool::BackendPool;
 
@@ -79,11 +79,6 @@ pub const FAILOVER_RETRY_BUDGET: u32 = 3;
 /// Default TCP port for `dominogw` (one above `dominod`'s 7171 block).
 pub const DEFAULT_GW_PORT: u16 = 7270;
 
-/// Handler threads of the gateway's front. These only classify requests
-/// and answer control endpoints — every backend-blocking relay moves to
-/// its own detached thread (see [`RELAY_CAP`]) — so a handful suffices.
-const GW_HANDLER_THREADS: usize = 4;
-
 /// Concurrently blocking relays (backend round trips, `?wait=1`
 /// long-polls, event streams) the gateway will carry; each occupies one
 /// detached, mostly-sleeping thread. Beyond the cap, callers get `503` +
@@ -102,13 +97,8 @@ pub struct GatewayConfig {
     pub backends: Vec<String>,
     /// Health-probe interval.
     pub probe_interval: Duration,
-    /// Per-connection idle timeout (same state machine as `dominod`).
-    pub idle_timeout_ms: u64,
-    /// Requests served per connection before a polite close.
-    pub max_requests_per_connection: u32,
-    /// Concurrently open connections the reactor accepts before
-    /// answering further accepts with `503` and an immediate close.
-    pub max_connections: usize,
+    /// Connection limits of the reactor front (the same as `dominod`'s).
+    pub front: FrontConfig,
 }
 
 impl Default for GatewayConfig {
@@ -117,9 +107,7 @@ impl Default for GatewayConfig {
             addr: format!("127.0.0.1:{DEFAULT_GW_PORT}"),
             backends: Vec::new(),
             probe_interval: Duration::from_millis(500),
-            idle_timeout_ms: 10_000,
-            max_requests_per_connection: 1024,
-            max_connections: DEFAULT_MAX_CONNECTIONS,
+            front: FrontConfig::default(),
         }
     }
 }
@@ -161,12 +149,7 @@ impl GatewayConfig {
         if let Some(ms) = parsed.integer::<u64>("--probe-ms")? {
             config.probe_interval = Duration::from_millis(ms.max(1));
         }
-        apply_connection_flags(
-            &parsed,
-            &mut config.idle_timeout_ms,
-            &mut config.max_requests_per_connection,
-            &mut config.max_connections,
-        )?;
+        config.front = FrontConfig::from_args(&parsed)?;
         if config.backends.is_empty() {
             return Err("at least one --backend is required".to_string());
         }
@@ -252,7 +235,6 @@ struct GwShared {
     retry: RetryPolicy,
     sync_flight: SyncFlight,
     front: FrontHandle,
-    addr: SocketAddr,
     started: Instant,
     /// Jobs forwarded to a backend (any reply status).
     routed: AtomicU64,
@@ -273,16 +255,15 @@ struct GwShared {
     relays: std::sync::atomic::AtomicUsize,
 }
 
+impl Router for GwShared {
+    fn route(shared: &Arc<Self>, request: Request, responder: Responder) {
+        route(shared, request, responder);
+    }
+}
+
 impl GwShared {
     fn is_shutting_down(&self) -> bool {
         self.front.is_draining()
-    }
-
-    fn begin_shutdown(&self) {
-        // The reactor owns the listener and every connection: one flag
-        // flip closes the accept path and starts the drain (no self-
-        // connect wake needed — the reactor's waker pipe does it).
-        self.front.shutdown();
     }
 
     /// The `GET /metrics` document: gateway counters, live reactor
@@ -299,15 +280,6 @@ impl GwShared {
                 breaker: b.breaker_state().to_string(),
             })
             .collect();
-        let failpoints = domino_failpoint::snapshot()
-            .into_iter()
-            .map(|s| FailpointCounter {
-                site: s.site,
-                mode: s.mode,
-                hits: s.hits,
-                fires: s.fires,
-            })
-            .collect();
         GatewayMetrics {
             uptime_ms: self.started.elapsed().as_millis() as u64,
             routed: self.routed.load(Ordering::Relaxed),
@@ -318,17 +290,16 @@ impl GwShared {
             coalesced: self.coalesced.load(Ordering::Relaxed),
             reactor: Some(self.front.counters()),
             backends,
-            failpoints,
+            failpoints: FailpointCounter::snapshot(),
         }
     }
 }
 
-/// A running gateway: reactor front + health prober over a backend pool.
+/// A running gateway: a health prober over a backend pool, routed by a
+/// [`Service`] shell.
 #[derive(Debug)]
 pub struct Gateway {
-    shared: Arc<GwShared>,
-    reactor_handle: Option<JoinHandle<io::Result<()>>>,
-    prober_handle: Option<JoinHandle<()>>,
+    service: Service,
 }
 
 impl Gateway {
@@ -337,143 +308,61 @@ impl Gateway {
     ///
     /// # Errors
     ///
-    /// [`io::Error`] when the listen address cannot be bound or the
-    /// reactor cannot be set up.
+    /// [`io::Error`] when the listen address cannot be bound, the reactor
+    /// cannot be set up or the prober cannot be spawned.
     pub fn start(config: GatewayConfig) -> io::Result<Gateway> {
-        let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
         let pool = Arc::new(BackendPool::new(&config.backends));
-        pool.probe_once();
-
-        let front = HttpFront::bind(
-            listener,
-            FrontConfig {
-                name: "dominogw",
-                idle_timeout: Duration::from_millis(config.idle_timeout_ms.max(1)),
-                max_requests: config.max_requests_per_connection.max(1),
-                max_connections: config.max_connections.max(1),
-                handler_threads: GW_HANDLER_THREADS,
-            },
-        )?;
-
-        let shared = Arc::new(GwShared {
-            pool: Arc::clone(&pool),
-            ids: Mutex::new(IdTable::default()),
-            resolve_memo: ResolveMemo::default(),
-            retry: RetryPolicy::new(FAILOVER_RETRY_BUDGET),
-            sync_flight: SyncFlight::default(),
-            front: front.handle(),
-            addr,
-            started: Instant::now(),
-            routed: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            failovers: AtomicU64::new(0),
-            peer_fills: AtomicU64::new(0),
-            unroutable: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
-            relays: std::sync::atomic::AtomicUsize::new(0),
-        });
-
-        let reactor_handle = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("dominogw-reactor".into())
-                .spawn(move || {
-                    front.run(Arc::new(move |request, responder| {
-                        route(&shared, request, responder);
-                    }))
-                })?
-        };
-
-        let prober_shared = Arc::clone(&shared);
-        let prober_handle = pool.spawn_prober(config.probe_interval, move || {
-            prober_shared.is_shutting_down()
-        });
-
-        Ok(Gateway {
-            shared,
-            reactor_handle: Some(reactor_handle),
-            prober_handle: Some(prober_handle),
-        })
+        let (mut service, _) = Service::start("dominogw", &config.addr, config.front, |front| {
+            pool.probe_once();
+            GwShared {
+                pool: Arc::clone(&pool),
+                ids: Mutex::new(IdTable::default()),
+                resolve_memo: ResolveMemo::default(),
+                retry: RetryPolicy::new(FAILOVER_RETRY_BUDGET),
+                sync_flight: SyncFlight::default(),
+                front,
+                started: Instant::now(),
+                routed: AtomicU64::new(0),
+                rejected: AtomicU64::new(0),
+                failovers: AtomicU64::new(0),
+                peer_fills: AtomicU64::new(0),
+                unroutable: AtomicU64::new(0),
+                coalesced: AtomicU64::new(0),
+                relays: std::sync::atomic::AtomicUsize::new(0),
+            }
+        })?;
+        let drain = service.shutdown_handle();
+        service.spawn_helper(move || pool.run_prober(config.probe_interval, &drain))?;
+        Ok(Gateway { service })
     }
 
     /// The bound listen address (resolves port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.shared.addr
+        self.service.addr()
     }
 
-    /// The backend pool (for tests and the load harness).
-    pub fn pool(&self) -> &Arc<BackendPool> {
-        &self.shared.pool
+    /// A cloneable handle that requests this gateway's drain from another
+    /// thread.
+    pub fn shutdown_handle(&self) -> ShutdownHandle {
+        self.service.shutdown_handle()
     }
 
-    /// A handle that lets a signal watcher request the drain.
-    pub fn shutdown_handle(&self) -> GatewayShutdownHandle {
-        GatewayShutdownHandle {
-            shared: Arc::clone(&self.shared),
-        }
+    /// Blocks until the drain is requested, then waits for every
+    /// connection to close and the prober to stop.
+    pub fn wait(&mut self) {
+        self.service.wait();
     }
 
-    /// Begins the drain and blocks until the gateway has fully stopped.
-    pub fn shutdown(mut self) {
-        self.shared.begin_shutdown();
-        self.join();
-    }
-
-    /// Blocks until the gateway exits (a drain requested over the wire or
-    /// via [`Gateway::shutdown_handle`]).
-    pub fn wait(mut self) {
-        self.join();
-    }
-
-    fn join(&mut self) {
-        if let Some(handle) = self.reactor_handle.take() {
-            while !self.shared.is_shutting_down() {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            // The reactor bounds its own drain (idle connections close
-            // immediately, stragglers are force-closed after a grace
-            // period), so this join cannot hang forever.
-            let _ = handle.join();
-        }
-        if let Some(handle) = self.prober_handle.take() {
-            let _ = handle.join();
-        }
+    /// Requests the drain and waits for it to finish.
+    pub fn shutdown(self) {
+        self.service.shutdown();
     }
 }
 
-impl Drop for Gateway {
-    fn drop(&mut self) {
-        if !self.shared.is_shutting_down() {
-            self.shared.begin_shutdown();
-        }
-        self.join();
+impl AsMut<Service> for Gateway {
+    fn as_mut(&mut self) -> &mut Service {
+        &mut self.service
     }
-}
-
-/// Lets a signal watcher thread request the gateway drain (the SIGTERM /
-/// SIGINT path of `dominogw`).
-#[derive(Clone)]
-pub struct GatewayShutdownHandle {
-    shared: Arc<GwShared>,
-}
-
-impl GatewayShutdownHandle {
-    /// Requests the drain, exactly like `POST /shutdown`.
-    pub fn request_shutdown(&self) {
-        self.shared.begin_shutdown();
-    }
-}
-
-impl std::fmt::Debug for GatewayShutdownHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GatewayShutdownHandle").finish()
-    }
-}
-
-fn error_reply(responder: Responder, status: u16, message: &str) {
-    let body = ErrorReply::new(message).to_json().serialize();
-    responder.respond(status, &[], body.as_bytes());
 }
 
 /// Releases one [`RELAY_CAP`] slot when a relay thread finishes (or
@@ -518,16 +407,6 @@ fn spawn_relay(
         });
 }
 
-/// Splits `/jobs/42[/tail]` into the id and the remainder.
-fn job_path(path: &str) -> Option<(u64, &str)> {
-    let rest = path.strip_prefix("/jobs/")?;
-    let (id, tail) = match rest.split_once('/') {
-        Some((id, tail)) => (id, tail),
-        None => (rest, ""),
-    };
-    Some((id.parse().ok()?, tail))
-}
-
 /// Classifies one request on a handler-pool thread. Control endpoints
 /// answer inline (they touch no backend and must stay responsive);
 /// everything that talks to a backend moves to a relay thread via
@@ -555,20 +434,13 @@ fn route(shared: &Arc<GwShared>, request: Request, responder: Responder) {
             let body = shared.metrics_doc().to_json().serialize();
             responder.respond(200, &[], body.as_bytes());
         }
-        ("POST", "/shutdown") => {
-            // Drain first: a client that reacts to this answer must find
-            // admissions already closed.
-            shared.begin_shutdown();
-            let body = Json::obj(vec![("status", Json::Str("shutting-down".into()))]);
-            responder.respond_close(200, &[], body.serialize().as_bytes());
-        }
         ("POST", "/jobs") => {
             let shared2 = Arc::clone(shared);
             spawn_relay(shared, responder, move |responder| {
                 handle_submit(&request, &shared2, responder);
             });
         }
-        _ => match job_path(&path) {
+        _ => match request.job_path() {
             Some((gw_id, tail @ ("" | "result"))) if method == "GET" => {
                 let tail = tail.to_string();
                 let shared2 = Arc::clone(shared);
@@ -588,16 +460,8 @@ fn route(shared: &Arc<GwShared>, request: Request, responder: Responder) {
                     handle_events(&shared2, gw_id, responder);
                 });
             }
-            Some((_, "" | "result" | "events")) => {
-                error_reply(responder, 405, "method not allowed");
-            }
-            Some(_) | None => {
-                error_reply(
-                    responder,
-                    404,
-                    &format!("no such endpoint: {method} {path}"),
-                );
-            }
+            Some((_, "" | "result" | "events")) => responder.error(405, "method not allowed"),
+            Some(_) | None => responder.error(404, &format!("no such endpoint: {method} {path}")),
         },
     }
 }
@@ -626,25 +490,15 @@ fn replay_stored(responder: Responder, reply: &StoredReply) {
 
 fn handle_submit(request: &Request, shared: &Arc<GwShared>, responder: Responder) {
     if shared.is_shutting_down() {
-        return error_reply(responder, 503, "gateway is draining for shutdown");
+        return responder.error(503, "gateway is draining for shutdown");
     }
-    // Compute the routing key exactly as the backend will: resolve the
-    // spec through the backends' own memo and take its content-address.
-    // An unroutable spec fails here with the same 400 a backend would
-    // give.
-    let Ok(text) = std::str::from_utf8(&request.body) else {
-        return error_reply(responder, 400, "body is not UTF-8");
-    };
-    let spec = match parse(text)
-        .map_err(|e| e.to_string())
-        .and_then(|v| JobSpec::from_json(&v).map_err(|e| e.to_string()))
-    {
-        Ok(spec) => spec,
-        Err(e) => return error_reply(responder, 400, &format!("invalid job spec: {e}")),
-    };
-    let key = match shared.resolve_memo.resolve(spec) {
+    // Compute the routing key exactly as the backend will: decode the
+    // body with the backends' own admission decode and take the job's
+    // content-address. An unroutable spec fails here with the same 400 a
+    // backend would give.
+    let key = match shared.resolve_memo.job_from_body(&request.body) {
         Ok(job) => job.cache_key().to_string(),
-        Err(e) => return error_reply(responder, 400, &format!("unresolvable job: {e}")),
+        Err(e) => return responder.error(400, &e),
     };
 
     // Only sync submissions coalesce at the gateway: their reply *is*
@@ -702,7 +556,7 @@ fn submit_routed(
     let ranked = shared.pool.ranked(key);
     if ranked.is_empty() {
         shared.unroutable.fetch_add(1, Ordering::Relaxed);
-        error_reply(responder, 503, "no healthy backend");
+        responder.error(503, "no healthy backend");
         return None;
     }
 
@@ -767,7 +621,7 @@ fn submit_routed(
             // double-submit, so report instead of failing over.
             Err(e) => {
                 backend.record_failure();
-                error_reply(responder, 502, &format!("backend {}: {e}", backend.addr()));
+                responder.error(502, &format!("backend {}: {e}", backend.addr()));
                 return None;
             }
             Ok(response) => {
@@ -801,11 +655,8 @@ fn submit_routed(
                     .and_then(|t| parse(&t).ok())
                     .and_then(|v| SubmitReply::from_json(&v).ok());
                 let Some(mut reply) = reply else {
-                    error_reply(
-                        responder,
-                        502,
-                        &format!("backend {} sent an undecodable reply", backend.addr()),
-                    );
+                    let message = format!("backend {} sent an undecodable reply", backend.addr());
+                    responder.error(502, &message);
                     return None;
                 };
                 let gw_id = shared
@@ -820,7 +671,7 @@ fn submit_routed(
         }
     }
     shared.unroutable.fetch_add(1, Ordering::Relaxed);
-    error_reply(responder, 503, "no healthy backend");
+    responder.error(503, "no healthy backend");
     None
 }
 
@@ -861,7 +712,7 @@ fn handle_job_fetch(
     responder: Responder,
 ) {
     let Some((addr, backend_id)) = shared.ids.lock().expect("id table").lookup(gw_id) else {
-        return error_reply(responder, 404, &format!("no such job: {gw_id}"));
+        return responder.error(404, &format!("no such job: {gw_id}"));
     };
     // Status lookups go to the job's backend even when it is marked
     // unhealthy — the mark may be a transient probe failure.
@@ -872,7 +723,7 @@ fn handle_job_fetch(
         .find(|b| b.addr() == addr)
         .cloned()
     else {
-        return error_reply(responder, 404, &format!("no such job: {gw_id}"));
+        return responder.error(404, &format!("no such job: {gw_id}"));
     };
     let target = backend_target(backend_id, tail, request);
     let response = match backend.client().forward(&request.method, &target, None) {
@@ -883,11 +734,11 @@ fn handle_job_fetch(
         Err(ClientError::Unreachable(e)) => {
             backend.mark_down();
             backend.record_failure();
-            return error_reply(responder, 502, &format!("backend {addr} unreachable: {e}"));
+            return responder.error(502, &format!("backend {addr} unreachable: {e}"));
         }
         Err(e) => {
             backend.record_failure();
-            return error_reply(responder, 502, &format!("backend {addr}: {e}"));
+            return responder.error(502, &format!("backend {addr}: {e}"));
         }
     };
     // Result bytes (and error bodies) are relayed verbatim; status
@@ -901,11 +752,7 @@ fn handle_job_fetch(
         .and_then(|t| parse(&t).ok())
         .and_then(|v| StatusReply::from_json(&v).ok());
     let Some(mut reply) = reply else {
-        return error_reply(
-            responder,
-            502,
-            &format!("backend {addr} sent an undecodable reply"),
-        );
+        return responder.error(502, &format!("backend {addr} sent an undecodable reply"));
     };
     reply.id = gw_id;
     responder.respond(200, &[], reply.to_json().serialize().as_bytes());
@@ -916,7 +763,7 @@ fn handle_job_fetch(
 /// instead of an empty 200 stream.
 fn handle_events(shared: &Arc<GwShared>, gw_id: u64, responder: Responder) {
     let Some((addr, backend_id)) = shared.ids.lock().expect("id table").lookup(gw_id) else {
-        return error_reply(responder, 404, &format!("no such job: {gw_id}"));
+        return responder.error(404, &format!("no such job: {gw_id}"));
     };
     let Some(backend) = shared
         .pool
@@ -925,7 +772,7 @@ fn handle_events(shared: &Arc<GwShared>, gw_id: u64, responder: Responder) {
         .find(|b| b.addr() == addr)
         .cloned()
     else {
-        return error_reply(responder, 404, &format!("no such job: {gw_id}"));
+        return responder.error(404, &format!("no such job: {gw_id}"));
     };
     match backend
         .client()
@@ -940,7 +787,7 @@ fn handle_events(shared: &Arc<GwShared>, gw_id: u64, responder: Responder) {
         }
         Err(e) => {
             backend.record_failure();
-            return error_reply(responder, 502, &format!("backend {addr}: {e}"));
+            return responder.error(502, &format!("backend {addr}: {e}"));
         }
     }
     let mut stream = responder.begin_stream(200);
@@ -1022,9 +869,9 @@ mod tests {
             "32".into(),
         ])
         .expect("valid flags");
-        assert_eq!(config.idle_timeout_ms, 250);
-        assert_eq!(config.max_requests_per_connection, 16);
-        assert_eq!(config.max_connections, 32);
+        assert_eq!(config.front.idle_timeout_ms, 250);
+        assert_eq!(config.front.max_requests_per_connection, 16);
+        assert_eq!(config.front.max_connections, 32);
         assert!(GatewayConfig::parse_args(&[
             "--backend".into(),
             "b".into(),

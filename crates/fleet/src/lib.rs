@@ -56,7 +56,6 @@ pub mod hash;
 pub mod pool;
 
 pub use gateway::{
-    BackendHealth, Gateway, GatewayConfig, GatewayMetrics, GatewayShutdownHandle, DEFAULT_GW_PORT,
-    FAILOVER_RETRY_BUDGET,
+    BackendHealth, Gateway, GatewayConfig, GatewayMetrics, DEFAULT_GW_PORT, FAILOVER_RETRY_BUDGET,
 };
 pub use pool::{Backend, BackendPool, BREAKER_TRIP_THRESHOLD};

@@ -4,9 +4,9 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use domino_serve::ServeClient;
+use domino_serve::{ServeClient, ShutdownHandle};
 
 use crate::hash;
 
@@ -241,57 +241,27 @@ impl BackendPool {
         Duration::from_nanos(hash::score(addr, "probe-stagger") % nanos)
     }
 
-    /// Spawns the health-probe loop; returns its join handle. The loop
-    /// exits when `stop` returns `true` (checked once per interval).
-    /// The first probe of each backend is delayed by its
+    /// Runs the health-probe loop until `drain` trips. The first probe
+    /// of each backend waits for its
     /// [`probe_stagger`](Self::probe_stagger) offset; after that first
-    /// staggered round, every cycle probes the whole pool.
-    pub fn spawn_prober(
-        self: &Arc<Self>,
-        interval: Duration,
-        stop: impl Fn() -> bool + Send + 'static,
-    ) -> std::thread::JoinHandle<()> {
-        let pool = Arc::clone(self);
-        std::thread::Builder::new()
-            .name("gw-prober".into())
-            .spawn(move || {
-                // Staggered first round: probe each backend once its
-                // offset within the interval has elapsed.
-                let offsets: Vec<Duration> = pool
-                    .backends
-                    .iter()
-                    .map(|b| Self::probe_stagger(b.addr(), interval))
-                    .collect();
-                let mut probed = vec![false; offsets.len()];
-                let mut elapsed = Duration::ZERO;
-                while !stop() && probed.contains(&false) {
-                    for (i, backend) in pool.backends.iter().enumerate() {
-                        if !probed[i] && elapsed >= offsets[i] {
-                            backend.probe();
-                            probed[i] = true;
-                        }
-                    }
-                    if probed.contains(&false) {
-                        let nap = Duration::from_millis(5);
-                        std::thread::sleep(nap);
-                        elapsed += nap;
-                    }
-                }
-                while !stop() {
-                    // Sliced sleep so a long probe interval cannot pin
-                    // the gateway's shutdown join for that long.
-                    let mut remaining = interval;
-                    while !stop() && remaining > Duration::ZERO {
-                        let nap = remaining.min(Duration::from_millis(25));
-                        std::thread::sleep(nap);
-                        remaining -= nap;
-                    }
-                    if !stop() {
-                        pool.probe_once();
-                    }
-                }
-            })
-            .expect("spawn prober")
+    /// staggered round, every interval probes the whole pool.
+    pub fn run_prober(&self, interval: Duration, drain: &ShutdownHandle) {
+        let started = Instant::now();
+        let mut staggered: Vec<(Duration, &Backend)> = self
+            .backends
+            .iter()
+            .map(|b| (Self::probe_stagger(b.addr(), interval), &**b))
+            .collect();
+        staggered.sort_by_key(|(offset, _)| *offset);
+        for (offset, backend) in staggered {
+            if drain.wait_timeout(offset.saturating_sub(started.elapsed())) {
+                return;
+            }
+            backend.probe();
+        }
+        while !drain.wait_timeout(interval) {
+            self.probe_once();
+        }
     }
 }
 

@@ -28,6 +28,7 @@ use std::sync::Arc;
 use domino_engine::json::parse;
 use domino_engine::{FlowEngine, JobSpec, ResultCache};
 use domino_fleet::GatewayMetrics;
+use domino_serve::front::FrontConfig;
 use domino_serve::{ServeClient, ServeConfig, Server};
 
 /// Exit code `engine.cache.crash_rename` kills the process with.
@@ -49,7 +50,10 @@ fn chaos_backend_helper() {
         workers: 2,
         queue_capacity: 16,
         cache: Some(cache),
-        idle_timeout_ms: 1_000,
+        front: FrontConfig {
+            idle_timeout_ms: 1_000,
+            ..FrontConfig::default()
+        },
         ..ServeConfig::default()
     })
     .expect("backend binds");

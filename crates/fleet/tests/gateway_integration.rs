@@ -18,6 +18,7 @@ use std::sync::Arc;
 use domino_engine::json::parse;
 use domino_engine::{CircuitSource, FlowEngine, JobSpec, ResultCache};
 use domino_fleet::{hash, Gateway, GatewayConfig, GatewayMetrics};
+use domino_serve::front::FrontConfig;
 use domino_serve::{ClientError, EventKind, JobStatus, ServeClient, ServeConfig, Server};
 
 fn public_specs() -> Vec<JobSpec> {
@@ -50,7 +51,10 @@ fn start_backend(cache: Option<Arc<ResultCache>>) -> (Server, String) {
         cache,
         // Short idle timeout: shutdown drains wait for idle kept-alive
         // connections, and tests open many clients.
-        idle_timeout_ms: 1_000,
+        front: FrontConfig {
+            idle_timeout_ms: 1_000,
+            ..FrontConfig::default()
+        },
         ..ServeConfig::default()
     })
     .expect("backend binds");
@@ -63,8 +67,10 @@ fn start_gateway(backends: Vec<String>) -> (Gateway, ServeClient) {
         addr: "127.0.0.1:0".into(),
         backends,
         probe_interval: std::time::Duration::from_millis(100),
-        idle_timeout_ms: 1_000,
-        ..GatewayConfig::default()
+        front: FrontConfig {
+            idle_timeout_ms: 1_000,
+            ..FrontConfig::default()
+        },
     })
     .expect("gateway binds");
     let client = ServeClient::new(gateway.addr().to_string());
@@ -209,8 +215,10 @@ fn killing_a_backend_reroutes_to_the_rendezvous_runner_up() {
         addr: "127.0.0.1:0".into(),
         backends: vec![addr_a.clone(), addr_b.clone()],
         probe_interval: std::time::Duration::from_secs(3600),
-        idle_timeout_ms: 1_000,
-        ..GatewayConfig::default()
+        front: FrontConfig {
+            idle_timeout_ms: 1_000,
+            ..FrontConfig::default()
+        },
     })
     .expect("gateway binds");
     let client = ServeClient::new(gateway.addr().to_string());
@@ -348,7 +356,7 @@ fn job_ids_and_event_streams_are_gateway_scoped() {
 #[test]
 fn submissions_after_the_shutdown_answer_are_refused() {
     let (backend, backend_addr) = start_backend(None);
-    let (gateway, client) = start_gateway(vec![backend_addr]);
+    let (mut gateway, client) = start_gateway(vec![backend_addr]);
     let spec = public_specs().swap_remove(1);
     // Warm the client's connection pool so the submission below can go
     // out on an already open connection.
@@ -363,6 +371,26 @@ fn submissions_after_the_shutdown_answer_are_refused() {
     }
     gateway.wait();
     assert_eq!(backend.metrics().submitted, 0, "no job reached the backend");
+    backend.shutdown();
+}
+
+/// A `Gateway` dropped without `shutdown()` drains like one shut down:
+/// once the drop returns, new connections are refused.
+#[test]
+fn dropped_gateway_refuses_new_connections() {
+    let (backend, backend_addr) = start_backend(None);
+    let (gateway, client) = start_gateway(vec![backend_addr]);
+    client.healthz().expect("gateway is up");
+    let addr = gateway.addr();
+    drop(gateway);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    while std::net::TcpStream::connect(addr).is_ok() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "a dropped gateway still accepts connections"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
     backend.shutdown();
 }
 
@@ -408,11 +436,10 @@ fn blif_path_sources_are_refused_before_routing() {
 /// scripted fake backend so the mid-stream death is deterministic.
 #[test]
 fn truncated_backend_event_stream_is_not_forged_complete() {
-    use domino_serve::front::{FrontConfig, HttpFront, Responder};
+    use domino_serve::front::{HttpFront, Responder};
     use domino_serve::http::Request;
     use domino_serve::{EventRecord, StatusReply, SubmitReply};
     use std::net::TcpListener;
-    use std::time::Duration;
 
     let listener = TcpListener::bind("127.0.0.1:0").expect("fake backend binds");
     let addr = listener.local_addr().expect("addr").to_string();
@@ -429,12 +456,10 @@ fn truncated_backend_event_stream_is_not_forged_complete() {
     // terminator.
     let front = HttpFront::bind(
         listener,
+        "fake-backend",
         FrontConfig {
-            name: "fake-backend",
-            idle_timeout: Duration::from_secs(10),
-            max_requests: 1024,
             max_connections: 64,
-            handler_threads: 2,
+            ..FrontConfig::default()
         },
     )
     .expect("fake backend front");

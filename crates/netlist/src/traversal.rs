@@ -197,11 +197,6 @@ impl Network {
         }
         self.node_ids().filter(|id| !live.contains(id)).collect()
     }
-
-    /// `true` if `id` drives any primary output directly.
-    pub fn is_po_driver(&self, id: NodeId) -> bool {
-        self.outputs().iter().any(|o| o.driver == id)
-    }
 }
 
 #[cfg(test)]

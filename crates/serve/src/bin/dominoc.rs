@@ -6,7 +6,6 @@
 //! dominoc batch <file.blif>...                many circuits in parallel
 //! dominoc suite [--public]                    the built-in Table 1/2 suite
 //! dominoc cache stats|clear --cache <dir>     disk cache maintenance
-//! dominoc serve [server options]              run a dominod in the foreground
 //! dominoc submit (<file.blif> | --suite <row>) --server <addr>
 //! dominoc status <id> [--wait]                job status JSON
 //! dominoc watch <id>                          stream lifecycle events
@@ -45,8 +44,7 @@ fn usage() -> String {
      \x20 cache clear --cache <dir>             empty the disk cache\n\
      \x20 cache snapshots --snapshot-dir <dir>  warm-state snapshot store inspection\n\
      \n\
-     server commands (against a dominod; see `dominoc serve`):\n\
-     \x20 serve                                 run a server in the foreground\n\
+     server commands (against a dominod or dominogw):\n\
      \x20 submit (<file.blif> | --suite <row>)  submit a job; prints its id on stdout\n\
      \x20        [--wait]                       ...or block and print the outcome JSON\n\
      \x20 status <id> [--wait]                  job status JSON\n\
@@ -73,7 +71,6 @@ fn usage() -> String {
      \n\
      server options:\n\
      \x20 --server <host:port>             dominod address [127.0.0.1:{DEFAULT_PORT}]\n\
-     \x20 --addr / --workers / --queue / --cache   (serve only; see `dominod --help`)\n\
      \n\
      exit codes:\n\
      \x20 0  success\n\
@@ -545,17 +542,6 @@ fn cmd_shutdown(opts: &Options) -> Result<ExitCode, String> {
     }
 }
 
-fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
-    use domino_serve::{ServeConfig, Server};
-    // Same flags, same validation as the dominod binary — one parser.
-    let config = ServeConfig::parse_args(args)?;
-    let mut server = Server::start(config).map_err(|e| format!("bind failed: {e}"))?;
-    println!("dominod listening on {}", server.addr());
-    server.wait();
-    eprintln!("dominoc: server drained, exiting");
-    Ok(ExitCode::SUCCESS)
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first().map(String::as_str) else {
@@ -586,7 +572,6 @@ fn main() -> ExitCode {
                 cmd_suite(&opts)
             }
             "cache" => cmd_cache(rest),
-            "serve" => cmd_serve(rest),
             "submit" => cmd_submit(&Options::parse(rest)?),
             "status" => cmd_status(&Options::parse(rest)?),
             "watch" => cmd_watch(&Options::parse(rest)?),

@@ -12,84 +12,22 @@
 //! Exit status: 0 after a graceful drain, 2 on usage or bind errors.
 
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
-use domino_serve::{ServeConfig, Server};
-
-fn usage() -> String {
-    format!(
-        "usage: dominod [options]\n\
-         \n\
-         options:\n\
-         {}\n\
-         \n\
-         stop it with: dominoc shutdown --server <addr>, SIGTERM or SIGINT",
-        ServeConfig::arg_table().options_help()
-    )
-}
-
-/// Arranges for SIGTERM/SIGINT to request the same graceful drain as
-/// `POST /shutdown`. Failures are reported, not fatal — a platform
-/// without signal support still serves.
-fn wire_signals(server: &Server) {
-    let flag = Arc::new(AtomicBool::new(false));
-    for signal in [signal_hook::consts::SIGTERM, signal_hook::consts::SIGINT] {
-        if let Err(e) = signal_hook::flag::register(signal, Arc::clone(&flag)) {
-            eprintln!("dominod: signal {signal} not wired: {e}");
-        }
-    }
-    let handle = server.shutdown_handle();
-    std::thread::Builder::new()
-        .name("dominod-signals".into())
-        .spawn(move || loop {
-            if flag.load(Ordering::SeqCst) {
-                eprintln!("dominod: signal received, draining");
-                handle.request_shutdown();
-                return;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(50));
-        })
-        .expect("spawn signal watcher");
-}
-
-fn run(args: &[String]) -> Result<(), String> {
-    if args
-        .iter()
-        .any(|a| matches!(a.as_str(), "help" | "--help" | "-h"))
-    {
-        println!("{}", usage());
-        return Ok(());
-    }
-    let mut args = args.to_vec();
-    domino_failpoint::take_cli_args(&mut args)?;
-    if let Some((spec, seed)) = domino_failpoint::active_spec() {
-        // The reproducibility header: a chaos failure is rerunnable from
-        // this one log line.
-        eprintln!("dominod: failpoints active: {spec} (seed {seed})");
-    }
-    let config = ServeConfig::parse_args(&args)?;
-    let mut server = Server::start(config).map_err(|e| format!("bind failed: {e}"))?;
-    // Scripts (CI smoke, serve_bench) parse this exact line for the port.
-    println!("dominod listening on {}", server.addr());
-    wire_signals(&server);
-    server.wait();
-    let m = server.metrics();
-    eprintln!(
-        "dominod: drained and exiting ({} completed, {} failed, {} cancelled, {} rejected)",
-        m.completed, m.failed, m.cancelled, m.rejected
-    );
-    Ok(())
-}
+use domino_serve::{daemon_main, ServeConfig, Server};
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
-            eprintln!("dominod: {message}");
-            eprintln!("{}", usage());
-            ExitCode::from(2)
-        }
-    }
+    daemon_main(
+        "dominod",
+        "[options]",
+        &ServeConfig::arg_table(),
+        ServeConfig::parse_args,
+        Server::start,
+        |server| {
+            let m = server.metrics();
+            format!(
+                "drained and exiting ({} completed, {} failed, {} cancelled, {} rejected)",
+                m.completed, m.failed, m.cancelled, m.rejected
+            )
+        },
+    )
 }

@@ -66,12 +66,12 @@ impl fmt::Display for ClientError {
 
 impl std::error::Error for ClientError {}
 
-/// A per-request retry budget with exponential backoff and
-/// *deterministic* jitter: the delay before retry `n` is a pure function
-/// of `(seed, n)`, so a chaos run that retried its way to recovery
-/// replays the exact same schedule under the same seed. A server-sent
-/// `Retry-After` overrides the computed backoff — explicit backpressure
-/// knows better than a guess.
+/// A retry budget with exponential backoff and *deterministic* jitter —
+/// the pacing of the gateway's failover hops. The delay before retry `n`
+/// is a pure function of `(seed, n)`, so a chaos run that failed over its
+/// way to recovery replays the exact same schedule under the same seed. A
+/// server-sent `Retry-After` overrides the computed backoff — explicit
+/// backpressure knows better than a guess.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Additional attempts after the first (0 = never retry).
@@ -97,12 +97,6 @@ impl RetryPolicy {
         }
     }
 
-    /// The same policy under a different jitter seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// The delay before retry `attempt` (0-based): "equal jitter" over an
     /// exponential window — half the window guaranteed, half jittered by
     /// a splitmix64 of `(seed, attempt)`. When the failed attempt carried
@@ -121,19 +115,6 @@ impl RetryPolicy {
             span => splitmix64(self.seed ^ u64::from(attempt).wrapping_mul(0x9e37)) % (span + 1),
         };
         half + Duration::from_nanos(jitter_ns)
-    }
-
-    /// Whether `error` is safe to retry under this policy: the connection
-    /// was never established ([`ClientError::Unreachable`] — the request
-    /// provably never reached a handler) or the server explicitly asked
-    /// for a retry (429 backpressure). Mid-exchange I/O failures are
-    /// *not* retried here — the request may already be processing, and a
-    /// blind resend could double-submit.
-    pub fn retryable(error: &ClientError) -> bool {
-        matches!(
-            error,
-            ClientError::Unreachable(_) | ClientError::Api { status: 429, .. }
-        )
     }
 }
 
@@ -158,11 +139,6 @@ pub struct ServeClient {
     /// clients (probes, cache peering) use this so a half-up peer
     /// cannot stall them for the default 30 s read timeout.
     io_timeout: Option<Duration>,
-    /// When set, the typed request methods retry under this budget;
-    /// `None` (the default) keeps the pre-budget single-attempt
-    /// behaviour. [`ServeClient::forward`] never retries regardless — a
-    /// relay caller owns its own failover policy.
-    retry: Option<RetryPolicy>,
     pool: Arc<Mutex<Option<HttpConnection>>>,
     reuses: Arc<AtomicU64>,
 }
@@ -175,12 +151,11 @@ const DEFAULT_READ_TIMEOUT: Duration = Duration::from_secs(30);
 /// client knob lives ([`ServeClient::new`] is the all-defaults shorthand):
 ///
 /// ```
-/// use domino_serve::{RetryPolicy, ServeClient};
+/// use domino_serve::ServeClient;
 /// use std::time::Duration;
 ///
 /// let probe = ServeClient::builder("127.0.0.1:7171")
 ///     .io_timeout(Duration::from_secs(2))
-///     .retry(RetryPolicy::new(3))
 ///     .build();
 /// assert_eq!(probe.addr(), "127.0.0.1:7171");
 /// ```
@@ -189,18 +164,16 @@ pub struct ClientBuilder {
     addr: String,
     keep_alive: bool,
     io_timeout: Option<Duration>,
-    retry: Option<RetryPolicy>,
 }
 
 impl ClientBuilder {
     /// Starts a builder for the server at `addr` with the defaults of
-    /// [`ServeClient::new`]: keep-alive on, no I/O timeout, no retries.
+    /// [`ServeClient::new`]: keep-alive on, no I/O timeout.
     pub fn new(addr: impl Into<String>) -> Self {
         ClientBuilder {
             addr: addr.into(),
             keep_alive: true,
             io_timeout: None,
-            retry: None,
         }
     }
 
@@ -224,23 +197,12 @@ impl ClientBuilder {
         self
     }
 
-    /// Adds a retry budget to the typed request methods (`submit`,
-    /// `run_sync`, `status`, ...): an unreachable server or an explicit
-    /// 429 is retried up to `policy.budget` times, sleeping
-    /// `policy.delay(..)` (which honors `Retry-After`) between attempts.
-    #[must_use]
-    pub fn retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = Some(policy);
-        self
-    }
-
     /// The configured client.
     pub fn build(self) -> ServeClient {
         ServeClient {
             addr: self.addr,
             reuse: self.keep_alive,
             io_timeout: self.io_timeout,
-            retry: self.retry,
             pool: Arc::new(Mutex::new(None)),
             reuses: Arc::new(AtomicU64::new(0)),
         }
@@ -342,28 +304,9 @@ impl ServeClient {
         path: &str,
         body: Option<&[u8]>,
     ) -> Result<Response, ClientError> {
-        let attempt_once = || -> Result<Response, ClientError> {
-            let response = self.request_any(method, path, body)?;
-            check_status(&response)?;
-            Ok(response)
-        };
-        let Some(policy) = self.retry else {
-            return attempt_once();
-        };
-        let mut attempt = 0;
-        loop {
-            match attempt_once() {
-                Err(e) if attempt < policy.budget && RetryPolicy::retryable(&e) => {
-                    let retry_after = match &e {
-                        ClientError::Api { retry_after, .. } => *retry_after,
-                        _ => None,
-                    };
-                    std::thread::sleep(policy.delay(attempt, retry_after));
-                    attempt += 1;
-                }
-                other => return other,
-            }
-        }
+        let response = self.request_any(method, path, body)?;
+        check_status(&response)?;
+        Ok(response)
     }
 
     /// The transport half of [`ServeClient::request`]: one exchange,
@@ -808,7 +751,10 @@ mod tests {
     /// inputs, same delays — a chaos run's timing reproduces exactly.
     #[test]
     fn retry_policy_delays_are_deterministic_and_honor_retry_after() {
-        let policy = RetryPolicy::new(3).with_seed(42);
+        let policy = RetryPolicy {
+            seed: 42,
+            ..RetryPolicy::new(3)
+        };
         for attempt in 0..4 {
             assert_eq!(
                 policy.delay(attempt, None),
@@ -828,40 +774,11 @@ mod tests {
         // Explicit server backpressure wins verbatim over the schedule.
         assert_eq!(policy.delay(5, Some(7)), Duration::from_secs(7));
         // The seed actually feeds the jitter.
-        assert_ne!(
-            RetryPolicy::new(3).with_seed(1).delay(0, None),
-            RetryPolicy::new(3).with_seed(2).delay(0, None),
-        );
-    }
-
-    /// A `429 Retry-After` answer is consumed by the retry budget: the
-    /// client waits as told and resubmits, so transient backpressure
-    /// never surfaces to a caller with budget left.
-    #[test]
-    fn retry_budget_survives_429_backpressure() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let client = ServeClient::builder(addr)
-            .retry(RetryPolicy::new(2).with_seed(7))
-            .build();
-        let server = std::thread::spawn(move || {
-            let mut conn = FakeServer::accept(&listener);
-            conn.read_request();
-            // Full queue: 429 with explicit zero backpressure, keep-alive
-            // so the retry rides the pooled connection.
-            conn.respond(429, &[("retry-after", "0")], b"{\"error\":\"queue full\"}");
-            let request = conn.read_request();
-            let reply =
-                b"{\"id\":1,\"name\":\"frg1\",\"key\":\"k\",\"status\":\"queued\",\"queue_depth\":0}";
-            conn.respond(202, &[], reply);
-            request
-        });
-        let spec = domino_engine::JobSpec::suite("frg1");
-        let admitted = client.submit(&spec).expect("retried past the 429");
-        assert_eq!(admitted.id, 1);
-        let request = server.join().unwrap();
-        assert_eq!(request.method, "POST", "the resubmission is a real POST");
-        assert_eq!(client.connection_reuses(), 1, "retry reused the pool");
+        let seeded = |seed| RetryPolicy {
+            seed,
+            ..RetryPolicy::new(3)
+        };
+        assert_ne!(seeded(1).delay(0, None), seeded(2).delay(0, None));
     }
 
     /// Idempotent requests retry on ANY pooled failure — including the

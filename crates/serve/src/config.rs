@@ -9,8 +9,11 @@
 //! binaries' flag surfaces and error text cannot drift.
 //!
 //! The connection-limit flags shared by both servers (`--idle-ms`,
-//! `--max-requests`, `--max-connections`) are declared and applied by
-//! [`connection_flags`] / [`apply_connection_flags`] in one place.
+//! `--max-requests`, `--max-connections`) are declared by
+//! [`connection_flags`] and read into one [`FrontConfig`] by
+//! [`FrontConfig::from_args`].
+
+use crate::front::FrontConfig;
 
 /// One declared flag: `--name <metavar>  help`.
 #[derive(Debug, Clone, Copy)]
@@ -228,21 +231,19 @@ pub fn connection_flags(table: ArgTable) -> ArgTable {
         )
 }
 
-/// Applies the [`connection_flags`] values onto a config's fields.
-///
-/// # Errors
-///
-/// The shared integer/bounds error text (see [`ParsedArgs`]).
-pub fn apply_connection_flags(
-    parsed: &ParsedArgs,
-    idle_timeout_ms: &mut u64,
-    max_requests_per_connection: &mut u32,
-    max_connections: &mut usize,
-) -> Result<(), String> {
-    parsed.set_integer_at_least_one("--idle-ms", idle_timeout_ms)?;
-    parsed.set_integer("--max-requests", max_requests_per_connection)?;
-    parsed.set_integer_at_least_one("--max-connections", max_connections)?;
-    Ok(())
+impl FrontConfig {
+    /// The [`connection_flags`] values over the defaults.
+    ///
+    /// # Errors
+    ///
+    /// The shared integer/bounds error text (see [`ParsedArgs`]).
+    pub fn from_args(parsed: &ParsedArgs) -> Result<FrontConfig, String> {
+        let mut front = FrontConfig::default();
+        parsed.set_integer_at_least_one("--idle-ms", &mut front.idle_timeout_ms)?;
+        parsed.set_integer("--max-requests", &mut front.max_requests_per_connection)?;
+        parsed.set_integer_at_least_one("--max-connections", &mut front.max_connections)?;
+        Ok(front)
+    }
 }
 
 /// Declares the failpoint flags as help-only entries (they are consumed

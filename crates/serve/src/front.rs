@@ -41,7 +41,7 @@ use domino_reactor::{Interest, Poller, TimerWheel, WakeHandle, Waker};
 use crate::http::{
     render_chunk, render_chunk_end, render_chunked_head, render_response, Request, RequestParser,
 };
-use crate::protocol::ReactorCounters;
+use crate::protocol::{ErrorReply, ReactorCounters};
 
 /// Token of the accept socket in the poller.
 const LISTENER_TOKEN: u64 = 0;
@@ -74,23 +74,37 @@ const MALFORMED: &[u8] = b"{\"error\":\"malformed request\"}";
 /// `max_connections`.
 const OVER_CAPACITY: &[u8] = b"{\"error\":\"connection limit reached\"}";
 
-/// Tuning for one [`HttpFront`].
-#[derive(Debug, Clone)]
+/// Threads in the handler pool the reactor dispatches requests to.
+/// Routing is cheap on both servers — admission, cache probes, registry
+/// lookups, request classification; jobs run on `dominod`'s workers, a
+/// waiting request is parked, and a gateway relay gets its own thread —
+/// so a handful is plenty.
+const HANDLER_THREADS: usize = 4;
+
+/// The connection limits of one [`HttpFront`]: the `--idle-ms`,
+/// `--max-requests` and `--max-connections` flags of `dominod` and
+/// `dominogw` alike (see [`crate::config::connection_flags`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrontConfig {
-    /// Thread-name prefix (`dominod`, `dominogw`) for the reactor and
-    /// handler threads.
-    pub name: &'static str,
-    /// How long a connection may sit with no complete request before the
-    /// reactor closes it.
-    pub idle_timeout: Duration,
+    /// Milliseconds a connection may sit with no complete request before
+    /// the reactor closes it.
+    pub idle_timeout_ms: u64,
     /// Requests served on one connection before the server forces
     /// `Connection: close`.
-    pub max_requests: u32,
+    pub max_requests_per_connection: u32,
     /// Open connections before further accepts are answered with a `503`
     /// and an immediate close.
     pub max_connections: usize,
-    /// Threads in the handler pool the reactor dispatches requests to.
-    pub handler_threads: usize,
+}
+
+impl Default for FrontConfig {
+    fn default() -> Self {
+        FrontConfig {
+            idle_timeout_ms: 10_000,
+            max_requests_per_connection: 1024,
+            max_connections: crate::config::DEFAULT_MAX_CONNECTIONS,
+        }
+    }
 }
 
 /// The request handler: called on a pool thread with each parsed request
@@ -187,6 +201,12 @@ impl Responder {
             shared: Arc::clone(&self.shared),
             finished: false,
         }
+    }
+
+    /// Answers with an [`ErrorReply`] body carrying `message`.
+    pub fn error(self, status: u16, message: &str) {
+        let body = ErrorReply::new(message).to_json().serialize();
+        self.respond(status, &[], body.as_bytes());
     }
 
     /// `false` once the reactor has closed this connection — a parked
@@ -303,6 +323,7 @@ impl FrontHandle {
 /// loops until drained.
 pub struct HttpFront {
     listener: TcpListener,
+    name: &'static str,
     cfg: FrontConfig,
     poller: Poller,
     waker: Waker,
@@ -311,17 +332,25 @@ pub struct HttpFront {
 
 impl std::fmt::Debug for HttpFront {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HttpFront").field("cfg", &self.cfg).finish()
+        f.debug_struct("HttpFront")
+            .field("name", &self.name)
+            .field("cfg", &self.cfg)
+            .finish()
     }
 }
 
 impl HttpFront {
-    /// Wraps an already-bound listener in a reactor front.
+    /// Wraps an already-bound listener in a reactor front; `name`
+    /// (`dominod`, `dominogw`) prefixes its handler threads' names.
     ///
     /// # Errors
     ///
     /// [`io::Error`] creating the epoll instance or wake pipe.
-    pub fn bind(listener: TcpListener, cfg: FrontConfig) -> io::Result<HttpFront> {
+    pub fn bind(
+        listener: TcpListener,
+        name: &'static str,
+        cfg: FrontConfig,
+    ) -> io::Result<HttpFront> {
         listener.set_nonblocking(true)?;
         let poller = Poller::new()?;
         let waker = Waker::new()?;
@@ -336,8 +365,16 @@ impl HttpFront {
             accepts: AtomicU64::new(0),
             timeouts: AtomicU64::new(0),
         });
+        // Zero limits would reap every connection at once or refuse them
+        // all; each counts as one.
+        let cfg = FrontConfig {
+            idle_timeout_ms: cfg.idle_timeout_ms.max(1),
+            max_requests_per_connection: cfg.max_requests_per_connection.max(1),
+            max_connections: cfg.max_connections.max(1),
+        };
         Ok(HttpFront {
             listener,
+            name,
             cfg,
             poller,
             waker,
@@ -363,6 +400,7 @@ impl HttpFront {
     pub fn run(self, handler: FrontHandler) -> io::Result<()> {
         let HttpFront {
             listener,
+            name,
             cfg,
             poller,
             waker,
@@ -372,12 +410,12 @@ impl HttpFront {
         let (tx, rx) = mpsc::channel::<(Request, Responder)>();
         let rx = Arc::new(Mutex::new(rx));
         let mut pool = Vec::new();
-        for i in 0..cfg.handler_threads.max(1) {
+        for i in 0..HANDLER_THREADS {
             let rx = Arc::clone(&rx);
             let handler = Arc::clone(&handler);
             pool.push(
                 std::thread::Builder::new()
-                    .name(format!("{}-handler-{i}", cfg.name))
+                    .name(format!("{name}-handler-{i}"))
                     .spawn(move || loop {
                         let job = {
                             let guard = rx.lock().expect("handler rx lock");
@@ -719,7 +757,7 @@ impl Reactor {
                 let conn = self.conns.get_mut(&token).expect("checked above");
                 let keep_alive = !force_close
                     && !draining
-                    && conn.served < self.cfg.max_requests
+                    && conn.served < self.cfg.max_requests_per_connection
                     && !conn.req_wants_close
                     // A half-closed peer can send no further request:
                     // this response is the connection's last.
@@ -837,7 +875,7 @@ impl Reactor {
         };
         conn.timer_seq += 1;
         let seq = conn.timer_seq;
-        let deadline = Instant::now() + self.cfg.idle_timeout;
+        let deadline = Instant::now() + Duration::from_millis(self.cfg.idle_timeout_ms);
         self.wheel.schedule(token, seq, deadline);
     }
 
@@ -923,12 +961,11 @@ mod tests {
         let addr = listener.local_addr().expect("addr");
         let front = HttpFront::bind(
             listener,
+            "front-test",
             FrontConfig {
-                name: "front-test",
-                idle_timeout,
-                max_requests,
+                idle_timeout_ms: idle_timeout.as_millis() as u64,
+                max_requests_per_connection: max_requests,
                 max_connections,
-                handler_threads: 2,
             },
         )
         .expect("front");
@@ -1108,12 +1145,11 @@ mod tests {
         let addr = listener.local_addr().expect("addr");
         let front = HttpFront::bind(
             listener,
+            "front-park-test",
             FrontConfig {
-                name: "front-park-test",
-                idle_timeout,
-                max_requests: 1024,
+                idle_timeout_ms: idle_timeout.as_millis() as u64,
+                max_requests_per_connection: 1024,
                 max_connections: 64,
-                handler_threads: 2,
             },
         )
         .expect("front");

@@ -119,6 +119,14 @@ impl Request {
             .map(|(_, v)| v.as_str())
     }
 
+    /// Splits a `/jobs/42[/tail]` path into the job id and the tail
+    /// (`""`, `"result"`, `"events"`, ...).
+    pub fn job_path(&self) -> Option<(u64, &str)> {
+        let rest = self.path.strip_prefix("/jobs/")?;
+        let (id, tail) = rest.split_once('/').unwrap_or((rest, ""));
+        Some((id.parse().ok()?, tail))
+    }
+
     /// `true` when the request asks the server to close after responding.
     pub fn wants_close(&self) -> bool {
         self.header("connection")

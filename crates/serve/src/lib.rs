@@ -59,6 +59,7 @@ pub mod http;
 pub mod protocol;
 mod registry;
 mod server;
+pub mod service;
 
 pub use client::{ClientBuilder, ClientError, RetryPolicy, ServeClient};
 pub use config::{ArgTable, ParsedArgs, DEFAULT_MAX_CONNECTIONS};
@@ -67,4 +68,5 @@ pub use protocol::{
     MetricsReply, ReactorCounters, StatusReply, SubmitReply,
 };
 pub use registry::{AdmitError, Registry, RETAINED_TERMINAL_JOBS};
-pub use server::{ResolveMemo, ServeConfig, Server, ShutdownHandle, DEFAULT_PORT};
+pub use server::{ResolveMemo, ServeConfig, Server, DEFAULT_PORT};
+pub use service::{daemon_main, ShutdownHandle};

@@ -410,6 +410,20 @@ pub struct FailpointCounter {
 }
 
 impl FailpointCounter {
+    /// The process's failpoint sites as `/metrics` reports them (see
+    /// [`domino_failpoint::snapshot`]).
+    pub fn snapshot() -> Vec<FailpointCounter> {
+        domino_failpoint::snapshot()
+            .into_iter()
+            .map(|s| FailpointCounter {
+                site: s.site,
+                mode: s.mode,
+                hits: s.hits,
+                fires: s.fires,
+            })
+            .collect()
+    }
+
     /// Serializes to the wire JSON.
     pub fn to_json(&self) -> Json {
         Json::obj(vec![

@@ -496,15 +496,7 @@ impl Registry {
             // connection layer; the server overlays both before replying.
             snapshot: None,
             reactor: None,
-            failpoints: domino_failpoint::snapshot()
-                .into_iter()
-                .map(|s| crate::protocol::FailpointCounter {
-                    site: s.site,
-                    mode: s.mode,
-                    hits: s.hits,
-                    fires: s.fires,
-                })
-                .collect(),
+            failpoints: crate::protocol::FailpointCounter::snapshot(),
         }
     }
 }

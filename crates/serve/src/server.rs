@@ -40,9 +40,10 @@
 //!
 //! # Shutdown
 //!
-//! `POST /shutdown` (or [`Server::request_shutdown`]) starts the drain:
-//! the reactor closes its listener and idle connections, admissions turn
-//! into `503`, workers finish every job already admitted — each terminal
+//! The server runs in a [`Service`] shell, whose drain latch `POST
+//! /shutdown`, a [`ShutdownHandle`], SIGTERM/SIGINT and `Drop` all trip:
+//! admissions turn into `503`, the reactor closes its listener and idle
+//! connections, workers finish every job already admitted — each terminal
 //! transition answering that job's parked waiters — and in-flight
 //! connections close after their final response. The on-disk cache
 //! needs no separate flush — every store is written (atomically) at
@@ -51,10 +52,9 @@
 
 use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::net::SocketAddr;
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::Instant;
 
 use domino_engine::json::{parse, Json};
 use domino_engine::{
@@ -62,10 +62,11 @@ use domino_engine::{
 };
 
 use crate::config::ArgTable;
-use crate::front::{FrontConfig, FrontHandle, HttpFront, Responder, StreamHandle};
+use crate::front::{FrontConfig, FrontHandle, Responder, StreamHandle};
 use crate::http::Request;
 use crate::protocol::{CacheCounters, ErrorReply, JobStatus};
 use crate::registry::{AdmitError, Registry};
+use crate::service::{Router, Service, ShutdownHandle};
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -84,15 +85,8 @@ pub struct ServeConfig {
     /// probability snapshot instead of recomputing the kernel. `None`
     /// disables snapshots.
     pub snapshots: Option<Arc<domino_engine::SnapshotStore>>,
-    /// Milliseconds a kept-alive connection may idle between requests
-    /// before the server closes it.
-    pub idle_timeout_ms: u64,
-    /// Requests served per connection before the server forces
-    /// `Connection: close`.
-    pub max_requests_per_connection: u32,
-    /// Concurrently open connections the reactor accepts before
-    /// answering further accepts with `503` and an immediate close.
-    pub max_connections: usize,
+    /// Connection limits of the reactor front.
+    pub front: FrontConfig,
 }
 
 impl Default for ServeConfig {
@@ -103,17 +97,15 @@ impl Default for ServeConfig {
             queue_capacity: 64,
             cache: None,
             snapshots: None,
-            idle_timeout_ms: 10_000,
-            max_requests_per_connection: 1024,
-            max_connections: crate::config::DEFAULT_MAX_CONNECTIONS,
+            front: FrontConfig::default(),
         }
     }
 }
 
 impl ServeConfig {
     /// The server's flag table (see [`crate::config`]): the single
-    /// declaration behind both [`ServeConfig::parse_args`] and the
-    /// `--help` text of `dominod` / `dominoc serve`.
+    /// declaration behind both [`ServeConfig::parse_args`] and
+    /// `dominod --help`.
     pub fn arg_table() -> ArgTable {
         let table = ArgTable::new("server")
             .flag(
@@ -151,11 +143,10 @@ impl ServeConfig {
         crate::config::failpoint_docs(crate::config::connection_flags(table))
     }
 
-    /// Parses the server CLI flags (`--addr`, `--workers`, `--queue`,
+    /// Parses the `dominod` flags (`--addr`, `--workers`, `--queue`,
     /// `--cache`, `--cache-mem-entries`, `--cache-disk-bytes`,
     /// `--snapshot-dir`, `--snapshot-disk-bytes`, `--idle-ms`,
-    /// `--max-requests`, `--max-connections`) shared by `dominod` and
-    /// `dominoc serve`, so the two entry points cannot drift.
+    /// `--max-requests`, `--max-connections`).
     ///
     /// # Errors
     ///
@@ -169,12 +160,7 @@ impl ServeConfig {
         parsed.set_string("--addr", &mut config.addr);
         parsed.set_integer("--workers", &mut config.workers)?;
         parsed.set_integer_at_least_one("--queue", &mut config.queue_capacity)?;
-        crate::config::apply_connection_flags(
-            &parsed,
-            &mut config.idle_timeout_ms,
-            &mut config.max_requests_per_connection,
-            &mut config.max_connections,
-        )?;
+        config.front = FrontConfig::from_args(&parsed)?;
         let mut cache_mem_entries: usize = 0;
         parsed.set_integer("--cache-mem-entries", &mut cache_mem_entries)?;
         let mut cache_disk_bytes: u64 = 0;
@@ -214,11 +200,6 @@ impl ServeConfig {
 /// The default `dominod` port.
 pub const DEFAULT_PORT: u16 = 7171;
 
-/// Threads in the router pool. Routing is cheap — admission, cache
-/// probes, registry lookups; compute lives on the worker pool and a
-/// waiting request is parked, not held — so a handful is plenty.
-const HANDLER_THREADS: usize = 4;
-
 /// The one place `dominod` and `dominogw` resolve an admitted spec.
 /// Memoizes circuit resolution by source *content*: repeated submissions
 /// of the same suite row or inline BLIF clone the parsed
@@ -254,14 +235,27 @@ const RESOLVE_MEMO_MAX_SOURCE_BYTES: usize = 1024 * 1024;
 const RESOLVE_MEMO_MAX_TOTAL_BYTES: usize = 16 * 1024 * 1024;
 
 impl ResolveMemo {
-    /// Pairs `spec` with its circuit, parsed or generated once per
-    /// distinct source while the memo keeps it.
+    /// The admission decode both servers run on a `POST /jobs` body:
+    /// UTF-8, JSON, [`JobSpec::from_json`], then the memoized resolve.
     ///
     /// # Errors
     ///
-    /// [`EngineError::Spec`] for a `blif_path` source; otherwise whatever
+    /// The `400` text: a body that is not UTF-8, an invalid job spec, or
+    /// an unresolvable job — a `blif_path` source, or whatever
     /// [`JobSpec::resolve`] returns.
-    pub fn resolve(&self, spec: JobSpec) -> Result<FlowJob, EngineError> {
+    pub fn job_from_body(&self, body: &[u8]) -> Result<FlowJob, String> {
+        let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
+        let spec = parse(text)
+            .map_err(|e| e.to_string())
+            .and_then(|v| JobSpec::from_json(&v).map_err(|e| e.to_string()))
+            .map_err(|e| format!("invalid job spec: {e}"))?;
+        self.resolve(spec)
+            .map_err(|e| format!("unresolvable job: {e}"))
+    }
+
+    /// Pairs `spec` with its circuit, parsed or generated once per
+    /// distinct source while the memo keeps it.
+    fn resolve(&self, spec: JobSpec) -> Result<FlowJob, EngineError> {
         let key = match &spec.source {
             CircuitSource::Suite(name) => format!("suite\u{0}{name}"),
             CircuitSource::BlifInline(text) => format!("blif\u{0}{text}"),
@@ -334,20 +328,23 @@ struct Shared {
     snapshots: Option<Arc<domino_engine::SnapshotStore>>,
     front: FrontHandle,
     parked: Mutex<Parked>,
-    shutdown_signal: Mutex<bool>,
-    shutdown_cond: Condvar,
     started: Instant,
     workers: usize,
 }
 
-impl Shared {
-    fn begin_shutdown(&self) {
-        self.registry.drain();
-        self.front.shutdown();
-        *self.shutdown_signal.lock().expect("shutdown lock") = true;
-        self.shutdown_cond.notify_all();
+impl Router for Shared {
+    fn route(shared: &Arc<Self>, request: Request, responder: Responder) {
+        route(shared, &request, responder);
     }
 
+    /// Admissions close and idle workers wake; they exit once the
+    /// admitted queue has run.
+    fn drain(&self) {
+        self.registry.drain();
+    }
+}
+
+impl Shared {
     fn is_shutting_down(&self) -> bool {
         self.front.is_draining()
     }
@@ -484,18 +481,18 @@ impl Shared {
     }
 }
 
-/// A running `dominod` instance: reactor front + worker pool over one
-/// [`Registry`].
+/// A running `dominod` instance: a worker pool over one [`Registry`],
+/// routed by a [`Service`] shell.
 pub struct Server {
+    service: Service,
     shared: Arc<Shared>,
-    addr: SocketAddr,
-    reactor_handle: Option<JoinHandle<io::Result<()>>>,
-    worker_handles: Vec<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for Server {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Server").field("addr", &self.addr).finish()
+        f.debug_struct("Server")
+            .field("service", &self.service)
+            .finish()
     }
 }
 
@@ -505,22 +502,9 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// [`io::Error`] if the address cannot be bound or the reactor
-    /// cannot be set up.
+    /// [`io::Error`] if the address cannot be bound, the reactor cannot
+    /// be set up or a thread cannot be spawned.
     pub fn start(config: ServeConfig) -> io::Result<Server> {
-        let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
-        let front = HttpFront::bind(
-            listener,
-            FrontConfig {
-                name: "dominod",
-                idle_timeout: Duration::from_millis(config.idle_timeout_ms.max(1)),
-                max_requests: config.max_requests_per_connection.max(1),
-                max_connections: config.max_connections.max(1),
-                handler_threads: HANDLER_THREADS,
-            },
-        )?;
-
         let workers = if config.workers == 0 {
             std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
@@ -528,102 +512,51 @@ impl Server {
         } else {
             config.workers
         };
-        let shared = Arc::new(Shared {
-            registry: Registry::new(config.queue_capacity),
-            resolve_memo: ResolveMemo::default(),
-            engine: FlowEngine::new(EngineConfig {
-                threads: 1,
-                cache: config.cache.clone(),
-                snapshots: config.snapshots.clone(),
-            }),
-            cache: config.cache,
-            snapshots: config.snapshots,
-            front: front.handle(),
-            parked: Mutex::new(HashMap::new()),
-            shutdown_signal: Mutex::new(false),
-            shutdown_cond: Condvar::new(),
-            started: Instant::now(),
-            workers,
-        });
-
-        let reactor_handle = {
+        let (mut service, shared) =
+            Service::start("dominod", &config.addr, config.front, |front| Shared {
+                registry: Registry::new(config.queue_capacity),
+                resolve_memo: ResolveMemo::default(),
+                engine: FlowEngine::new(EngineConfig {
+                    threads: 1,
+                    cache: config.cache.clone(),
+                    snapshots: config.snapshots.clone(),
+                }),
+                cache: config.cache,
+                snapshots: config.snapshots,
+                front,
+                parked: Mutex::new(HashMap::new()),
+                started: Instant::now(),
+                workers,
+            })?;
+        for _ in 0..workers {
             let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("dominod-reactor".into())
-                .spawn(move || {
-                    front.run(Arc::new(move |request, responder| {
-                        route(&shared, &request, responder);
-                    }))
-                })?
-        };
-        let worker_handles = (0..workers)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared))
-            })
-            .collect();
-
-        Ok(Server {
-            shared,
-            addr,
-            reactor_handle: Some(reactor_handle),
-            worker_handles,
-        })
+            service.spawn_worker(move || worker_loop(&shared))?;
+        }
+        Ok(Server { service, shared })
     }
 
     /// The bound address (useful with port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.service.addr()
     }
 
-    /// Requests graceful shutdown without waiting (same effect as
-    /// `POST /shutdown`).
-    pub fn request_shutdown(&self) {
-        self.shared.begin_shutdown();
-    }
-
-    /// A cloneable handle that can request this server's shutdown from
-    /// another thread — the hook a signal watcher (SIGTERM/SIGINT) uses
-    /// to turn a kill into a graceful drain.
+    /// A cloneable handle that requests this server's drain from another
+    /// thread.
     pub fn shutdown_handle(&self) -> ShutdownHandle {
-        ShutdownHandle {
-            shared: Arc::clone(&self.shared),
-        }
+        self.service.shutdown_handle()
     }
 
-    /// Blocks until shutdown is requested (by [`Server::request_shutdown`]
-    /// or `POST /shutdown`), then drains: joins the workers after the
-    /// admitted queue has been fully executed — which answers every
-    /// parked waiter — and joins the reactor once every connection is
-    /// gone. The server can still be inspected (e.g. [`Server::metrics`])
-    /// afterwards.
+    /// Blocks until the drain is requested, then waits for it: every
+    /// admitted job runs — answering its parked waiters — and every
+    /// connection closes. The server can still be inspected (e.g.
+    /// [`Server::metrics`]) afterwards.
     pub fn wait(&mut self) {
-        {
-            let mut signalled = self.shared.shutdown_signal.lock().expect("shutdown lock");
-            while !*signalled {
-                signalled = self
-                    .shared
-                    .shutdown_cond
-                    .wait(signalled)
-                    .expect("shutdown lock");
-            }
-        }
-        // Workers first: every admitted job reaches a terminal state, and
-        // each terminal transition answers that job's parked waiters.
-        for handle in self.worker_handles.drain(..) {
-            let _ = handle.join();
-        }
-        // Then the reactor: it exits once the answered connections have
-        // flushed and closed (with a grace cutoff for dead peers).
-        if let Some(handle) = self.reactor_handle.take() {
-            let _ = handle.join();
-        }
+        self.service.wait();
     }
 
-    /// Convenience: request shutdown and wait for the drain to finish.
-    pub fn shutdown(mut self) {
-        self.request_shutdown();
-        self.wait();
+    /// Requests the drain and waits for it to finish.
+    pub fn shutdown(self) {
+        self.service.shutdown();
     }
 
     /// An in-process metrics snapshot (same content as `GET /metrics`) —
@@ -633,25 +566,9 @@ impl Server {
     }
 }
 
-/// A detached shutdown trigger for a running [`Server`] (see
-/// [`Server::shutdown_handle`]). Cloneable and `Send`: hand it to a
-/// signal-watcher thread, keep the `Server` itself on the main thread
-/// for [`Server::wait`].
-#[derive(Clone)]
-pub struct ShutdownHandle {
-    shared: Arc<Shared>,
-}
-
-impl std::fmt::Debug for ShutdownHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShutdownHandle").finish()
-    }
-}
-
-impl ShutdownHandle {
-    /// Requests graceful shutdown (idempotent).
-    pub fn request_shutdown(&self) {
-        self.shared.begin_shutdown();
+impl AsMut<Service> for Server {
+    fn as_mut(&mut self) -> &mut Service {
+        &mut self.service
     }
 }
 
@@ -671,16 +588,6 @@ fn worker_loop(shared: &Arc<Shared>) {
         }
         shared.wake(id);
     }
-}
-
-/// Splits `/jobs/42[/tail]` into the id and the remainder.
-fn job_path(path: &str) -> Option<(u64, &str)> {
-    let rest = path.strip_prefix("/jobs/")?;
-    let (id, tail) = match rest.split_once('/') {
-        Some((id, tail)) => (id, tail),
-        None => (rest, ""),
-    };
-    Some((id.parse().ok()?, tail))
 }
 
 fn route(shared: &Arc<Shared>, request: &Request, responder: Responder) {
@@ -703,20 +610,13 @@ fn route(shared: &Arc<Shared>, request: &Request, responder: Responder) {
             responder.respond(200, &[], reply.to_json().serialize().as_bytes());
         }
         ("POST", "/jobs") => handle_submit(shared, request, responder),
-        ("POST", "/shutdown") => {
-            // Drain first: a client that reacts to this answer must find
-            // admissions already closed.
-            shared.begin_shutdown();
-            let body = Json::obj(vec![("status", Json::Str("shutting-down".into()))]);
-            responder.respond_close(200, &[], body.serialize().as_bytes());
-        }
         ("GET", _) if path.starts_with("/cache/peek/") => {
             handle_cache_peek(shared, &path["/cache/peek/".len()..], responder);
         }
         ("POST", _) if path.starts_with("/cache/fill/") => {
             handle_cache_fill(shared, request, &path["/cache/fill/".len()..], responder);
         }
-        _ => match job_path(path) {
+        _ => match request.job_path() {
             Some((id, "")) if method == "GET" => handle_status(shared, request, id, responder),
             Some((id, "")) if method == "DELETE" => match shared.registry.cancel(id) {
                 Some(reply) => {
@@ -734,16 +634,8 @@ fn route(shared: &Arc<Shared>, request: &Request, responder: Responder) {
             // A known sub-path with the wrong method is 405; an unknown
             // sub-path is 404 — don't misdiagnose a path typo as a method
             // error.
-            Some((_, "" | "result" | "events")) => {
-                error_reply(responder, 405, "method not allowed");
-            }
-            Some(_) | None => {
-                error_reply(
-                    responder,
-                    404,
-                    &format!("no such endpoint: {method} {path}"),
-                );
-            }
+            Some((_, "" | "result" | "events")) => responder.error(405, "method not allowed"),
+            Some(_) | None => responder.error(404, &format!("no such endpoint: {method} {path}")),
         },
     }
 }
@@ -757,7 +649,7 @@ fn handle_cache_peek(shared: &Arc<Shared>, key: &str, responder: Responder) {
         Some(outcome) => {
             responder.respond(200, &[], outcome.to_json().serialize().as_bytes());
         }
-        None => error_reply(responder, 404, &format!("no cache entry: {key}")),
+        None => responder.error(404, &format!("no cache entry: {key}")),
     }
 }
 
@@ -768,24 +660,21 @@ fn handle_cache_peek(shared: &Arc<Shared>, key: &str, responder: Responder) {
 /// matches the path — a guard against cross-wiring two jobs' results.
 fn handle_cache_fill(shared: &Arc<Shared>, request: &Request, key: &str, responder: Responder) {
     let Some(cache) = &shared.cache else {
-        return error_reply(responder, 404, "no cache configured");
+        return responder.error(404, "no cache configured");
     };
     let Ok(text) = std::str::from_utf8(&request.body) else {
-        return error_reply(responder, 400, "body is not UTF-8");
+        return responder.error(400, "body is not UTF-8");
     };
     let outcome = match domino_engine::FlowOutcome::from_json_text(text) {
         Ok(outcome) => outcome,
-        Err(e) => return error_reply(responder, 400, &format!("invalid outcome: {e}")),
+        Err(e) => return responder.error(400, &format!("invalid outcome: {e}")),
     };
     if outcome.key != key {
-        return error_reply(
-            responder,
-            400,
-            &format!(
-                "outcome key '{}' does not match path key '{key}'",
-                outcome.key
-            ),
+        let message = format!(
+            "outcome key '{}' does not match path key '{key}'",
+            outcome.key
         );
+        return responder.error(400, &message);
     }
     cache.put(key, &outcome);
     let body = Json::obj(vec![("status", Json::Str("filled".into()))]);
@@ -794,21 +683,11 @@ fn handle_cache_fill(shared: &Arc<Shared>, request: &Request, key: &str, respond
 
 fn handle_submit(shared: &Arc<Shared>, request: &Request, responder: Responder) {
     if shared.is_shutting_down() {
-        return error_reply(responder, 503, "server is draining for shutdown");
+        return responder.error(503, "server is draining for shutdown");
     }
-    let Ok(text) = std::str::from_utf8(&request.body) else {
-        return error_reply(responder, 400, "body is not UTF-8");
-    };
-    let spec = match parse(text)
-        .map_err(|e| e.to_string())
-        .and_then(|v| JobSpec::from_json(&v).map_err(|e| e.to_string()))
-    {
-        Ok(spec) => spec,
-        Err(e) => return error_reply(responder, 400, &format!("invalid job spec: {e}")),
-    };
-    let job = match shared.resolve_memo.resolve(spec) {
+    let job = match shared.resolve_memo.job_from_body(&request.body) {
         Ok(job) => job,
-        Err(e) => return error_reply(responder, 400, &format!("unresolvable job: {e}")),
+        Err(e) => return responder.error(400, &e),
     };
     // Admission-time cache check: a warm submission is answered right
     // here — no queue slot, no worker round trip, no parked waiter.
@@ -829,7 +708,7 @@ fn handle_submit(shared: &Arc<Shared>, request: &Request, responder: Responder) 
                 Ok(reply) => {
                     responder.respond(200, &[], reply.to_json().serialize().as_bytes());
                 }
-                Err(_) => error_reply(responder, 503, "server is draining for shutdown"),
+                Err(_) => responder.error(503, "server is draining for shutdown"),
             };
         }
     }
@@ -850,7 +729,7 @@ fn handle_submit(shared: &Arc<Shared>, request: &Request, responder: Responder) 
                 .serialize();
             responder.respond(429, &[("retry-after", "1")], body.as_bytes());
         }
-        Err(AdmitError::Draining) => error_reply(responder, 503, "server is draining for shutdown"),
+        Err(AdmitError::Draining) => responder.error(503, "server is draining for shutdown"),
     }
 }
 
@@ -900,14 +779,11 @@ fn respond_outcome(
             // The engine's exact bytes: this is the byte-identity endpoint.
             responder.respond(200, &[], text.as_bytes());
         }
-        (JobStatus::Failed, _) => error_reply(
-            responder,
-            502,
-            &format!("job failed: {}", error.unwrap_or_default()),
-        ),
-        (JobStatus::Cancelled, _) => error_reply(responder, 409, "job was cancelled"),
-        (status, _) => error_reply(
-            responder,
+        (JobStatus::Failed, _) => {
+            responder.error(502, &format!("job failed: {}", error.unwrap_or_default()));
+        }
+        (JobStatus::Cancelled, _) => responder.error(409, "job was cancelled"),
+        (status, _) => responder.error(
             409,
             &format!("job not finished (status: {status}); use ?wait=1 to block"),
         ),
@@ -933,18 +809,14 @@ fn handle_events(shared: &Arc<Shared>, id: u64, responder: Responder) {
 }
 
 fn not_found(responder: Responder, id: u64) {
-    error_reply(responder, 404, &format!("no such job: {id}"));
-}
-
-fn error_reply(responder: Responder, status: u16, message: &str) {
-    let body = ErrorReply::new(message).to_json().serialize();
-    responder.respond(status, &[], body.as_bytes());
+    responder.error(404, &format!("no such job: {id}"));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::Write;
+    use std::time::Duration;
 
     /// A valid one-gate BLIF of about `bytes` bytes, distinct per `tag`:
     /// the bulk is a comment, so it parses in microseconds.
@@ -1003,7 +875,10 @@ mod tests {
         let server = Server::start(ServeConfig {
             addr: "127.0.0.1:0".into(),
             workers: 1,
-            idle_timeout_ms: 50,
+            front: FrontConfig {
+                idle_timeout_ms: 50,
+                ..FrontConfig::default()
+            },
             ..ServeConfig::default()
         })
         .expect("ephemeral bind");

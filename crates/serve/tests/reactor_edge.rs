@@ -20,6 +20,7 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use domino_engine::JobSpec;
+use domino_serve::front::FrontConfig;
 use domino_serve::{JobStatus, ServeClient, ServeConfig, Server};
 
 /// A cheap spec (short simulation) for liveness probes.
@@ -123,7 +124,10 @@ fn wait_for_open_connections(
 #[test]
 fn slow_loris_partial_request_is_idle_timed_out() {
     let (server, addr) = start_server(ServeConfig {
-        idle_timeout_ms: 200,
+        front: FrontConfig {
+            idle_timeout_ms: 200,
+            ..FrontConfig::default()
+        },
         ..ServeConfig::default()
     });
 
@@ -214,8 +218,11 @@ fn client_disconnect_mid_event_stream_releases_the_connection() {
 fn accept_burst_beyond_max_connections_gets_clean_503_and_leaks_nothing() {
     let cap = 8usize;
     let (server, addr) = start_server(ServeConfig {
-        max_connections: cap,
-        idle_timeout_ms: 60_000,
+        front: FrontConfig {
+            max_connections: cap,
+            idle_timeout_ms: 60_000,
+            ..FrontConfig::default()
+        },
         ..ServeConfig::default()
     });
 
@@ -266,8 +273,11 @@ fn drain_with_a_herd_of_idle_keepalive_connections_is_prompt() {
     let (server, addr) = start_server(ServeConfig {
         // Idle timeout far beyond the test's patience: only the drain
         // logic may close these.
-        idle_timeout_ms: 600_000,
-        max_connections: herd + 16,
+        front: FrontConfig {
+            idle_timeout_ms: 600_000,
+            max_connections: herd + 16,
+            ..FrontConfig::default()
+        },
         ..ServeConfig::default()
     });
 

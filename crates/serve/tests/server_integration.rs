@@ -558,6 +558,27 @@ fn graceful_shutdown_drains_admitted_jobs() {
     }
 }
 
+/// A `Server` dropped without `shutdown()` drains like one shut down: once
+/// the drop returns, new connections are refused.
+#[test]
+fn dropped_server_refuses_new_connections() {
+    let (server, client) = start_server(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    client.healthz().expect("server is up");
+    let addr = server.addr();
+    drop(server);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    while std::net::TcpStream::connect(addr).is_ok() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "a dropped server still accepts connections"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+}
+
 /// Sends `GET /jobs/:id` and then `target` on one raw connection in one
 /// write, and returns the connection once the first answer is in. The
 /// reactor read both requests at once and hands the second to a handler
@@ -635,7 +656,7 @@ fn parked_waiters_wake_on_transitions_and_drain() {
 
     // The drain runs the holder, then A; A's waiters are answered by its
     // transitions before `wait()` returns.
-    server.request_shutdown();
+    server.shutdown_handle().request_shutdown();
     server.wait();
 
     let mut answers = waiters.into_iter().map(|(result, status, events)| {
