@@ -308,8 +308,8 @@ impl Gateway {
     ///
     /// # Errors
     ///
-    /// [`io::Error`] when the listen address cannot be bound, the reactor
-    /// cannot be set up or the prober cannot be spawned.
+    /// [`io::Error`] when the listen address cannot be bound or the
+    /// reactor cannot be set up.
     pub fn start(config: GatewayConfig) -> io::Result<Gateway> {
         let pool = Arc::new(BackendPool::new(&config.backends));
         let (mut service, _) = Service::start("dominogw", &config.addr, config.front, |front| {
@@ -332,7 +332,7 @@ impl Gateway {
             }
         })?;
         let drain = service.shutdown_handle();
-        service.spawn_helper(move || pool.run_prober(config.probe_interval, &drain))?;
+        service.spawn_helper(move || pool.run_prober(config.probe_interval, &drain));
         Ok(Gateway { service })
     }
 

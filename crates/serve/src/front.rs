@@ -74,11 +74,9 @@ const MALFORMED: &[u8] = b"{\"error\":\"malformed request\"}";
 /// `max_connections`.
 const OVER_CAPACITY: &[u8] = b"{\"error\":\"connection limit reached\"}";
 
-/// Threads in the handler pool the reactor dispatches requests to.
-/// Routing is cheap on both servers — admission, cache probes, registry
-/// lookups, request classification; jobs run on `dominod`'s workers, a
-/// waiting request is parked, and a gateway relay gets its own thread —
-/// so a handful is plenty.
+/// Threads in the handler pool. Routing is cheap on both servers: jobs run
+/// on `dominod`'s workers, a waiting request is parked, and a gateway
+/// relay gets its own thread — so a handful is plenty.
 const HANDLER_THREADS: usize = 4;
 
 /// The connection limits of one [`HttpFront`]: the `--idle-ms`,
@@ -332,10 +330,7 @@ pub struct HttpFront {
 
 impl std::fmt::Debug for HttpFront {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HttpFront")
-            .field("name", &self.name)
-            .field("cfg", &self.cfg)
-            .finish()
+        f.debug_struct("HttpFront").field("cfg", &self.cfg).finish()
     }
 }
 
@@ -365,13 +360,6 @@ impl HttpFront {
             accepts: AtomicU64::new(0),
             timeouts: AtomicU64::new(0),
         });
-        // Zero limits would reap every connection at once or refuse them
-        // all; each counts as one.
-        let cfg = FrontConfig {
-            idle_timeout_ms: cfg.idle_timeout_ms.max(1),
-            max_requests_per_connection: cfg.max_requests_per_connection.max(1),
-            max_connections: cfg.max_connections.max(1),
-        };
         Ok(HttpFront {
             listener,
             name,
@@ -586,7 +574,7 @@ impl Reactor {
             if self.shared.draining.load(Ordering::SeqCst) {
                 continue;
             }
-            if self.conns.len() >= self.cfg.max_connections {
+            if self.conns.len() >= self.cfg.max_connections.max(1) {
                 // Best-effort 503 so the client learns why; a full send
                 // buffer just means they get a bare close instead.
                 let _ = stream.set_nonblocking(true);
@@ -757,7 +745,7 @@ impl Reactor {
                 let conn = self.conns.get_mut(&token).expect("checked above");
                 let keep_alive = !force_close
                     && !draining
-                    && conn.served < self.cfg.max_requests_per_connection
+                    && conn.served < self.cfg.max_requests_per_connection.max(1)
                     && !conn.req_wants_close
                     // A half-closed peer can send no further request:
                     // this response is the connection's last.
@@ -875,7 +863,7 @@ impl Reactor {
         };
         conn.timer_seq += 1;
         let seq = conn.timer_seq;
-        let deadline = Instant::now() + Duration::from_millis(self.cfg.idle_timeout_ms);
+        let deadline = Instant::now() + Duration::from_millis(self.cfg.idle_timeout_ms.max(1));
         self.wheel.schedule(token, seq, deadline);
     }
 

@@ -209,7 +209,7 @@ impl Registry {
         if domino_failpoint::should_fire("serve.registry.admit") {
             // Injected backpressure: indistinguishable from a genuinely
             // full queue, so the 429 + Retry-After path is exercised end
-            // to end (client budgets, gateway relay-verbatim).
+            // to end (client errors, gateway relay-verbatim).
             inner.counters.rejected += 1;
             return Err(AdmitError::Full {
                 depth: inner.queue.len() as u64,
@@ -463,7 +463,9 @@ impl Registry {
     /// Begins draining: no new admissions, workers finish the queue and
     /// exit.
     pub fn drain(&self) {
-        let mut inner = self.lock();
+        // Runs from a server's `Drop` too, so it must not panic: raising
+        // the flag is sound whatever a panicked lock holder left behind.
+        let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
         inner.draining = true;
         self.cond.notify_all();
     }

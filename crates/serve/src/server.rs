@@ -502,8 +502,8 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// [`io::Error`] if the address cannot be bound, the reactor cannot
-    /// be set up or a thread cannot be spawned.
+    /// [`io::Error`] if the address cannot be bound or the reactor
+    /// cannot be set up.
     pub fn start(config: ServeConfig) -> io::Result<Server> {
         let workers = if config.workers == 0 {
             std::thread::available_parallelism()
@@ -530,7 +530,7 @@ impl Server {
             })?;
         for _ in 0..workers {
             let shared = Arc::clone(&shared);
-            service.spawn_worker(move || worker_loop(&shared))?;
+            service.spawn_worker(move || worker_loop(&shared));
         }
         Ok(Server { service, shared })
     }

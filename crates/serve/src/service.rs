@@ -2,24 +2,14 @@
 //! both daemons share.
 //!
 //! A [`Service`] binds the listener, runs the reactor front
-//! ([`crate::front`]) on its own thread over a [`Router`], holds the one
-//! drain latch and joins the threads. `POST /shutdown`, a
-//! [`ShutdownHandle`], SIGTERM/SIGINT (wired by [`daemon_main`]) and
-//! dropping the service all trip that latch. The first trip starts the
-//! drain: [`Router::drain`] runs, then the reactor closes its listener and
-//! idle connections, and in-flight connections close after their final
-//! response (stragglers are force-closed after a grace period).
-//!
-//! # Threads
-//!
-//! | thread | returns | joined by |
-//! |---|---|---|
-//! | reactor and its handler pool | once every connection is gone, within the drain grace | [`Service::wait`] and `Drop` |
-//! | helper ([`Service::spawn_helper`]) | when the latch trips | [`Service::wait`] and `Drop` |
-//! | worker ([`Service::spawn_worker`]) | once the admitted jobs have run, however long they take | [`Service::wait`] only |
-//!
-//! So dropping a service never waits on a running job, and a dropped
-//! service refuses new connections once `Drop` returns.
+//! ([`crate::front`]) over a [`Router`], holds the one drain latch and
+//! joins the threads. `POST /shutdown`, a [`ShutdownHandle`],
+//! SIGTERM/SIGINT (wired by [`daemon_main`]) and `Drop` all trip the
+//! latch: [`Router::drain`] runs, then the reactor closes its listener and
+//! idle connections, and in-flight ones close after their last response.
+//! [`Service::wait`] joins every thread. `Drop` joins only the reactor and
+//! the helpers, whose exit the drain bounds — never a worker running a
+//! job — so a dropped service refuses new connections once `Drop` returns.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -108,8 +98,8 @@ impl ShutdownHandle {
 
 /// One running server: the reactor front over a [`Router`], the drain
 /// latch, and the threads the service joins (see the module docs).
+#[derive(Debug)]
 pub struct Service {
-    name: &'static str,
     addr: SocketAddr,
     drain: ShutdownHandle,
     reactor: Option<JoinHandle<io::Result<()>>>,
@@ -117,19 +107,10 @@ pub struct Service {
     workers: Vec<JoinHandle<()>>,
 }
 
-impl std::fmt::Debug for Service {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Service")
-            .field("name", &self.name)
-            .field("addr", &self.addr)
-            .finish()
-    }
-}
-
 impl Service {
     /// Binds `addr`, builds the router over the front's handle, and runs
     /// the reactor on its own thread. `name` (`dominod`, `dominogw`)
-    /// prefixes the service's thread names.
+    /// prefixes the reactor's thread names.
     ///
     /// # Errors
     ///
@@ -174,7 +155,6 @@ impl Service {
                 })?
         };
         let service = Service {
-            name,
             addr,
             drain,
             reactor: Some(reactor),
@@ -194,32 +174,17 @@ impl Service {
         self.drain.clone()
     }
 
-    /// Runs `work` on a worker thread. A worker runs the jobs admitted
-    /// before the drain to their end, so [`Service::wait`] joins it and
-    /// `Drop` does not.
-    ///
-    /// # Errors
-    ///
-    /// [`io::Error`] if the thread cannot be spawned.
-    pub fn spawn_worker(&mut self, work: impl FnOnce() + Send + 'static) -> io::Result<()> {
-        let name = format!("{}-worker-{}", self.name, self.workers.len());
-        self.workers
-            .push(std::thread::Builder::new().name(name).spawn(work)?);
-        Ok(())
+    /// Runs `work` on a worker thread, which runs the jobs admitted before
+    /// the drain to their end: [`Service::wait`] joins it, `Drop` does not.
+    pub(crate) fn spawn_worker(&mut self, work: impl FnOnce() + Send + 'static) {
+        self.workers.push(std::thread::spawn(work));
     }
 
     /// Runs `work` on a helper thread, which must return once the drain
-    /// begins (it naps on [`ShutdownHandle::wait_timeout`]); both
+    /// begins (it naps on [`ShutdownHandle::wait_timeout`]): both
     /// [`Service::wait`] and `Drop` join it.
-    ///
-    /// # Errors
-    ///
-    /// [`io::Error`] if the thread cannot be spawned.
-    pub fn spawn_helper(&mut self, work: impl FnOnce() + Send + 'static) -> io::Result<()> {
-        let name = format!("{}-helper-{}", self.name, self.helpers.len());
-        self.helpers
-            .push(std::thread::Builder::new().name(name).spawn(work)?);
-        Ok(())
+    pub fn spawn_helper(&mut self, work: impl FnOnce() + Send + 'static) {
+        self.helpers.push(std::thread::spawn(work));
     }
 
     /// Blocks until the drain is requested, then joins every thread: the
@@ -257,20 +222,14 @@ impl Drop for Service {
     }
 }
 
-/// The whole `main` of `dominod` and `dominogw`:
-///
-/// * `help`, `--help` or `-h` anywhere prints the usage built from
-///   `table` and exits 0;
-/// * `--failpoints`/`--failpoint-seed` arm fault injection, logged as a
-///   `failpoints active: ...` header a chaos run can be replayed from;
-/// * `parse` reads the remaining flags and `start` starts the server;
-/// * stdout gets the exact `<name> listening on <addr>` line scripts
-///   parse for the port;
-/// * SIGTERM and SIGINT trip the drain latch, like `POST /shutdown`;
-/// * after the drain, `drained` gives the closing log line and the
-///   process exits 0.
-///
-/// A usage or bind error prints the message and the usage, and exits 2.
+/// The whole `main` of `dominod` and `dominogw`. `--help` prints the
+/// usage built from `table`; `--failpoints` arms fault injection behind a
+/// `failpoints active: ...` log header; `parse` reads the other flags and
+/// `start` starts the server. Then stdout gets the exact `<name> listening
+/// on <addr>` line scripts parse for the port, SIGTERM and SIGINT trip the
+/// drain like `POST /shutdown`, and after the drain `drained` gives the
+/// closing log line. Exits 0 after `--help` or a drain, 2 after a usage or
+/// bind error.
 pub fn daemon_main<C, D: AsMut<Service>>(
     name: &'static str,
     synopsis: &str,
