@@ -678,27 +678,13 @@ fn submit_routed(
 /// Rebuilds the backend-side target for a job sub-path, preserving the
 /// query string (`?wait=1` long-polls ride through unchanged).
 fn backend_target(backend_id: u64, tail: &str, request: &Request) -> String {
-    let mut target = format!("/jobs/{backend_id}");
-    if !tail.is_empty() {
-        target.push('/');
-        target.push_str(tail);
+    // `Request::target` is the path followed by `?query`, if any.
+    let query = &request.target()[request.path.len()..];
+    if tail.is_empty() {
+        format!("/jobs/{backend_id}{query}")
+    } else {
+        format!("/jobs/{backend_id}/{tail}{query}")
     }
-    let query: Vec<String> = request
-        .query
-        .iter()
-        .map(|(k, v)| {
-            if v.is_empty() {
-                k.clone()
-            } else {
-                format!("{k}={v}")
-            }
-        })
-        .collect();
-    if !query.is_empty() {
-        target.push('?');
-        target.push_str(&query.join("&"));
-    }
-    target
 }
 
 /// `GET /jobs/:id[/result]` and `DELETE /jobs/:id`: forward to the job's
