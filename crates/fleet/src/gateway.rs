@@ -51,15 +51,14 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use domino_engine::json::{parse, Json};
+use domino_engine::EngineError;
 use domino_serve::front::{FrontConfig, FrontHandle, Responder};
-use domino_serve::http::Request;
+use domino_serve::http::{Request, Response};
 use domino_serve::protocol::{ErrorReply, StatusReply, SubmitReply};
 use domino_serve::service::{Router, Service};
-use domino_serve::{
-    ArgTable, ClientError, FailpointCounter, ResolveMemo, RetryPolicy, ShutdownHandle,
-};
+use domino_serve::{ArgTable, ClientError, FailpointCounter, ResolveMemo, ShutdownHandle};
 
-use crate::pool::BackendPool;
+use crate::pool::{Backend, BackendPool};
 
 /// One backend's health as reported in the gateway's `GET /metrics` —
 /// the gateway flavor of the shared metrics schema in
@@ -157,43 +156,94 @@ impl GatewayConfig {
     }
 }
 
-/// Gateway ids are monotonic; the table maps them to `(backend,
-/// backend-local id)`. Bounded: the oldest mappings are evicted beyond
-/// [`ID_TABLE_CAP`] — matching `dominod`'s own bounded retention of
-/// terminal jobs.
+/// Gateway ids are monotonic; the table maps them to `(backend index,
+/// backend-local id)`, the index into [`BackendPool::backends`]. Bounded:
+/// the oldest mappings are evicted beyond [`ID_TABLE_CAP`] — matching
+/// `dominod`'s own bounded retention of terminal jobs.
 const ID_TABLE_CAP: usize = 65_536;
 
 #[derive(Debug, Default)]
 struct IdTable {
     next: u64,
-    map: BTreeMap<u64, (String, u64)>,
+    map: BTreeMap<u64, (usize, u64)>,
 }
 
 impl IdTable {
-    fn assign(&mut self, backend: &str, backend_id: u64) -> u64 {
+    fn assign(&mut self, backend: usize, backend_id: u64) -> u64 {
         while self.map.len() >= ID_TABLE_CAP {
             self.map.pop_first();
         }
         self.next += 1;
-        self.map
-            .insert(self.next, (backend.to_string(), backend_id));
+        self.map.insert(self.next, (backend, backend_id));
         self.next
     }
 
-    fn lookup(&self, gw_id: u64) -> Option<(String, u64)> {
-        self.map.get(&gw_id).cloned()
+    fn lookup(&self, gw_id: u64) -> Option<(usize, u64)> {
+        self.map.get(&gw_id).copied()
     }
 }
 
-/// A verbatim-relayable reply a coalescing leader captured for its
-/// followers: status, optional `Retry-After`, exact body bytes.
-type StoredReply = (u16, Option<String>, Vec<u8>);
+/// The pause before failover hop `n` (0-based) is this, doubled `n`
+/// times: 40, 80 and 160 ms under [`FAILOVER_RETRY_BUDGET`].
+const FAILOVER_PAUSE: Duration = Duration::from_millis(40);
+
+/// One answer to a gateway caller: status, optional `Retry-After`, body.
+/// Every backend-bound handler builds one and sends it once. Handlers
+/// return `Result<Reply, Reply>`: `Ok` is the backend's answer (verbatim,
+/// or with its job id rewritten), `Err` the gateway's own error.
+#[derive(Debug, Clone)]
+struct Reply {
+    status: u16,
+    retry_after: Option<String>,
+    body: Vec<u8>,
+}
+
+impl Reply {
+    fn new(status: u16, body: Vec<u8>) -> Reply {
+        Reply {
+            status,
+            retry_after: None,
+            body,
+        }
+    }
+
+    /// A backend's answer as it came: status, `Retry-After` when
+    /// present, exact body bytes.
+    fn verbatim(response: Response) -> Reply {
+        Reply {
+            status: response.status,
+            retry_after: response.header("retry-after").map(str::to_string),
+            body: response.body,
+        }
+    }
+
+    fn json(status: u16, doc: &Json) -> Reply {
+        Reply::new(status, doc.serialize().into_bytes())
+    }
+
+    /// An [`ErrorReply`] body carrying `message`.
+    fn error(status: u16, message: &str) -> Reply {
+        Reply::json(status, &ErrorReply::new(message).to_json())
+    }
+
+    fn send(self, responder: Responder) {
+        let retry_after = self.retry_after.as_deref().map(|v| ("retry-after", v));
+        responder.respond(self.status, retry_after.as_slice(), &self.body);
+    }
+}
+
+/// A backend's protocol document decoded with `from_json`, or `None`
+/// when the body is not one.
+fn decode<T>(response: &Response, from_json: fn(&Json) -> Result<T, EngineError>) -> Option<T> {
+    let text = std::str::from_utf8(&response.body).ok()?;
+    from_json(&parse(text).ok()?).ok()
+}
 
 /// In-flight coalescing for sync (`?wait=1`) submissions: one gate per
 /// routing key. The leader holds the gate's lock for the whole backend
-/// round trip and stores its reply; duplicates block on the lock and
-/// replay the identical bytes instead of re-submitting. A leader that
-/// failed stores nothing, so the next waiter simply becomes the new
+/// round trip and stores the backend's reply; duplicates block on the
+/// lock and replay the identical bytes instead of re-submitting. A leader
+/// that failed stores nothing, so the next waiter simply becomes the new
 /// leader and tries again.
 ///
 /// The leader releases the gate *before* its reply goes out: a client
@@ -202,11 +252,11 @@ type StoredReply = (u16, Option<String>, Vec<u8>);
 /// gate. Only duplicates already blocked on the gate coalesce.
 #[derive(Debug, Default)]
 struct SyncFlight {
-    gates: Mutex<HashMap<String, Arc<Mutex<Option<StoredReply>>>>>,
+    gates: Mutex<HashMap<String, Arc<Mutex<Option<Reply>>>>>,
 }
 
 impl SyncFlight {
-    fn acquire(&self, key: &str) -> Arc<Mutex<Option<StoredReply>>> {
+    fn acquire(&self, key: &str) -> Arc<Mutex<Option<Reply>>> {
         Arc::clone(
             self.gates
                 .lock()
@@ -232,7 +282,6 @@ struct GwShared {
     pool: Arc<BackendPool>,
     ids: Mutex<IdTable>,
     resolve_memo: ResolveMemo,
-    retry: RetryPolicy,
     sync_flight: SyncFlight,
     front: FrontHandle,
     started: Instant,
@@ -264,6 +313,15 @@ impl Router for GwShared {
 impl GwShared {
     fn is_shutting_down(&self) -> bool {
         self.front.is_draining()
+    }
+
+    /// The backend holding gateway job `gw_id` and the job's backend-local
+    /// id, or the 404 for an id this gateway never assigned (or evicted).
+    fn job(&self, gw_id: u64) -> Result<(&Backend, u64), Reply> {
+        let found = self.ids.lock().expect("id table").lookup(gw_id);
+        let (index, backend_id) =
+            found.ok_or_else(|| Reply::error(404, &format!("no such job: {gw_id}")))?;
+        Ok((&self.pool.backends()[index], backend_id))
     }
 
     /// The `GET /metrics` document: gateway counters, live reactor
@@ -318,7 +376,6 @@ impl Gateway {
                 pool: Arc::clone(&pool),
                 ids: Mutex::new(IdTable::default()),
                 resolve_memo: ResolveMemo::default(),
-                retry: RetryPolicy::new(FAILOVER_RETRY_BUDGET),
                 sync_flight: SyncFlight::default(),
                 front,
                 started: Instant::now(),
@@ -407,14 +464,21 @@ fn spawn_relay(
         });
 }
 
+/// The backend-bound work a request hands its relay thread.
+enum Relay {
+    Submit,
+    /// `GET /jobs/:id[/result]` or `DELETE /jobs/:id`: the gateway id and
+    /// the job sub-path (`""` or `"result"`).
+    Fetch(u64, &'static str),
+    Events(u64),
+}
+
 /// Classifies one request on a handler-pool thread. Control endpoints
 /// answer inline (they touch no backend and must stay responsive);
 /// everything that talks to a backend moves to a relay thread via
 /// [`spawn_relay`].
 fn route(shared: &Arc<GwShared>, request: Request, responder: Responder) {
-    let method = request.method.clone();
-    let path = request.path.clone();
-    match (method.as_str(), path.as_str()) {
+    let relay = match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/healthz") => {
             let healthy = shared
                 .pool
@@ -428,69 +492,38 @@ fn route(shared: &Arc<GwShared>, request: Request, responder: Responder) {
                 ("backends", Json::Num(shared.pool.backends().len() as f64)),
                 ("healthy", Json::Num(healthy as f64)),
             ]);
-            responder.respond(200, &[], body.serialize().as_bytes());
+            return responder.respond(200, &[], body.serialize().as_bytes());
         }
         ("GET", "/metrics") => {
             let body = shared.metrics_doc().to_json().serialize();
-            responder.respond(200, &[], body.as_bytes());
+            return responder.respond(200, &[], body.as_bytes());
         }
-        ("POST", "/jobs") => {
-            let shared2 = Arc::clone(shared);
-            spawn_relay(shared, responder, move |responder| {
-                handle_submit(&request, &shared2, responder);
-            });
-        }
-        _ => match request.job_path() {
-            Some((gw_id, tail @ ("" | "result"))) if method == "GET" => {
-                let tail = tail.to_string();
-                let shared2 = Arc::clone(shared);
-                spawn_relay(shared, responder, move |responder| {
-                    handle_job_fetch(&request, &shared2, gw_id, &tail, responder);
-                });
+        ("POST", "/jobs") => Relay::Submit,
+        (method, path) => match (method, request.job_path()) {
+            ("GET" | "DELETE", Some((gw_id, ""))) => Relay::Fetch(gw_id, ""),
+            ("GET", Some((gw_id, "result"))) => Relay::Fetch(gw_id, "result"),
+            ("GET", Some((gw_id, "events"))) => Relay::Events(gw_id),
+            (_, Some((_, "" | "result" | "events"))) => {
+                return responder.error(405, "method not allowed")
             }
-            Some((gw_id, "")) if method == "DELETE" => {
-                let shared2 = Arc::clone(shared);
-                spawn_relay(shared, responder, move |responder| {
-                    handle_job_fetch(&request, &shared2, gw_id, "", responder);
-                });
-            }
-            Some((gw_id, "events")) if method == "GET" => {
-                let shared2 = Arc::clone(shared);
-                spawn_relay(shared, responder, move |responder| {
-                    handle_events(&shared2, gw_id, responder);
-                });
-            }
-            Some((_, "" | "result" | "events")) => responder.error(405, "method not allowed"),
-            Some(_) | None => responder.error(404, &format!("no such endpoint: {method} {path}")),
+            _ => return responder.error(404, &format!("no such endpoint: {method} {path}")),
         },
-    }
+    };
+    let relay_shared = Arc::clone(shared);
+    spawn_relay(shared, responder, move |responder| {
+        let shared = &*relay_shared;
+        let reply = match relay {
+            Relay::Submit => handle_submit(&request, shared),
+            Relay::Fetch(gw_id, tail) => handle_job_fetch(&request, shared, gw_id, tail),
+            Relay::Events(gw_id) => return handle_events(shared, gw_id, responder),
+        };
+        reply.unwrap_or_else(|error| error).send(responder);
+    });
 }
 
-/// Relays `response` (status, `Retry-After` when present, body verbatim)
-/// to the gateway's caller.
-fn relay_verbatim(responder: Responder, response: &domino_serve::http::Response) {
-    let retry_after = response.header("retry-after").map(str::to_string);
-    let extra: Vec<(&str, &str)> = retry_after
-        .as_deref()
-        .map(|v| vec![("retry-after", v)])
-        .unwrap_or_default();
-    responder.respond(response.status, &extra, &response.body);
-}
-
-/// Replays a captured leader reply (status, optional `Retry-After`,
-/// verbatim body) to a caller.
-fn replay_stored(responder: Responder, reply: &StoredReply) {
-    let (status, retry_after, body) = reply;
-    let extra: Vec<(&str, &str)> = retry_after
-        .as_deref()
-        .map(|v| vec![("retry-after", v)])
-        .unwrap_or_default();
-    responder.respond(*status, &extra, body);
-}
-
-fn handle_submit(request: &Request, shared: &Arc<GwShared>, responder: Responder) {
+fn handle_submit(request: &Request, shared: &GwShared) -> Result<Reply, Reply> {
     if shared.is_shutting_down() {
-        return responder.error(503, "gateway is draining for shutdown");
+        return Err(Reply::error(503, "gateway is draining for shutdown"));
     }
     // Compute the routing key exactly as the backend will: decode the
     // body with the backends' own admission decode and take the job's
@@ -498,7 +531,7 @@ fn handle_submit(request: &Request, shared: &Arc<GwShared>, responder: Responder
     // backend would give.
     let key = match shared.resolve_memo.job_from_body(&request.body) {
         Ok(job) => job.cache_key().to_string(),
-        Err(e) => return responder.error(400, &e),
+        Err(e) => return Err(Reply::error(400, &e)),
     };
 
     // Only sync submissions coalesce at the gateway: their reply *is*
@@ -506,58 +539,40 @@ fn handle_submit(request: &Request, shared: &Arc<GwShared>, responder: Responder
     // Async duplicates each get their own id and dedupe one hop later,
     // at the backend engine's own in-flight gate.
     if !request.wants_wait() {
-        submit_routed(request, shared, &key, responder, None);
-        return;
+        return submit_routed(request, shared, &key);
     }
     let gate = shared.sync_flight.acquire(&key);
     let mut slot = gate.lock().unwrap_or_else(|p| p.into_inner());
-    match slot.clone() {
-        Some(reply) => {
+    let reply = match &*slot {
+        Some(stored) => {
             shared.coalesced.fetch_add(1, Ordering::Relaxed);
-            replay_stored(responder, &reply);
-            drop(slot);
-            shared.sync_flight.release(&key);
+            Ok(stored.clone())
         }
-        None => match submit_routed(request, shared, &key, responder, Some(&mut slot)) {
-            // Leader with a captured reply: unlock and release the gate
-            // first, then answer — see the gate-ordering note on
-            // [`SyncFlight`].
-            Some(deferred) => {
-                let stored = slot.clone();
-                drop(slot);
-                shared.sync_flight.release(&key);
-                if let Some(reply) = stored {
-                    replay_stored(deferred, &reply);
-                }
-            }
-            None => {
-                drop(slot);
-                shared.sync_flight.release(&key);
-            }
-        },
-    }
+        None => {
+            let reply = submit_routed(request, shared, &key);
+            // Only a backend's reply is stored: after a gateway error the
+            // next waiter leads a fresh attempt.
+            *slot = reply.as_ref().ok().cloned();
+            reply
+        }
+    };
+    // Unlock and release the gate before the reply goes out — see the
+    // gate-ordering note on [`SyncFlight`].
+    drop(slot);
+    shared.sync_flight.release(&key);
+    reply
 }
 
 /// The routing core of a submission: peer-warms the home cache, then
 /// walks the failover sequence under the retry budget and each
-/// backend's circuit breaker. A sync leader passes `capture` so its
-/// verbatim-relayed reply is stored for coalesced followers; when a
-/// reply was captured this *returns the responder unanswered* so the
-/// caller can release the coalescing gate before replying (see the
-/// ordering note on [`SyncFlight`]). On every other path the responder
-/// is answered here and `None` comes back.
-fn submit_routed(
-    request: &Request,
-    shared: &Arc<GwShared>,
-    key: &str,
-    responder: Responder,
-    mut capture: Option<&mut Option<StoredReply>>,
-) -> Option<Responder> {
+/// backend's circuit breaker. `Ok` is the backend's reply; `Err` the
+/// gateway's own error, which a coalescing leader never stores.
+fn submit_routed(request: &Request, shared: &GwShared, key: &str) -> Result<Reply, Reply> {
+    let backends = shared.pool.backends();
     let ranked = shared.pool.ranked(key);
     if ranked.is_empty() {
         shared.unroutable.fetch_add(1, Ordering::Relaxed);
-        responder.error(503, "no healthy backend");
-        return None;
+        return Err(Reply::error(503, "no healthy backend"));
     }
 
     // Cache peering: if the home is cold for this key but a peer is warm,
@@ -569,10 +584,11 @@ fn submit_routed(
     // costs the cold path at most the control timeout, never the data
     // plane's 30 s.
     if ranked.len() > 1 {
-        if let Ok(None) = ranked[0].control_client().cache_peek(key) {
-            for peer in &ranked[1..] {
-                if let Ok(Some(bytes)) = peer.control_client().cache_peek(key) {
-                    if ranked[0].control_client().cache_fill(key, &bytes).is_ok() {
+        let home = backends[ranked[0]].control_client();
+        if let Ok(None) = home.cache_peek(key) {
+            for &peer in &ranked[1..] {
+                if let Ok(Some(bytes)) = backends[peer].control_client().cache_peek(key) {
+                    if home.cache_fill(key, &bytes).is_ok() {
                         shared.peer_fills.fetch_add(1, Ordering::Relaxed);
                     }
                     break;
@@ -583,96 +599,65 @@ fn submit_routed(
 
     let target = request.target();
     let mut attempts: u32 = 0;
-    for backend in ranked.iter() {
+    for &index in &ranked {
+        let backend = &backends[index];
         // The retry budget bounds the walk; the breaker skips backends
         // that earned no more traffic (half-open admits one trial).
-        if attempts > shared.retry.budget {
+        if attempts > FAILOVER_RETRY_BUDGET {
             break;
         }
         if !backend.breaker_allows() {
             continue;
         }
         if attempts > 0 {
-            // Deterministic exponential backoff between failover hops:
-            // a same-instant thundering herd against the runner-up is
-            // exactly how one backend's crash topples the next.
-            std::thread::sleep(shared.retry.delay(attempts - 1, None));
+            // A growing pause between failover hops: a same-instant
+            // thundering herd against the runner-up is exactly how one
+            // backend's crash topples the next.
+            std::thread::sleep(FAILOVER_PAUSE * (1 << (attempts - 1)));
         }
-        let forwarded = if domino_failpoint::should_fire("fleet.gateway.relay") {
-            Err(ClientError::Unreachable(
-                "failpoint fired: fleet.gateway.relay".to_string(),
-            ))
-        } else {
-            backend
-                .client()
-                .forward("POST", &target, Some(&request.body))
-        };
         attempts += 1;
-        match forwarded {
-            // Connect refused: the prober will confirm, but routing must
-            // not wait for it — mark down and fail over now. Deterministic
-            // because the rendezvous order is.
-            Err(ClientError::Unreachable(_)) => {
-                backend.mark_down();
-                backend.record_failure();
-                continue;
+        let forwarded = backend.relay(|client| {
+            if domino_failpoint::should_fire("fleet.gateway.relay") {
+                let fired = "failpoint fired: fleet.gateway.relay".to_string();
+                return Err(ClientError::Unreachable(fired));
             }
+            client.forward("POST", &target, Some(&request.body))
+        });
+        let response = match forwarded {
+            Ok(response) => response,
+            // Connect refused: `relay` marked the backend down, so the
+            // prober must confirm recovery; fail over now. Deterministic
+            // because the rendezvous order is.
+            Err(ClientError::Unreachable(_)) => continue,
             // The request may have reached the backend; resending could
             // double-submit, so report instead of failing over.
             Err(e) => {
-                backend.record_failure();
-                responder.error(502, &format!("backend {}: {e}", backend.addr()));
-                return None;
+                let message = format!("backend {}: {e}", backend.addr());
+                return Err(Reply::error(502, &message));
             }
-            Ok(response) => {
-                backend.record_success();
-                shared.routed.fetch_add(1, Ordering::Relaxed);
-                if attempts > 1 {
-                    shared.failovers.fetch_add(1, Ordering::Relaxed);
-                }
-                if response.status == 429 {
-                    shared.rejected.fetch_add(1, Ordering::Relaxed);
-                }
-                // Sync submits answer with outcome bytes (or an error
-                // body) — no id to rewrite, relay verbatim. Async submits
-                // answer with a SubmitReply whose backend-local id must
-                // become a gateway id.
-                if request.wants_wait() || !(response.status == 200 || response.status == 202) {
-                    if let Some(slot) = capture.take() {
-                        *slot = Some((
-                            response.status,
-                            response.header("retry-after").map(str::to_string),
-                            response.body.clone(),
-                        ));
-                        return Some(responder);
-                    }
-                    relay_verbatim(responder, &response);
-                    return None;
-                }
-                let reply = response
-                    .text()
-                    .ok()
-                    .and_then(|t| parse(&t).ok())
-                    .and_then(|v| SubmitReply::from_json(&v).ok());
-                let Some(mut reply) = reply else {
-                    let message = format!("backend {} sent an undecodable reply", backend.addr());
-                    responder.error(502, &message);
-                    return None;
-                };
-                let gw_id = shared
-                    .ids
-                    .lock()
-                    .expect("id table")
-                    .assign(backend.addr(), reply.id);
-                reply.id = gw_id;
-                responder.respond(response.status, &[], reply.to_json().serialize().as_bytes());
-                return None;
-            }
+        };
+        shared.routed.fetch_add(1, Ordering::Relaxed);
+        if attempts > 1 {
+            shared.failovers.fetch_add(1, Ordering::Relaxed);
         }
+        if response.status == 429 {
+            shared.rejected.fetch_add(1, Ordering::Relaxed);
+        }
+        // Sync submits answer with outcome bytes (or an error body) — no
+        // id to rewrite, relay verbatim. Async submits answer with a
+        // SubmitReply whose backend-local id must become a gateway id.
+        if request.wants_wait() || !(response.status == 200 || response.status == 202) {
+            return Ok(Reply::verbatim(response));
+        }
+        let Some(mut reply) = decode(&response, SubmitReply::from_json) else {
+            let message = format!("backend {} sent an undecodable reply", backend.addr());
+            return Err(Reply::error(502, &message));
+        };
+        reply.id = shared.ids.lock().expect("id table").assign(index, reply.id);
+        return Ok(Reply::json(response.status, &reply.to_json()));
     }
     shared.unroutable.fetch_add(1, Ordering::Relaxed);
-    responder.error(503, "no healthy backend");
-    None
+    Err(Reply::error(503, "no healthy backend"))
 }
 
 /// Rebuilds the backend-side target for a job sub-path, preserving the
@@ -689,93 +674,48 @@ fn backend_target(backend_id: u64, tail: &str, request: &Request) -> String {
 
 /// `GET /jobs/:id[/result]` and `DELETE /jobs/:id`: forward to the job's
 /// backend, rewriting ids in protocol documents and relaying result
-/// bytes verbatim.
+/// bytes verbatim. Status lookups go to the job's backend even when it
+/// is marked unhealthy — the mark may be a transient probe failure.
 fn handle_job_fetch(
     request: &Request,
-    shared: &Arc<GwShared>,
+    shared: &GwShared,
     gw_id: u64,
     tail: &str,
-    responder: Responder,
-) {
-    let Some((addr, backend_id)) = shared.ids.lock().expect("id table").lookup(gw_id) else {
-        return responder.error(404, &format!("no such job: {gw_id}"));
-    };
-    // Status lookups go to the job's backend even when it is marked
-    // unhealthy — the mark may be a transient probe failure.
-    let Some(backend) = shared
-        .pool
-        .backends()
-        .iter()
-        .find(|b| b.addr() == addr)
-        .cloned()
-    else {
-        return responder.error(404, &format!("no such job: {gw_id}"));
-    };
+) -> Result<Reply, Reply> {
+    let (backend, backend_id) = shared.job(gw_id)?;
     let target = backend_target(backend_id, tail, request);
-    let response = match backend.client().forward(&request.method, &target, None) {
-        Ok(response) => {
-            backend.record_success();
-            response
-        }
-        Err(ClientError::Unreachable(e)) => {
-            backend.mark_down();
-            backend.record_failure();
-            return responder.error(502, &format!("backend {addr} unreachable: {e}"));
-        }
+    let addr = backend.addr();
+    let response = match backend.relay(|client| client.forward(&request.method, &target, None)) {
+        Ok(response) => response,
         Err(e) => {
-            backend.record_failure();
-            return responder.error(502, &format!("backend {addr}: {e}"));
+            let message = match e {
+                ClientError::Unreachable(e) => format!("backend {addr} unreachable: {e}"),
+                e => format!("backend {addr}: {e}"),
+            };
+            return Err(Reply::error(502, &message));
         }
     };
     // Result bytes (and error bodies) are relayed verbatim; status
     // documents get their id rewritten back to the gateway's.
     if tail == "result" || response.status != 200 {
-        return relay_verbatim(responder, &response);
+        return Ok(Reply::verbatim(response));
     }
-    let reply = response
-        .text()
-        .ok()
-        .and_then(|t| parse(&t).ok())
-        .and_then(|v| StatusReply::from_json(&v).ok());
-    let Some(mut reply) = reply else {
-        return responder.error(502, &format!("backend {addr} sent an undecodable reply"));
+    let Some(mut reply) = decode(&response, StatusReply::from_json) else {
+        let message = format!("backend {addr} sent an undecodable reply");
+        return Err(Reply::error(502, &message));
     };
     reply.id = gw_id;
-    responder.respond(200, &[], reply.to_json().serialize().as_bytes());
+    Ok(Reply::json(200, &reply.to_json()))
 }
 
 /// `GET /jobs/:id/events`: re-emits the backend's event stream with
 /// gateway ids. A status probe runs first so an unknown job answers 404
 /// instead of an empty 200 stream.
-fn handle_events(shared: &Arc<GwShared>, gw_id: u64, responder: Responder) {
-    let Some((addr, backend_id)) = shared.ids.lock().expect("id table").lookup(gw_id) else {
-        return responder.error(404, &format!("no such job: {gw_id}"));
+fn handle_events(shared: &GwShared, gw_id: u64, responder: Responder) {
+    let (backend, backend_id) = match probe_job(shared, gw_id) {
+        Ok(job) => job,
+        Err(reply) => return reply.send(responder),
     };
-    let Some(backend) = shared
-        .pool
-        .backends()
-        .iter()
-        .find(|b| b.addr() == addr)
-        .cloned()
-    else {
-        return responder.error(404, &format!("no such job: {gw_id}"));
-    };
-    match backend
-        .client()
-        .forward("GET", &format!("/jobs/{backend_id}"), None)
-    {
-        Ok(probe) if probe.status == 200 => backend.record_success(),
-        Ok(probe) => {
-            backend.record_success();
-            let body = probe.text().unwrap_or_default();
-            responder.respond(probe.status, &[], body.as_bytes());
-            return;
-        }
-        Err(e) => {
-            backend.record_failure();
-            return responder.error(502, &format!("backend {addr}: {e}"));
-        }
-    }
     let mut stream = responder.begin_stream(200);
     let mut relay_failed = false;
     let streamed = backend.client().events(backend_id, |event| {
@@ -804,6 +744,26 @@ fn handle_events(shared: &Arc<GwShared>, gw_id: u64, responder: Responder) {
     }
 }
 
+/// The events relay's status probe: the job's backend and backend-local
+/// id when that backend knows the job, else the caller's answer instead
+/// of a stream (the 404, the probe's own non-200 reply, or a 502).
+fn probe_job(shared: &GwShared, gw_id: u64) -> Result<(&Backend, u64), Reply> {
+    let (backend, backend_id) = shared.job(gw_id)?;
+    let target = format!("/jobs/{backend_id}");
+    let probe = match backend.relay(|client| client.forward("GET", &target, None)) {
+        Ok(probe) => probe,
+        Err(e) => {
+            let message = format!("backend {}: {e}", backend.addr());
+            return Err(Reply::error(502, &message));
+        }
+    };
+    if probe.status != 200 {
+        let body = probe.text().unwrap_or_default();
+        return Err(Reply::new(probe.status, body.into_bytes()));
+    }
+    Ok((backend, backend_id))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -811,10 +771,10 @@ mod tests {
     #[test]
     fn id_table_is_bounded_and_monotonic() {
         let mut table = IdTable::default();
-        let first = table.assign("b1", 1);
+        let first = table.assign(0, 1);
         assert_eq!(first, 1);
         for i in 0..(ID_TABLE_CAP as u64 + 10) {
-            table.assign("b1", i);
+            table.assign(0, i);
         }
         assert!(table.map.len() <= ID_TABLE_CAP);
         // The earliest mapping was evicted, the newest survives.

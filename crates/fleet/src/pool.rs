@@ -6,7 +6,8 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use domino_serve::{ServeClient, ShutdownHandle};
+use domino_serve::http::Response;
+use domino_serve::{ClientError, ServeClient, ShutdownHandle};
 
 use crate::hash;
 
@@ -87,9 +88,30 @@ impl Backend {
         self.healthy.load(Ordering::SeqCst)
     }
 
-    /// Routing-time demotion: a connect failure means the next probe
-    /// cycle must confirm recovery before this backend takes traffic.
-    pub fn mark_down(&self) {
+    /// Runs one relayed (data-plane) call on this backend's client and
+    /// records its outcome. A success — any HTTP status — resets the
+    /// failure streak and closes the breaker. A refused connection marks
+    /// the backend down, so the next probe cycle must confirm recovery
+    /// before it takes traffic again, and counts a failure. Any other
+    /// error counts a failure only.
+    pub(crate) fn relay(
+        &self,
+        call: impl FnOnce(&ServeClient) -> Result<Response, ClientError>,
+    ) -> Result<Response, ClientError> {
+        let outcome = call(&self.client);
+        match &outcome {
+            Ok(_) => self.record_success(),
+            Err(ClientError::Unreachable(_)) => {
+                self.mark_down();
+                self.record_failure();
+            }
+            Err(_) => self.record_failure(),
+        }
+        outcome
+    }
+
+    /// Demotes the backend until a probe succeeds again.
+    fn mark_down(&self) {
         if self.healthy.swap(false, Ordering::SeqCst) {
             self.downs.fetch_add(1, Ordering::Relaxed);
         }
@@ -100,29 +122,27 @@ impl Backend {
         self.downs.load(Ordering::Relaxed)
     }
 
-    /// A routed (data-plane) request against this backend failed.
-    /// [`BREAKER_TRIP_THRESHOLD`] consecutive failures trip the breaker
-    /// open; only a successful health probe re-arms it (half-open).
-    pub fn record_failure(&self) {
+    /// Counts one more consecutive failure: [`BREAKER_TRIP_THRESHOLD`] in
+    /// a row trip the breaker open; only a successful health probe
+    /// re-arms it (half-open).
+    fn record_failure(&self) {
         let failures = self.consecutive_failures.fetch_add(1, Ordering::SeqCst) + 1;
         if failures >= BREAKER_TRIP_THRESHOLD {
             self.breaker.store(BREAKER_OPEN, Ordering::SeqCst);
         }
     }
 
-    /// A routed (data-plane) request against this backend succeeded:
-    /// the failure streak resets and the breaker closes (this is how a
+    /// Resets the failure streak and closes the breaker (this is how a
     /// half-open trial graduates back to closed).
-    pub fn record_success(&self) {
+    fn record_success(&self) {
         self.consecutive_failures.store(0, Ordering::SeqCst);
         self.breaker.store(BREAKER_CLOSED, Ordering::SeqCst);
     }
 
     /// Whether the breaker admits a request right now. Closed always
     /// admits. Open never admits. Half-open admits exactly one caller —
-    /// the trial request — and reverts to open until that trial reports
-    /// via [`record_success`](Self::record_success) /
-    /// [`record_failure`](Self::record_failure).
+    /// the trial request — and reverts to open until that trial's relayed
+    /// outcome closes it again.
     pub fn breaker_allows(&self) -> bool {
         match self.breaker.load(Ordering::SeqCst) {
             BREAKER_CLOSED => true,
@@ -197,15 +217,16 @@ impl BackendPool {
         &self.backends
     }
 
-    /// The *eligible* backends in rendezvous order for `key`: healthy,
-    /// breaker not open; index 0 is the key's home, the rest the
-    /// deterministic failover sequence.
+    /// The *eligible* backends in rendezvous order for `key`, as indices
+    /// into [`backends`](Self::backends): healthy, breaker not open; the
+    /// first is the key's home, the rest the deterministic failover
+    /// sequence.
     ///
     /// Fail-open: when *every* backend is filtered out (a probe blackout
     /// marks the whole fleet down at once), the full membership is
     /// ranked instead — the data plane keeps trying real connections
     /// rather than rejecting all traffic on control-plane evidence alone.
-    pub fn ranked(&self, key: &str) -> Vec<Arc<Backend>> {
+    pub fn ranked(&self, key: &str) -> Vec<usize> {
         let mut names: Vec<&str> = self
             .backends
             .iter()
@@ -217,7 +238,7 @@ impl BackendPool {
         }
         hash::rank(&names, key)
             .into_iter()
-            .filter_map(|addr| self.backends.iter().find(|b| b.addr() == addr).cloned())
+            .filter_map(|addr| self.backends.iter().position(|b| b.addr() == addr))
             .collect()
     }
 
@@ -282,15 +303,16 @@ mod tests {
 
         // Knock out the key's home: the runner-up becomes the home and
         // the down backend vanishes from the ranking entirely.
-        full[0].mark_down();
-        assert_eq!(full[0].down_transitions(), 1);
+        let home = &pool.backends()[full[0]];
+        home.mark_down();
+        assert_eq!(home.down_transitions(), 1);
         let rerouted = pool.ranked(key);
         assert_eq!(rerouted.len(), 2);
-        assert_eq!(rerouted[0].addr(), full[1].addr());
+        assert_eq!(rerouted[0], full[1]);
 
         // Double demotion counts once per healthy → down transition.
-        full[0].mark_down();
-        assert_eq!(full[0].down_transitions(), 1);
+        home.mark_down();
+        assert_eq!(home.down_transitions(), 1);
     }
 
     #[test]
@@ -346,11 +368,11 @@ mod tests {
         let key = "deadbeefdeadbeefdeadbeefdeadbeef";
         let full = pool.ranked(key);
         for _ in 0..BREAKER_TRIP_THRESHOLD {
-            full[0].record_failure();
+            pool.backends()[full[0]].record_failure();
         }
         let rerouted = pool.ranked(key);
         assert_eq!(rerouted.len(), 1);
-        assert_eq!(rerouted[0].addr(), full[1].addr());
+        assert_eq!(rerouted[0], full[1]);
     }
 
     #[test]

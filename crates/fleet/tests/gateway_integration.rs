@@ -11,7 +11,9 @@
 //! * **backpressure propagation** — a backend's `429` + `Retry-After`
 //!   reaches the gateway's caller verbatim and is never failed over;
 //! * **id scoping** — callers only ever see gateway-assigned ids, across
-//!   submit, status, result, cancel and the event stream.
+//!   submit, status, result, cancel and the event stream;
+//! * **relay failures** — a refused connection on any relay marks the
+//!   backend down, and a failed sync leader leaves nothing to replay.
 
 use std::sync::Arc;
 
@@ -519,6 +521,152 @@ fn truncated_backend_event_stream_is_not_forged_complete() {
         Err(ClientError::Io(_)) => {}
         other => panic!("a truncated backend stream must surface as an I/O error, got {other:?}"),
     }
+    gateway.shutdown();
+    fake.shutdown();
+    reactor
+        .join()
+        .expect("fake backend reactor")
+        .expect("fake backend runs");
+}
+
+/// The events relay marks a backend down when its status probe's
+/// connection is refused, like the submit and fetch relays: the caller
+/// gets a 502, and `/metrics` shows the backend unhealthy before any
+/// health probe could have run.
+#[test]
+fn events_relay_marks_a_refusing_backend_down() {
+    let (backend_a, addr_a) = start_backend(None);
+    let (backend_b, addr_b) = start_backend(None);
+    let mut base = public_specs().swap_remove(0);
+    base.sim.cycles = 256;
+    let spec = spec_homed_on(&base, &[addr_a.as_str(), addr_b.as_str()], &addr_b);
+
+    // A day-long probe interval: only the relay can notice the death.
+    let gateway = Gateway::start(GatewayConfig {
+        addr: "127.0.0.1:0".into(),
+        backends: vec![addr_a.clone(), addr_b.clone()],
+        probe_interval: std::time::Duration::from_secs(86_400),
+        front: FrontConfig {
+            idle_timeout_ms: 1_000,
+            ..FrontConfig::default()
+        },
+    })
+    .expect("gateway binds");
+    let client = ServeClient::new(gateway.addr().to_string());
+    let id = client.submit(&spec).expect("admitted on B").id;
+    backend_b.shutdown();
+
+    match client.events(id, |_| {}) {
+        Err(ClientError::Api {
+            status: 502, error, ..
+        }) => assert!(error.contains(&addr_b), "{error}"),
+        other => panic!("expected a 502 from the events relay, got {other:?}"),
+    }
+    let metrics = gateway_metrics(&client);
+    let health = |addr: &str| {
+        let entry = metrics.backends.iter().find(|b| b.addr == addr);
+        entry.expect("backend is listed").clone()
+    };
+    assert!(!health(&addr_b).healthy, "the relay marked B down");
+    assert_eq!(health(&addr_b).down_transitions, 1);
+    assert!(health(&addr_a).healthy, "A is untouched");
+
+    gateway.shutdown();
+    backend_a.shutdown();
+}
+
+/// A sync leader whose backend exchange fails stores nothing: its caller
+/// gets the 502, and the duplicate blocked on the gate leads a fresh
+/// round trip instead of replaying the failure. The scripted backend
+/// holds the first `POST /jobs` for 0.5 s, then aborts it before a
+/// complete answer; the second gets a 200.
+#[test]
+fn failed_sync_leader_stores_nothing_and_the_duplicate_leads_again() {
+    use domino_serve::front::{HttpFront, Responder};
+    use domino_serve::http::Request;
+    use std::net::TcpListener;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::time::Duration;
+
+    const OUTCOME: &str = "{\"name\":\"fake\",\"round_trip\":2}";
+    let listener = TcpListener::bind("127.0.0.1:0").expect("fake backend binds");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let front = HttpFront::bind(
+        listener,
+        "fake-backend",
+        FrontConfig {
+            max_connections: 64,
+            ..FrontConfig::default()
+        },
+    )
+    .expect("fake backend front");
+    let fake = front.handle();
+    let (leader_arrived, leader_at_backend) = std::sync::mpsc::channel();
+    let posts = Arc::new(AtomicUsize::new(0));
+    let leader_failed = Arc::new(AtomicBool::new(false));
+    // Whether the leader's exchange had already failed when the second
+    // `POST /jobs` arrived, i.e. whether the gate serialized the two.
+    let second_after_failure = Arc::new(AtomicBool::new(false));
+    let reactor = {
+        let (posts, leader_failed, second_after_failure) = (
+            Arc::clone(&posts),
+            Arc::clone(&leader_failed),
+            Arc::clone(&second_after_failure),
+        );
+        std::thread::spawn(move || {
+            front.run(Arc::new(move |request: Request, responder: Responder| {
+                match (request.method.as_str(), request.path.as_str()) {
+                    ("POST", "/jobs") if posts.fetch_add(1, Ordering::SeqCst) == 0 => {
+                        leader_arrived
+                            .send(())
+                            .expect("the test waits for the leader");
+                        std::thread::sleep(Duration::from_millis(500));
+                        leader_failed.store(true, Ordering::SeqCst);
+                        // An unfinished stream aborts the connection.
+                        drop(responder.begin_stream(200));
+                    }
+                    ("POST", "/jobs") => {
+                        second_after_failure
+                            .store(leader_failed.load(Ordering::SeqCst), Ordering::SeqCst);
+                        responder.respond(200, &[], OUTCOME.as_bytes());
+                    }
+                    // Health probes and anything else.
+                    _ => responder.respond(200, &[], b"{\"status\":\"ok\"}"),
+                }
+            }))
+        })
+    };
+
+    let (gateway, client) = start_gateway(vec![addr.clone()]);
+    let spec = public_specs().swap_remove(0);
+    let leader = {
+        let (client, spec) = (client.clone(), spec.clone());
+        std::thread::spawn(move || client.run_sync(&spec))
+    };
+    // The duplicate goes out while the backend holds the leader's exchange.
+    leader_at_backend
+        .recv()
+        .expect("the leader reaches the backend");
+    let duplicate = client.run_sync(&spec);
+
+    match leader.join().expect("leader thread") {
+        Err(ClientError::Api {
+            status: 502, error, ..
+        }) => assert!(error.contains(&addr), "{error}"),
+        other => panic!("expected the failed leader's 502, got {other:?}"),
+    }
+    assert_eq!(duplicate.expect("the duplicate leads again"), OUTCOME);
+    assert_eq!(posts.load(Ordering::SeqCst), 2, "one round trip each");
+    assert!(
+        second_after_failure.load(Ordering::SeqCst),
+        "the duplicate waited on the gate for the leader's failure"
+    );
+    assert_eq!(
+        gateway_metrics(&client).coalesced,
+        0,
+        "nothing was replayed"
+    );
+
     gateway.shutdown();
     fake.shutdown();
     reactor

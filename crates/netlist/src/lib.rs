@@ -16,8 +16,7 @@
 //!   ([`Network::eval_comb`], [`SequentialState`])
 //! * light technology-independent optimization: constant folding, double
 //!   negation removal, structural hashing ([`optimize`])
-//! * BLIF reading/writing ([`parse_blif`], [`write_blif`]) and Graphviz DOT
-//!   export ([`to_dot`])
+//! * BLIF reading/writing ([`parse_blif`], [`write_blif`])
 //! * summary statistics ([`NetworkStats`])
 //! * a stable structural digest for content-addressed result caching
 //!   ([`Network::structural_digest`])
@@ -46,7 +45,6 @@
 
 mod blif;
 mod digest;
-mod dot;
 mod error;
 mod eval;
 mod network;
@@ -56,7 +54,6 @@ mod stats;
 mod traversal;
 
 pub use blif::{parse_blif, parse_blif_path, parse_blif_reader, write_blif};
-pub use dot::to_dot;
 pub use error::NetlistError;
 pub use eval::SequentialState;
 pub use network::{Network, NodeId, Output};

@@ -46,12 +46,6 @@ impl NodeKind {
     pub fn is_gate(self) -> bool {
         matches!(self, NodeKind::And | NodeKind::Or | NodeKind::Not)
     }
-
-    /// `true` if this node is a source of the combinational DAG (inputs,
-    /// constants and latch outputs).
-    pub fn is_comb_source(self) -> bool {
-        !self.is_gate()
-    }
 }
 
 /// A single node of a [`Network`](crate::Network): its kind, fanins and
@@ -91,8 +85,6 @@ mod tests {
         assert!(NodeKind::Not.is_gate());
         assert!(!NodeKind::Input.is_gate());
         assert!(!NodeKind::Latch { init: false }.is_gate());
-        assert!(NodeKind::Latch { init: true }.is_comb_source());
-        assert!(NodeKind::Constant(true).is_comb_source());
     }
 
     #[test]

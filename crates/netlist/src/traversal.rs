@@ -73,21 +73,6 @@ impl Network {
         out
     }
 
-    /// Like [`Network::fanouts`] but also counting latch data edges and
-    /// primary outputs as one fanout each. Used by fanout-cone heuristics.
-    pub fn fanout_degrees(&self) -> Vec<usize> {
-        let mut deg = vec![0usize; self.len()];
-        for id in self.node_ids() {
-            for &f in &self.node(id).fanins {
-                deg[f.index()] += 1;
-            }
-        }
-        for o in self.outputs() {
-            deg[o.driver.index()] += 1;
-        }
-        deg
-    }
-
     /// Transitive fanin cone of `root` through combinational edges,
     /// *including* `root` itself and the sources (inputs/constants/latch
     /// outputs) it reaches. This is the set `D_i` of the paper's cost
@@ -283,19 +268,5 @@ mod tests {
         assert!(dn.contains(&dead));
         assert!(!dn.contains(&live));
         assert!(!dn.contains(&a));
-    }
-
-    #[test]
-    fn fanout_degrees_count_outputs_and_latches() {
-        let mut net = Network::new("t");
-        let a = net.add_input("a").unwrap();
-        let q = net.add_latch(false);
-        let g = net.add_or([a, q]).unwrap();
-        net.set_latch_data(q, g).unwrap();
-        net.add_output("f", g).unwrap();
-        let deg = net.fanout_degrees();
-        // g feeds the latch data and the primary output.
-        assert_eq!(deg[g.index()], 2);
-        assert_eq!(deg[a.index()], 1);
     }
 }

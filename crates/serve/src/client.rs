@@ -66,66 +66,6 @@ impl fmt::Display for ClientError {
 
 impl std::error::Error for ClientError {}
 
-/// A retry budget with exponential backoff and *deterministic* jitter —
-/// the pacing of the gateway's failover hops. The delay before retry `n`
-/// is a pure function of `(seed, n)`, so a chaos run that failed over its
-/// way to recovery replays the exact same schedule under the same seed. A
-/// server-sent `Retry-After` overrides the computed backoff — explicit
-/// backpressure knows better than a guess.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Additional attempts after the first (0 = never retry).
-    pub budget: u32,
-    /// Backoff before the first retry; doubles each retry.
-    pub base_delay: Duration,
-    /// Ceiling for the computed (jittered) backoff. `Retry-After` is
-    /// honored even beyond it.
-    pub max_delay: Duration,
-    /// Jitter seed; same seed ⇒ same delays.
-    pub seed: u64,
-}
-
-impl RetryPolicy {
-    /// A policy with `budget` retries and the default 50 ms → 2 s
-    /// exponential window, seed 0.
-    pub fn new(budget: u32) -> Self {
-        RetryPolicy {
-            budget,
-            base_delay: Duration::from_millis(50),
-            max_delay: Duration::from_secs(2),
-            seed: 0,
-        }
-    }
-
-    /// The delay before retry `attempt` (0-based): "equal jitter" over an
-    /// exponential window — half the window guaranteed, half jittered by
-    /// a splitmix64 of `(seed, attempt)`. When the failed attempt carried
-    /// a `Retry-After`, that wins verbatim.
-    pub fn delay(&self, attempt: u32, retry_after: Option<u64>) -> Duration {
-        if let Some(secs) = retry_after {
-            return Duration::from_secs(secs);
-        }
-        let window = self
-            .base_delay
-            .saturating_mul(1u32 << attempt.min(16))
-            .min(self.max_delay);
-        let half = window / 2;
-        let jitter_ns = match half.as_nanos() as u64 {
-            0 => 0,
-            span => splitmix64(self.seed ^ u64::from(attempt).wrapping_mul(0x9e37)) % (span + 1),
-        };
-        half + Duration::from_nanos(jitter_ns)
-    }
-}
-
-/// splitmix64 finalizer — the workspace's stock deterministic mixer.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 /// A `dominod` client bound to one server address.
 ///
 /// Cloning shares the connection pool: clones of one client reuse the
@@ -745,40 +685,6 @@ mod tests {
         let err = client.forward("POST", "/jobs", Some(b"{}")).unwrap_err();
         assert!(matches!(err, ClientError::Io(_)), "got {err:?}");
         server.join().unwrap();
-    }
-
-    /// The backoff schedule is a pure function of (seed, attempt): same
-    /// inputs, same delays — a chaos run's timing reproduces exactly.
-    #[test]
-    fn retry_policy_delays_are_deterministic_and_honor_retry_after() {
-        let policy = RetryPolicy {
-            seed: 42,
-            ..RetryPolicy::new(3)
-        };
-        for attempt in 0..4 {
-            assert_eq!(
-                policy.delay(attempt, None),
-                policy.delay(attempt, None),
-                "replaying attempt {attempt} gives the same delay"
-            );
-        }
-        // Equal jitter: each delay lands in the upper half of its
-        // exponentially growing window.
-        let first = policy.delay(0, None);
-        assert!(first >= Duration::from_millis(25) && first <= Duration::from_millis(50));
-        let third = policy.delay(2, None);
-        assert!(third >= Duration::from_millis(100) && third <= Duration::from_millis(200));
-        // The computed backoff never exceeds its ceiling, however deep
-        // the attempt counter gets.
-        assert!(policy.delay(30, None) <= policy.max_delay);
-        // Explicit server backpressure wins verbatim over the schedule.
-        assert_eq!(policy.delay(5, Some(7)), Duration::from_secs(7));
-        // The seed actually feeds the jitter.
-        let seeded = |seed| RetryPolicy {
-            seed,
-            ..RetryPolicy::new(3)
-        };
-        assert_ne!(seeded(1).delay(0, None), seeded(2).delay(0, None));
     }
 
     /// Idempotent requests retry on ANY pooled failure — including the

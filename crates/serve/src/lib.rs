@@ -61,12 +61,11 @@ mod registry;
 mod server;
 pub mod service;
 
-pub use client::{ClientBuilder, ClientError, RetryPolicy, ServeClient};
+pub use client::{ClientBuilder, ClientError, ServeClient};
 pub use config::{ArgTable, ParsedArgs, DEFAULT_MAX_CONNECTIONS};
 pub use protocol::{
-    CacheCounters, ErrorReply, EventKind, EventRecord, FailpointCounter, JobStatus, MetricsDoc,
-    MetricsReply, ReactorCounters, StatusReply, SubmitReply,
+    CacheCounters, ErrorReply, EventKind, EventRecord, FailpointCounter, JobStatus, MetricsReply,
+    ReactorCounters, StatusReply, SubmitReply,
 };
-pub use registry::{AdmitError, Registry, RETAINED_TERMINAL_JOBS};
 pub use server::{ResolveMemo, ServeConfig, Server, DEFAULT_PORT};
 pub use service::{daemon_main, ShutdownHandle};

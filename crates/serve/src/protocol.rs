@@ -779,76 +779,6 @@ impl GatewayMetricsDoc {
     }
 }
 
-/// A `/metrics` document of either flavor: `dominod`'s server sections
-/// (queue/cache/reactor/failpoints) or `dominogw`'s gateway sections
-/// (routing counters/backends/reactor/failpoints). One entry point for
-/// tools — the bench harness, `dominoc` — that scrape either server kind
-/// without knowing in advance which they are talking to.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MetricsDoc {
-    /// The `dominod` sections, when the document came from a backend.
-    pub server: Option<MetricsReply>,
-    /// The `dominogw` sections, when the document came from a gateway.
-    pub gateway: Option<GatewayMetricsDoc>,
-}
-
-impl MetricsDoc {
-    /// Wraps a server-flavor document.
-    pub fn server(reply: MetricsReply) -> Self {
-        MetricsDoc {
-            server: Some(reply),
-            gateway: None,
-        }
-    }
-
-    /// Wraps a gateway-flavor document.
-    pub fn gateway(doc: GatewayMetricsDoc) -> Self {
-        MetricsDoc {
-            server: None,
-            gateway: Some(doc),
-        }
-    }
-
-    /// Reactor counters from whichever flavor is present.
-    pub fn reactor(&self) -> Option<ReactorCounters> {
-        self.server
-            .as_ref()
-            .and_then(|s| s.reactor)
-            .or_else(|| self.gateway.as_ref().and_then(|g| g.reactor))
-    }
-
-    /// Serializes the present flavor to its wire JSON (an empty object
-    /// when neither section is set).
-    pub fn to_json(&self) -> Json {
-        if let Some(server) = &self.server {
-            server.to_json()
-        } else if let Some(gateway) = &self.gateway {
-            gateway.to_json()
-        } else {
-            Json::obj(Vec::new())
-        }
-    }
-
-    /// Parses either flavor, detected by its signature fields: gateway
-    /// documents carry `routed`, server documents `queue_depth`.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::Spec`] when the document matches neither flavor or
-    /// a required field of the detected flavor is missing.
-    pub fn from_json(v: &Json) -> Result<Self, EngineError> {
-        if v.get("routed").is_some() {
-            return Ok(MetricsDoc::gateway(GatewayMetricsDoc::from_json(v)?));
-        }
-        if v.get("queue_depth").is_some() {
-            return Ok(MetricsDoc::server(MetricsReply::from_json(v)?));
-        }
-        Err(EngineError::Spec(
-            "not a metrics document: neither 'routed' nor 'queue_depth' present".to_string(),
-        ))
-    }
-}
-
 /// Error body sent with every non-2xx response.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ErrorReply {
@@ -1159,45 +1089,8 @@ mod tests {
             };
             let text = doc.to_json().serialize();
             let v = domino_engine::json::parse(&text).unwrap();
-            prop_assert_eq!(GatewayMetricsDoc::from_json(&v).unwrap(), doc.clone());
-            // Flavor detection routes the same bytes through MetricsDoc.
-            let unified = MetricsDoc::from_json(&v).unwrap();
-            prop_assert_eq!(unified.gateway, Some(doc));
-            prop_assert_eq!(unified.server, None);
+            prop_assert_eq!(GatewayMetricsDoc::from_json(&v).unwrap(), doc);
         }
-    }
-
-    #[test]
-    fn metrics_doc_detects_flavors_and_rejects_neither() {
-        let server = domino_engine::json::parse(
-            r#"{"queue_depth":0,"queue_capacity":4,"workers":1,"uptime_ms":9,
-                "submitted":0,"rejected":0,"completed":0,"failed":0,
-                "cancelled":0,"warm":0,"queue_wait_ms":0,"exec_ms":0}"#,
-        )
-        .unwrap();
-        let doc = MetricsDoc::from_json(&server).unwrap();
-        assert!(doc.server.is_some() && doc.gateway.is_none());
-        assert_eq!(doc.reactor(), None, "pre-reactor documents parse");
-
-        let gateway = domino_engine::json::parse(
-            r#"{"uptime_ms":9,"routed":3,"rejected":0,"failovers":1,
-                "peer_fills":0,"unroutable":0,
-                "reactor":{"open_connections":2,"accepts":5,"timeouts":1}}"#,
-        )
-        .unwrap();
-        let doc = MetricsDoc::from_json(&gateway).unwrap();
-        assert!(doc.gateway.is_some() && doc.server.is_none());
-        assert_eq!(
-            doc.reactor(),
-            Some(ReactorCounters {
-                open_connections: 2,
-                accepts: 5,
-                timeouts: 1
-            })
-        );
-
-        let neither = domino_engine::json::parse(r#"{"status":"ok"}"#).unwrap();
-        assert!(MetricsDoc::from_json(&neither).is_err());
     }
 
     #[test]

@@ -185,11 +185,6 @@ impl Registry {
         }
     }
 
-    /// The admission-queue capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
         self.inner.lock().expect("registry lock")
     }
@@ -453,11 +448,6 @@ impl Registry {
             .collect();
         let terminal = record.events.last().is_some_and(|e| e.kind.is_terminal());
         Some((fresh, terminal))
-    }
-
-    /// Jobs currently waiting in the queue.
-    pub fn queue_depth(&self) -> u64 {
-        self.lock().queue.len() as u64
     }
 
     /// Begins draining: no new admissions, workers finish the queue and

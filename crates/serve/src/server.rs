@@ -481,7 +481,7 @@ impl Shared {
     }
 }
 
-/// A running `dominod` instance: a worker pool over one [`Registry`],
+/// A running `dominod` instance: a worker pool over one job registry,
 /// routed by a [`Service`] shell.
 pub struct Server {
     service: Service,

@@ -60,18 +60,6 @@ impl VectorSource {
             .map(|&p| self.rng.gen_bool(p.clamp(0.0, 1.0)))
             .collect()
     }
-
-    /// Fills `out` with the next vector without allocating.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != self.width()`.
-    pub fn fill_next(&mut self, out: &mut [bool]) {
-        assert_eq!(out.len(), self.probs.len(), "vector width");
-        for (slot, &p) in out.iter_mut().zip(&self.probs) {
-            *slot = self.rng.gen_bool(p);
-        }
-    }
 }
 
 /// Number of independent simulation lanes packed into one `u64` word.
@@ -240,14 +228,6 @@ mod tests {
         let mut a = VectorSource::uniform(32, 1);
         let mut b = VectorSource::uniform(32, 2);
         assert_ne!(a.next_vector(), b.next_vector());
-    }
-
-    #[test]
-    fn fill_next_matches_width() {
-        let mut src = VectorSource::uniform(4, 3);
-        let mut buf = vec![false; 4];
-        src.fill_next(&mut buf);
-        assert_eq!(src.width(), 4);
     }
 
     #[test]

@@ -17,17 +17,6 @@ pub enum CellClass {
     Dff,
 }
 
-impl CellClass {
-    /// `true` for precharged (clocked) domino stages, which draw clock power
-    /// every cycle.
-    pub fn is_domino(self) -> bool {
-        matches!(
-            self,
-            CellClass::DominoAnd | CellClass::DominoOr | CellClass::DominoBuf
-        )
-    }
-}
-
 /// The cell library: electrical and timing parameters for every cell class,
 /// parameterized by fanin where applicable.
 ///
@@ -127,15 +116,5 @@ mod tests {
         let or_growth = lib.intrinsic_delay_ps(CellClass::DominoOr, 4)
             - lib.intrinsic_delay_ps(CellClass::DominoOr, 2);
         assert!(and_growth > or_growth);
-    }
-
-    #[test]
-    fn domino_classification() {
-        assert!(CellClass::DominoAnd.is_domino());
-        assert!(CellClass::DominoOr.is_domino());
-        assert!(CellClass::DominoBuf.is_domino());
-        assert!(!CellClass::InputInv.is_domino());
-        assert!(!CellClass::OutputInv.is_domino());
-        assert!(!CellClass::Dff.is_domino());
     }
 }
