@@ -445,11 +445,12 @@ fn spawn_relay(
 ) {
     if shared.relays.fetch_add(1, Ordering::SeqCst) >= RELAY_CAP {
         shared.relays.fetch_sub(1, Ordering::SeqCst);
-        let body = ErrorReply::new(format!("relay capacity reached: {RELAY_CAP} in flight"))
-            .to_json()
-            .serialize();
-        responder.respond(503, &[("retry-after", "1")], body.as_bytes());
-        return;
+        let message = format!("relay capacity reached: {RELAY_CAP} in flight");
+        let reply = Reply {
+            retry_after: Some("1".to_string()),
+            ..Reply::error(503, &message)
+        };
+        return reply.send(responder);
     }
     let slot = RelaySlot(Arc::clone(shared));
     // A failed spawn (thread exhaustion) consumes the closure, and the
