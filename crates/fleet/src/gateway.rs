@@ -266,13 +266,15 @@ impl SyncFlight {
         )
     }
 
-    fn release(&self, key: &str) {
+    /// Gives `gate` back and forgets the key's gate once no caller holds
+    /// it. The caller's reference drops under the map lock, so the last
+    /// holder always sees only the map's: a stored reply never outlives
+    /// the callers that were blocked on it.
+    fn release(&self, key: &str, gate: Arc<Mutex<Option<Reply>>>) {
         let mut gates = self.gates.lock().expect("sync flight");
-        if let Some(gate) = gates.get(key) {
-            // 2 = the map's reference + the caller's about-to-drop clone.
-            if Arc::strong_count(gate) <= 2 {
-                gates.remove(key);
-            }
+        drop(gate);
+        if gates.get(key).is_some_and(|g| Arc::strong_count(g) == 1) {
+            gates.remove(key);
         }
     }
 }
@@ -560,7 +562,7 @@ fn handle_submit(request: &Request, shared: &GwShared) -> Result<Reply, Reply> {
     // Unlock and release the gate before the reply goes out — see the
     // gate-ordering note on [`SyncFlight`].
     drop(slot);
-    shared.sync_flight.release(&key);
+    shared.sync_flight.release(&key, gate);
     reply
 }
 
@@ -782,6 +784,26 @@ mod tests {
         assert_eq!(table.lookup(first), None);
         let newest = table.next;
         assert!(table.lookup(newest).is_some());
+    }
+
+    #[test]
+    fn a_gate_is_forgotten_once_its_last_holder_releases() {
+        let flight = SyncFlight::default();
+        for leader_first in [true, false] {
+            let leader = flight.acquire("k");
+            let follower = flight.acquire("k");
+            *leader.lock().expect("gate") = Some(Reply::new(200, b"done".to_vec()));
+            let (first, second) = if leader_first {
+                (leader, follower)
+            } else {
+                (follower, leader)
+            };
+            flight.release("k", first);
+            assert!(flight.gates.lock().expect("map").contains_key("k"));
+            flight.release("k", second);
+            // A later, non-concurrent submission must lead, not replay.
+            assert!(flight.gates.lock().expect("map").is_empty());
+        }
     }
 
     #[test]
