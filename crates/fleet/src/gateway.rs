@@ -246,10 +246,11 @@ fn decode<T>(response: &Response, from_json: fn(&Json) -> Result<T, EngineError>
 /// that failed stores nothing, so the next waiter simply becomes the new
 /// leader and tries again.
 ///
-/// The leader releases the gate *before* its reply goes out: a client
-/// that reacts to the reply by re-submitting the same key must get a
-/// fresh backend round trip, never a replay off the not-yet-released
-/// gate. Only duplicates already blocked on the gate coalesce.
+/// Leader and followers alike release the gate *before* their reply goes
+/// out: a client that reacts to the reply by re-submitting the same key
+/// must get a fresh backend round trip, never a replay off the
+/// not-yet-released gate. Only duplicates already blocked on the gate
+/// coalesce.
 #[derive(Debug, Default)]
 struct SyncFlight {
     gates: Mutex<HashMap<String, Arc<Mutex<Option<Reply>>>>>,
