@@ -13,11 +13,11 @@
 //!   this harness *verifies* (hit-counter delta == request count) rather
 //!   than assumes.
 //!
-//! Clients use the synchronous `POST /jobs?wait=1` path — a dedicated
-//! connection per job, since a blocking request may pin a connection for
-//! as long as the job runs — so the warm numbers measure the true service
-//! floor (accept + parse + cache hit + respond) and the cold/warm ratio
-//! is an honest "what does the resident cache buy" statement.
+//! Clients use the synchronous `POST /jobs?wait=1` path, one round trip
+//! per job over each client's kept-alive connection, so the warm numbers
+//! measure the service floor (parse + cache hit + respond) and the
+//! cold/warm ratio is an honest "what does the resident cache buy"
+//! statement.
 //!
 //! Two extra warm arms isolate what HTTP keep-alive buys on the
 //! non-blocking wire: the same warm requests once over kept-alive
@@ -182,22 +182,20 @@ fn run_submit_wave(
             .iter()
             .map(|specs| {
                 scope.spawn(move || {
-                    let client = if reuse {
-                        ServeClient::new(addr.to_string())
-                    } else {
-                        ServeClient::builder(addr.to_string())
-                            .fresh_connections()
-                            .build()
-                    };
+                    let pooled = ServeClient::new(addr.to_string());
                     let lat: Vec<f64> = specs
                         .iter()
                         .map(|spec| {
+                            // A fresh client holds no idle connection, so
+                            // it pays one connect for its one request.
+                            let fresh = (!reuse).then(|| ServeClient::new(addr.to_string()));
+                            let client = fresh.as_ref().unwrap_or(&pooled);
                             let start = Instant::now();
                             client.submit(spec).expect("warm submit succeeds");
                             start.elapsed().as_secs_f64() * 1e3
                         })
                         .collect();
-                    (lat, client.connection_reuses())
+                    (lat, pooled.connection_reuses())
                 })
             })
             .collect();
@@ -374,8 +372,7 @@ fn process_threads() -> u64 {
 
 /// Holds `config.connections` kept-alive connections open against one
 /// in-process server, serving a warm `POST /jobs` + `GET result` pair on
-/// each (the poolable wire path — a `?wait=1` request would get a
-/// dedicated, never-pooled connection by design) and byte-comparing
+/// each and byte-comparing
 /// every outcome, then — with all connections held — verifies the
 /// server's reactor counter sees them all and the process thread count
 /// stays bounded (connections cost sockets, not threads).
@@ -452,9 +449,7 @@ pub fn measure_connection_scale(config: &ConnectionScaleConfig) -> ConnectionSca
                 let mut held_clients = Vec::with_capacity(quota);
                 for _ in 0..quota {
                     // submit + result fetch ride the client's pooled
-                    // keep-alive connection (`?wait=1` would get a
-                    // dedicated, never-pooled connection by design), so
-                    // dropping neither request leaves the connection open
+                    // keep-alive connection, so the connection stays open
                     // and counted by the reactor while the client is held.
                     let client = ServeClient::new(addr.clone());
                     let admit = client.submit(spec).expect("warm submit admits");

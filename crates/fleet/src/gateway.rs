@@ -20,8 +20,11 @@
 //! * **Home**: the highest rendezvous score among healthy backends.
 //! * **Failover**: connect-refused ⇒ mark the backend down and try the
 //!   next backend in score order — deterministic, so every gateway
-//!   agrees. Only *connect* failures fail over; once a request has been
-//!   sent, an error is reported (a blind resend could double-submit).
+//!   agrees. A kept-alive connection that closes before any response
+//!   byte is retried once on a fresh one, so a backend that died mid job
+//!   fails over when that connect is refused. Any other failure after
+//!   the request was sent is reported (a blind resend could
+//!   double-submit).
 //! * **Backpressure**: a backend's `429` is propagated verbatim (with
 //!   `Retry-After`) and never failed over — a full home queue means the
 //!   fleet should slow down, not migrate load away from the key's cache.
@@ -456,10 +459,10 @@ fn spawn_relay(
         return reply.send(responder);
     }
     let slot = RelaySlot(Arc::clone(shared));
-    // A failed spawn (thread exhaustion) consumes the closure, and the
-    // responder with it: the client's connection closes at its idle
-    // timeout. There is no better answer once the OS refuses threads —
-    // the cap above keeps the gateway far from that cliff.
+    // A failed spawn (thread exhaustion) drops the closure, and the
+    // responder with it, which answers 500 and closes the connection.
+    // There is no better answer once the OS refuses threads — the cap
+    // above keeps the gateway far from that cliff.
     let _ = std::thread::Builder::new()
         .name("dominogw-relay".into())
         .spawn(move || {

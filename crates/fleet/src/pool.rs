@@ -48,10 +48,8 @@ pub struct Backend {
 
 impl Backend {
     fn new(addr: String) -> Self {
-        let client = ServeClient::builder(addr.clone()).build();
-        let control_client = ServeClient::builder(addr.clone())
-            .io_timeout(CONTROL_IO_TIMEOUT)
-            .build();
+        let client = ServeClient::new(addr.clone());
+        let control_client = ServeClient::with_io_timeout(addr.clone(), CONTROL_IO_TIMEOUT);
         Backend {
             addr,
             client,

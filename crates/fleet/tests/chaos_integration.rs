@@ -11,7 +11,8 @@
 //! * **fail-open routing** — a probe blackout (every probe failing by
 //!   injection) must not take down the data plane;
 //! * **deterministic failover** — an injected relay fault fails over to
-//!   the rendezvous runner-up with identical bytes;
+//!   the rendezvous runner-up with identical bytes, and so does a backend
+//!   that dies mid sync job on a kept-alive relay connection;
 //! * **fault surfacing** — a `once` schedule fires exactly once and the
 //!   fleet is clean afterwards, with hit counts visible in `/metrics`.
 //!
@@ -425,6 +426,52 @@ fn relay_fault_fails_over_byte_identical() {
     let again = client.run_sync(&spec).expect("clean run");
     assert_eq!(again, expected);
     assert_eq!(gateway_metrics(&client).failovers, 1);
+}
+
+/// A backend that dies mid sync job on a pooled relay connection is
+/// failed over like one that refuses: the gateway's pooled exchange sees
+/// a close before any response byte, retries on a fresh connection, is
+/// refused, and the runner-up answers with identical bytes.
+#[test]
+fn backend_death_mid_sync_job_on_a_pooled_relay_fails_over() {
+    let dir_a = temp_dir("pooled-death-a");
+    let dir_b = temp_dir("pooled-death-b");
+    // A's second cache write kills it.
+    let (backend_a, addr_a) =
+        spawn_backend(&dir_a, Some(("engine.cache.crash_rename=after(1)", 0)));
+    let (_backend_b, addr_b) = spawn_backend(&dir_b, None);
+    let backends = [addr_a.as_str(), addr_b.as_str()];
+    let homed_on_a: Vec<(JobSpec, String)> = (0..)
+        .map(|i| chaos_spec(432 + 8 * i))
+        .filter(|spec| {
+            let job = spec.clone().resolve().expect("spec resolves");
+            domino_fleet::hash::rank(&backends, job.cache_key())[0] == addr_a
+        })
+        .take(2)
+        .map(|spec| {
+            let expected = local_outcome_json(&spec);
+            (spec, expected)
+        })
+        .collect();
+    let (_gateway, gw_addr) = spawn_gateway(&[addr_a.clone(), addr_b.clone()], None, 100);
+    let client = ServeClient::new(gw_addr);
+
+    // The first job completes on A and leaves the gateway a kept-alive
+    // connection to A; the second kills A during its cache write.
+    for (spec, expected) in &homed_on_a {
+        let got = client.run_sync(spec).expect("the job is answered");
+        assert_eq!(&got, expected, "byte-identical to a local run");
+    }
+    assert_eq!(
+        gateway_metrics(&client).failovers,
+        1,
+        "the second failed over"
+    );
+    assert_eq!(
+        backend_a.wait_code(),
+        Some(CRASH_RENAME_EXIT),
+        "the injected crash killed A"
+    );
 }
 
 /// A `once` schedule at a backend's connection-read boundary fires

@@ -236,7 +236,7 @@ impl Options {
     }
 
     fn client(&self) -> ServeClient {
-        ServeClient::builder(self.server.clone()).build()
+        ServeClient::new(self.server.clone())
     }
 
     /// The single circuit spec for `run`/`submit`: a BLIF path or a suite

@@ -2,21 +2,27 @@
 //! `dominoc` subcommands, the `dominogw` gateway, the integration tests
 //! and the load harness.
 //!
-//! By default the client keeps one connection alive and reuses it across
-//! requests (`Connection: keep-alive`), falling back transparently to a
-//! fresh connection when the pooled one has gone stale — a server may
-//! close an idle connection at any time, and the retry makes that
-//! invisible to callers. The retry fires only when the request provably
-//! never reached the server (the write failed, or the server closed
-//! before sending any response byte); a failure after that — a read
-//! timeout, a reset mid-response — is surfaced as an error, because the
-//! server may already be processing the request and a blind resend could
-//! double-submit a job. Blocking requests (`?wait=1`/`?wait=true`
-//! anywhere in the query string, event streams) always use a dedicated
-//! single-request connection so an arbitrarily-long job cannot pin the
-//! pooled one. Connection failures are distinguished from job failures
-//! so the CLI can exit with distinct codes: a refused/unreachable server
-//! is [`ClientError::Unreachable`], a job that ran and failed is
+//! Every exchange, long-polls included, takes an idle kept-alive
+//! connection from a small per-client stack or connects, and puts the
+//! connection back when the reply keeps it alive. The read timeout
+//! belongs to the exchange, not the connection: a long-poll
+//! (`?wait=1`/`?wait=true` anywhere in the query string) waits as long
+//! as its job queues and runs, so it has none; every other exchange has
+//! the client's I/O timeout, or 30 s by default, so a wedged server
+//! cannot hang the caller.
+//!
+//! A server may close an idle connection at any time, so a pooled
+//! connection that has gone stale is replaced by a fresh one — but only
+//! when the server cannot have answered the request (the write failed,
+//! or the server closed before sending any response byte) or the method
+//! is idempotent (GET, DELETE). A failure after that — a read timeout, a
+//! reset mid-response — is surfaced as an error, because the server may
+//! still be processing the request and a blind resend could
+//! double-submit a job. Event streams take a fresh connection of their
+//! own, which the server closes when the stream ends. Connection
+//! failures are distinguished from job failures so the CLI can exit with
+//! distinct codes: a refused/unreachable server is
+//! [`ClientError::Unreachable`], a job that ran and failed is
 //! [`ClientError::Api`].
 
 use std::fmt;
@@ -68,98 +74,62 @@ impl std::error::Error for ClientError {}
 
 /// A `dominod` client bound to one server address.
 ///
-/// Cloning shares the connection pool: clones of one client reuse the
-/// same kept-alive connection (one at a time; concurrent requests that
-/// find the pool busy open their own connection and the winner repools).
+/// Cloning shares the idle connections: concurrent exchanges on clones
+/// of one client each take an idle connection or open their own, and
+/// each puts its connection back afterwards.
 #[derive(Debug, Clone)]
 pub struct ServeClient {
     addr: String,
-    reuse: bool,
-    /// When set, bounds connect, reads and writes — control-plane
-    /// clients (probes, cache peering) use this so a half-up peer
-    /// cannot stall them for the default 30 s read timeout.
+    /// When set, bounds connect, writes and every read but a
+    /// long-poll's — control-plane clients (probes, cache peering) use
+    /// this so a half-up peer cannot stall them for the default 30 s read
+    /// timeout.
     io_timeout: Option<Duration>,
-    pool: Arc<Mutex<Option<HttpConnection>>>,
+    idle: Arc<Mutex<Vec<HttpConnection>>>,
     reuses: Arc<AtomicU64>,
 }
 
-/// Read timeout for immediate (non-blocking) requests on a default
-/// client; blocking requests (`?wait=1`, event streams) are untimed.
+/// Read timeout for an exchange that is not a long-poll, on a client
+/// without an I/O timeout.
 const DEFAULT_READ_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Builds a [`ServeClient`] from chainable options — the one place every
-/// client knob lives ([`ServeClient::new`] is the all-defaults shorthand):
-///
-/// ```
-/// use domino_serve::ServeClient;
-/// use std::time::Duration;
-///
-/// let probe = ServeClient::builder("127.0.0.1:7171")
-///     .io_timeout(Duration::from_secs(2))
-///     .build();
-/// assert_eq!(probe.addr(), "127.0.0.1:7171");
-/// ```
-#[derive(Debug, Clone)]
-pub struct ClientBuilder {
-    addr: String,
-    keep_alive: bool,
-    io_timeout: Option<Duration>,
-}
-
-impl ClientBuilder {
-    /// Starts a builder for the server at `addr` with the defaults of
-    /// [`ServeClient::new`]: keep-alive on, no I/O timeout.
-    pub fn new(addr: impl Into<String>) -> Self {
-        ClientBuilder {
-            addr: addr.into(),
-            keep_alive: true,
-            io_timeout: None,
-        }
-    }
-
-    /// Opens a fresh connection for every request instead of pooling a
-    /// kept-alive one — the pre-keep-alive wire behaviour, kept for
-    /// benchmarking the difference and for strict request isolation.
-    #[must_use]
-    pub fn fresh_connections(mut self) -> Self {
-        self.keep_alive = false;
-        self
-    }
-
-    /// Bounds connect, reads and writes by `timeout` — for control-plane
-    /// traffic (health probes, cache peek/fill peering) that must stay
-    /// fast even against a half-up peer that accepts TCP but never
-    /// answers. Blocking requests (`?wait=1`, event streams) are still
-    /// untimed on reads.
-    #[must_use]
-    pub fn io_timeout(mut self, timeout: Duration) -> Self {
-        self.io_timeout = Some(timeout);
-        self
-    }
-
-    /// The configured client.
-    pub fn build(self) -> ServeClient {
-        ServeClient {
-            addr: self.addr,
-            reuse: self.keep_alive,
-            io_timeout: self.io_timeout,
-            pool: Arc::new(Mutex::new(None)),
-            reuses: Arc::new(AtomicU64::new(0)),
-        }
-    }
-}
+/// Idle kept-alive connections one client and its clones keep; a
+/// connection put back on a full stack is closed. This covers the
+/// concurrency that shares one client: `fleet_probe` drives a gateway
+/// with 4 clients, so the gateway's client for one backend may carry 4
+/// relays at once, and `gateway_mix` carries 2 per backend.
+const IDLE_CONNECTIONS: usize = 8;
 
 impl ServeClient {
-    /// Starts a [`ClientBuilder`] for the server at `addr` (e.g.
-    /// `127.0.0.1:7171`) — the front door for configured clients.
-    pub fn builder(addr: impl Into<String>) -> ClientBuilder {
-        ClientBuilder::new(addr)
+    /// A client for the server at `addr` (e.g. `127.0.0.1:7171`) with no
+    /// I/O timeout: connect and writes are unbounded, and every read but
+    /// a long-poll's times out after 30 s.
+    pub fn new(addr: impl Into<String>) -> Self {
+        ServeClient {
+            addr: addr.into(),
+            io_timeout: None,
+            idle: Arc::default(),
+            reuses: Arc::default(),
+        }
     }
 
-    /// A keep-alive client for the server at `addr` with default options
-    /// — shorthand for `ServeClient::builder(addr).build()`.
-    pub fn new(addr: impl Into<String>) -> Self {
-        ClientBuilder::new(addr).build()
+    /// A client whose connect, writes and every read but a long-poll's
+    /// are bounded by `timeout` — for control-plane traffic (health
+    /// probes, cache peek/fill peering) that must stay fast even against
+    /// a half-up peer that accepts TCP but never answers.
+    ///
+    /// ```
+    /// use domino_serve::ServeClient;
+    /// use std::time::Duration;
+    ///
+    /// let probe = ServeClient::with_io_timeout("127.0.0.1:7171", Duration::from_secs(2));
+    /// assert_eq!(probe.addr(), "127.0.0.1:7171");
+    /// ```
+    pub fn with_io_timeout(addr: impl Into<String>, timeout: Duration) -> Self {
+        ServeClient {
+            io_timeout: Some(timeout),
+            ..ServeClient::new(addr)
+        }
     }
 
     /// The server address this client talks to.
@@ -173,12 +143,10 @@ impl ServeClient {
         self.reuses.load(Ordering::Relaxed)
     }
 
-    /// `blocking`: whether this request may legitimately wait on job
-    /// progress (long-polls, event streams, sync submits). Those get no
-    /// read timeout — the server sends nothing until the job is terminal,
-    /// and a job may queue and run for arbitrarily long — while immediate
-    /// requests keep a timeout so a wedged server cannot hang the CLI.
-    fn connect(&self, blocking: bool) -> Result<HttpConnection, ClientError> {
+    /// A fresh connection. The I/O timeout, if any, bounds the connect
+    /// and every write; the connection has no read timeout, because each
+    /// exchange sets its own.
+    fn connect(&self) -> Result<HttpConnection, ClientError> {
         let unreach =
             |e: &dyn fmt::Display| ClientError::Unreachable(format!("{}: {e}", self.addr));
         if domino_failpoint::should_fire("serve.client.connect") {
@@ -209,33 +177,10 @@ impl ServeClient {
                 })?
             }
         };
-        let timeout = if blocking {
-            None
-        } else {
-            Some(self.io_timeout.unwrap_or(DEFAULT_READ_TIMEOUT))
-        };
         stream
-            .set_read_timeout(timeout)
+            .set_write_timeout(self.io_timeout)
             .map_err(|e| ClientError::Io(e.to_string()))?;
-        if let Some(limit) = self.io_timeout {
-            stream
-                .set_write_timeout(Some(limit))
-                .map_err(|e| ClientError::Io(e.to_string()))?;
-        }
         Ok(HttpConnection::new(stream))
-    }
-
-    /// One request/response exchange on `conn`.
-    fn exchange(
-        &self,
-        conn: &mut HttpConnection,
-        method: &str,
-        path: &str,
-        body: Option<&[u8]>,
-        keep_alive: bool,
-    ) -> std::io::Result<Response> {
-        conn.write_request(&self.addr, method, path, body, keep_alive)?;
-        conn.read_response()
     }
 
     fn request(
@@ -257,32 +202,28 @@ impl ServeClient {
         path: &str,
         body: Option<&[u8]>,
     ) -> Result<Response, ClientError> {
-        // A `?wait=1` / `?wait=true` request blocks until the job is
-        // terminal; it gets a dedicated connection so it cannot pin the
-        // pooled one. Decided by the same query parsing as the server's
-        // `Request::wants_wait` — proxied targets (the gateway forwards
-        // its caller's target verbatim) may carry `wait` in any position
-        // and either spelling.
-        let blocking = crate::http::target_wants_wait(path);
-        if blocking || !self.reuse {
-            let mut conn = self.connect(blocking)?;
-            let response = self
-                .exchange(&mut conn, method, path, body, false)
-                .map_err(|e| ClientError::Io(e.to_string()))?;
-            return Ok(response);
-        }
-        // Keep-alive path: try the pooled connection first, retrying
-        // exactly once on a fresh connection when the pooled one has gone
-        // stale. For idempotent methods (GET/DELETE) any pooled failure
-        // is retried — re-asking is harmless. A non-idempotent request
-        // (`POST /jobs` admits a job) is retried only when it provably
-        // never reached the server's handler:
+        // A long-poll blocks until its job is terminal, so it waits
+        // without a read timeout. Decided by the same query parsing as
+        // the server's `Request::wants_wait` — proxied targets (the
+        // gateway forwards its caller's target verbatim) may carry `wait`
+        // in any position and either spelling.
+        let read_timeout = if crate::http::target_wants_wait(path) {
+            None
+        } else {
+            Some(self.io_timeout.unwrap_or(DEFAULT_READ_TIMEOUT))
+        };
+        // Try an idle connection first, retrying exactly once on a fresh
+        // connection when it has gone stale. For idempotent methods
+        // (GET/DELETE) any pooled failure is retried — re-asking is
+        // harmless. A non-idempotent request (`POST /jobs` admits a job)
+        // is retried only when the server cannot have answered it:
         //
         // * the write itself failed (the request never fully left), or
         // * the server closed cleanly before sending any response byte —
         //   it idle-closed the pooled connection without reading the
-        //   request (this protocol's servers always answer a request they
-        //   processed).
+        //   request, or it died before answering, taking the request
+        //   with it (a live server of this protocol always answers a
+        //   request it read).
         //
         // Any later failure (read timeout, reset mid-response) may mean
         // the server is processing, or already processed, the request;
@@ -290,7 +231,7 @@ impl ServeClient {
         // instead. A fresh connection's failure is never retried — that
         // is a real error.
         let idempotent = matches!(method, "GET" | "DELETE");
-        let mut pooled = self.pool.lock().expect("client pool").take();
+        let mut pooled = self.idle.lock().expect("client pool").pop();
         if pooled.is_some() && domino_failpoint::should_fire("serve.client.reuse") {
             // Injected stale pool: the kept-alive connection is dropped as
             // if the server had idle-closed it, forcing the fresh-connect
@@ -298,7 +239,10 @@ impl ServeClient {
             pooled = None;
         }
         if let Some(mut conn) = pooled {
-            match conn.write_request(&self.addr, method, path, body, true) {
+            let sent = conn
+                .set_read_timeout(read_timeout)
+                .and_then(|()| conn.write_request(&self.addr, method, path, body, true));
+            match sent {
                 // Stale pool: fall through to a fresh connection.
                 Err(_never_sent) => {}
                 Ok(()) => match conn.read_response() {
@@ -313,9 +257,11 @@ impl ServeClient {
                 },
             }
         }
-        let mut conn = self.connect(false)?;
-        let response = self
-            .exchange(&mut conn, method, path, body, true)
+        let mut conn = self.connect()?;
+        let response = conn
+            .set_read_timeout(read_timeout)
+            .and_then(|()| conn.write_request(&self.addr, method, path, body, true))
+            .and_then(|()| conn.read_response())
             .map_err(|e| ClientError::Io(e.to_string()))?;
         self.repool(conn, &response);
         Ok(response)
@@ -324,7 +270,7 @@ impl ServeClient {
     /// Proxy passthrough: one exchange returning the raw [`Response`]
     /// whatever its status — what `dominogw` uses to relay a backend's
     /// answer (success or error body) verbatim to its own caller. Rides
-    /// the same kept-alive pool as the typed methods.
+    /// the same kept-alive connections as the typed methods.
     ///
     /// # Errors
     ///
@@ -339,12 +285,16 @@ impl ServeClient {
         self.request_any(method, path, body)
     }
 
-    /// Returns a connection to the pool iff the server agreed to keep it
-    /// alive. Error responses (4xx/5xx) still ride keep-alive: the
-    /// connection state is clean after any complete exchange.
+    /// Puts a connection back on the idle stack iff the server agreed to
+    /// keep it alive and the stack has room. Error responses (4xx/5xx)
+    /// still ride keep-alive: the connection state is clean after any
+    /// complete exchange.
     fn repool(&self, conn: HttpConnection, response: &Response) {
         if response.keeps_alive() {
-            *self.pool.lock().expect("client pool") = Some(conn);
+            let mut idle = self.idle.lock().expect("client pool");
+            if idle.len() < IDLE_CONNECTIONS {
+                idle.push(conn);
+            }
         }
     }
 
@@ -461,9 +411,10 @@ impl ServeClient {
         mut on_event: impl FnMut(&EventRecord),
     ) -> Result<Vec<EventRecord>, ClientError> {
         // The event stream blocks between chunks for as long as the job
-        // runs; no read timeout, and a dedicated connection — the server
-        // closes it when the stream ends.
-        let mut conn = self.connect(true)?;
+        // runs: a fresh connection with no read timeout, which the server
+        // closes when the stream ends. A stream that fails midway is
+        // reported, never replayed.
+        let mut conn = self.connect()?;
         conn.write_request(
             &self.addr,
             "GET",
@@ -590,8 +541,13 @@ mod tests {
     }
 
     impl FakeServer {
+        /// Accepts the next connection. Its reads time out, so a script
+        /// whose client went elsewhere fails instead of hanging.
         fn accept(listener: &TcpListener) -> FakeServer {
             let (stream, _) = listener.accept().unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
             FakeServer {
                 stream,
                 parser: RequestParser::new(),
@@ -619,37 +575,100 @@ mod tests {
     /// A stale pooled connection whose close the client observes as a
     /// clean EOF before any response byte is retried transparently, even
     /// for a non-idempotent POST — the server provably never read the
-    /// request.
+    /// request. A long-poll follows the same rule.
     #[test]
     fn pooled_post_is_retried_after_clean_eof_before_any_response_byte() {
+        for target in ["/jobs", "/jobs?wait=1"] {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap().to_string();
+            let client = ServeClient::new(addr);
+            let server = std::thread::spawn(move || {
+                // Exchange 1 primes the pool.
+                let mut conn = FakeServer::accept(&listener);
+                conn.read_request();
+                conn.respond(200, &[], b"{}");
+                // Idle-close the pooled connection: FIN without a
+                // response. Only the write side, so the client's unread
+                // second request drains instead of triggering a reset.
+                conn.stream.shutdown(Shutdown::Write).unwrap();
+                // The retry arrives on a fresh connection.
+                let mut retry_conn = FakeServer::accept(&listener);
+                let request = retry_conn.read_request();
+                retry_conn.respond(200, &[], b"{\"retried\":true}");
+                request
+            });
+            assert_eq!(
+                client.forward("POST", target, Some(b"{}")).unwrap().status,
+                200
+            );
+            let response = client.forward("POST", target, Some(b"{}")).unwrap();
+            assert_eq!(response.body, b"{\"retried\":true}", "{target}");
+            let request = server.join().unwrap();
+            assert_eq!(request.target(), target);
+            // Both answers came over connections that saw no prior response.
+            assert_eq!(client.connection_reuses(), 0, "{target}");
+        }
+    }
+
+    /// Long-polls ride the kept-alive connection like any other
+    /// exchange: two `?wait=1` submits share one accepted connection.
+    #[test]
+    fn long_polls_reuse_the_kept_alive_connection() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = ServeClient::new(listener.local_addr().unwrap().to_string());
+        let server = std::thread::spawn(move || {
+            let mut conn = FakeServer::accept(&listener);
+            for _ in 0..2 {
+                assert!(conn.read_request().wants_wait());
+                conn.respond(200, &[], b"{}");
+            }
+            listener.set_nonblocking(true).unwrap();
+            assert!(listener.accept().is_err(), "a second connection opened");
+        });
+        for _ in 0..2 {
+            let response = client.forward("POST", "/jobs?wait=1", Some(b"{}"));
+            assert_eq!(response.unwrap().status, 200);
+        }
+        server.join().unwrap();
+        assert_eq!(client.connection_reuses(), 1);
+    }
+
+    /// The read timeout belongs to the exchange, not the connection: on
+    /// one pooled connection a long-poll outwaits the client's I/O
+    /// timeout, and the plain GET after it does not.
+    #[test]
+    fn read_timeout_belongs_to_the_exchange() {
+        let io_timeout = Duration::from_millis(100);
+        let delay = 3 * io_timeout;
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
-        let client = ServeClient::new(addr);
+        let client = ServeClient::with_io_timeout(addr, io_timeout);
         let server = std::thread::spawn(move || {
-            // Exchange 1 primes the pool.
             let mut conn = FakeServer::accept(&listener);
             conn.read_request();
             conn.respond(200, &[], b"{}");
-            // Idle-close the pooled connection: FIN without a response.
-            // Only the write side, so the client's unread second request
-            // drains instead of triggering a reset.
-            conn.stream.shutdown(Shutdown::Write).unwrap();
-            // The retry arrives on a fresh connection.
+            conn.read_request();
+            std::thread::sleep(delay);
+            conn.respond(200, &[], b"{\"waited\":true}");
+            // The GET times out on the pooled connection and, being
+            // idempotent, once more on a fresh one; both answers come
+            // as late, to clients that have left.
+            conn.read_request();
             let mut retry_conn = FakeServer::accept(&listener);
-            let request = retry_conn.read_request();
-            retry_conn.respond(200, &[], b"{\"retried\":true}");
-            request
+            retry_conn.read_request();
+            std::thread::sleep(delay);
+            for late in [conn, retry_conn] {
+                let mut stream = late.stream;
+                let _ = stream.write_all(&render_response(200, &[], b"{}", true));
+            }
         });
-        assert_eq!(
-            client.forward("POST", "/jobs", Some(b"{}")).unwrap().status,
-            200
-        );
-        let response = client.forward("POST", "/jobs", Some(b"{}")).unwrap();
-        assert_eq!(response.body, b"{\"retried\":true}");
-        let request = server.join().unwrap();
-        assert_eq!(request.method, "POST");
-        // Both answers came over connections that saw no prior response.
-        assert_eq!(client.connection_reuses(), 0);
+        client.forward("GET", "/healthz", None).unwrap();
+        let response = client.forward("POST", "/jobs?wait=1", Some(b"{}"));
+        assert_eq!(response.unwrap().body, b"{\"waited\":true}");
+        assert_eq!(client.connection_reuses(), 1, "the long-poll was pooled");
+        let err = client.forward("GET", "/metrics", None).unwrap_err();
+        assert!(matches!(err, ClientError::Io(_)), "got {err:?}");
+        server.join().unwrap();
     }
 
     /// A pooled POST whose response *started* and then died must surface

@@ -32,6 +32,7 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -147,8 +148,15 @@ struct FrontShared {
 }
 
 impl FrontShared {
+    /// Enqueues `op` for the reactor. A [`Responder`]'s drop calls this
+    /// while a panicking handler unwinds, where a second panic would abort
+    /// the process, so a poisoned lock is recovered: the queue is valid
+    /// after every push and pop.
     fn push(&self, op: Op) {
-        self.ops.lock().expect("ops lock").push_back(op);
+        self.ops
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .push_back(op);
         self.wake.wake();
     }
 
@@ -158,11 +166,15 @@ impl FrontShared {
 }
 
 /// The single-use reply channel for one request. Consuming it enqueues
-/// the response with the reactor; dropping it without responding leaves
-/// the connection idle until its timeout closes it.
+/// the response with the reactor. Dropping it unanswered — a handler
+/// that panicked or returned early — answers `500` and closes the
+/// connection, so no client waits on a request nobody will answer.
 pub struct Responder {
     token: u64,
     shared: Arc<FrontShared>,
+    /// Cleared once the request is answered; a drop while set sends the
+    /// `500`.
+    armed: bool,
 }
 
 impl std::fmt::Debug for Responder {
@@ -177,19 +189,20 @@ impl Responder {
     /// Answers with a fixed-length response. The reactor decides the
     /// `Connection` header from the request's wishes, the per-connection
     /// request budget and drain state.
-    pub fn respond(self, status: u16, extra_headers: &[(&str, &str)], body: &[u8]) {
+    pub fn respond(mut self, status: u16, extra_headers: &[(&str, &str)], body: &[u8]) {
         self.finish_with(status, extra_headers, body, false);
     }
 
     /// Answers and unconditionally closes the connection afterwards
     /// (`POST /shutdown`'s goodbye, protocol-fatal errors).
-    pub fn respond_close(self, status: u16, extra_headers: &[(&str, &str)], body: &[u8]) {
+    pub fn respond_close(mut self, status: u16, extra_headers: &[(&str, &str)], body: &[u8]) {
         self.finish_with(status, extra_headers, body, true);
     }
 
     /// Starts a chunked-transfer response (always `Connection: close`)
     /// and returns the handle that feeds it.
-    pub fn begin_stream(self, status: u16) -> StreamHandle {
+    pub fn begin_stream(mut self, status: u16) -> StreamHandle {
+        self.armed = false;
         self.shared.push(Op::StreamBegin {
             token: self.token,
             status,
@@ -213,17 +226,27 @@ impl Responder {
         self.shared.is_live(self.token)
     }
 
-    fn finish_with(self, status: u16, extra_headers: &[(&str, &str)], body: &[u8], close: bool) {
+    fn finish_with(&mut self, status: u16, headers: &[(&str, &str)], body: &[u8], close: bool) {
+        self.armed = false;
         self.shared.push(Op::Respond {
             token: self.token,
             status,
-            headers: extra_headers
+            headers: headers
                 .iter()
                 .map(|(k, v)| (k.to_string(), v.to_string()))
                 .collect(),
             body: body.to_vec(),
             force_close: close,
         });
+    }
+}
+
+impl Drop for Responder {
+    fn drop(&mut self) {
+        if self.armed {
+            let body = ErrorReply::new("the request was not answered").to_json();
+            self.finish_with(500, &[], body.serialize().as_bytes(), true);
+        }
     }
 }
 
@@ -409,8 +432,13 @@ impl HttpFront {
                             let guard = rx.lock().expect("handler rx lock");
                             guard.recv()
                         };
+                        // A panicking handler costs its client a 500 (the
+                        // responder's drop sends it) and never this thread.
                         match job {
-                            Ok((request, responder)) => handler(request, responder),
+                            Ok((request, responder)) => {
+                                let call = AssertUnwindSafe(|| handler(request, responder));
+                                let _ = std::panic::catch_unwind(call);
+                            }
                             Err(_) => break,
                         }
                     })?,
@@ -852,6 +880,7 @@ impl Reactor {
         let responder = Responder {
             token,
             shared: Arc::clone(&self.shared),
+            armed: true,
         };
         // Send fails only once the pool is gone, i.e. during teardown.
         let _ = self.tx.send((request, responder));
@@ -961,6 +990,9 @@ mod tests {
         let join = std::thread::spawn(move || {
             front
                 .run(Arc::new(|req: Request, responder: Responder| {
+                    if req.path == "/boom" {
+                        panic!("the handler panics on /boom");
+                    }
                     if req.path == "/stream" {
                         let mut stream = responder.begin_stream(200);
                         stream.chunk(b"one\n");
@@ -1024,6 +1056,28 @@ mod tests {
         handle.shutdown();
         join.join().expect("reactor exits");
         assert_eq!(handle.counters().open_connections, 0);
+    }
+
+    /// More panicking requests than pool threads each get a 500, and the
+    /// pool still serves the next request.
+    #[test]
+    fn handler_panics_answer_500_and_leave_the_pool_serving() {
+        let (addr, handle, join) = start_echo_front(Duration::from_secs(5), 1024, 64);
+        let connect = || {
+            let stream = BlockingStream::connect(addr).expect("connect");
+            stream
+                .set_read_timeout(Some(Duration::from_secs(2)))
+                .expect("timeout");
+            stream
+        };
+        for _ in 0..=HANDLER_THREADS {
+            let (status, connection, _) = get(&mut connect(), "/boom");
+            assert_eq!((status, connection.as_str()), (500, "close"));
+        }
+        let (status, _, body) = get(&mut connect(), "/ok");
+        assert_eq!((status, body.as_str()), (200, "/ok"));
+        handle.shutdown();
+        join.join().expect("reactor exits");
     }
 
     #[test]

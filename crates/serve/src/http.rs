@@ -47,6 +47,7 @@
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::time::Duration;
 
 /// Upper bound on accepted request/response bodies (16 MiB). Inline BLIF
 /// sources for the suite circuits are a few hundred KiB at most; anything
@@ -172,6 +173,12 @@ impl HttpConnection {
         HttpConnection {
             reader: BufReader::new(stream),
         }
+    }
+
+    /// Sets the read timeout of the exchanges that follow; `None` waits
+    /// without bound.
+    pub(crate) fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+        self.reader.get_ref().set_read_timeout(timeout)
     }
 
     /// Writes one request and flushes it.
@@ -499,9 +506,9 @@ fn bad(message: &str) -> io::Error {
 
 /// Marker error payload: the peer closed cleanly before sending any byte
 /// of the response. On a kept-alive connection this is the signature of a
-/// server that idle-closed without reading the request — the one
-/// request/response failure a client may safely retry even for
-/// non-idempotent requests (any later EOF may mean the request was
+/// server that idle-closed without reading the request, or died before
+/// answering — the one request/response failure a client may retry even
+/// for non-idempotent requests (any later EOF may mean the request was
 /// processed and the response lost).
 #[derive(Debug)]
 pub struct ClosedBeforeResponse;
@@ -523,8 +530,8 @@ pub fn closed_before_response(e: &io::Error) -> bool {
 
 /// `true` when a raw request target's query string asks for long-poll /
 /// blocking behaviour — the same test as [`Request::wants_wait`], for
-/// callers (like the client's connection pooling) that hold an
-/// unparsed target rather than a [`Request`]. `wait` may appear
+/// callers (like the client's read timeout) that hold an unparsed target
+/// rather than a [`Request`]. `wait` may appear
 /// anywhere in the query string, as `1` or `true`.
 pub fn target_wants_wait(target: &str) -> bool {
     let (_, query) = split_target(target);
@@ -1013,13 +1020,84 @@ mod tests {
         b"\r\n\r\n",
     ];
 
-    fn noise() -> impl Strategy<Value = Vec<u8>> {
-        prop::collection::vec((0..FRAGMENTS.len() + 1, any::<u8>()), 0..96).prop_map(|picks| {
+    /// What a server's reply adds to [`FRAGMENTS`]: status lines, header
+    /// lines and chunked framing.
+    const REPLY_FRAGMENTS: &[&[u8]] = &[
+        b"HTTP/1.1 200 OK\r\n",
+        b"HTTP/1.1 ",
+        b"502 Bad Gateway",
+        b"content-length: 3\r\n",
+        b"connection: keep-alive\r\n",
+        b"transfer-encoding: chunked\r\n",
+        b"Transfer-Encoding: ",
+        b"chunked",
+        b"3\r\nabc\r\n",
+        b"ffffffffffffffff\r\n",
+        b"0\r\n\r\n",
+    ];
+
+    /// How a generated reply begins: with noise, a status line, or the
+    /// head of a chunked reply, so the noise reaches the header and
+    /// chunk readers too.
+    const REPLY_HEADS: &[&[u8]] = &[
+        b"",
+        b"HTTP/1.1 200 OK\r\n",
+        b"HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\n",
+    ];
+
+    /// Byte strings drawn from `alphabet`'s fragments and single bytes.
+    fn noise(alphabet: &[&'static [u8]]) -> impl Strategy<Value = Vec<u8>> {
+        let fragments = alphabet.to_vec();
+        prop::collection::vec((0..fragments.len() + 1, any::<u8>()), 0..96).prop_map(move |picks| {
             picks
                 .into_iter()
-                .flat_map(|(i, byte)| FRAGMENTS.get(i).map_or(vec![byte], |f| f.to_vec()))
+                .flat_map(|(i, byte)| fragments.get(i).map_or(vec![byte], |f| f.to_vec()))
                 .collect()
         })
+    }
+
+    const STATUSES: &[u16] = &[200, 202, 400, 404, 409, 429, 500, 502, 503];
+    const EXTRA_HEADERS: &[&str] = &["retry-after", "x-request-id", "x-a"];
+
+    /// One rendered reply: status, extra headers (name, value number),
+    /// body and keep-alive.
+    type ReplyCase = (usize, Vec<(usize, u64)>, Vec<u8>, bool);
+
+    fn reply_case() -> impl Strategy<Value = ReplyCase> {
+        (
+            0..STATUSES.len(),
+            prop::collection::vec((0..EXTRA_HEADERS.len(), any::<u64>()), 0..3),
+            prop::collection::vec(any::<u8>(), 0..64),
+            any::<bool>(),
+        )
+    }
+
+    /// A reply's bytes, and the response the reader must report for them.
+    fn rendered((status, extra, body, keep_alive): &ReplyCase) -> (Vec<u8>, Response) {
+        let extra: Vec<(&str, String)> = extra
+            .iter()
+            .map(|(name, value)| (EXTRA_HEADERS[*name], format!("v{value}")))
+            .collect();
+        let extra: Vec<(&str, &str)> = extra.iter().map(|(k, v)| (*k, v.as_str())).collect();
+        let wire = render_response(STATUSES[*status], &extra, body, *keep_alive);
+        let length = body.len().to_string();
+        let connection = if *keep_alive { "keep-alive" } else { "close" };
+        let fixed = [
+            ("server", "dominod"),
+            ("content-type", "application/json"),
+            ("content-length", length.as_str()),
+            ("connection", connection),
+        ];
+        let expected = Response {
+            status: STATUSES[*status],
+            headers: fixed
+                .iter()
+                .chain(&extra)
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect(),
+            body: body.clone(),
+        };
+        (wire, expected)
     }
 
     proptest! {
@@ -1040,7 +1118,7 @@ mod tests {
 
         #[test]
         fn arbitrary_bytes_never_panic_or_exceed_bounds(
-            bytes in noise(),
+            bytes in noise(FRAGMENTS),
             cuts in prop::collection::vec(any::<usize>(), 0..12)
         ) {
             let (requests, _) = feed_in_pieces(&bytes, &cuts);
@@ -1048,6 +1126,44 @@ mod tests {
                 prop_assert!(request.headers.len() <= MAX_HEADERS);
                 prop_assert!(request.body.len() <= MAX_BODY_BYTES);
             }
+        }
+
+        #[test]
+        fn arbitrary_replies_never_panic_or_exceed_bounds(
+            head in 0..REPLY_HEADS.len(),
+            bytes in noise(&[FRAGMENTS, REPLY_FRAGMENTS].concat())
+        ) {
+            let (client, mut server) = pair();
+            server.write_all(REPLY_HEADS[head]).unwrap();
+            server.write_all(&bytes).unwrap();
+            drop(server);
+            let mut conn = HttpConnection::new(client);
+            // Every reply the bytes frame, until the first error.
+            while let Ok(response) = conn.read_response() {
+                prop_assert!(response.headers.len() <= MAX_HEADERS);
+                prop_assert!(response.body.len() <= MAX_BODY_BYTES);
+            }
+        }
+
+        #[test]
+        fn replies_written_back_to_back_read_back_one_by_one(
+            cases in prop::collection::vec(reply_case(), 1..5)
+        ) {
+            let (client, mut server) = pair();
+            let replies: Vec<(Vec<u8>, Response)> = cases.iter().map(rendered).collect();
+            for (wire, _) in &replies {
+                server.write_all(wire).unwrap();
+            }
+            drop(server);
+            let mut conn = HttpConnection::new(client);
+            for (_, expected) in &replies {
+                let response = conn.read_response().unwrap();
+                prop_assert_eq!(response.status, expected.status);
+                prop_assert_eq!(&response.headers, &expected.headers);
+                prop_assert_eq!(&response.body, &expected.body);
+            }
+            let end = conn.read_response().unwrap_err();
+            prop_assert!(closed_before_response(&end), "{end}");
         }
 
         #[test]

@@ -61,7 +61,7 @@ mod registry;
 mod server;
 pub mod service;
 
-pub use client::{ClientBuilder, ClientError, ServeClient};
+pub use client::{ClientError, ServeClient};
 pub use config::{ArgTable, ParsedArgs, DEFAULT_MAX_CONNECTIONS};
 pub use protocol::{
     CacheCounters, ErrorReply, EventKind, EventRecord, FailpointCounter, JobStatus, MetricsReply,

@@ -882,10 +882,7 @@ mod tests {
             ..ServeConfig::default()
         })
         .expect("ephemeral bind");
-        // No pooled connection: the waiters' are the only ones open.
-        let client = crate::ServeClient::builder(server.addr().to_string())
-            .fresh_connections()
-            .build();
+        let client = crate::ServeClient::new(server.addr().to_string());
         // Outlasts the steps below several times over in release builds.
         let mut holder = JobSpec::suite("apex7");
         holder.sim.cycles = 1 << 21;
@@ -893,6 +890,8 @@ mod tests {
         let mut queued = JobSpec::suite("frg1");
         queued.sim.cycles = 256;
         let id = client.submit(&queued).expect("queued behind the holder").id;
+        // Closes the pooled connection: the waiters' are the only ones open.
+        drop(client);
         let parked_on = |id: u64| server.shared.parked().get(&id).map_or(0, Vec::len);
         let open = || server.metrics().reactor.expect("counters").open_connections;
         let long_poll = || {
