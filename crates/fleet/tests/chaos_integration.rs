@@ -22,9 +22,12 @@
 //! builds this binary and `dominogw`.
 
 use std::io::{BufRead, BufReader};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use domino_engine::json::parse;
 use domino_engine::{FlowEngine, JobSpec, ResultCache};
@@ -428,6 +431,65 @@ fn relay_fault_fails_over_byte_identical() {
     assert_eq!(gateway_metrics(&client).failovers, 1);
 }
 
+/// A TCP pipe in front of one backend, for a test that must see the
+/// backend's death in a fixed order. A dying process gives none: its
+/// kernel may close a connection before the listener, and a client that
+/// reconnects in between is accepted and then reset, not refused. The
+/// pipe keeps every client connection open after its backend is gone,
+/// until [`Pipe::close`] stops listening and then closes them.
+struct Pipe {
+    addr: String,
+    stop: Arc<AtomicBool>,
+    acceptor: std::thread::JoinHandle<()>,
+    clients: Arc<Mutex<Vec<TcpStream>>>,
+}
+
+impl Pipe {
+    fn start(backend: String) -> Pipe {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("pipe binds");
+        listener
+            .set_nonblocking(true)
+            .expect("nonblocking listener");
+        let addr = listener.local_addr().expect("pipe addr").to_string();
+        let stop = Arc::new(AtomicBool::new(false));
+        let clients = Arc::new(Mutex::new(Vec::new()));
+        let (stopped, held) = (Arc::clone(&stop), Arc::clone(&clients));
+        let acceptor = std::thread::spawn(move || {
+            while !stopped.load(Ordering::SeqCst) {
+                let Ok((client, _)) = listener.accept() else {
+                    std::thread::sleep(Duration::from_millis(1));
+                    continue;
+                };
+                // A connect after the backend died drops the client.
+                let Ok(upstream) = TcpStream::connect(&backend) else {
+                    continue;
+                };
+                client.set_nonblocking(false).expect("blocking client");
+                let clone = |s: &TcpStream| s.try_clone().expect("socket clones");
+                held.lock().expect("clients").push(clone(&client));
+                for (mut from, mut to) in [(clone(&client), clone(&upstream)), (upstream, client)] {
+                    std::thread::spawn(move || std::io::copy(&mut from, &mut to));
+                }
+            }
+        });
+        Pipe {
+            addr,
+            stop,
+            acceptor,
+            clients,
+        }
+    }
+
+    /// Stops listening, then closes every client connection.
+    fn close(self) {
+        self.stop.store(true, Ordering::SeqCst);
+        self.acceptor.join().expect("the acceptor exits");
+        for client in self.clients.lock().expect("clients").iter() {
+            let _ = client.shutdown(Shutdown::Both);
+        }
+    }
+}
+
 /// A backend that dies mid sync job on a pooled relay connection is
 /// failed over like one that refuses: the gateway's pooled exchange sees
 /// a close before any response byte, retries on a fresh connection, is
@@ -437,40 +499,56 @@ fn backend_death_mid_sync_job_on_a_pooled_relay_fails_over() {
     let dir_a = temp_dir("pooled-death-a");
     let dir_b = temp_dir("pooled-death-b");
     // A's second cache write kills it.
-    let (backend_a, addr_a) =
+    let (mut backend_a, addr_a) =
         spawn_backend(&dir_a, Some(("engine.cache.crash_rename=after(1)", 0)));
     let (_backend_b, addr_b) = spawn_backend(&dir_b, None);
-    let backends = [addr_a.as_str(), addr_b.as_str()];
-    let homed_on_a: Vec<(JobSpec, String)> = (0..)
+    let pipe = Pipe::start(addr_a);
+    let backends = [pipe.addr.as_str(), addr_b.as_str()];
+    let mut homed_on_a = (0..)
         .map(|i| chaos_spec(432 + 8 * i))
         .filter(|spec| {
             let job = spec.clone().resolve().expect("spec resolves");
-            domino_fleet::hash::rank(&backends, job.cache_key())[0] == addr_a
+            domino_fleet::hash::rank(&backends, job.cache_key())[0] == pipe.addr
         })
-        .take(2)
         .map(|spec| {
             let expected = local_outcome_json(&spec);
             (spec, expected)
-        })
-        .collect();
-    let (_gateway, gw_addr) = spawn_gateway(&[addr_a.clone(), addr_b.clone()], None, 100);
+        });
+    let (first, first_expected) = homed_on_a.next().expect("a spec homed on A");
+    let (second, second_expected) = homed_on_a.next().expect("another spec homed on A");
+    let (_gateway, gw_addr) = spawn_gateway(&[pipe.addr.clone(), addr_b], None, 100);
     let client = ServeClient::new(gw_addr);
 
     // The first job completes on A and leaves the gateway a kept-alive
-    // connection to A; the second kills A during its cache write.
-    for (spec, expected) in &homed_on_a {
-        let got = client.run_sync(spec).expect("the job is answered");
-        assert_eq!(&got, expected, "byte-identical to a local run");
-    }
+    // connection to A.
+    let got = client.run_sync(&first).expect("the first job completes");
+    assert_eq!(got, first_expected, "byte-identical to a local run");
+    // The second kills A during its cache write. Only once A is gone
+    // does the pipe stop listening and close the gateway's connection.
+    let submitter = {
+        let client = client.clone();
+        std::thread::spawn(move || client.run_sync(&second))
+    };
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let code = loop {
+        if let Some(status) = backend_a.0.try_wait().expect("A is waited on") {
+            break status.code();
+        }
+        assert!(Instant::now() < deadline, "A never ran the second job");
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    assert_eq!(code, Some(CRASH_RENAME_EXIT), "the injected crash killed A");
+    pipe.close();
+    let got = submitter.join().expect("the submitter returns");
+    assert_eq!(
+        got.expect("the runner-up answers"),
+        second_expected,
+        "byte-identical to a local run"
+    );
     assert_eq!(
         gateway_metrics(&client).failovers,
         1,
         "the second failed over"
-    );
-    assert_eq!(
-        backend_a.wait_code(),
-        Some(CRASH_RENAME_EXIT),
-        "the injected crash killed A"
     );
 }
 
