@@ -14,7 +14,8 @@
 //!   the rendezvous runner-up with identical bytes, and so does a backend
 //!   that dies mid sync job on a kept-alive relay connection;
 //! * **fault surfacing** — a `once` schedule fires exactly once and the
-//!   fleet is clean afterwards, with hit counts visible in `/metrics`.
+//!   fleet is clean afterwards, with hit counts visible in `/metrics`;
+//!   a response cut after its status line is surfaced, never resent.
 //!
 //! Backends are subprocesses of this test binary itself (the hidden
 //! [`chaos_backend_helper`] below, selected via `DOMINO_CHAOS_ROLE`) —
@@ -33,7 +34,7 @@ use domino_engine::json::parse;
 use domino_engine::{FlowEngine, JobSpec, ResultCache};
 use domino_fleet::GatewayMetrics;
 use domino_serve::front::FrontConfig;
-use domino_serve::{ServeClient, ServeConfig, Server};
+use domino_serve::{ClientError, ServeClient, ServeConfig, Server};
 
 /// Exit code `engine.cache.crash_rename` kills the process with.
 const CRASH_RENAME_EXIT: i32 = 86;
@@ -580,4 +581,38 @@ fn injected_read_fault_fires_exactly_once_then_clears() {
     assert!(read_site.hits >= 2, "later reads were evaluated and passed");
     client.shutdown().expect("graceful drain");
     assert_eq!(backend.wait_code(), Some(0));
+}
+
+/// A response that dies after its status line went out is surfaced, not
+/// resent, even on a kept-alive connection: the backend admitted the
+/// job, and a resend would admit it twice.
+#[test]
+fn pooled_submit_cut_after_its_status_line_is_not_resent() {
+    const SITE: &str = "serve.http.write";
+    let schedule = format!("{SITE}=every(2)");
+    // A seed whose phase passes the first response and cuts the second.
+    let seed = (0..)
+        .find(|&seed| {
+            let reg = domino_failpoint::Registry::parse(&schedule, seed).expect("schedule parses");
+            !reg.should_fire(SITE) && reg.should_fire(SITE)
+        })
+        .expect("some seed phases every(2) so");
+    let cache_dir = temp_dir("write-fault");
+    let (_backend, addr) = spawn_backend(&cache_dir, Some((&schedule, seed)));
+    let client = ServeClient::new(addr);
+
+    client.healthz().expect("the first response is whole");
+    let err = client
+        .submit(&chaos_spec(392))
+        .expect_err("the second response is cut after its status line");
+    assert!(matches!(err, ClientError::Io(_)), "got {err:?}");
+
+    let metrics = client.metrics().expect("the third response is whole");
+    assert_eq!(metrics.submitted, 1, "the cut submit was not resent");
+    let write_site = metrics
+        .failpoints
+        .iter()
+        .find(|f| f.site == SITE)
+        .expect("the schedule is visible in /metrics");
+    assert_eq!(write_site.fires, 1);
 }

@@ -231,6 +231,10 @@ impl ServeClient {
         // instead. A fresh connection's failure is never retried — that
         // is a real error.
         let idempotent = matches!(method, "GET" | "DELETE");
+        let send = |conn: &mut HttpConnection| {
+            conn.set_read_timeout(read_timeout)
+                .and_then(|()| conn.write_request(&self.addr, method, path, body, true))
+        };
         let mut pooled = self.idle.lock().expect("client pool").pop();
         if pooled.is_some() && domino_failpoint::should_fire("serve.client.reuse") {
             // Injected stale pool: the kept-alive connection is dropped as
@@ -239,10 +243,7 @@ impl ServeClient {
             pooled = None;
         }
         if let Some(mut conn) = pooled {
-            let sent = conn
-                .set_read_timeout(read_timeout)
-                .and_then(|()| conn.write_request(&self.addr, method, path, body, true));
-            match sent {
+            match send(&mut conn) {
                 // Stale pool: fall through to a fresh connection.
                 Err(_never_sent) => {}
                 Ok(()) => match conn.read_response() {
@@ -258,9 +259,7 @@ impl ServeClient {
             }
         }
         let mut conn = self.connect()?;
-        let response = conn
-            .set_read_timeout(read_timeout)
-            .and_then(|()| conn.write_request(&self.addr, method, path, body, true))
+        let response = send(&mut conn)
             .and_then(|()| conn.read_response())
             .map_err(|e| ClientError::Io(e.to_string()))?;
         self.repool(conn, &response);
@@ -604,6 +603,7 @@ mod tests {
             let response = client.forward("POST", target, Some(b"{}")).unwrap();
             assert_eq!(response.body, b"{\"retried\":true}", "{target}");
             let request = server.join().unwrap();
+            assert_eq!(request.method, "POST", "{target}");
             assert_eq!(request.target(), target);
             // Both answers came over connections that saw no prior response.
             assert_eq!(client.connection_reuses(), 0, "{target}");

@@ -680,9 +680,9 @@ impl Reactor {
             // drop RDHUP interest), or the level-triggered poller would
             // re-report it every wait and spin the reactor for as long as
             // the handler takes to answer. The re-armed idle timer bounds
-            // a handler that never does (a dropped Responder, a parked
-            // long-poll whose client vanished): the close flips
-            // `is_live()` false, so the waiter is dropped unanswered.
+            // a handler that never does (a parked long-poll whose client
+            // vanished): the close flips `is_live()` false, so the waiter
+            // is dropped unanswered.
             Some(ConnState::InFlight) => {
                 let conn = self.conns.get_mut(&token).expect("state just read");
                 if !conn.peer_half_closed {
@@ -764,14 +764,13 @@ impl Reactor {
                 if !self.conns.contains_key(&token) {
                     return; // client left before the answer was ready
                 }
-                if domino_failpoint::should_fire("serve.http.write") {
-                    // An injected write error kills the connection.
-                    self.close_conn(token);
-                    return;
-                }
+                // An injected write error once the response has started:
+                // the status line goes out, then the connection closes.
+                let write_fails = domino_failpoint::should_fire("serve.http.write");
                 let draining = self.shared.draining.load(Ordering::SeqCst);
                 let conn = self.conns.get_mut(&token).expect("checked above");
-                let keep_alive = !force_close
+                let keep_alive = !write_fails
+                    && !force_close
                     && !draining
                     && conn.served < self.cfg.max_requests_per_connection.max(1)
                     && !conn.req_wants_close
@@ -782,7 +781,11 @@ impl Reactor {
                     .iter()
                     .map(|(k, v)| (k.as_str(), v.as_str()))
                     .collect();
-                let message = render_response(status, &header_refs, &body, keep_alive);
+                let mut message = render_response(status, &header_refs, &body, keep_alive);
+                if write_fails {
+                    let status_line_end = message.iter().position(|&b| b == b'\n');
+                    message.truncate(status_line_end.map_or(0, |i| i + 1));
+                }
                 conn.out.extend_from_slice(&message);
                 conn.close_after_flush = !keep_alive;
                 conn.state = ConnState::Idle;

@@ -883,9 +883,11 @@ mod tests {
         })
         .expect("ephemeral bind");
         let client = crate::ServeClient::new(server.addr().to_string());
-        // Outlasts the steps below several times over in release builds.
+        // Outlasts the steps below, about 60 ms with the idle reap, several
+        // times over in release builds: should the queued job run first, it
+        // answers every waiter.
         let mut holder = JobSpec::suite("apex7");
-        holder.sim.cycles = 1 << 21;
+        holder.sim.cycles = 1 << 24;
         client.submit(&holder).expect("holder admitted");
         let mut queued = JobSpec::suite("frg1");
         queued.sim.cycles = 256;
