@@ -142,12 +142,12 @@ impl CircuitBdds {
             node_funcs[id.index()] = f;
             if reorder.mode == ReorderMode::Auto && manager.stats().nodes >= next_trigger {
                 auto_fired = true;
-                let sifted = dvo::sift(&mut manager, &node_funcs, reorder.max_growth_pct)?;
+                let (sifted, funcs) = dvo::sift(&mut manager, &node_funcs, reorder.max_growth_pct)?;
+                node_funcs = funcs;
                 outcome
                     .as_mut()
                     .expect("auto mode records an outcome")
                     .absorb(&sifted);
-                node_funcs = manager.compact(&node_funcs);
                 next_trigger = manager.stats().nodes.max(next_trigger) * 2;
             }
         }
@@ -157,12 +157,12 @@ impl CircuitBdds {
             ReorderMode::Auto => auto_fired,
         };
         if run_final {
-            let sifted = dvo::sift(&mut manager, &node_funcs, reorder.max_growth_pct)?;
+            let (sifted, funcs) = dvo::sift(&mut manager, &node_funcs, reorder.max_growth_pct)?;
+            node_funcs = funcs;
             outcome
                 .as_mut()
                 .expect("active mode records an outcome")
                 .absorb(&sifted);
-            node_funcs = manager.compact(&node_funcs);
         }
         if let Some(o) = outcome.as_mut() {
             // A mode that never fired still records where the order ended
@@ -227,8 +227,9 @@ impl CircuitBdds {
     ///
     /// Returns [`BddError::NodeLimit`] if a swap exhausts the arena limit.
     pub fn reorder(&mut self, reorder: &ReorderConfig) -> Result<ReorderOutcome, BddError> {
-        let outcome = dvo::sift(&mut self.manager, &self.node_funcs, reorder.max_growth_pct)?;
-        self.node_funcs = self.manager.compact(&self.node_funcs);
+        let (outcome, funcs) =
+            dvo::sift(&mut self.manager, &self.node_funcs, reorder.max_growth_pct)?;
+        self.node_funcs = funcs;
         Ok(outcome)
     }
 

@@ -17,11 +17,12 @@
 //!   to the sift (`swap::LiveCount`): seeded from the roots once, then
 //!   moved by each swap only where it rewires a live node, so reading it
 //!   after a swap is O(1) instead of a [`BddManager::node_count`] walk;
-//! * the agenda orders variables by level population, which counts dead
-//!   nodes too: swaps leave the nodes they orphan in the arena, the level
-//!   lists and the unique table until the compaction after sifting.
-//!   Reclaiming them early would change the agenda, the swap sequence
-//!   and, on some circuits, the final order;
+//! * the same count reclaims dead nodes as they die: the sift retracts
+//!   the nodes the build left dead, and each swap retracts the ones it
+//!   kills, so the unique table and the level lists hold only live nodes
+//!   and a swap visits only those;
+//! * the agenda orders variables by their live population at round
+//!   start, which is a function of the order and the roots alone;
 //! * the `auto` schedule triggers on arena-size thresholds (a doubling
 //!   ladder), which grow deterministically during construction.
 //!
@@ -32,7 +33,7 @@ use std::fmt;
 use std::str::FromStr;
 
 use crate::manager::{Bdd, BddError, BddManager};
-use crate::swap::{collect_levels, swap_adjacent, LevelLists, LiveCount};
+use crate::swap::{swap_adjacent, LevelLists, LiveCount};
 
 /// When (and whether) dynamic variable reordering runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -156,9 +157,10 @@ const MAX_SIFT_ROUNDS: u32 = 3;
 /// max-growth abort, then settled at its best level; ties keep the level
 /// closest to the search path's earliest visit, deterministically.
 ///
-/// Handles stay valid: callers keep using their [`Bdd`]s afterwards. The
-/// arena accumulates dead nodes; run [`BddManager::compact`] when the
-/// campaign is over.
+/// Only `roots` survive: the sift reclaims every node they do not reach
+/// and ends with [`BddManager::compact`], so it returns the remapped
+/// roots (positionally) and every other handle is void afterwards. The
+/// op cache is empty on return.
 ///
 /// # Errors
 ///
@@ -168,24 +170,20 @@ pub fn sift(
     m: &mut BddManager,
     roots: &[Bdd],
     max_growth_pct: u32,
-) -> Result<ReorderOutcome, BddError> {
+) -> Result<(ReorderOutcome, Vec<Bdd>), BddError> {
     let n = m.n_vars();
-    let mut live = LiveCount::new(m, roots);
+    let (mut live, mut lists) = LiveCount::new(m, roots);
     let mut outcome = ReorderOutcome {
         nodes_before: live.total(),
         ..ReorderOutcome::default()
     };
-    outcome.nodes_after = outcome.nodes_before;
-    outcome.final_order = m.order();
-    if n < 2 {
-        return Ok(outcome);
-    }
-    let mut lists = collect_levels(m);
-    loop {
+    let mut shrinking = n >= 2;
+    while shrinking {
         outcome.sift_rounds += 1;
         let round_start = live.total();
-        // Agenda: variables by level population at round start, largest
-        // first (they have the most to give), ties by variable index.
+        // Agenda: variables by live population at round start (the lists
+        // hold live nodes only), largest first (they have the most to
+        // give), ties by variable index.
         let population: Vec<usize> = (0..n)
             .map(|v| lists[m.level_of_var[v] as usize].len())
             .collect();
@@ -202,13 +200,11 @@ pub fn sift(
                 &mut outcome,
             )?;
         }
-        if live.total() >= round_start || outcome.sift_rounds >= MAX_SIFT_ROUNDS {
-            break;
-        }
+        shrinking = live.total() < round_start && outcome.sift_rounds < MAX_SIFT_ROUNDS;
     }
     outcome.nodes_after = live.total();
     outcome.final_order = m.order();
-    Ok(outcome)
+    Ok((outcome, m.compact(roots)))
 }
 
 /// Sifts one variable to its best level, leaving `live` at the resulting
@@ -301,9 +297,9 @@ mod tests {
         let mut m = BddManager::new(12);
         let f = pairs_function(&mut m, 6);
         let before = m.node_count(&[f]);
-        let outcome = sift(&mut m, &[f], 20).unwrap();
+        let (outcome, roots) = sift(&mut m, &[f], 20).unwrap();
         assert_eq!(outcome.nodes_before, before);
-        let after = m.node_count(&[f]);
+        let after = m.node_count(&roots);
         assert_eq!(outcome.nodes_after, after);
         // Optimal interleaved order needs 2k nodes; the split order needs
         // ~3·2^(k-1). Sifting must find (near-)linear size.
@@ -325,10 +321,14 @@ mod tests {
                 m.eval(f, &vals).unwrap()
             })
             .collect();
-        sift(&mut m, &[f], 20).unwrap();
+        let (_, roots) = sift(&mut m, &[f], 20).unwrap();
         for (bits, &expect) in truth.iter().enumerate() {
             let vals: Vec<bool> = (0..8).map(|i| bits & (1 << i) != 0).collect();
-            assert_eq!(m.eval(f, &vals).unwrap(), expect, "assignment {bits}");
+            assert_eq!(
+                m.eval(roots[0], &vals).unwrap(),
+                expect,
+                "assignment {bits}"
+            );
         }
     }
 
@@ -337,8 +337,8 @@ mod tests {
         let run = || {
             let mut m = BddManager::new(10);
             let f = pairs_function(&mut m, 5);
-            let outcome = sift(&mut m, &[f], 20).unwrap();
-            (outcome, m.order(), m.digest(&[f]))
+            let (outcome, roots) = sift(&mut m, &[f], 20).unwrap();
+            (outcome, m.order(), m.digest(&roots))
         };
         assert_eq!(run(), run());
     }
@@ -347,20 +347,48 @@ mod tests {
     fn compaction_after_sifting_leaves_only_live_nodes() {
         let mut m = BddManager::new(10);
         let f = pairs_function(&mut m, 5);
-        sift(&mut m, &[f], 20).unwrap();
-        let live = m.node_count(&[f]);
-        let digest = m.digest(&[f]);
-        let roots = m.compact(&[f]);
+        let (_, roots) = sift(&mut m, &[f], 20).unwrap();
+        let live = m.node_count(&roots);
+        let digest = m.digest(&roots);
         assert_eq!(m.stats().nodes, live + 2, "arena not fully compacted");
+        // The sift's own compaction left nothing for another to do.
+        assert_eq!(m.compact(&roots), roots, "compaction renumbered again");
         assert_eq!(m.digest(&roots), digest, "compaction changed the graph");
         assert_eq!(m.node_count(&roots), live);
+    }
+
+    #[test]
+    fn sift_returns_only_live_nodes_and_an_empty_op_cache() {
+        let mut m = BddManager::new(10);
+        let f = pairs_function(&mut m, 5);
+        // a₀·b₁ is no subfunction of f: the op cache memoizes it, and the
+        // sift reclaims its node because no root reaches it.
+        let a0 = m.var(0).unwrap();
+        let b1 = m.var(6).unwrap();
+        m.and(a0, b1).unwrap();
+        assert!(m.stats().cache_entries > 0);
+        let (outcome, roots) = sift(&mut m, &[f, a0, b1], 20).unwrap();
+        assert_eq!(m.stats().nodes, outcome.nodes_after + 2);
+        assert_eq!(m.stats().cache_entries, 0, "op cache survived the sift");
+        // So the same `and` recomputes under the new order instead of
+        // answering with the reclaimed handle.
+        let again = m.and(roots[1], roots[2]).unwrap();
+        assert_eq!(m.node_count(&[again]), 2);
+        for bits in 0..1024u32 {
+            let vals: Vec<bool> = (0..10).map(|i| bits & (1 << i) != 0).collect();
+            assert_eq!(
+                m.eval(again, &vals).unwrap(),
+                vals[0] && vals[6],
+                "assignment {bits}"
+            );
+        }
     }
 
     #[test]
     fn trivial_managers_sift_to_nothing() {
         let mut m = BddManager::new(1);
         let a = m.var(0).unwrap();
-        let outcome = sift(&mut m, &[a], 20).unwrap();
+        let (outcome, _) = sift(&mut m, &[a], 20).unwrap();
         assert_eq!(outcome.swaps, 0);
         assert_eq!(outcome.nodes_before, outcome.nodes_after);
     }

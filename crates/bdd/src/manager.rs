@@ -62,6 +62,10 @@ impl Bdd {
     pub(crate) fn raw(self) -> u32 {
         self.0
     }
+
+    pub(crate) fn from_index(index: usize) -> Bdd {
+        Bdd(u32::try_from(index).expect("bdd arena exceeds u32"))
+    }
 }
 
 /// Errors from BDD construction.
@@ -841,9 +845,10 @@ impl BddManager {
     /// positionally.
     ///
     /// Level swaps strand dead nodes in the arena (an in-place rewrite
-    /// orphans the children it no longer points to); a sifting pass ends
-    /// with a compaction so `stats().nodes` means live size again.
-    /// Traffic counters survive.
+    /// orphans the children it no longer points to); every sift ends with
+    /// a compaction ([`crate::dvo::sift`]), so `stats().nodes` means live
+    /// size again and no reclaimed node outlives the sift. Traffic
+    /// counters survive.
     pub fn compact(&mut self, roots: &[Bdd]) -> Vec<Bdd> {
         let n = self.nodes.len();
         let mut keep = vec![false; n];

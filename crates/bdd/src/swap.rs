@@ -4,10 +4,9 @@
 //! # How a swap works on the dense arena
 //!
 //! A swap of levels `l` (variable `x`) and `l+1` (variable `y`) must leave
-//! **every handle denoting the function it denoted before** — handles are
-//! held by callers (circuit node tables, op-cache entries) that a swap
-//! cannot reach. The arena makes this possible by rewriting nodes in
-//! place:
+//! **every live handle denoting the function it denoted before** — handles
+//! are held by callers (circuit node tables) that a swap cannot reach. The
+//! arena makes this possible by rewriting nodes in place:
 //!
 //! * nodes at `l+1` keep their structure and simply move up to level `l`
 //!   (their function `ite(y, hi, lo)` is untouched — `y` just moved);
@@ -24,46 +23,49 @@
 //! field. Only rewritten nodes are re-keyed: their old key is retracted
 //! before the order changes and the new one interned once the rewrite is
 //! done; canonicity arguments (inlined as debug asserts) guarantee no two
-//! keys collide. Children orphaned by a rewrite linger as dead arena
-//! nodes — still structurally consistent, still interned, so hash-consing
-//! may legitimately bring them back — until [`BddManager::compact`] sweeps
-//! them.
+//! keys collide.
 //!
-//! Dead nodes stay in the arena, the level lists and the unique table on
-//! purpose: the sifting agenda orders variables by level population, dead
-//! nodes included, so reclaiming them at once would change the agenda
-//! and with it the swap sequence and, on some circuits, the final order. What they no longer cost is the size metric: [`LiveCount`]
-//! keeps a reference count local to one sift, updated as each swap
-//! rewires a live node, so the live node count is an O(1) running total
-//! instead of a walk over the graph.
+//! # Reclaiming dead nodes
 //!
-//! The op cache is *not* invalidated per swap: a memoized `(op, a, b) → r`
-//! stays correct because `a`, `b` and `r` all still denote the functions
-//! they were memoized under. Compaction (which renumbers handles) is the
-//! point where the cache must and does drop.
+//! A rewrite orphans the old children it no longer points to. [`LiveCount`]
+//! keeps a reference count local to one sift, moved only where a swap
+//! rewires a live node, so it knows which nodes died and the live node
+//! count is an O(1) running total instead of a walk over the graph.
 //!
-//! Every node at the two levels is processed — live or dead — so the
-//! whole arena stays consistent without reachability analysis. All
-//! iteration is in ascending handle order and the unique-table probe
-//! sequences are a pure function of the keys, so a swap is bit-identically
-//! deterministic.
+//! Only old lower nodes can die in a swap: the subfunctions below both
+//! levels are the same under either order, and a rewire references its new
+//! children before it releases the old ones. Pass 3 sets each old lower
+//! node's level, which makes its key exact again, so a dead one has its
+//! key retracted there and leaves the level lists. A sift starts by
+//! retracting the nodes the build left dead. From then on the unique table
+//! and the level lists hold exactly the live nodes, and a swap costs what
+//! the live nodes at its two levels cost.
+//!
+//! A reclaimed node stays in the arena, unreachable and with a stale
+//! `level`, until the compaction that ends every sift drops it. `mk` cannot
+//! bring it back, because its key is gone: a rewrite that needs the same
+//! function interns a fresh node.
+//!
+//! [`BddManager::swap_adjacent_levels`] has no roots, so it counts every
+//! arena node as one: nothing dies, nothing is reclaimed, and every handle
+//! stays valid.
+//!
+//! No swap touches the op cache. A memoized `(op, a, b) → r` stays correct
+//! while `a`, `b` and `r` denote the functions they were memoized under,
+//! which holds for every handle [`BddManager::swap_adjacent_levels`] leaves.
+//! Inside a sift an entry may name a reclaimed node, but the sift looks
+//! nothing up in the cache, and its closing compaction drops it.
+//!
+//! Lists are walked in order, the order is a pure function of the swap
+//! sequence, and the unique-table probe sequences are a pure function of
+//! the keys, so a swap is bit-identically deterministic.
 
 use crate::manager::{Bdd, BddError, BddManager, Node};
 
-/// Per-level node lists for a swap campaign: `lists[l]` holds every arena
-/// handle (live or dead) whose node sits at level `l`. Built once by
-/// [`collect_levels`], maintained incrementally by [`swap_adjacent`] so a
-/// sifting pass never rescans the arena.
+/// Per-level node lists for a sift: `lists[l]` holds the handle of every
+/// live node at level `l`. Built once by [`LiveCount::new`], maintained by
+/// [`swap_adjacent`] so a sifting pass never rescans the arena.
 pub(crate) type LevelLists = Vec<Vec<u32>>;
-
-/// Scans the arena into per-level handle lists (ascending handle order).
-pub(crate) fn collect_levels(m: &BddManager) -> LevelLists {
-    let mut lists: LevelLists = vec![Vec::new(); m.n_vars()];
-    for (i, nd) in m.nodes.iter().enumerate().skip(2) {
-        lists[nd.level as usize].push(i as u32);
-    }
-    lists
-}
 
 /// A reference count local to one sift: `refs[h]` is the number of live
 /// nodes pointing at node `h` plus its occurrences among the sift's roots,
@@ -72,10 +74,8 @@ pub(crate) fn collect_levels(m: &BddManager) -> LevelLists {
 /// [`BddManager::node_count`] over the roots.
 ///
 /// A swap changes reachability only where it rewires a live node, so that
-/// is the only place the counts move ([`LiveCount::rewire`]). The default
-/// value counts nothing: every node reads as dead and swaps leave it
-/// untouched.
-#[derive(Debug, Default)]
+/// is the only place the counts move ([`LiveCount::rewire`]).
+#[derive(Debug)]
 pub(crate) struct LiveCount {
     refs: Vec<u32>,
     total: usize,
@@ -84,16 +84,32 @@ pub(crate) struct LiveCount {
 }
 
 impl LiveCount {
-    /// Seeds the counts from `roots` (each occurrence is one reference).
-    pub(crate) fn new(m: &BddManager, roots: &[Bdd]) -> LiveCount {
+    /// Seeds the counts from `roots` (each occurrence is one reference),
+    /// retracts every node they do not reach from the unique table, and
+    /// returns the live nodes' level lists (ascending handle order).
+    ///
+    /// Every node's `level` must be exact, as it is after a build or a
+    /// compaction.
+    pub(crate) fn new(m: &mut BddManager, roots: &[Bdd]) -> (LiveCount, LevelLists) {
         let mut live = LiveCount {
             refs: vec![0; m.nodes.len()],
-            ..LiveCount::default()
+            total: 0,
+            stack: Vec::new(),
         };
         for &root in roots {
             live.up(m, root);
         }
-        live
+        let mut lists: LevelLists = vec![Vec::new(); m.n_vars()];
+        for h in 2..m.nodes.len() {
+            let handle = u32::try_from(h).expect("bdd arena exceeds u32");
+            let nd = m.nodes[h];
+            if live.is_live(handle) {
+                lists[nd.level as usize].push(handle);
+            } else {
+                retract(m, nd);
+            }
+        }
+        (live, lists)
     }
 
     /// Number of live nodes.
@@ -102,17 +118,14 @@ impl LiveCount {
     }
 
     fn is_live(&self, handle: u32) -> bool {
-        self.refs.get(handle as usize).is_some_and(|&r| r > 0)
+        self.refs[handle as usize] > 0
     }
 
-    /// Re-points node `u` from children `old` to `new`. Only a live node
-    /// moves counts: the new children gain their references first, then
-    /// the old ones lose theirs, so a child both share never dies on the
-    /// way.
+    /// Re-points live node `u` from children `old` to `new`: the new
+    /// children gain their references first, then the old ones lose
+    /// theirs, so a child both share never dies on the way.
     fn rewire(&mut self, m: &BddManager, u: u32, old: [Bdd; 2], new: [Bdd; 2]) {
-        if !self.is_live(u) {
-            return;
-        }
+        debug_assert!(self.is_live(u), "rewired node {u} is dead");
         // Rewrites may have appended fresh nodes to the arena.
         self.refs.resize(m.nodes.len(), 0);
         for child in new {
@@ -124,8 +137,7 @@ impl LiveCount {
     }
 
     /// Adds a reference to `b`. A node whose count reaches 1 has become
-    /// live (a fresh node, or a dead one `mk` brought back) and passes a
-    /// reference on to each child.
+    /// live and passes a reference on to each child.
     fn up(&mut self, m: &BddManager, b: Bdd) {
         self.stack.push(b);
         while let Some(b) = self.stack.pop() {
@@ -161,6 +173,13 @@ impl LiveCount {
     }
 }
 
+/// Removes `nd`'s key from the unique table; its `level` must be exact.
+fn retract(m: &mut BddManager, nd: Node) {
+    let (var, lo, hi) = m.unique_key(nd);
+    let removed = m.unique.remove(var, lo, hi);
+    debug_assert!(removed, "node {nd:?} missing from unique table");
+}
+
 /// `true` when `c` is a node at `level` (terminals sit at no level).
 fn is_at(m: &BddManager, c: Bdd, level: u32) -> bool {
     !c.is_terminal() && m.nodes[c.index()].level == level
@@ -179,7 +198,7 @@ fn cofactors(m: &BddManager, c: Bdd, lower: u32) -> (Bdd, Bdd) {
 }
 
 /// Swaps levels `upper_level` and `upper_level + 1`, maintaining `lists`
-/// and `live`.
+/// and `live` and reclaiming the nodes the swap kills.
 ///
 /// # Errors
 ///
@@ -208,9 +227,7 @@ pub(crate) fn swap_adjacent(
     for &u in &upper {
         let nd = m.nodes[u as usize];
         if is_at(m, nd.lo, l + 1) || is_at(m, nd.hi, l + 1) {
-            let (var, lo, hi) = m.unique_key(nd);
-            let removed = m.unique.remove(var, lo, hi);
-            debug_assert!(removed, "upper node {u} missing from unique table");
+            retract(m, nd);
             rewrites.push(u);
         } else {
             m.nodes[u as usize].level = l + 1;
@@ -249,11 +266,17 @@ pub(crate) fn swap_adjacent(
         new_upper.push(u);
     }
 
-    // Pass 3: old lower nodes move up unchanged, keeping their keys.
+    // Pass 3: old lower nodes move up unchanged, keeping their keys. At
+    // their new level the key is exact again, so the ones pass 2 killed
+    // are retracted here and leave the lists.
     for &v in &lower {
         m.nodes[v as usize].level = l;
+        if live.is_live(v) {
+            new_upper.push(v);
+        } else {
+            retract(m, m.nodes[v as usize]);
+        }
     }
-    new_upper.extend_from_slice(&lower);
 
     // Nodes `mk` created during pass 2 all sit at the new lower level.
     for i in arena_before..m.nodes.len() {
@@ -269,8 +292,8 @@ impl BddManager {
     /// Swaps the variables at levels `upper_level` and `upper_level + 1`
     /// in place. Every existing [`Bdd`] handle keeps denoting the function
     /// it denoted before; only the variable order (and the shape of the
-    /// shared graph) changes. Dead nodes orphaned by the swap stay in the
-    /// arena until [`BddManager::compact`].
+    /// shared graph) changes. Nodes orphaned by the swap stay in the arena
+    /// and the unique table until [`BddManager::compact`].
     ///
     /// Swapping the same pair twice restores the original order, node
     /// count and [`BddManager::digest`] — the involution the reorder
@@ -288,8 +311,11 @@ impl BddManager {
                 n_vars: self.n_vars(),
             });
         }
-        let mut lists = collect_levels(self);
-        swap_adjacent(self, upper_level, &mut lists, &mut LiveCount::default())
+        // Every arena node counts as a root, so none dies and every handle
+        // stays valid.
+        let roots: Vec<Bdd> = (2..self.nodes.len()).map(Bdd::from_index).collect();
+        let (mut live, mut lists) = LiveCount::new(self, &roots);
+        swap_adjacent(self, upper_level, &mut lists, &mut live)
     }
 }
 
@@ -420,35 +446,39 @@ mod tests {
         (bdds.manager().clone(), funcs)
     }
 
-    /// Which arena nodes the count holds live.
-    fn live_set(m: &BddManager, live: &LiveCount) -> Vec<bool> {
-        (0..m.nodes.len() as u32).map(|h| live.is_live(h)).collect()
-    }
-
-    /// Swaps `level` and checks the running total against a full count.
-    fn checked_swap(
-        m: &mut BddManager,
-        level: usize,
-        lists: &mut LevelLists,
-        live: &mut LiveCount,
-        roots: &[Bdd],
-    ) {
-        swap_adjacent(m, level, lists, live).unwrap();
+    /// Checks what a sift's bookkeeping promises after every swap: the
+    /// running total is the reachable count, the unique table holds
+    /// exactly the live nodes, each under its key, and `lists` holds
+    /// exactly the live nodes, each at its level.
+    fn check_reclaimed(m: &mut BddManager, lists: &LevelLists, live: &LiveCount, roots: &[Bdd]) {
+        assert_eq!(live.total(), m.node_count(roots), "running total drifted");
+        assert_eq!(m.unique.len(), live.total(), "dead nodes left interned");
+        let mut listed = 0;
+        for (level, list) in lists.iter().enumerate() {
+            listed += list.len();
+            for &h in list {
+                assert!(live.is_live(h), "dead node {h} listed at level {level}");
+                let nd = m.nodes[h as usize];
+                assert_eq!(nd.level as usize, level, "node {h} listed off its level");
+                let (var, lo, hi) = m.unique_key(nd);
+                assert_eq!(m.unique.get(var, lo, hi), Some(h), "node {h} lost its key");
+            }
+        }
         assert_eq!(
+            listed,
             live.total(),
-            m.node_count(roots),
-            "after swapping level {level}"
+            "a live node is missing from the lists"
         );
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// The running live total equals `node_count(roots)` after every
-        /// swap of a random sequence, for a random subset of the functions
-        /// as roots. A step may swap its level straight back, which
-        /// restores the exact live set: every node the first swap killed
-        /// comes back through `mk`'s unique-table lookups.
+        /// Over a random sequence of swaps, for a random subset of the
+        /// functions as roots, the running live total, the unique table
+        /// and the level lists stay exact after every swap, and a step
+        /// that swaps its level straight back restores the node count and
+        /// the digest.
         #[test]
         fn running_total_matches_node_count_across_swaps(
             seed in 0u64..1000,
@@ -465,65 +495,46 @@ mod tests {
                 .filter(|(i, _)| root_mask >> (i % 64) & 1 == 1)
                 .map(|(_, &f)| f)
                 .collect();
-            let mut lists = collect_levels(&m);
-            let mut live = LiveCount::new(&m, &roots);
-            prop_assert_eq!(live.total(), m.node_count(&roots));
+            let (mut live, mut lists) = LiveCount::new(&mut m, &roots);
+            check_reclaimed(&mut m, &lists, &live, &roots);
             for (pick, back) in steps {
                 let level = pick % (m.n_vars() - 1);
-                let before = live_set(&m, &live);
-                checked_swap(&mut m, level, &mut lists, &mut live, &roots);
+                let count = m.node_count(&roots);
+                let digest = m.digest(&roots);
+                swap_adjacent(&mut m, level, &mut lists, &mut live).unwrap();
+                check_reclaimed(&mut m, &lists, &live, &roots);
                 if back {
-                    checked_swap(&mut m, level, &mut lists, &mut live, &roots);
-                    let restored = live_set(&m, &live);
-                    prop_assert_eq!(&restored[..before.len()], &before[..]);
-                    prop_assert!(restored[before.len()..].iter().all(|&l| !l));
+                    swap_adjacent(&mut m, level, &mut lists, &mut live).unwrap();
+                    check_reclaimed(&mut m, &lists, &live, &roots);
+                    prop_assert_eq!(m.node_count(&roots), count);
+                    prop_assert_eq!(m.digest(&roots), digest);
                 }
             }
         }
     }
 
     #[test]
-    fn swapping_back_revives_the_nodes_a_swap_killed() {
+    fn a_swap_reclaims_the_nodes_it_kills() {
         let (mut m, funcs) = workload(7, 8, 3, 30);
-        let mut lists = collect_levels(&m);
-        let mut live = LiveCount::new(&m, &funcs);
+        let (mut live, mut lists) = LiveCount::new(&mut m, &funcs);
         let total = live.total();
-        let (mut killed, mut revived) = (0, 0);
+        let mut killed = 0;
         for level in 0..m.n_vars() - 1 {
-            let before = live_set(&m, &live);
+            let before: Vec<u32> = lists.concat();
             swap_adjacent(&mut m, level, &mut lists, &mut live).unwrap();
-            assert_eq!(live.total(), m.node_count(&funcs));
-            let after = live_set(&m, &live);
-            killed += before
-                .iter()
-                .zip(&after)
-                .filter(|&(&b, &a)| b && !a)
-                .count();
+            let dead: Vec<u32> = before.into_iter().filter(|&h| !live.is_live(h)).collect();
+            killed += dead.len();
+            check_reclaimed(&mut m, &lists, &live, &funcs);
+            // Swapping back needs the same functions again: `mk` interns
+            // fresh nodes for them rather than reviving the reclaimed ones.
             swap_adjacent(&mut m, level, &mut lists, &mut live).unwrap();
-            let restored = live_set(&m, &live);
-            revived += after
-                .iter()
-                .zip(&restored)
-                .filter(|&(&a, &r)| !a && r)
-                .count();
+            check_reclaimed(&mut m, &lists, &live, &funcs);
             assert_eq!(live.total(), total);
-            assert_eq!(live.total(), m.node_count(&funcs));
+            assert!(
+                dead.iter().all(|&h| !live.is_live(h)),
+                "a reclaimed node came back"
+            );
         }
         assert!(killed > 0, "no swap killed a live node");
-        assert_eq!(
-            revived, killed,
-            "a swap back must revive exactly what the swap killed"
-        );
-    }
-
-    #[test]
-    fn an_empty_count_tracks_nothing() {
-        let (mut m, f, g) = setup();
-        let mut lists = collect_levels(&m);
-        let mut live = LiveCount::default();
-        swap_adjacent(&mut m, 1, &mut lists, &mut live).unwrap();
-        assert_eq!(live.total(), 0);
-        assert!(live.refs.is_empty());
-        assert!(m.node_count(&[f, g]) > 0);
     }
 }
