@@ -12,7 +12,7 @@
 //! min-area assignment under the default `SimConfig` — and a hash of the
 //! whole serialized `run_job` outcome of each circuit's compare job,
 //! untimed and timed the way `table2` runs it, plus the untimed job with
-//! `reorder: sift` on apex7, frg1 and x1. Then, for `perfbench`'s
+//! `reorder: sift`. Then, for `perfbench`'s
 //! `tables_cold` workload: a hash of the BLIF text re-written after one
 //! parse of each Table 1 row and of its giant circuit (`blif` rows), and
 //! the untimed outcome of the jobs that the public rows leave out
@@ -43,10 +43,6 @@ use domino_phase::{DominoSynthesizer, PhaseAssignment};
 use domino_sim::{measure_domino_switching, measure_power, SimConfig};
 use domino_techmap::{map, Library};
 use domino_workloads::{generate_giant, public_suite, table_suite, GiantSpec};
-
-/// Circuits whose outcome rows include the sifted compare job. x3 is
-/// left out: sifting it takes far longer than the rest of the fixture.
-const SIFTED_OUTCOMES: [&str; 3] = ["apex7", "frg1", "x1"];
 
 /// The giant sequential circuit of `perfbench`'s `tables_cold` workload.
 fn tables_cold_giant() -> Network {
@@ -182,16 +178,10 @@ fn main() {
 
         // Whole-outcome pins: the compare job `table1` (untimed) and
         // `table2` (85% of the MA delay, P_i = 2.5) run on this circuit,
-        // and on the circuits in `SIFTED_OUTCOMES` the untimed job with
-        // `reorder: sift` (which pins the unique-table counters and the
-        // reorder summary too), hashed over `run_job`'s serialized
-        // outcome.
-        let modes: &[&str] = if SIFTED_OUTCOMES.contains(&bench.name) {
-            &["untimed", "timed", "sift"]
-        } else {
-            &["untimed", "timed"]
-        };
-        for &mode in modes {
+        // and the untimed job with `reorder: sift` (which pins the
+        // unique-table counters and the reorder summary too), hashed over
+        // `run_job`'s serialized outcome.
+        for mode in ["untimed", "timed", "sift"] {
             let mut spec = JobSpec::for_network(bench.name, net);
             match mode {
                 "timed" => {

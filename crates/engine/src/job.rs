@@ -349,15 +349,7 @@ impl FlowJob {
 /// the measured bits.
 pub fn cache_key(net: &Network, spec: &JobSpec) -> String {
     let config = spec.config_json().serialize();
-    let net_digest = net.structural_digest();
-    // Two independent FNV-1a passes (salted differently) give a 128-bit
-    // address; collisions are negligible at any realistic cache size.
-    let lo = fnv1a64(config.as_bytes(), net_digest ^ 0x9E37_79B9_7F4A_7C15);
-    let hi = fnv1a64(
-        config.as_bytes(),
-        net_digest.rotate_left(31) ^ 0x517C_C1B7_2722_0A95,
-    );
-    format!("{hi:016x}{lo:016x}")
+    content_address(net, config, spec.flow.probability.reorder)
 }
 
 /// Computes the content-address of a job's *warm state* — the converged
@@ -378,7 +370,28 @@ pub fn snapshot_key(net: &Network, prob: &ProbabilityConfig, pi_probs: &[f64]) -
     for &p in pi_probs {
         config.push_str(&format!("{:016x}", p.to_bits()));
     }
+    content_address(net, config, prob.reorder)
+}
+
+/// The sifting path's revision, mixed into both content addresses of a
+/// spec whose `reorder` is not `off`. The same sifted spec yields other
+/// outcome bytes (swaps, final order, unique-table counters) when the
+/// sift takes another path, so each such change bumps this, and a store
+/// written before it never answers for a spec after it. Revision 2
+/// reclaims dead nodes in every swap and orders the agenda by live
+/// population.
+const SIFT_REVISION: &str = "sift revision 2";
+
+/// A 128-bit hex address over `config` and the network's structural
+/// digest, with [`SIFT_REVISION`] appended for an active `reorder`.
+fn content_address(net: &Network, mut config: String, reorder: ReorderMode) -> String {
+    if reorder != ReorderMode::Off {
+        config.push('\n');
+        config.push_str(SIFT_REVISION);
+    }
     let net_digest = net.structural_digest();
+    // Two independent FNV-1a passes (salted differently) give a 128-bit
+    // address; collisions are negligible at any realistic cache size.
     let lo = fnv1a64(config.as_bytes(), net_digest ^ 0x9E37_79B9_7F4A_7C15);
     let hi = fnv1a64(
         config.as_bytes(),
@@ -1187,6 +1200,41 @@ mod tests {
             snapshot_key(&other.network, &other.spec.flow.probability, &other_pi),
             base
         );
+    }
+
+    /// Keys computed before dead-node reclamation changed the sifting
+    /// path, on frg1's suite spec: a store written then must keep serving
+    /// unsifted jobs and must not serve sifted ones.
+    #[test]
+    fn only_sifted_specs_moved_off_their_earlier_keys() {
+        let earlier = [
+            (
+                ReorderMode::Off,
+                "d124e5efb3cca19bfcfed323b7503b94",
+                "0bbeeafa8dfda3f7a047c581648c0c06",
+            ),
+            (
+                ReorderMode::Sift,
+                "93d175487d9cc4789902c56c02cb8799",
+                "59a7303ab8d3ce10deb2ade0a8919df7",
+            ),
+        ];
+        for (reorder, cache, snapshot) in earlier {
+            let mut spec = JobSpec::suite("frg1");
+            spec.flow.probability.reorder = reorder;
+            let job = spec.resolve().unwrap();
+            let pi = job.spec.pi.expand(&job.network).unwrap();
+            let now = (
+                job.cache_key().to_string(),
+                snapshot_key(&job.network, &job.spec.flow.probability, &pi),
+            );
+            if reorder == ReorderMode::Off {
+                assert_eq!(now, (cache.to_string(), snapshot.to_string()));
+            } else {
+                assert_ne!(now.0, cache, "sifted cache key did not move");
+                assert_ne!(now.1, snapshot, "sifted snapshot key did not move");
+            }
+        }
     }
 
     #[test]

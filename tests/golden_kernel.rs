@@ -17,7 +17,7 @@
 //! of the min-area assignment under the default `SimConfig`, and
 //! (`outcome` rows) an FNV-1a hash of the serialized `run_job` outcome of
 //! the circuit's compare job, untimed and timed as `table2` runs it, and
-//! untimed with `reorder: sift` on apex7, frg1 and x1. For `perfbench`'s
+//! untimed with `reorder: sift`. For `perfbench`'s
 //! `tables_cold` workload they also pin what the BLIF parser builds
 //! (`blif` rows: a hash of each Table 1 row and the giant written back
 //! out after one parse) and the untimed outcomes of the jobs the public
@@ -325,10 +325,6 @@ fn packed_simulation_is_bit_identical_to_fixtures() {
     }
 }
 
-/// Circuits whose outcome rows include the sifted compare job (must match
-/// `golden_dump`).
-const SIFTED_OUTCOMES: [&str; 3] = ["apex7", "frg1", "x1"];
-
 #[test]
 fn job_outcomes_are_byte_identical_to_fixtures() {
     let suite = public_suite().expect("suite generates");
@@ -337,15 +333,10 @@ fn job_outcomes_are_byte_identical_to_fixtures() {
         .iter()
         .filter(|row| !TABLES_COLD_EXTRA.contains(&row.get("name")));
     for bench in &suite {
-        let modes: &[&str] = if SIFTED_OUTCOMES.contains(&bench.name) {
-            &["untimed", "timed", "sift"]
-        } else {
-            &["untimed", "timed"]
-        };
-        for &mode in modes {
+        for mode in ["untimed", "timed", "sift"] {
             // The compare job `table1` (untimed) or `table2` (85% of the
-            // MA delay, P_i = 2.5) runs on this circuit, and on some
-            // circuits the untimed job with a final sifting pass.
+            // MA delay, P_i = 2.5) runs on this circuit, and the untimed
+            // job with a final sifting pass.
             let mut spec = JobSpec::for_network(bench.name, &bench.network);
             match mode {
                 "timed" => {
