@@ -30,7 +30,7 @@
 //! A `reorder` section measures the dynamic-variable-reordering win on
 //! the `reorder_stress` generator circuit (static declared order is
 //! exponential, sifting recovers the linear interleaved order) and gates
-//! the node shrink. Its `suite` rows time the sift of apex7 and x1
+//! the node shrink. Its `suite` rows time the sift of apex7, x1 and x3
 //! (`sift_ms`, gated like the per-circuit wall clocks) and gate their
 //! exact `swaps` and `nodes_sifted`.
 //!
@@ -75,9 +75,8 @@ use domino_workloads::{generate_giant, public_suite, reorder_stress, GiantSpec};
 /// microseconds even statically.
 const REORDER_PAIRS: usize = 8;
 
-/// Suite circuits whose sift the `reorder` section times and gates. x3 is
-/// left out while one sift of it takes seconds.
-const SIFT_ROWS: [&str; 2] = ["apex7", "x1"];
+/// Suite circuits whose sift the `reorder` section times and gates.
+const SIFT_ROWS: [&str; 3] = ["apex7", "x1", "x3"];
 
 /// Wall-clock minimum of `samples` runs of `f`, in milliseconds.
 ///
@@ -326,8 +325,8 @@ fn main() -> ExitCode {
     let reorder_ms = best_ms(samples, || {
         CircuitBdds::build_reordered(&stress, identity.clone(), &sift_config).expect("sifted build")
     });
-    // Suite sifting: the final sift of a `reorder: sift` job on apex7 and
-    // x1, under the paper's order. Each sample sifts (and compacts) a
+    // Suite sifting: the final sift of a `reorder: sift` job on each of
+    // `SIFT_ROWS`, under the paper's order. Each sample sifts (and compacts) a
     // fresh untimed build, so `sift_ms` times the sift alone; its swap and
     // node counts are the golden `reorder` rows and gate exactly.
     let suite_sifts: Vec<Json> = SIFT_ROWS
