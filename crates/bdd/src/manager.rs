@@ -280,8 +280,10 @@ impl EvalScratch {
 /// equality of functions is pointer equality of [`Bdd`] handles —
 /// this is what makes node counting and equivalence checks O(1)/O(size).
 ///
-/// There is no garbage collection: the target workloads (block-sized domino
-/// control logic) comfortably fit; a configurable [node limit]
+/// Garbage is collected only by [`BddManager::compact`], which every sift
+/// ends with ([`crate::dvo::sift`]); a plain build keeps every node it
+/// made, since the target workloads (block-sized domino control logic)
+/// comfortably fit. A configurable [node limit]
 /// (`BddManager::set_node_limit`) guards against pathological blow-up.
 #[derive(Debug, Clone)]
 pub struct BddManager {

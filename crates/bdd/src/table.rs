@@ -174,7 +174,8 @@ impl UniqueTable {
     /// ran through the vacated slot is shifted back, so no tombstones
     /// accumulate and [`UniqueTable::get`] stays a plain
     /// probe-until-vacant loop. Level swaps lean on this — a swap retracts
-    /// the key of every node it rewrites and interns the rewritten one.
+    /// the key of every node it rewrites and interns the rewritten one, and
+    /// inside a sift it retracts the key of every node it kills.
     pub fn remove(&mut self, var: u32, lo: u32, hi: u32) -> bool {
         let mut i = hash3(var, lo, hi) as usize & self.mask;
         loop {
